@@ -19,6 +19,7 @@ from .embeddings import encode_tokens
 from .evaluation import (BaselineMismatchError, evaluate_domain, extract_spans,
                          load_baselines, render_report)
 from .network import load_checkpoint, predict_tags, save_checkpoint
+from .tensor import NumericError
 from .training import TrainConfig, cross_validate, train
 
 
@@ -210,7 +211,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (DataError, ParseError, SchemaError, BaselineMismatchError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, ValueError, NumericError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -251,6 +251,24 @@ def save_corpus(path, corpus: Corpus):
                                  "tokens": s.tokens, "tags": s.tags}) + "\n")
 
 
+def _corpus_line_problem(doc):
+    """Why one decoded corpus line is not a sentence object, or None."""
+    if not isinstance(doc, dict):
+        return f"expected a JSON object, got {type(doc).__name__}"
+    for key in ("app", "tokens", "tags"):
+        if key not in doc:
+            return f"missing key {key!r}"
+    if not isinstance(doc["app"], str):
+        return "'app' must be a string"
+    if not isinstance(doc.get("category"), (str, type(None))):
+        return "'category' must be a string or null"
+    for key in ("tokens", "tags"):
+        if not (isinstance(doc[key], list)
+                and all(isinstance(x, str) for x in doc[key])):
+            return f"{key!r} must be a list of strings"
+    return None
+
+
 def load_corpus(path) -> Corpus:
     sentences = []
     with open(path, encoding="utf-8") as fh:
@@ -260,9 +278,12 @@ def load_corpus(path) -> Corpus:
                 continue
             try:
                 doc = json.loads(line)
-                sentences.append(TaggedSentence(
-                    app_id=doc["app"], category=doc.get("category"),
-                    tokens=doc["tokens"], tags=doc["tags"]))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
+            problem = _corpus_line_problem(doc)
+            if problem:
+                raise ParseError(f"line {lineno}: {problem}")
+            sentences.append(TaggedSentence(
+                app_id=doc["app"], category=doc.get("category"),
+                tokens=doc["tokens"], tags=doc["tags"]))
     return Corpus(sentences=sentences)

@@ -8,17 +8,19 @@ batch wrappers slice padded inputs down before calling the core.
 """
 
 import json
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import crf
-from .embeddings import EmbeddingTable, PAD_INDEX, Vocabulary
-from .lstm import (LstmCellParams, init_lstm, lstm_step, lstm_step_backward,
-                   zero_grads)
+from .embeddings import EmbeddingTable, PAD_INDEX, UNK_INDEX, Vocabulary
+from .lstm import LstmCellParams, init_lstm, lstm_step, lstm_step_backward
 from .tensor import ShapeError, softmax_rows
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# what numpy and zipfile raise on a damaged archive or entry
+_DAMAGED = (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile)
 
 
 @dataclass
@@ -78,9 +80,9 @@ def init_model(vocab_size: int, dims: ModelDims, rng: np.random.Generator,
 
 
 # parameter blocks exposed to the optimizer / gradient checker
-def param_blocks(params: ModelParams, include_embedding: bool = True) -> dict:
+def param_blocks(params: ModelParams) -> dict:
     blocks = {}
-    if include_embedding and params.embedding.trainable:
+    if params.embedding.trainable:
         blocks["embedding"] = params.embedding.matrix
     for name, cell in (("enc_fwd", params.enc_fwd), ("enc_bwd", params.enc_bwd),
                        ("dec", params.dec)):
@@ -354,50 +356,89 @@ def decode_tags_inference(params: ModelParams, attended, lengths):
 
 # ------------------------------------------------------------- checkpoint
 
+def _checkpoint_arrays(params: ModelParams) -> dict:
+    """Every array a checkpoint holds; the embedding even when frozen."""
+    return {**param_blocks(params), "embedding": params.embedding.matrix}
+
+
 def save_checkpoint(path, params: ModelParams, vocab: Vocabulary,
                     extra_config: dict | None = None):
-    """JSON checkpoint; float repr round-trips float64 bit-exactly."""
-    doc = {
+    """Uncompressed .npz: one entry per parameter block plus a JSON header."""
+    header = json.dumps({
         "version": CHECKPOINT_VERSION,
         "dims": vars(params.dims),
         "embedding_trainable": params.embedding.trainable,
         "vocab": vocab.index_to_token,
         "config": extra_config or {},
-        "params": {name: arr.tolist()
-                   for name, arr in param_blocks(params, include_embedding=False).items()},
-        "embedding_matrix": params.embedding.matrix.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    })
+    # a file object, because np.savez appends ".npz" to a path without it
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(header), **_checkpoint_arrays(params))
+
+
+def _entry(npz, path, name):
+    try:
+        return npz[name]
+    except KeyError:
+        raise ValueError(f"{path}: checkpoint has no {name!r} entry") from None
+    except _DAMAGED + (OSError,) as exc:  # OSError: a bad member offset
+        raise ValueError(f"{path}: entry {name!r} is unreadable: {exc}") from None
+
+
+_HEADER_CHECKS = {
+    "dims": lambda d: (isinstance(d, dict)
+                       and set(d) == {f.name for f in fields(ModelDims)}
+                       and all(type(v) is int and v > 0 for v in d.values())),
+    "vocab": lambda v: (isinstance(v, list) and len(v) > UNK_INDEX
+                        and all(isinstance(t, str) for t in v)),
+    "embedding_trainable": lambda b: isinstance(b, bool),
+    "config": lambda c: isinstance(c, dict),
+}
+
+
+def _read_header(npz, path) -> dict:
+    raw = _entry(npz, path, "header")
+    if raw.ndim != 0 or raw.dtype.kind != "U":
+        raise ValueError(f"{path}: header is not a string")
+    try:
+        header = json.loads(raw.item())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version "
+                         f"{header.get('version')!r}, expected {CHECKPOINT_VERSION}")
+    for key, ok in _HEADER_CHECKS.items():
+        if not ok(header.get(key)):
+            raise ValueError(f"{path}: bad header field {key!r}")
+    return header
 
 
 def load_checkpoint(path):
-    """Returns (params, vocab, config)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    dims = ModelDims(**doc["dims"])
-    index_to_token = doc["vocab"]
+    """Returns (params, vocab, config); a malformed file raises ValueError."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except _DAMAGED:
+        npz = None  # not a zip: pickle refused, empty or truncated file
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz archive; checkpoints are version "
+                         f"{CHECKPOINT_VERSION} .npz files (JSON checkpoints "
+                         f"from version 1 no longer load)")
+    with npz:
+        header = _read_header(npz, path)
+        index_to_token = header["vocab"]
+        params = init_model(len(index_to_token), ModelDims(**header["dims"]),
+                            np.random.default_rng(0))
+        params.embedding.trainable = header["embedding_trainable"]
+        for name, skeleton in _checkpoint_arrays(params).items():
+            arr = _entry(npz, path, name)
+            if arr.shape != skeleton.shape or arr.dtype != skeleton.dtype:
+                raise ValueError(
+                    f"{path}: block {name!r} is {arr.dtype} {arr.shape}, "
+                    f"expected {skeleton.dtype} {skeleton.shape}")
+            skeleton[...] = arr
     vocab = Vocabulary(
         token_to_index={t: i for i, t in enumerate(index_to_token)},
         index_to_token=list(index_to_token))
-    embedding = EmbeddingTable(
-        matrix=np.array(doc["embedding_matrix"], dtype=np.float64),
-        trainable=doc["embedding_trainable"])
-    p = doc["params"]
-
-    def arr(name):
-        return np.array(p[name], dtype=np.float64)
-    params = ModelParams(
-        embedding=embedding,
-        enc_fwd=LstmCellParams(arr("enc_fwd.w_in"), arr("enc_fwd.w_h"), arr("enc_fwd.b")),
-        enc_bwd=LstmCellParams(arr("enc_bwd.w_in"), arr("enc_bwd.w_h"), arr("enc_bwd.b")),
-        attn_q=arr("attn_q"), attn_k=arr("attn_k"), attn_v=arr("attn_v"),
-        tag_embedding=arr("tag_embedding"),
-        dec=LstmCellParams(arr("dec.w_in"), arr("dec.w_h"), arr("dec.b")),
-        emission_w=arr("emission_w"), emission_b=arr("emission_b"),
-        transitions=arr("transitions"),
-        dims=dims,
-    )
-    return params, vocab, doc.get("config", {})
+    return params, vocab, header["config"]

@@ -1,11 +1,9 @@
-"""Minimal dense linear algebra on 64-bit float matrices.
+"""Numeric helpers on float64 arrays: activations, softmax, logsumexp.
 
 All numeric state in this package is a 2-D (or 1-D for vectors) float64
-numpy array; the helpers here add the shape checking, masked softmax and
-the finite-difference gradient checker that the layer code relies on.
+numpy array; the helpers here add the masked softmax, a stable
+logsumexp and the error types the layer code raises.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,57 +20,13 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-def tensor(data) -> np.ndarray:
-    """Coerce nested lists / arrays to a 2-D float64 matrix."""
-    a = np.asarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D tensor, got ndim={a.ndim}")
-    return np.ascontiguousarray(a)
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.float64)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def sigmoid(x):
     # clip keeps exp() finite; sigmoid saturates well before +-500 anyway
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
-def sigmoid_deriv(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
 def tanh(x):
     return np.tanh(x)
-
-
-def tanh_deriv(x):
-    t = np.tanh(x)
-    return 1.0 - t * t
-
-
-_ELEMENTWISE = {
-    "sigmoid": sigmoid,
-    "sigmoid_deriv": sigmoid_deriv,
-    "tanh": tanh,
-    "tanh_deriv": tanh_deriv,
-}
-
-
-def elementwise(x: np.ndarray, fn: str) -> np.ndarray:
-    try:
-        f = _ELEMENTWISE[fn]
-    except KeyError:
-        raise ValueError(f"unknown elementwise fn {fn!r}") from None
-    return f(np.asarray(x, dtype=np.float64))
 
 
 def softmax_rows(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -103,45 +57,3 @@ def logsumexp(x: np.ndarray, axis=None):
     m = np.where(np.isfinite(m), m, 0.0)
     out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
     return float(out.reshape(())) if axis is None else np.squeeze(out, axis=axis)
-
-
-@dataclass
-class GradCheckResult:
-    max_relative_error: float
-    worst_index: tuple
-    passed: bool
-
-
-def grad_check(loss_fn, param: np.ndarray, analytic_grad: np.ndarray,
-               h: float = 1e-4, tol: float = 1e-4) -> GradCheckResult:
-    """Central-difference check of an analytic gradient.
-
-    loss_fn takes the parameter array and returns a scalar; param is
-    perturbed in place and restored, one coordinate at a time.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if param.shape != analytic_grad.shape:
-        raise ShapeError(
-            f"grad shape {analytic_grad.shape} != param shape {param.shape}")
-    worst = (0,) * param.ndim
-    max_err = 0.0
-    it = np.nditer(param, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = param[idx]
-        param[idx] = orig + h
-        lo_plus = loss_fn(param)
-        param[idx] = orig - h
-        lo_minus = loss_fn(param)
-        param[idx] = orig
-        if not (np.isfinite(lo_plus) and np.isfinite(lo_minus)):
-            raise NumericError(f"non-finite loss while probing coordinate {idx}")
-        fd = (lo_plus - lo_minus) / (2.0 * h)
-        an = analytic_grad[idx]
-        err = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
-        if err > max_err:
-            max_err = err
-            worst = idx
-    return GradCheckResult(max_relative_error=max_err, worst_index=worst,
-                           passed=max_err <= tol)

@@ -1,8 +1,8 @@
 """Training harness: padding, Adam, the epoch loop, leave-one-domain-out.
 
-The vocabulary and the global padding length are always computed from
-the training folds only; held-out-domain sentences never touch anything
-the optimizer sees.
+The vocabulary is always built from the training folds only; held-out
+domain sentences never touch anything the optimizer sees. Each batch is
+padded to its own longest sentence.
 """
 
 from dataclasses import dataclass, field, asdict
@@ -27,7 +27,6 @@ class TrainConfig:
     epochs: int = 20
     runs_per_fold: int = 15
     seed: int = 0
-    padding_mode: str = "global_max"  # or "batch_max"
     grad_clip_norm: float = 5.0
     h_enc: int = 128
     d_att: int = 256
@@ -43,8 +42,6 @@ class TrainConfig:
         for name in ("batch_size", "embedding_dim", "epochs", "runs_per_fold"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.padding_mode not in ("global_max", "batch_max"):
-            raise ValueError(f"unknown padding_mode {self.padding_mode!r}")
 
     def dims(self) -> ModelDims:
         return ModelDims(embedding_dim=self.embedding_dim, h_enc=self.h_enc,
@@ -160,7 +157,6 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
                                   trainable=not config.freeze_embeddings)
     params = network.init_model(len(vocab), config.dims(), rng, embedding=table)
     state = AdamState.for_params(params)
-    max_len = max(len(s.tokens) for s in sentences)
 
     loss_curve = []
     order = np.arange(len(sentences))
@@ -169,9 +165,8 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [sentences[i] for i in order[start:start + config.batch_size]]
-            pad_to = max_len if config.padding_mode == "global_max" \
-                else max(len(s.tokens) for s in batch)
-            indices, tags, lengths = pad_batch(batch, vocab, pad_to)
+            indices, tags, lengths = pad_batch(
+                batch, vocab, max(len(s.tokens) for s in batch))
             grads = network.zero_grad_blocks(params)
             batch_loss = 0.0
             for i, n in enumerate(lengths):

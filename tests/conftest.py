@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from reqtag.data import Corpus, TaggedSentence
+from reqtag.tensor import NumericError, ShapeError
 
 FILLERS = ["i", "really", "love", "this", "app", "but", "it", "crash",
            "often", "please", "very", "nice"]
@@ -31,3 +34,45 @@ def make_synthetic_corpus(n_sentences=200, n_domains=3, seed=0) -> Corpus:
 @pytest.fixture(scope="session")
 def synthetic_corpus():
     return make_synthetic_corpus()
+
+
+@dataclass
+class GradCheckResult:
+    max_relative_error: float
+    worst_index: tuple
+    passed: bool
+
+
+def grad_check(loss_fn, param: np.ndarray, analytic_grad: np.ndarray,
+               h: float = 1e-4, tol: float = 1e-4) -> GradCheckResult:
+    """Central-difference check of an analytic gradient.
+
+    loss_fn takes the parameter array and returns a scalar; param is
+    perturbed in place and restored, one coordinate at a time.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if param.shape != analytic_grad.shape:
+        raise ShapeError(
+            f"grad shape {analytic_grad.shape} != param shape {param.shape}")
+    worst = (0,) * param.ndim
+    max_err = 0.0
+    it = np.nditer(param, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        orig = param[idx]
+        param[idx] = orig + h
+        lo_plus = loss_fn(param)
+        param[idx] = orig - h
+        lo_minus = loss_fn(param)
+        param[idx] = orig
+        if not (np.isfinite(lo_plus) and np.isfinite(lo_minus)):
+            raise NumericError(f"non-finite loss while probing coordinate {idx}")
+        fd = (lo_plus - lo_minus) / (2.0 * h)
+        an = analytic_grad[idx]
+        err = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
+        if err > max_err:
+            max_err = err
+            worst = idx
+    return GradCheckResult(max_relative_error=max_err, worst_index=worst,
+                           passed=max_err <= tol)

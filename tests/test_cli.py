@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from reqtag.cli import main
@@ -100,6 +101,32 @@ class TestCrossval:
                     "--config", bad, "--out", tmp_path / "o"]) == 1
 
 
+class TestTrain:
+    @pytest.mark.parametrize("line", [
+        '{"app": "a", "tokens": "abc", "tags": "OOO"}',
+        "[1, 2]",
+    ])
+    def test_malformed_corpus_line(self, corpus_path, config_path, tmp_path,
+                                   capsys, line):
+        with open(corpus_path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        assert run(["train", "--corpus", corpus_path, "--config", config_path,
+                    "--output", tmp_path / "model.npz"]) == 1
+        assert capsys.readouterr().err.startswith("error: line 31: ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_names_block(self, corpus_path, tmp_path, capsys):
+        # a step this large overflows every weight after the first update
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "learning_rate": 1e300}),
+                       encoding="utf-8")
+        assert run(["train", "--corpus", corpus_path, "--config", cfg,
+                    "--output", tmp_path / "model.npz"]) == 1
+        err = capsys.readouterr().err
+        assert "error: non-finite gradient in block '" in err
+        assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory):
     """Checkpoint overfit on one tiny corpus, reused across CLI tests."""
@@ -175,3 +202,41 @@ class TestEvaluate:
         assert run(["evaluate", "--model", model, "--corpus", cpath,
                     "--domain", target.domain, "--baselines", base]) == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("content", [
+        b"",
+        b'{"version": 1, "params": {}}',
+        b"PK\x03\x04 truncated",
+    ])
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    def test_error_line_and_exit_1(self, corpus_path, tmp_path, capsys,
+                                   command, content):
+        model = tmp_path / "model.json"
+        model.write_bytes(content)
+        src = tmp_path / "reviews.txt"
+        src.write_text("add dark mode\n", encoding="utf-8")
+        args = {"extract": ["--input", src],
+                "evaluate": ["--corpus", corpus_path, "--domain", "dom0"]}
+        assert run([command, "--model", model] + args[command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {model}: not an .npz archive; "
+                                "checkpoints are version 2 .npz files (JSON "
+                                "checkpoints from version 1 no longer load)\n")
+
+    def test_wrong_shape_names_block(self, trained_model, tmp_path, capsys):
+        model, _, _ = trained_model
+        with np.load(model, allow_pickle=False) as npz:
+            entries = {name: npz[name] for name in npz.files}
+        entries["dec.w_h"] = entries["dec.w_h"][:, :-1]
+        bad = tmp_path / "bad.model"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **entries)
+        src = tmp_path / "reviews.txt"
+        src.write_text("add dark mode\n", encoding="utf-8")
+        assert run(["extract", "--model", bad, "--input", src]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: block 'dec.w_h' is float64 ")
+        assert err.count("\n") == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reqtag import crf
-from reqtag.tensor import grad_check
+from conftest import grad_check
 
 
 def random_instance(rng, n):

@@ -1,4 +1,10 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reqtag.data import (Corpus, DataError, ParseError, SchemaError,
                          TaggedSentence, align_bio, clean_tokens, load_corpus,
@@ -240,6 +246,56 @@ def test_corpus_round_trip(tmp_path):
     save_corpus(path, corpus)
     loaded = load_corpus(path)
     assert loaded == corpus
+
+
+GOOD_LINE = '{"app": "a", "tokens": ["x"], "tags": ["O"]}'
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ('{"app": "a", "tokens": "abc", "tags": "OOO"}',
+     "'tokens' must be a list of strings"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"app": "a", "tokens": ["x"]}', "missing key 'tags'"),
+    ('{"app": 1, "tokens": ["x"], "tags": ["O"]}', "'app' must be a string"),
+    ('{"app": "a", "category": 5, "tokens": ["x"], "tags": ["O"]}',
+     "'category' must be a string or null"),
+    ('{"app": "a", "tokens": ["x"], "tags": [0]}',
+     "'tags' must be a list of strings"),
+    ('{"app": "a",', "line 2: "),
+])
+def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_corpus(path)
+    assert str(exc.value).startswith("line 2: ")
+    assert fragment in str(exc.value)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_FIELD = _JSON | st.lists(st.sampled_from(["O", "B", "I", "add", "Dark", ""]),
+                          max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON | st.fixed_dictionaries(
+    {"app": _FIELD, "tokens": _FIELD, "tags": _FIELD},
+    optional={"category": _FIELD}))
+def test_any_corpus_line_loads_or_raises_data_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        try:
+            corpus = load_corpus(path)
+        except (ParseError, DataError):
+            return
+    for s in corpus.sentences:
+        assert all(isinstance(t, str) for t in s.tokens + s.tags)
 
 
 def test_domains_map():

@@ -3,7 +3,8 @@ import pytest
 
 from reqtag.lstm import (LstmCellParams, init_lstm, lstm_step,
                          lstm_step_backward, zero_grads)
-from reqtag.tensor import ShapeError, grad_check
+from reqtag.tensor import ShapeError
+from conftest import grad_check
 
 
 def test_zero_params_zero_inputs_fixed_point():

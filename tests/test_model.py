@@ -1,16 +1,21 @@
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reqtag import crf
-from reqtag.embeddings import Vocabulary
+from reqtag.embeddings import EmbeddingTable, Vocabulary
 from reqtag.lstm import lstm_step
 from reqtag.network import (ModelDims, _attend, _decode_inference,
                             _decode_training, _encode, bilstm_encode,
                             decode_tags_inference, decode_tags_training,
                             init_model, load_checkpoint, param_blocks,
-                            predict_tags, save_checkpoint, self_attention,
-                            sentence_loss, sentence_loss_and_grads,
-                            zero_grad_blocks)
+                            predict_tags, save_checkpoint, self_attention)
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
 
@@ -124,41 +129,6 @@ class TestDecoder:
 
 
 class TestEndToEnd:
-    def test_gradients_every_block(self):
-        # seed chosen so no coordinate sits in the finite-difference
-        # noise floor at h=1e-4
-        params = init_model(10, TINY, np.random.default_rng(6))
-        batch = [([2, 3, 4, 5, 2], [0, 1, 2, 2, 0]), ([6, 7, 8], [0, 1, 0])]
-
-        def batch_loss(_=None):
-            return sum(sentence_loss(params, i, g) for i, g in batch) / len(batch)
-
-        grads = zero_grad_blocks(params)
-        for i, g in batch:
-            _, gr = sentence_loss_and_grads(params, i, g)
-            for k in grads:
-                grads[k] += gr[k] / len(batch)
-
-        forbidden = crf.forbidden_mask()
-        for name, arr in param_blocks(params).items():
-            g = grads[name]
-            max_err = 0.0
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                if name == "transitions" and forbidden[idx]:
-                    continue
-                orig = arr[idx]
-                arr[idx] = orig + 1e-4
-                lp = batch_loss()
-                arr[idx] = orig - 1e-4
-                lm = batch_loss()
-                arr[idx] = orig
-                fd = (lp - lm) / 2e-4
-                err = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8)
-                max_err = max(max_err, err)
-            assert max_err <= 1e-4, f"block {name}: {max_err}"
-
     def test_padding_invariance(self, tiny_model):
         # predict_tags works on unpadded indices; padded batch encode of
         # the same sentence must agree on the real positions
@@ -190,3 +160,123 @@ class TestEndToEnd:
                                           err_msg=name)
         np.testing.assert_array_equal(loaded.embedding.matrix,
                                       tiny_model.embedding.matrix)
+
+
+def _vocab(n):
+    return Vocabulary(token_to_index={f"w{i}": i for i in range(n)},
+                      index_to_token=[f"w{i}" for i in range(n)])
+
+
+@pytest.fixture(scope="module")
+def tiny_entries(tmp_path_factory):
+    """The entries of a saved tiny checkpoint, as a name -> array dict."""
+    path = tmp_path_factory.mktemp("ckpt") / "model.json"
+    save_checkpoint(path, init_model(12, TINY, np.random.default_rng(42)),
+                    _vocab(12), extra_config={"seed": 1})
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _write_entries(path, entries):
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
+def _rejected(path, *fragments):
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    for fragment in (str(path),) + fragments:
+        assert fragment in str(exc.value)
+
+
+class TestCheckpoint:
+    def test_frozen_embedding_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        matrix = rng.uniform(-1, 1, size=(12, TINY.embedding_dim))
+        params = init_model(12, TINY, rng,
+                            embedding=EmbeddingTable(matrix=matrix,
+                                                     trainable=False))
+        path = tmp_path / "frozen.model"
+        save_checkpoint(path, params, _vocab(12))
+        loaded, _, config = load_checkpoint(path)
+        assert config == {}
+        assert loaded.embedding.trainable is False
+        np.testing.assert_array_equal(loaded.embedding.matrix, matrix)
+        assert param_blocks(loaded).keys() == param_blocks(params).keys()
+        for name, arr in param_blocks(params).items():
+            np.testing.assert_array_equal(param_blocks(loaded)[name], arr,
+                                          err_msg=name)
+
+    def test_json_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"version": 1, "params": {}}),
+                        encoding="utf-8")
+        _rejected(path, "not an .npz archive", "no longer load")
+
+    def test_npy_file_rejected(self, tmp_path):
+        path = tmp_path / "model.npy"
+        np.save(path, np.zeros(3))
+        _rejected(path, "not an .npz archive")
+
+    @pytest.mark.parametrize("name", ["header", "attn_q", "embedding"])
+    def test_missing_entry(self, tiny_entries, tmp_path, name):
+        entries = dict(tiny_entries)
+        del entries[name]
+        _write_entries(tmp_path / "model.json", entries)
+        _rejected(tmp_path / "model.json", repr(name))
+
+    def test_wrong_dtype(self, tiny_entries, tmp_path):
+        entries = dict(tiny_entries)
+        entries["transitions"] = entries["transitions"].astype(np.float32)
+        _write_entries(tmp_path / "model.json", entries)
+        _rejected(tmp_path / "model.json", "'transitions'", "float32")
+
+    @pytest.mark.parametrize("change, fragment", [
+        (lambda h: "{not json", "not valid JSON"),
+        (lambda h: "[1, 2]", "not a JSON object"),
+        (lambda h: {**h, "version": 1}, "version 1"),
+        (lambda h: {**h, "version": 3}, "version 3"),
+        (lambda h: {**h, "dims": {**h["dims"], "h_enc": -1}}, "'dims'"),
+        (lambda h: {**h, "dims": {**h["dims"], "extra": 1}}, "'dims'"),
+        (lambda h: {**h, "dims": {**h["dims"], "d_tag": 2.5}}, "'dims'"),
+        (lambda h: {**h, "vocab": "w0 w1"}, "'vocab'"),
+        (lambda h: {**h, "embedding_trainable": "yes"},
+         "'embedding_trainable'"),
+        (lambda h: {**h, "vocab": h["vocab"][:-1]},
+         "'embedding' is float64 (12, 4), expected float64 (11, 4)"),
+    ])
+    def test_bad_header(self, tiny_entries, tmp_path, change, fragment):
+        entries = dict(tiny_entries)
+        header = change(json.loads(entries["header"].item()))
+        entries["header"] = np.array(
+            header if isinstance(header, str) else json.dumps(header))
+        _write_entries(tmp_path / "model.json", entries)
+        _rejected(tmp_path / "model.json", fragment)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_truncation_raises_value_error(self, tiny_entries, data):
+        buf = io.BytesIO()
+        np.savez(buf, **tiny_entries)
+        blob = buf.getvalue()
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cut.model"
+            path.write_bytes(blob[:cut])
+            _rejected(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_block_shape_change_raises_value_error(self, tiny_entries,
+                                                        data):
+        entries = dict(tiny_entries)
+        names = sorted(n for n in entries if n != "header")
+        name = data.draw(st.sampled_from(names), label="block")
+        shape = data.draw(
+            st.lists(st.integers(0, 13), max_size=3).map(tuple)
+            .filter(lambda s: s != entries[name].shape), label="shape")
+        entries[name] = np.ones(shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            _write_entries(path, entries)
+            _rejected(path, repr(name), str(shape))

@@ -32,7 +32,7 @@ class TestTrainConfig:
         {"learning_rate": 0.0},
         {"batch_size": 0},
         {"epochs": 0},
-        {"padding_mode": "weird"},
+        {"runs_per_fold": 0},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
