@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .data import (Corpus, DataError, ParseError, SchemaError, load_corpus,
+from .data import (DataError, ParseError, SchemaError, load_corpus,
                    parse_conllu, parse_rebert_csv, save_corpus, clean_tokens)
 from .embeddings import encode_tokens
 from .evaluation import (BaselineMismatchError, evaluate_domain, extract_spans,

@@ -9,7 +9,7 @@ Corpora serialize to JSON Lines, one sentence per line.
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lemmatizer import lemmatize
 
@@ -283,7 +283,10 @@ def load_corpus(path) -> Corpus:
             problem = _corpus_line_problem(doc)
             if problem:
                 raise ParseError(f"line {lineno}: {problem}")
-            sentences.append(TaggedSentence(
-                app_id=doc["app"], category=doc.get("category"),
-                tokens=doc["tokens"], tags=doc["tags"]))
+            try:
+                sentences.append(TaggedSentence(
+                    app_id=doc["app"], category=doc.get("category"),
+                    tokens=doc["tokens"], tags=doc["tags"]))
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
     return Corpus(sentences=sentences)

@@ -4,7 +4,7 @@ Indices 0 and 1 are reserved for padding and unknown tokens. The padding
 row of an embedding table is all zeros and never receives gradient.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,10 +88,11 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
     matched = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+            line = line.rstrip()
             if not line:
                 continue
-            parts = line.split(" ")
+            # the last dim fields are the vector; a word may hold spaces
+            parts = line.rsplit(" ", dim)
             if len(parts) != dim + 1:
                 raise GloveParseError(
                     f"expected a word and {dim} values, got {len(parts)} fields",

@@ -3,8 +3,15 @@
 Layers: embedding lookup -> BiLSTM encoder -> single-head scaled
 dot-product self-attention -> LSTM decoder fed the attended state and
 the previous tag's embedding -> linear emission projection -> linear
-chain CRF. Everything runs per sentence on the true (unpadded) length;
-batch wrappers slice padded inputs down before calling the core.
+chain CRF.
+
+Every layer runs on a right-padded (B, T) batch with a (B, T) mask of
+real positions. The encoder's backward direction reverses each row's
+real prefix, attention masks pad keys, and every layer's output is zero
+at pad positions, so pads get exactly zero gradient. The CRF runs per
+row on the unpadded slice. Training calls batch_loss_and_grads once per
+batch; predict_batch runs the same layers for inference, and
+predict_tags is its B = 1 case.
 """
 
 import json
@@ -15,7 +22,8 @@ import numpy as np
 
 from . import crf
 from .embeddings import EmbeddingTable, PAD_INDEX, UNK_INDEX, Vocabulary
-from .lstm import LstmCellParams, init_lstm, lstm_step, lstm_step_backward
+from .lstm import (LstmCellParams, flat, init_lstm, lstm_backward, lstm_forward,
+                   lstm_step)
 from .tensor import ShapeError, softmax_rows
 
 CHECKPOINT_VERSION = 2
@@ -104,254 +112,204 @@ def zero_grad_blocks(params: ModelParams) -> dict:
             for name, arr in param_blocks(params).items()}
 
 
+# ------------------------------------------------------------------ batch
+
+def _length_mask(lengths, shape):
+    """(B, T) bool mask of real positions; each row holds 1..T tokens."""
+    lengths = np.asarray(lengths)
+    batch, width = shape
+    if lengths.shape != (batch,) or not np.all((lengths >= 1) & (lengths <= width)):
+        raise ValueError(f"lengths {lengths.tolist()} do not fit a padded "
+                         f"batch of shape {tuple(shape)}")
+    return np.arange(width) < lengths[:, None]
+
+
+def _times(a, w):
+    """a @ w.T over the last axis of a (B, T, n) array, as one GEMM."""
+    return (flat(a) @ w.T).reshape(*a.shape[:-1], w.shape[0])
+
+
+def _flip(a, order):
+    """Reorder each row's steps: out[b, t] = a[b, order[b, t]]."""
+    return np.take_along_axis(a, order[:, :, None], axis=1)
+
+
+def _add_cell_grads(grads, prefix, g: LstmCellParams):
+    grads[f"{prefix}.w_in"] += g.w_in
+    grads[f"{prefix}.w_h"] += g.w_h
+    grads[f"{prefix}.b"] += g.b
+
+
 # ---------------------------------------------------------------- encoder
 
-def _encode(params: ModelParams, indices):
-    """BiLSTM over one unpadded sentence; returns (enc (n, 2H), caches)."""
-    n = len(indices)
-    h_enc = params.dims.h_enc
-    emb = params.embedding.matrix
-    xs = [emb[i] for i in indices]
-
-    h = np.zeros(h_enc)
-    c = np.zeros(h_enc)
-    fwd_states, fwd_caches = [], []
-    for t in range(n):
-        h, c, cache = lstm_step(params.enc_fwd, xs[t], h, c)
-        fwd_states.append(h)
-        fwd_caches.append(cache)
-
-    h = np.zeros(h_enc)
-    c = np.zeros(h_enc)
-    bwd_states, bwd_caches = [], []
-    for s in range(n):  # processing order: token n-1 first
-        h, c, cache = lstm_step(params.enc_bwd, xs[n - 1 - s], h, c)
-        bwd_states.append(h)
-        bwd_caches.append(cache)
-
-    enc = np.zeros((n, 2 * h_enc))
-    for t in range(n):
-        enc[t, :h_enc] = fwd_states[t]
-        enc[t, h_enc:] = bwd_states[n - 1 - t]
-    return enc, (fwd_caches, bwd_caches)
+def _encode(params: ModelParams, indices, mask):
+    """BiLSTM over a (B, T) index matrix; returns (enc (B, T, 2H), cache)."""
+    steps = np.arange(mask.shape[1])
+    # reverses each row's real prefix, leaves pads in place; its own inverse
+    order = np.where(mask, mask.sum(axis=1)[:, None] - 1 - steps, steps)
+    x = params.embedding.matrix[indices]
+    x_rev = _flip(x, order)
+    fwd = lstm_forward(params.enc_fwd, _times(x, params.enc_fwd.w_in)
+                       + params.enc_fwd.b)
+    bwd = lstm_forward(params.enc_bwd, _times(x_rev, params.enc_bwd.w_in)
+                       + params.enc_bwd.b)
+    enc = np.concatenate([fwd[0], _flip(bwd[0], order)], axis=2)
+    return enc * mask[:, :, None], (indices, mask, order, x, x_rev, fwd, bwd)
 
 
-def _encode_backward(params: ModelParams, indices, enc_caches, d_enc, grads):
+def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
     """BPTT through both encoder directions; fills embedding grads."""
-    n = len(indices)
+    indices, mask, order, x, x_rev, fwd, bwd = enc_cache
     h_enc = params.dims.h_enc
-    fwd_caches, bwd_caches = enc_caches
-    d_x = [np.zeros(params.dims.embedding_dim) for _ in range(n)]
-
-    g_fwd = LstmCellParams(w_in=grads["enc_fwd.w_in"], w_h=grads["enc_fwd.w_h"],
-                           b=grads["enc_fwd.b"])
-    dh = np.zeros(h_enc)
-    dc = np.zeros(h_enc)
-    for t in range(n - 1, -1, -1):
-        dx, dh, dc = lstm_step_backward(params.enc_fwd, fwd_caches[t],
-                                        dh + d_enc[t, :h_enc], dc, g_fwd)
-        d_x[t] += dx
-
-    g_bwd = LstmCellParams(w_in=grads["enc_bwd.w_in"], w_h=grads["enc_bwd.w_h"],
-                           b=grads["enc_bwd.b"])
-    dh = np.zeros(h_enc)
-    dc = np.zeros(h_enc)
-    for s in range(n - 1, -1, -1):
-        token = n - 1 - s
-        dx, dh, dc = lstm_step_backward(params.enc_bwd, bwd_caches[s],
-                                        dh + d_enc[token, h_enc:], dc, g_bwd)
-        d_x[token] += dx
-
+    d_enc = d_enc * mask[:, :, None]
+    d_x, g = lstm_backward(params.enc_fwd, x, *fwd, d_enc[:, :, :h_enc])
+    _add_cell_grads(grads, "enc_fwd", g)
+    d_x_rev, g = lstm_backward(params.enc_bwd, x_rev, *bwd,
+                               _flip(d_enc[:, :, h_enc:], order))
+    _add_cell_grads(grads, "enc_bwd", g)
     if params.embedding.trainable:
-        for t, idx in enumerate(indices):
-            if idx != PAD_INDEX:
-                grads["embedding"][idx] += d_x[t]
+        real = mask & (indices != PAD_INDEX)
+        np.add.at(grads["embedding"], indices[real],
+                  (d_x + _flip(d_x_rev, order))[real])
 
 
 # -------------------------------------------------------------- attention
 
-def _attend(params: ModelParams, enc):
-    """Scaled dot-product self-attention over one sentence."""
+def _attend(params: ModelParams, enc, mask):
+    """Scaled dot-product self-attention over each row's real positions."""
     scale = 1.0 / np.sqrt(params.dims.d_att)
-    q = enc @ params.attn_q.T
-    k = enc @ params.attn_k.T
-    v = enc @ params.attn_v.T
-    scores = (q @ k.T) * scale
-    weights = softmax_rows(scores)
-    attended = weights @ v
-    return attended, (enc, q, k, v, weights)
+    q = _times(enc, params.attn_q)
+    k = _times(enc, params.attn_k)
+    v = _times(enc, params.attn_v)
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    keys = np.broadcast_to(mask[:, None, :], scores.shape)
+    weights = softmax_rows(scores, mask=keys) * mask[:, :, None]
+    return weights @ v, (enc, q, k, v, weights)
 
 
 def _attend_backward(params: ModelParams, att_cache, d_att, grads):
     enc, q, k, v, weights = att_cache
     scale = 1.0 / np.sqrt(params.dims.d_att)
-    d_w = d_att @ v.T
-    d_v = weights.T @ d_att
-    d_scores = (d_w - (d_w * weights).sum(axis=1, keepdims=True)) * weights
-    d_q = (d_scores @ k) * scale
-    d_k = (d_scores.T @ q) * scale
-    grads["attn_q"] += d_q.T @ enc
-    grads["attn_k"] += d_k.T @ enc
-    grads["attn_v"] += d_v.T @ enc
+    d_w = d_att @ v.transpose(0, 2, 1)
+    d_v = weights.transpose(0, 2, 1) @ d_att
+    d_scores = (d_w - (d_w * weights).sum(axis=2, keepdims=True)) * weights
+    d_q = flat((d_scores @ k) * scale)
+    d_k = flat((d_scores.transpose(0, 2, 1) @ q) * scale)
+    d_v = flat(d_v)
+    grads["attn_q"] += d_q.T @ flat(enc)
+    grads["attn_k"] += d_k.T @ flat(enc)
+    grads["attn_v"] += d_v.T @ flat(enc)
     d_enc = d_q @ params.attn_q + d_k @ params.attn_k + d_v @ params.attn_v
-    return d_enc
+    return d_enc.reshape(enc.shape)
 
 
 # ---------------------------------------------------------------- decoder
 
-def _allowed_from(prev_state):
-    """Emittable tags reachable from a tag / the start state."""
-    if prev_state in (crf.START, crf.O):
-        return (crf.O, crf.B)
-    return (crf.O, crf.B, crf.I)
+def _decoder_inputs(params: ModelParams, attended):
+    """The decoder's input projection in two parts: one row per step for
+    the attended states, one row per tag (bias included) for the fed tag.
+    Training and inference both sum the same two parts, so they agree
+    bit for bit."""
+    d_att = params.dims.d_att
+    w = params.dec.w_in
+    return (_times(attended, w[:, :d_att]),
+            params.tag_embedding @ w[:, d_att:].T + params.dec.b)
 
 
-def _decode(params: ModelParams, attended, prev_tag_fn):
-    """Run the decoder; prev_tag_fn(t, emissions_so_far) gives the tag fed at t."""
-    n = attended.shape[0]
-    h = np.zeros(params.dims.h_dec)
-    c = np.zeros(params.dims.h_dec)
-    emissions = np.zeros((n, 3))
-    caches, hidden, prev_tags = [], [], []
-    for t in range(n):
-        prev = prev_tag_fn(t, emissions)
-        prev_tags.append(prev)
-        u = np.concatenate([attended[t], params.tag_embedding[prev]])
-        h, c, cache = lstm_step(params.dec, u, h, c)
-        emissions[t] = params.emission_w @ h + params.emission_b
-        caches.append(cache)
-        hidden.append(h)
-    return emissions, (caches, hidden, prev_tags)
+def _emissions(params: ModelParams, hs, mask):
+    return (_times(hs, params.emission_w) + params.emission_b) * mask[:, :, None]
 
 
-def _decode_training(params: ModelParams, attended, gold_tags):
-    for g in gold_tags:
-        if g not in (crf.O, crf.B, crf.I):
-            raise ValueError(f"invalid gold tag index {g}")
+def _decode_training(params: ModelParams, attended, tags, mask):
+    """Teacher-forced decoder: step t is fed gold tag t-1 (START at t=0)."""
+    tags = np.asarray(tags)
+    if not np.isin(tags, (crf.O, crf.B, crf.I)).all():
+        raise ValueError(f"invalid gold tag index in {tags.tolist()}")
+    prev = np.concatenate([np.full((len(tags), 1), crf.START), tags[:, :-1]],
+                          axis=1)
+    from_att, from_tag = _decoder_inputs(params, attended)
+    hs, caches = lstm_forward(params.dec, from_att + from_tag[prev])
+    x = np.concatenate([attended, params.tag_embedding[prev]], axis=2)
+    return _emissions(params, hs, mask), (x, hs, caches, prev, mask)
 
-    def prev_tag(t, _):
-        return crf.START if t == 0 else gold_tags[t - 1]
-    return _decode(params, attended, prev_tag)
 
+def _decode_inference(params: ModelParams, attended, mask):
+    """Decoder fed its own greedy tag: the best legal tag of the step before.
 
-def _decode_inference(params: ModelParams, attended):
-    state = {"prev": crf.START}
-
-    def prev_tag(t, emissions):
-        if t == 0:
-            return crf.START
-        allowed = _allowed_from(state["prev"])
-        scores = emissions[t - 1]
-        best = max(allowed, key=lambda y: (scores[y], -y))
-        state["prev"] = best
-        return best
-    return _decode(params, attended, prev_tag)
+    I is legal only after B or I. argmax takes the first maximum, so ties
+    go to the lower tag. Returns (emissions, fed tags (B, T)).
+    """
+    batch, width, _ = attended.shape
+    from_att, from_tag = _decoder_inputs(params, attended)
+    h = np.zeros((batch, params.dims.h_dec))
+    c = np.zeros((batch, params.dims.h_dec))
+    hs = np.empty((batch, width, params.dims.h_dec))
+    fed = np.empty((batch, width), dtype=np.int64)
+    prev = np.full(batch, crf.START)
+    for t in range(width):
+        fed[:, t] = prev
+        h, c, _ = lstm_step(params.dec, from_att[:, t] + from_tag[prev], h, c)
+        hs[:, t] = h
+        scores = h @ params.emission_w.T + params.emission_b
+        scores[(prev == crf.START) | (prev == crf.O), crf.I] = -np.inf
+        prev = np.argmax(scores, axis=1)
+    return _emissions(params, hs, mask), fed
 
 
 def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
-    caches, hidden, prev_tags = dec_cache
-    n = len(caches)
+    x, hs, caches, prev, mask = dec_cache
     d_att = params.dims.d_att
-    g_dec = LstmCellParams(w_in=grads["dec.w_in"], w_h=grads["dec.w_h"],
-                           b=grads["dec.b"])
-    d_attended = np.zeros((n, d_att))
-    dh = np.zeros(params.dims.h_dec)
-    dc = np.zeros(params.dims.h_dec)
-    for t in range(n - 1, -1, -1):
-        de = d_emissions[t]
-        grads["emission_w"] += np.outer(de, hidden[t])
-        grads["emission_b"] += de
-        dh_t = dh + params.emission_w.T @ de
-        du, dh, dc = lstm_step_backward(params.dec, caches[t], dh_t, dc, g_dec)
-        d_attended[t] = du[:d_att]
-        grads["tag_embedding"][prev_tags[t]] += du[d_att:]
-    return d_attended
+    d_e = flat(d_emissions * mask[:, :, None])
+    grads["emission_w"] += d_e.T @ flat(hs)
+    grads["emission_b"] += d_e.sum(axis=0)
+    d_hs = (d_e @ params.emission_w).reshape(hs.shape)
+    d_x, g = lstm_backward(params.dec, x, hs, caches, d_hs)
+    _add_cell_grads(grads, "dec", g)
+    np.add.at(grads["tag_embedding"], prev, d_x[:, :, d_att:])
+    return d_x[:, :, :d_att]
 
 
-# --------------------------------------------------------- sentence level
+# ------------------------------------------------------------ entry points
 
-def sentence_loss(params: ModelParams, indices, gold_tags) -> float:
-    """Teacher-forced CRF negative log-likelihood of one sentence."""
-    enc, _ = _encode(params, indices)
-    attended, _ = _attend(params, enc)
-    emissions, _ = _decode_training(params, attended, gold_tags)
-    return crf.crf_nll(emissions, params.transitions, gold_tags)
-
-
-def sentence_loss_and_grads(params: ModelParams, indices, gold_tags):
-    """Loss plus gradients for every trainable block, as a name->array dict."""
+def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
+    """Summed CRF NLL of a right-padded (B, T) batch, and its gradient for
+    every trainable block as one name -> array dict."""
+    indices = np.asarray(indices)
+    tags = np.asarray(tags)
+    mask = _length_mask(lengths, indices.shape)
     grads = zero_grad_blocks(params)
-    enc, enc_caches = _encode(params, indices)
-    attended, att_cache = _attend(params, enc)
-    emissions, dec_cache = _decode_training(params, attended, gold_tags)
-    loss, d_e, d_t = crf.crf_nll_backward(emissions, params.transitions, gold_tags)
-    grads["transitions"] += d_t
-    d_attended = _decode_backward(params, dec_cache, d_e, grads)
+    enc, enc_cache = _encode(params, indices, mask)
+    attended, att_cache = _attend(params, enc, mask)
+    emissions, dec_cache = _decode_training(params, attended, tags, mask)
+    loss = 0.0
+    d_emissions = np.zeros_like(emissions)
+    for row, n in enumerate(mask.sum(axis=1)):
+        nll, d_emissions[row, :n], d_t = crf.crf_nll_backward(
+            emissions[row, :n], params.transitions, tags[row, :n].tolist())
+        loss += nll
+        grads["transitions"] += d_t
+    d_attended = _decode_backward(params, dec_cache, d_emissions, grads)
     d_enc = _attend_backward(params, att_cache, d_attended, grads)
-    _encode_backward(params, indices, enc_caches, d_enc, grads)
+    _encode_backward(params, enc_cache, d_enc, grads)
     return loss, grads
+
+
+def predict_batch(params: ModelParams, indices, lengths):
+    """Viterbi-decoded BIO tag indices for each row of a right-padded batch."""
+    indices = np.asarray(indices)
+    mask = _length_mask(lengths, indices.shape)
+    enc, _ = _encode(params, indices, mask)
+    attended, _ = _attend(params, enc, mask)
+    emissions, _ = _decode_inference(params, attended, mask)
+    return [crf.crf_viterbi(emissions[row, :n], params.transitions)[0]
+            for row, n in enumerate(mask.sum(axis=1))]
 
 
 def predict_tags(params: ModelParams, indices):
     """Viterbi-decoded BIO tag indices for one unpadded sentence."""
     if len(indices) == 0:
         return []
-    enc, _ = _encode(params, indices)
-    attended, _ = _attend(params, enc)
-    emissions, _ = _decode_inference(params, attended)
-    tags, _ = crf.crf_viterbi(emissions, params.transitions)
-    return tags
-
-
-# ------------------------------------------------------- padded batch API
-
-def _check_lengths(index_matrix, lengths):
-    batch, max_len = index_matrix.shape
-    for i, n in enumerate(lengths):
-        if n > max_len:
-            raise ValueError(f"length {n} of example {i} exceeds padded width {max_len}")
-        if n < 1:
-            raise ValueError(f"example {i} has no tokens")
-
-
-def bilstm_encode(params: ModelParams, index_matrix, lengths):
-    """Padded-batch encoder; pad positions come out as zero vectors."""
-    index_matrix = np.asarray(index_matrix)
-    _check_lengths(index_matrix, lengths)
-    batch, max_len = index_matrix.shape
-    out = np.zeros((batch, max_len, 2 * params.dims.h_enc))
-    for i, n in enumerate(lengths):
-        enc, _ = _encode(params, list(index_matrix[i, :n]))
-        out[i, :n] = enc
-    return out
-
-
-def self_attention(params: ModelParams, enc_states, lengths):
-    batch, max_len, _ = enc_states.shape
-    out = np.zeros((batch, max_len, params.dims.d_att))
-    for i, n in enumerate(lengths):
-        attended, _ = _attend(params, enc_states[i, :n])
-        out[i, :n] = attended
-    return out
-
-
-def decode_tags_training(params: ModelParams, attended, gold_tags, lengths):
-    batch, max_len, _ = attended.shape
-    out = np.zeros((batch, max_len, 3))
-    for i, n in enumerate(lengths):
-        emissions, _ = _decode_training(params, attended[i, :n],
-                                        list(gold_tags[i][:n]))
-        out[i, :n] = emissions
-    return out
-
-
-def decode_tags_inference(params: ModelParams, attended, lengths):
-    batch, max_len, _ = attended.shape
-    out = np.zeros((batch, max_len, 3))
-    for i, n in enumerate(lengths):
-        emissions, _ = _decode_inference(params, attended[i, :n])
-        out[i, :n] = emissions
-    return out
+    return predict_batch(params, [indices], [len(indices)])[0]
 
 
 # ------------------------------------------------------------- checkpoint
@@ -374,6 +332,14 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary,
     # a file object, because np.savez appends ".npz" to a path without it
     with open(path, "wb") as fh:
         np.savez(fh, header=np.array(header), **_checkpoint_arrays(params))
+
+
+class _ZeroDraws:
+    """Stands in for the init generator: every block starts as zeros."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
 
 
 def _entry(npz, path, name):
@@ -429,7 +395,7 @@ def load_checkpoint(path):
         header = _read_header(npz, path)
         index_to_token = header["vocab"]
         params = init_model(len(index_to_token), ModelDims(**header["dims"]),
-                            np.random.default_rng(0))
+                            _ZeroDraws())
         params.embedding.trainable = header["embedding_trainable"]
         for name, skeleton in _checkpoint_arrays(params).items():
             arr = _entry(npz, path, name)

@@ -5,15 +5,14 @@ domain sentences never touch anything the optimizer sees. Each batch is
 padded to its own longest sentence.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import crf, network
 from .data import Corpus, DataError
-from .embeddings import (EmbeddingTable, PAD_INDEX, Vocabulary,
-                         build_vocabulary, encode_tokens, load_glove,
-                         random_embeddings)
+from .embeddings import (PAD_INDEX, Vocabulary, build_vocabulary,
+                         encode_tokens, load_glove, random_embeddings)
 from .evaluation import evaluate_domain
 from .network import ModelDims, ModelParams, param_blocks
 from .tensor import NumericError
@@ -167,14 +166,8 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
             batch = [sentences[i] for i in order[start:start + config.batch_size]]
             indices, tags, lengths = pad_batch(
                 batch, vocab, max(len(s.tokens) for s in batch))
-            grads = network.zero_grad_blocks(params)
-            batch_loss = 0.0
-            for i, n in enumerate(lengths):
-                loss, g = network.sentence_loss_and_grads(
-                    params, list(indices[i, :n]), list(tags[i, :n]))
-                batch_loss += loss
-                for k in grads:
-                    grads[k] += g[k]
+            batch_loss, grads = network.batch_loss_and_grads(
+                params, indices, tags, lengths)
             inv = 1.0 / len(batch)
             for k in grads:
                 grads[k] *= inv

@@ -8,17 +8,14 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from reqtag import crf
 from reqtag.cli import main as cli_main
 from reqtag.data import Corpus, align_bio, clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
 from reqtag.evaluation import compute_metrics, extract_spans
-from reqtag.network import (ModelDims, bilstm_encode, decode_tags_inference,
-                            decode_tags_training, init_model, param_blocks,
-                            predict_tags, self_attention, sentence_loss,
-                            sentence_loss_and_grads, zero_grad_blocks)
+from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
+                            param_blocks, predict_batch, predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
 from conftest import make_synthetic_corpus
 
@@ -59,16 +56,17 @@ def test_criterion_2_gradient_suite():
     start = time.monotonic()
     dims = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
     params = init_model(10, dims, np.random.default_rng(6))
-    batch = [([2, 3, 4, 5, 2], [0, 1, 2, 2, 0]), ([6, 7, 8], [0, 1, 0])]
+    # lengths 5 and 3: the second row is right-padded
+    indices = np.array([[2, 3, 4, 5, 2], [6, 7, 8, 0, 0]])
+    tags = np.array([[0, 1, 2, 2, 0], [0, 1, 0, 0, 0]])
+    lengths = [5, 3]
 
     def batch_loss():
-        return sum(sentence_loss(params, i, g) for i, g in batch) / len(batch)
+        return batch_loss_and_grads(params, indices, tags, lengths)[0] / 2
 
-    grads = zero_grad_blocks(params)
-    for i, g in batch:
-        _, gr = sentence_loss_and_grads(params, i, g)
-        for k in grads:
-            grads[k] += gr[k] / len(batch)
+    _, grads = batch_loss_and_grads(params, indices, tags, lengths)
+    for k in grads:
+        grads[k] /= 2
 
     forbidden = crf.forbidden_mask()
     h = 1e-4
@@ -115,19 +113,16 @@ def test_criterion_3_constraint_guarantee():
            f"{violations} violations in 1000 decodes")
 
 
-def _padded_emissions(params, indices, gold, pad_to):
-    """Run the padded-batch pipeline at width pad_to; returns emissions
-    pairs (teacher-forced, inference) for the real positions."""
+def _padded_run(params, indices, gold, pad_to):
+    """Run the batched core on one row right-padded to width pad_to;
+    returns (teacher-forced loss, Viterbi tags)."""
     n = len(indices)
     mat = np.full((1, pad_to), 0, dtype=np.int64)
     mat[0, :n] = indices
     tags = np.zeros((1, pad_to), dtype=np.int64)
     tags[0, :n] = gold
-    enc = bilstm_encode(params, mat, [n])
-    att = self_attention(params, enc, [n])
-    e_train = decode_tags_training(params, att, tags, [n])[0, :n]
-    e_inf = decode_tags_inference(params, att, [n])[0, :n]
-    return e_train, e_inf
+    loss, _ = batch_loss_and_grads(params, mat, tags, [n])
+    return loss, predict_batch(params, mat, [n])[0]
 
 
 def test_criterion_4_padding_invariance():
@@ -147,13 +142,9 @@ def test_criterion_4_padding_invariance():
             elif runs[i]:
                 gold[i] = crf.B
             prev = gold[i]
-        e1_train, e1_inf = _padded_emissions(params, indices, gold, n)
-        e2_train, e2_inf = _padded_emissions(params, indices, gold, n + extra)
-        loss1 = crf.crf_nll(e1_train, params.transitions, gold)
-        loss2 = crf.crf_nll(e2_train, params.transitions, gold)
+        loss1, p1 = _padded_run(params, indices, gold, n)
+        loss2, p2 = _padded_run(params, indices, gold, n + extra)
         assert abs(loss1 - loss2) <= 1e-9
-        p1, _ = crf.crf_viterbi(e1_inf, params.transitions)
-        p2, _ = crf.crf_viterbi(e2_inf, params.transitions)
         assert p1 == p2
     report("4 masking-padding", True, "100 random cases")
 

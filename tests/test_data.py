@@ -272,6 +272,22 @@ def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"app": "a", "tokens": ["Dark"], "tags": ["O"]}',
+     "line 2: app 'a' position 0: unclean token 'Dark'"),
+    ('{"app": "a", "tokens": ["x"], "tags": ["X"]}',
+     "line 2: app 'a' position 0: bad tag 'X'"),
+    ('{"app": "a", "tokens": ["x", "y"], "tags": ["O"]}',
+     "line 2: app 'a': 2 tokens vs 1 tags"),
+])
+def test_load_corpus_invalid_sentence_names_line(tmp_path, line, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == message
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
     | st.text(max_size=4),

@@ -71,6 +71,23 @@ class TestLoadGlove:
         with pytest.raises(GloveParseError, match="line 2"):
             load_glove(path, vocab, 3, np.random.default_rng(0))
 
+    def test_non_numeric_value_reports_line(self, tmp_path):
+        vocab = build_vocabulary([["cat"]])
+        path = self._write(tmp_path, ["cat 0.1 x 0.3"])
+        with pytest.raises(GloveParseError, match="line 1: non-numeric"):
+            load_glove(path, vocab, 3, np.random.default_rng(0))
+
+    def test_parses_vector_from_the_right(self, tmp_path):
+        # trailing whitespace is dropped; a space inside the word stays
+        # in the word
+        vocab = build_vocabulary([["ok", "new york"]])
+        path = self._write(tmp_path, ["ok 0.1 0.2 0.3 ",
+                                      "new york 0.4 0.5 0.6"])
+        table = load_glove(path, vocab, 3, np.random.default_rng(0))
+        np.testing.assert_array_equal(table.matrix[2], [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(table.matrix[3], [0.4, 0.5, 0.6])
+        assert table.matched_words == 2
+
     def test_pad_row_zero(self, tmp_path):
         vocab = build_vocabulary([["cat"]])
         path = self._write(tmp_path, ["cat 1.0 1.0 1.0"])

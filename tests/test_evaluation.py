@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from reqtag.evaluation import (BaselineMismatchError, MetricsTriple,
-                               RequirementSpan, compute_metrics,
+from reqtag.evaluation import (BaselineMismatchError, RequirementSpan,
+                               compute_metrics,
                                evaluate_tag_pairs, extract_spans,
                                load_baselines, match_spans, render_report)
 from reqtag.training import FoldReport

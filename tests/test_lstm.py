@@ -1,25 +1,30 @@
 import numpy as np
 import pytest
 
-from reqtag.lstm import (LstmCellParams, init_lstm, lstm_step,
-                         lstm_step_backward, zero_grads)
+from reqtag.lstm import (LstmCellParams, init_lstm, lstm_backward,
+                         lstm_forward, lstm_step, lstm_step_backward)
 from reqtag.tensor import ShapeError
 from conftest import grad_check
+
+
+def _project(p, x):
+    return x @ p.w_in.T + p.b
 
 
 def test_zero_params_zero_inputs_fixed_point():
     p = LstmCellParams(w_in=np.zeros((8, 3)), w_h=np.zeros((8, 2)),
                        b=np.zeros(8))
-    h, c, _ = lstm_step(p, np.zeros(3), np.zeros(2), np.zeros(2))
-    np.testing.assert_array_equal(h, np.zeros(2))
-    np.testing.assert_array_equal(c, np.zeros(2))
+    h, c, _ = lstm_step(p, np.zeros((1, 8)), np.zeros((1, 2)), np.zeros((1, 2)))
+    np.testing.assert_array_equal(h, np.zeros((1, 2)))
+    np.testing.assert_array_equal(c, np.zeros((1, 2)))
 
 
 def test_forget_bias_alone_keeps_zero_cell():
     p = LstmCellParams(w_in=np.zeros((4, 1)), w_h=np.zeros((4, 1)),
                        b=np.array([0.0, 1.0, 0.0, 0.0]))
-    h, c, _ = lstm_step(p, np.zeros(1), np.zeros(1), np.zeros(1))
-    assert c[0] == 0.0 and h[0] == 0.0
+    h, c, _ = lstm_step(p, _project(p, np.zeros((1, 1))), np.zeros((1, 1)),
+                        np.zeros((1, 1)))
+    assert c[0, 0] == 0.0 and h[0, 0] == 0.0
 
 
 def test_one_dim_hand_computed():
@@ -27,21 +32,40 @@ def test_one_dim_hand_computed():
     # i = f = o = sigmoid(0.5), g = tanh(0.5)
     # c = f*0.2 + i*g ; h = o*tanh(c)
     p = LstmCellParams(w_in=np.ones((4, 1)), w_h=np.zeros((4, 1)), b=np.zeros(4))
-    h, c, _ = lstm_step(p, np.array([0.5]), np.array([0.3]), np.array([0.2]))
+    h, c, _ = lstm_step(p, _project(p, np.array([[0.5]])), np.array([[0.3]]),
+                        np.array([[0.2]]))
     sig = 1 / (1 + np.exp(-0.5))
     g = np.tanh(0.5)
     c_exp = sig * 0.2 + sig * g
     h_exp = sig * np.tanh(c_exp)
-    assert c[0] == pytest.approx(c_exp, abs=1e-6)
-    assert h[0] == pytest.approx(h_exp, abs=1e-6)
+    assert c[0, 0] == pytest.approx(c_exp, abs=1e-6)
+    assert h[0, 0] == pytest.approx(h_exp, abs=1e-6)
+
+
+def test_rows_are_independent():
+    rng = np.random.default_rng(3)
+    p = init_lstm(3, 2, rng)
+    a_in = rng.normal(size=(3, 8))
+    h_prev = rng.normal(size=(3, 2))
+    c_prev = rng.normal(size=(3, 2))
+    h, c, _ = lstm_step(p, a_in, h_prev, c_prev)
+    for row in range(3):
+        h1, c1, _ = lstm_step(p, a_in[row:row + 1], h_prev[row:row + 1],
+                              c_prev[row:row + 1])
+        np.testing.assert_allclose(h1[0], h[row], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(c1[0], c[row], rtol=1e-14, atol=0)
 
 
 def test_shape_errors():
     p = init_lstm(3, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        lstm_step(p, np.zeros(4), np.zeros(2), np.zeros(2))
+        lstm_step(p, np.zeros((1, 9)), np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ShapeError):
-        lstm_step(p, np.zeros(3), np.zeros(3), np.zeros(2))
+        lstm_step(p, np.zeros((1, 8)), np.zeros((1, 3)), np.zeros((1, 2)))
+    with pytest.raises(ShapeError):
+        lstm_step(p, np.zeros((2, 8)), np.zeros((1, 2)), np.zeros((1, 2)))
+    with pytest.raises(ShapeError):
+        lstm_step(p, np.zeros(8), np.zeros(2), np.zeros(2))
 
 
 def test_init_forget_bias_and_bounds():
@@ -56,24 +80,55 @@ def test_init_forget_bias_and_bounds():
 def test_step_gradients_every_block():
     rng = np.random.default_rng(2)
     p = init_lstm(3, 2, rng)
-    x = rng.normal(size=3)
-    h_prev = rng.normal(size=2)
-    c_prev = rng.normal(size=2)
+    a_in = rng.normal(size=(2, 8))
+    h_prev = rng.normal(size=(2, 2))
+    c_prev = rng.normal(size=(2, 2))
+    weights = rng.normal(size=(2, 2))
 
     def loss_of(_=None):
-        h, _c, _cache = lstm_step(p, x, h_prev, c_prev)
-        return float(h.sum())
+        h, _c, _cache = lstm_step(p, a_in, h_prev, c_prev)
+        return float((h * weights).sum())
 
-    _, _, cache = lstm_step(p, x, h_prev, c_prev)
-    grads = zero_grads(p)
-    dx, dh_prev, dc_prev = lstm_step_backward(p, cache, np.ones(2),
-                                              np.zeros(2), grads)
-    for arr, g in ((p.w_in, grads.w_in), (p.w_h, grads.w_h), (p.b, grads.b)):
+    _, _, cache = lstm_step(p, a_in, h_prev, c_prev)
+    da, dh_prev, dc_prev = lstm_step_backward(p, cache, weights, np.zeros((2, 2)))
+    for arr, g in ((a_in, da), (h_prev, dh_prev), (c_prev, dc_prev)):
         res = grad_check(loss_of, arr, g, h=1e-4, tol=1e-4)
         assert res.passed, res
-    res = grad_check(loss_of, x, dx, h=1e-4, tol=1e-4)
-    assert res.passed
-    res = grad_check(loss_of, h_prev, dh_prev, h=1e-4, tol=1e-4)
-    assert res.passed
-    res = grad_check(loss_of, c_prev, dc_prev, h=1e-4, tol=1e-4)
-    assert res.passed
+
+
+def test_sequence_gradients_every_block():
+    rng = np.random.default_rng(4)
+    p = init_lstm(3, 2, rng)
+    x = rng.normal(size=(2, 4, 3))
+    weights = rng.normal(size=(2, 4, 2))
+
+    def loss_of(_=None):
+        hs, _caches = lstm_forward(p, _project(p, x))
+        return float((hs * weights).sum())
+
+    hs, caches = lstm_forward(p, _project(p, x))
+    dx, grads = lstm_backward(p, x, hs, caches, weights)
+    for arr, g in ((p.w_in, grads.w_in), (p.w_h, grads.w_h), (p.b, grads.b),
+                   (x, dx)):
+        res = grad_check(loss_of, arr, g, h=1e-4, tol=1e-4)
+        assert res.passed, res
+
+
+def test_pad_steps_get_zero_gradient():
+    # right padding: steps after a row's end, with zero output gradient,
+    # add nothing to any gradient
+    rng = np.random.default_rng(5)
+    p = init_lstm(3, 2, rng)
+    x = rng.normal(size=(1, 5, 3))
+    d_hs = rng.normal(size=(1, 5, 2))
+    d_hs[:, 2:] = 0.0
+    hs, caches = lstm_forward(p, _project(p, x))
+    dx, grads = lstm_backward(p, x, hs, caches, d_hs)
+    np.testing.assert_array_equal(dx[:, 2:], 0.0)
+    hs2, caches2 = lstm_forward(p, _project(p, x[:, :2]))
+    np.testing.assert_array_equal(hs2, hs[:, :2])
+    dx2, grads2 = lstm_backward(p, x[:, :2], hs2, caches2, d_hs[:, :2])
+    np.testing.assert_allclose(dx[:, :2], dx2, rtol=1e-12, atol=0)
+    for name in ("w_in", "w_h", "b"):
+        np.testing.assert_allclose(getattr(grads, name), getattr(grads2, name),
+                                   rtol=1e-12, atol=1e-15, err_msg=name)

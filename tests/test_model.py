@@ -12,10 +12,9 @@ from reqtag import crf
 from reqtag.embeddings import EmbeddingTable, Vocabulary
 from reqtag.lstm import lstm_step
 from reqtag.network import (ModelDims, _attend, _decode_inference,
-                            _decode_training, _encode, bilstm_encode,
-                            decode_tags_inference, decode_tags_training,
-                            init_model, load_checkpoint, param_blocks,
-                            predict_tags, save_checkpoint, self_attention)
+                            _decode_training, _encode, _length_mask,
+                            batch_loss_and_grads, init_model, load_checkpoint,
+                            param_blocks, predict_tags, save_checkpoint)
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
 
@@ -25,12 +24,25 @@ def tiny_model():
     return init_model(12, TINY, np.random.default_rng(42))
 
 
+def _full(n, batch=1):
+    """Mask of a batch whose rows all have n real positions."""
+    return _length_mask([n] * batch, (batch, n))
+
+
+def _enc(params, rows, lengths=None):
+    """Encoder output for a list of equal-width index rows."""
+    idx = np.array(rows)
+    lengths = [len(r) for r in rows] if lengths is None else lengths
+    enc, _ = _encode(params, idx, _length_mask(lengths, idx.shape))
+    return enc
+
+
 class TestEncoder:
     def test_forward_half_is_causal(self, tiny_model):
         a = [2, 3, 4, 5, 6]
         b = [2, 3, 4, 7, 8]  # differs only after position 2
-        enc_a, _ = _encode(tiny_model, a)
-        enc_b, _ = _encode(tiny_model, b)
+        enc_a = _enc(tiny_model, [a])[0]
+        enc_b = _enc(tiny_model, [b])[0]
         h = TINY.h_enc
         np.testing.assert_array_equal(enc_a[:3, :h], enc_b[:3, :h])
         assert not np.array_equal(enc_a[3:, :h], enc_b[3:, :h])
@@ -38,104 +50,120 @@ class TestEncoder:
     def test_backward_half_is_anticausal(self, tiny_model):
         a = [2, 3, 4, 5, 6]
         b = [9, 10, 4, 5, 6]  # differs only before position 2
-        enc_a, _ = _encode(tiny_model, a)
-        enc_b, _ = _encode(tiny_model, b)
+        enc_a = _enc(tiny_model, [a])[0]
+        enc_b = _enc(tiny_model, [b])[0]
         h = TINY.h_enc
         np.testing.assert_array_equal(enc_a[2:, h:], enc_b[2:, h:])
 
     def test_single_token_equals_direct_step(self, tiny_model):
-        enc, _ = _encode(tiny_model, [5])
-        x = tiny_model.embedding.matrix[5]
-        z = np.zeros(TINY.h_enc)
-        hf, _, _ = lstm_step(tiny_model.enc_fwd, x, z, z)
-        hb, _, _ = lstm_step(tiny_model.enc_bwd, x, z, z)
-        np.testing.assert_array_equal(enc[0], np.concatenate([hf, hb]))
+        enc = _enc(tiny_model, [[5]])[0]
+        x = tiny_model.embedding.matrix[5][None, :]
+        z = np.zeros((1, TINY.h_enc))
+        hf, _, _ = lstm_step(tiny_model.enc_fwd,
+                             x @ tiny_model.enc_fwd.w_in.T + tiny_model.enc_fwd.b,
+                             z, z)
+        hb, _, _ = lstm_step(tiny_model.enc_bwd,
+                             x @ tiny_model.enc_bwd.w_in.T + tiny_model.enc_bwd.b,
+                             z, z)
+        np.testing.assert_array_equal(enc[0], np.concatenate([hf[0], hb[0]]))
 
     def test_padded_batch_pads_are_zero(self, tiny_model):
-        idx = np.array([[2, 3, 0, 0], [4, 5, 6, 7]])
-        out = bilstm_encode(tiny_model, idx, [2, 4])
+        out = _enc(tiny_model, [[2, 3, 0, 0], [4, 5, 6, 7]], [2, 4])
         assert np.all(out[0, 2:] == 0.0)
         assert not np.all(out[1] == 0.0)
 
     def test_length_exceeding_width_rejected(self, tiny_model):
         with pytest.raises(ValueError):
-            bilstm_encode(tiny_model, np.array([[2, 3]]), [3])
+            batch_loss_and_grads(tiny_model, np.array([[2, 3]]),
+                                 np.array([[0, 0]]), [3])
+        with pytest.raises(ValueError):
+            batch_loss_and_grads(tiny_model, np.array([[2, 3]]),
+                                 np.array([[0, 0]]), [0])
 
 
 class TestAttention:
     def test_single_position_weight_is_one(self, tiny_model):
-        enc = np.random.default_rng(0).normal(size=(1, 2 * TINY.h_enc))
-        attended, (_, _, _, v, weights) = _attend(tiny_model, enc)
-        np.testing.assert_allclose(weights, [[1.0]])
+        enc = np.random.default_rng(0).normal(size=(1, 1, 2 * TINY.h_enc))
+        attended, (_, _, _, v, weights) = _attend(tiny_model, enc, _full(1))
+        np.testing.assert_allclose(weights, [[[1.0]]])
         np.testing.assert_allclose(attended, v)
 
     def test_weights_sum_to_one(self, tiny_model):
-        enc = np.random.default_rng(1).normal(size=(5, 2 * TINY.h_enc))
-        _, (_, _, _, _, weights) = _attend(tiny_model, enc)
-        np.testing.assert_allclose(weights.sum(axis=1), np.ones(5), atol=1e-9)
+        enc = np.random.default_rng(1).normal(size=(1, 5, 2 * TINY.h_enc))
+        _, (_, _, _, _, weights) = _attend(tiny_model, enc, _full(5))
+        np.testing.assert_allclose(weights.sum(axis=2), np.ones((1, 5)),
+                                   atol=1e-9)
 
     def test_zero_keys_give_uniform_mean_of_values(self, tiny_model):
         tiny_model.attn_k[:] = 0.0
-        enc = np.random.default_rng(2).normal(size=(4, 2 * TINY.h_enc))
-        attended, (_, _, _, v, weights) = _attend(tiny_model, enc)
-        np.testing.assert_allclose(weights, np.full((4, 4), 0.25), atol=1e-12)
-        np.testing.assert_allclose(attended,
-                                   np.tile(v.mean(axis=0), (4, 1)), atol=1e-12)
+        enc = np.random.default_rng(2).normal(size=(1, 4, 2 * TINY.h_enc))
+        attended, (_, _, _, v, weights) = _attend(tiny_model, enc, _full(4))
+        np.testing.assert_allclose(weights[0], np.full((4, 4), 0.25), atol=1e-12)
+        np.testing.assert_allclose(attended[0],
+                                   np.tile(v[0].mean(axis=0), (4, 1)), atol=1e-12)
 
-    def test_batch_wrapper_masks_pads(self, tiny_model):
+    def test_pads_are_masked(self, tiny_model):
         enc = np.zeros((1, 4, 2 * TINY.h_enc))
         enc[0, :2] = np.random.default_rng(3).normal(size=(2, 2 * TINY.h_enc))
-        out = self_attention(tiny_model, enc, [2])
+        out, (_, _, _, _, weights) = _attend(tiny_model, enc,
+                                             _length_mask([2], (1, 4)))
         assert np.all(out[0, 2:] == 0.0)
+        assert np.all(weights[0, :, 2:] == 0.0)
+        np.testing.assert_allclose(weights[0, :2].sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestDecoder:
     def test_emissions_shape(self, tiny_model):
         attended = np.random.default_rng(0).normal(size=(1, 5, TINY.d_att))
-        out = decode_tags_training(tiny_model, attended,
-                                   np.array([[0, 1, 2, 0, 1]]), [5])
+        out, _ = _decode_training(tiny_model, attended,
+                                  np.array([[0, 1, 2, 0, 1]]), _full(5))
         assert out.shape == (1, 5, 3)
 
     def test_teacher_forcing_is_causal(self, tiny_model):
-        attended = np.random.default_rng(1).normal(size=(5, TINY.d_att))
-        e1, _ = _decode_training(tiny_model, attended, [0, 1, 2, 0, 1])
-        e2, _ = _decode_training(tiny_model, attended, [0, 1, 0, 0, 1])
-        np.testing.assert_array_equal(e1[:3], e2[:3])
-        assert not np.array_equal(e1[3:], e2[3:])
+        attended = np.random.default_rng(1).normal(size=(1, 5, TINY.d_att))
+        e1, _ = _decode_training(tiny_model, attended, [[0, 1, 2, 0, 1]], _full(5))
+        e2, _ = _decode_training(tiny_model, attended, [[0, 1, 0, 0, 1]], _full(5))
+        np.testing.assert_array_equal(e1[0, :3], e2[0, :3])
+        assert not np.array_equal(e1[0, 3:], e2[0, 3:])
 
     def test_invalid_gold_tag_rejected(self, tiny_model):
-        attended = np.zeros((2, TINY.d_att))
+        attended = np.zeros((1, 2, TINY.d_att))
         with pytest.raises(ValueError):
-            _decode_training(tiny_model, attended, [0, 5])
+            _decode_training(tiny_model, attended, [[0, 5]], _full(2))
 
     def test_inference_matches_training_on_greedy_path(self, tiny_model):
-        attended = np.random.default_rng(2).normal(size=(4, TINY.d_att))
-        e_inf, (_, _, greedy_prevs) = _decode_inference(tiny_model, attended)
-        gold = greedy_prevs[1:] + [0]  # prev tags shifted back one step
-        e_train, _ = _decode_training(tiny_model, attended, gold)
+        attended = np.random.default_rng(2).normal(size=(1, 4, TINY.d_att))
+        e_inf, fed = _decode_inference(tiny_model, attended, _full(4))
+        gold = np.append(fed[:, 1:], [[0]], axis=1)  # fed tags shifted back one
+        e_train, _ = _decode_training(tiny_model, attended, gold, _full(4))
         np.testing.assert_array_equal(e_inf, e_train)
 
     def test_inference_deterministic(self, tiny_model):
-        attended = np.random.default_rng(3).normal(size=(6, TINY.d_att))
-        e1, _ = _decode_inference(tiny_model, attended)
-        e2, _ = _decode_inference(tiny_model, attended)
+        attended = np.random.default_rng(3).normal(size=(1, 6, TINY.d_att))
+        e1, _ = _decode_inference(tiny_model, attended, _full(6))
+        e2, _ = _decode_inference(tiny_model, attended, _full(6))
         np.testing.assert_array_equal(e1, e2)
 
-    def test_batch_inference_wrapper(self, tiny_model):
+    def test_batch_inference_pads_are_zero(self, tiny_model):
         attended = np.random.default_rng(4).normal(size=(2, 3, TINY.d_att))
-        out = decode_tags_inference(tiny_model, attended, [3, 2])
+        out, _ = _decode_inference(tiny_model, attended,
+                                   _length_mask([3, 2], (2, 3)))
         assert out.shape == (2, 3, 3)
         assert np.all(out[1, 2] == 0.0)
 
 
 class TestEndToEnd:
     def test_padding_invariance(self, tiny_model):
-        # predict_tags works on unpadded indices; padded batch encode of
-        # the same sentence must agree on the real positions
+        # the same sentence encoded alone and right-padded must agree on
+        # the real positions; beside a longer row, up to rounding
         idx = [2, 3, 4]
-        enc_direct, _ = _encode(tiny_model, idx)
-        padded = bilstm_encode(tiny_model, np.array([idx + [0, 0]]), [3])
+        enc_direct = _enc(tiny_model, [idx])[0]
+        padded = _enc(tiny_model, [idx + [0, 0]], [3])
         np.testing.assert_array_equal(padded[0, :3], enc_direct)
+        batched = _enc(tiny_model, [idx + [0, 0], [5, 6, 7, 8, 9]], [3, 5])
+        np.testing.assert_allclose(batched[0, :3], enc_direct, rtol=1e-12,
+                                   atol=1e-15)
+        assert np.all(batched[0, 3:] == 0.0)
 
     def test_decode_never_illegal(self, tiny_model):
         rng = np.random.default_rng(7)

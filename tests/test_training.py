@@ -1,15 +1,13 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from reqtag import crf
 from reqtag.data import Corpus, DataError, TaggedSentence
 from reqtag.embeddings import PAD_INDEX, build_vocabulary, encode_tokens
-from reqtag.network import (ModelDims, init_model, param_blocks, predict_tags,
-                            sentence_loss, zero_grad_blocks)
+from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
+                            param_blocks, predict_tags, zero_grad_blocks)
 from reqtag.tensor import NumericError
-from reqtag.training import (AdamState, FoldReport, TrainConfig, adam_step,
+from reqtag.training import (AdamState, TrainConfig, adam_step,
                              clip_gradients, cross_validate, pad_batch, train)
 from conftest import make_synthetic_corpus
 
@@ -70,20 +68,18 @@ class TestPadBatch:
             pad_batch(sents, vocab, 4)
 
     def test_padded_loss_equals_unpadded(self):
-        # the model only ever sees the sliced true length, so the padded
-        # batch loss must equal the sum of per-sentence losses
+        # pad positions are masked, so the padded batch loss must equal
+        # the sum of the losses of each sentence run alone, unpadded
         sents = self._sentences()
         vocab = build_vocabulary(s.tokens for s in sents)
         params = init_model(len(vocab), ModelDims(
             embedding_dim=16, h_enc=8, d_att=8, h_dec=8, d_tag=4),
             np.random.default_rng(0))
-        indices, tags, lengths = pad_batch(sents, vocab, 9)
-        padded_total = sum(
-            sentence_loss(params, list(indices[i, :n]), list(tags[i, :n]))
-            for i, n in enumerate(lengths))
+        padded_total, _ = batch_loss_and_grads(params,
+                                               *pad_batch(sents, vocab, 9))
         unpadded_total = sum(
-            sentence_loss(params, encode_tokens(s.tokens, vocab),
-                          s.tag_indices())
+            batch_loss_and_grads(params, [encode_tokens(s.tokens, vocab)],
+                                 [s.tag_indices()], [len(s.tokens)])[0]
             for s in sents)
         assert padded_total == pytest.approx(unpadded_total, abs=1e-9)
 
