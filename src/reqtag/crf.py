@@ -8,7 +8,7 @@ score and never updated.
 
 import numpy as np
 
-from .tensor import logsumexp
+from .tensor import logsumexp, previous_rows
 
 O, B, I = 0, 1, 2
 TAGS = ["O", "B", "I"]
@@ -88,30 +88,6 @@ def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray):
     return path, score
 
 
-def crf_marginals(emissions: np.ndarray, transitions: np.ndarray):
-    """Unary and pairwise marginals plus log Z (forward-backward)."""
-    n = emissions.shape[0]
-    trans = transitions[:N_TAGS, :N_TAGS]
-    alpha = np.zeros((n, N_TAGS))
-    alpha[0] = transitions[START, :N_TAGS] + emissions[0]
-    for t in range(1, n):
-        alpha[t] = emissions[t] + logsumexp(alpha[t - 1][:, None] + trans, axis=0)
-    log_z = float(logsumexp(alpha[n - 1] + transitions[:N_TAGS, STOP]))
-
-    beta = np.zeros((n, N_TAGS))
-    beta[n - 1] = transitions[:N_TAGS, STOP]
-    for t in range(n - 2, -1, -1):
-        beta[t] = logsumexp(trans + (emissions[t + 1] + beta[t + 1])[None, :],
-                            axis=1)
-
-    unary = np.exp(alpha + beta - log_z)  # (n, 3)
-    pairwise = np.zeros((max(n - 1, 0), N_TAGS, N_TAGS))
-    for t in range(1, n):
-        pairwise[t - 1] = np.exp(alpha[t - 1][:, None] + trans
-                                 + (emissions[t] + beta[t])[None, :] - log_z)
-    return unary, pairwise, log_z
-
-
 def crf_nll(emissions: np.ndarray, transitions: np.ndarray, gold_tags) -> float:
     """Negative log-likelihood of the gold path."""
     if not is_valid_bio(gold_tags):
@@ -120,33 +96,73 @@ def crf_nll(emissions: np.ndarray, transitions: np.ndarray, gold_tags) -> float:
         emissions, transitions, gold_tags)
 
 
-def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray, gold_tags):
-    """NLL plus its gradients w.r.t. emissions and transitions.
+def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
+                     gold_tags, sizes=None):
+    """Summed NLL of a packed batch plus its gradients w.r.t. emissions
+    and transitions, by forward-backward over every row at once.
+
+    emissions (N, 3) and gold_tags (N,) hold the batch's real positions
+    grouped by time step, sizes[t] rows at step t, rows sorted longest
+    first so the rows running at step t are the first sizes[t] of step
+    t-1. Without sizes they are one sentence.
 
     d NLL / d e[t,y]  = p(y_t = y) - 1[gold_t = y]
     d NLL / d T[a,b]  = expected transition count - gold transition count
     Clamped (forbidden) transition entries get zero gradient.
     """
-    if not is_valid_bio(gold_tags):
-        raise ValueError(f"gold tags are not a valid BIO sequence: {gold_tags}")
-    n = emissions.shape[0]
-    unary, pairwise, log_z = crf_marginals(emissions, transitions)
-    nll = log_z - path_score(emissions, transitions, gold_tags)
+    gold = np.asarray(gold_tags)
+    n_all = len(gold)
+    sizes = [1] * n_all if sizes is None else list(sizes)
+    starts = np.cumsum([0] + sizes)
+    first = sizes[0]
+    prev = previous_rows(sizes)
+    if (gold[:first] == I).any() or ((gold[first:] == I)
+                                     & (gold[prev] == O)).any():
+        raise ValueError(f"gold tags are not a valid BIO sequence: "
+                         f"{gold.tolist()}")
+    trans = transitions[:N_TAGS, :N_TAGS]
+    stop = transitions[:N_TAGS, STOP]
+    # each position's row (its rank within its step), and whether the
+    # row ends there
+    row = np.arange(n_all) - np.repeat(starts[:-1], sizes)
+    ends = row >= np.repeat(sizes[1:] + [0], sizes)
 
-    d_e = unary.copy()
-    for t, y in enumerate(gold_tags):
-        d_e[t, y] -= 1.0
+    alpha = np.empty((n_all, N_TAGS))
+    alpha[:first] = transitions[START, :N_TAGS] + emissions[:first]
+    for t in range(1, len(sizes)):
+        lo, n = starts[t], sizes[t]
+        alpha[lo:lo + n] = emissions[lo:lo + n] + logsumexp(
+            alpha[starts[t - 1]:starts[t - 1] + n, :, None] + trans, axis=1)
+    beta = np.empty((n_all, N_TAGS))
+    beta[ends] = stop
+    for t in range(len(sizes) - 2, -1, -1):
+        nxt = slice(starts[t + 1], starts[t + 2])
+        beta[starts[t]:starts[t] + sizes[t + 1]] = logsumexp(
+            trans + (emissions[nxt] + beta[nxt])[:, None, :], axis=2)
+
+    log_z = np.empty(first)
+    log_z[row[ends]] = logsumexp(alpha[ends] + stop, axis=1)
+    unary = np.exp(alpha + beta - log_z[row][:, None])
+    pairwise = np.exp(alpha[prev][:, :, None] + trans
+                      + (emissions[first:] + beta[first:])[:, None, :]
+                      - log_z[row[first:]][:, None, None])
+    gold_score = (transitions[START, gold[:first]].sum()
+                  + emissions[np.arange(n_all), gold].sum()
+                  + trans[gold[prev], gold[first:]].sum()
+                  + stop[gold[ends]].sum())
+    nll = float(log_z.sum() - gold_score)
 
     d_t = np.zeros((N_STATES, N_STATES))
-    d_t[START, :N_TAGS] += unary[0]
-    d_t[START, gold_tags[0]] -= 1.0
-    d_t[:N_TAGS, STOP] += unary[n - 1]
-    d_t[gold_tags[-1], STOP] -= 1.0
-    if n > 1:
-        d_t[:N_TAGS, :N_TAGS] += pairwise.sum(axis=0)
-        for t in range(1, n):
-            d_t[gold_tags[t - 1], gold_tags[t]] -= 1.0
+    d_t[START, :N_TAGS] = (unary[:first].sum(axis=0)
+                           - np.bincount(gold[:first], minlength=N_TAGS))
+    d_t[:N_TAGS, STOP] = (unary[ends].sum(axis=0)
+                          - np.bincount(gold[ends], minlength=N_TAGS))
+    d_t[:N_TAGS, :N_TAGS] = pairwise.sum(axis=0) - np.bincount(
+        gold[prev] * N_TAGS + gold[first:],
+        minlength=N_TAGS * N_TAGS).reshape(N_TAGS, N_TAGS)
     d_t[forbidden_mask()] = 0.0
+    d_e = unary
+    d_e[np.arange(n_all), gold] -= 1.0
     return nll, d_e, d_t
 
 

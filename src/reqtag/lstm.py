@@ -4,19 +4,21 @@ Gate order in the stacked weight matrices is [input, forget, candidate,
 output]. The forget-gate bias block starts at 1.0; everything else is
 uniform(-k, k) with k = 1/sqrt(hidden).
 
-A sequence runs on (B, T, ...) arrays from a zero state. Its input
-projection is one GEMM before the time loop, and its weight gradients
-are stacked GEMMs over every step's gate gradient after it. Sequences
-are right-padded: pad steps come after every real step of a row, so
-they never reach a real step's state, and pad steps whose output
-gradient is zero get exactly zero gate gradient.
+A sequence batch runs packed, from a zero state: its N real steps are
+(N, ...) rows grouped by time step, sizes[t] rows at step t, with the
+rows sorted longest first so that the rows still running at step t are
+the first sizes[t] rows of step t-1 (see ``tensor.previous_rows``). Step t
+advances only those rows; a row that has ended is never computed. The
+input projection is one GEMM over the N rows before the time loop, and
+the weight gradients are stacked GEMMs over every step's gate gradient
+after it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, sigmoid, tanh
+from .tensor import ShapeError, previous_rows, sigmoid, tanh
 
 
 @dataclass
@@ -41,11 +43,6 @@ def init_lstm(input_dim: int, hidden: int, rng: np.random.Generator) -> LstmCell
     return p
 
 
-def flat(a):
-    """View a (..., n) array as 2-D rows, so one GEMM covers every step."""
-    return a.reshape(-1, a.shape[-1])
-
-
 def lstm_step(params: LstmCellParams, a_in, h_prev, c_prev):
     """One step on B rows; a_in is the step's (B, 4H) input projection.
 
@@ -59,8 +56,9 @@ def lstm_step(params: LstmCellParams, a_in, h_prev, c_prev):
         raise ShapeError(f"input projection shape {a_in.shape}, "
                          f"expected ({h_prev.shape[0]}, {4 * hid})")
     a = a_in + h_prev @ params.w_h.T
-    i = sigmoid(a[:, :hid])
-    f = sigmoid(a[:, hid:2 * hid])
+    i_f = sigmoid(a[:, :2 * hid])  # the adjacent input and forget gates
+    i = i_f[:, :hid]
+    f = i_f[:, hid:]
     g = tanh(a[:, 2 * hid:3 * hid])
     o = sigmoid(a[:, 3 * hid:])
     c = f * c_prev + i * g
@@ -85,35 +83,44 @@ def lstm_step_backward(params: LstmCellParams, cache, dh, dc):
     return da, da @ params.w_h, dc_total * f
 
 
-def lstm_forward(params: LstmCellParams, pre):
-    """Run over (B, T, 4H) input projections; returns (hs (B, T, H), caches)."""
-    batch, steps, _ = pre.shape
-    h = np.zeros((batch, params.hidden))
-    c = np.zeros((batch, params.hidden))
-    hs = np.empty((batch, steps, params.hidden))
+def lstm_forward(params: LstmCellParams, pre, sizes):
+    """Run over the (N, 4H) input projections of a packed sequence batch
+    with sizes[t] rows at step t; returns (hs (N, H), caches)."""
+    if sum(sizes) != len(pre):
+        raise ShapeError(f"{len(pre)} input rows for step sizes summing "
+                         f"to {sum(sizes)}")
+    h = np.zeros((sizes[0], params.hidden))
+    c = np.zeros((sizes[0], params.hidden))
+    hs = np.empty((len(pre), params.hidden))
     caches = []
-    for t in range(steps):
-        h, c, cache = lstm_step(params, pre[:, t], h, c)
-        hs[:, t] = h
+    start = 0
+    for n in sizes:
+        h, c, cache = lstm_step(params, pre[start:start + n], h[:n], c[:n])
+        hs[start:start + n] = h
         caches.append(cache)
+        start += n
     return hs, caches
 
 
-def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs):
-    """BPTT over a sequence that ran on inputs x (B, T, input_dim).
+def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, sizes):
+    """BPTT over a packed sequence batch that ran on inputs x (N, input_dim).
 
-    d_hs is the (B, T, H) gradient reaching each step's output. Returns
-    (dx (B, T, input_dim), weight gradients as LstmCellParams).
+    d_hs is the (N, H) gradient reaching each step's output. Returns
+    (dx (N, input_dim), weight gradients as LstmCellParams).
     """
-    batch, steps, hid = hs.shape
-    d_a = np.empty((batch, steps, 4 * hid))
-    dh = np.zeros((batch, hid))
-    dc = np.zeros((batch, hid))
-    for t in range(steps - 1, -1, -1):
-        d_a[:, t], dh, dc = lstm_step_backward(params, caches[t],
-                                               dh + d_hs[:, t], dc)
-    h_prev = np.concatenate([np.zeros((batch, 1, hid)), hs[:, :-1]], axis=1)
-    d_a2 = flat(d_a)
-    grads = LstmCellParams(w_in=d_a2.T @ flat(x), w_h=d_a2.T @ flat(h_prev),
-                           b=d_a2.sum(axis=0))
-    return (d_a2 @ params.w_in).reshape(batch, steps, -1), grads
+    hid = params.hidden
+    d_a = np.empty((len(hs), 4 * hid))
+    # a row that ends at step t gets no gradient from later steps
+    dh = np.zeros((sizes[0], hid))
+    dc = np.zeros((sizes[0], hid))
+    end = len(hs)
+    for t in range(len(sizes) - 1, -1, -1):
+        n = sizes[t]
+        d_a[end - n:end], dh[:n], dc[:n] = lstm_step_backward(
+            params, caches[t], dh[:n] + d_hs[end - n:end], dc[:n])
+        end -= n
+    # step 0 starts from h = 0, so only later steps feed w_h
+    grads = LstmCellParams(w_in=d_a.T @ x,
+                           w_h=d_a[sizes[0]:].T @ hs[previous_rows(sizes)],
+                           b=d_a.sum(axis=0))
+    return d_a @ params.w_in, grads

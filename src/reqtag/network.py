@@ -5,13 +5,17 @@ dot-product self-attention -> LSTM decoder fed the attended state and
 the previous tag's embedding -> linear emission projection -> linear
 chain CRF.
 
-Every layer runs on a right-padded (B, T) batch with a (B, T) mask of
-real positions. The encoder's backward direction reverses each row's
-real prefix, attention masks pad keys, and every layer's output is zero
-at pad positions, so pads get exactly zero gradient. The CRF runs per
-row on the unpadded slice. Training calls batch_loss_and_grads once per
-batch; predict_batch runs the same layers for inference, and
-predict_tags is its B = 1 case.
+A right-padded (B, T) batch is packed before any layer runs (see
+Packing): rows are stable-sorted longest first and the N real positions
+become (N, ...) arrays grouped by time step, so the rows still running
+at step t are the first n_t rows of step t-1. Pads are dropped at that
+gather and never computed. The LSTMs and the CRF advance only the n_t
+running rows at each step, every projection and weight-gradient GEMM
+covers the N rows once, the encoder's backward direction reads each row
+mirrored through a gather index, and attention runs on each row's own
+positions. Training calls batch_loss_and_grads once per batch;
+predict_batch runs the same layers for inference and returns paths in
+input row order, and predict_tags is its B = 1 case.
 """
 
 import json
@@ -22,9 +26,9 @@ import numpy as np
 
 from . import crf
 from .embeddings import EmbeddingTable, PAD_INDEX, UNK_INDEX, Vocabulary
-from .lstm import (LstmCellParams, flat, init_lstm, lstm_backward, lstm_forward,
+from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
                    lstm_step)
-from .tensor import ShapeError, softmax_rows
+from .tensor import ShapeError, previous_rows, softmax_rows
 
 CHECKPOINT_VERSION = 2
 # what numpy and zipfile raise on a damaged archive or entry
@@ -112,26 +116,46 @@ def zero_grad_blocks(params: ModelParams) -> dict:
             for name, arr in param_blocks(params).items()}
 
 
-# ------------------------------------------------------------------ batch
+# ---------------------------------------------------------------- packing
 
-def _length_mask(lengths, shape):
-    """(B, T) bool mask of real positions; each row holds 1..T tokens."""
+@dataclass(frozen=True)
+class Packing:
+    """Where the real positions of a right-padded (B, T) batch go.
+
+    Packed position p holds step steps[p] of input row rows[p]. Rows are
+    ranked longest first (a stable sort), and the sizes[t] positions of
+    step t follow those of step t-1 in rank order, so the rows running
+    at step t are the first sizes[t] of step t-1.
+    """
+    rows: np.ndarray    # (N,) input row of each position
+    steps: np.ndarray   # (N,) time step of each position
+    sizes: list         # rows running at each step
+    rev: np.ndarray     # (N,) position of the same row's mirrored step
+    by_row: np.ndarray  # (N,) positions rank by rank, each in step order
+    lengths: list       # row lengths in rank order
+
+    def gather(self, padded):
+        """The (N, ...) real positions of a (B, T, ...) padded array."""
+        return np.asarray(padded)[self.rows, self.steps]
+
+
+def _pack(lengths, shape) -> Packing:
+    """Packing of a (B, T) batch whose rows hold 1..T real tokens each."""
     lengths = np.asarray(lengths)
     batch, width = shape
     if lengths.shape != (batch,) or not np.all((lengths >= 1) & (lengths <= width)):
         raise ValueError(f"lengths {lengths.tolist()} do not fit a padded "
                          f"batch of shape {tuple(shape)}")
-    return np.arange(width) < lengths[:, None]
-
-
-def _times(a, w):
-    """a @ w.T over the last axis of a (B, T, n) array, as one GEMM."""
-    return (flat(a) @ w.T).reshape(*a.shape[:-1], w.shape[0])
-
-
-def _flip(a, order):
-    """Reorder each row's steps: out[b, t] = a[b, order[b, t]]."""
-    return np.take_along_axis(a, order[:, :, None], axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
+    live = np.arange(ranked[0]) < ranked[:, None]  # (rank, step)
+    steps, rank = np.nonzero(live.T)
+    pos = np.zeros(live.shape, dtype=np.int64)
+    pos.T[live.T] = np.arange(len(steps))
+    return Packing(rows=order[rank], steps=steps,
+                   sizes=live.sum(axis=0).tolist(),
+                   rev=pos[rank, ranked[rank] - 1 - steps],
+                   by_row=pos[live], lengths=ranked.tolist())
 
 
 def _add_cell_grads(grads, prefix, g: LstmCellParams):
@@ -142,131 +166,155 @@ def _add_cell_grads(grads, prefix, g: LstmCellParams):
 
 # ---------------------------------------------------------------- encoder
 
-def _encode(params: ModelParams, indices, mask):
-    """BiLSTM over a (B, T) index matrix; returns (enc (B, T, 2H), cache)."""
-    steps = np.arange(mask.shape[1])
-    # reverses each row's real prefix, leaves pads in place; its own inverse
-    order = np.where(mask, mask.sum(axis=1)[:, None] - 1 - steps, steps)
-    x = params.embedding.matrix[indices]
-    x_rev = _flip(x, order)
-    fwd = lstm_forward(params.enc_fwd, _times(x, params.enc_fwd.w_in)
-                       + params.enc_fwd.b)
-    bwd = lstm_forward(params.enc_bwd, _times(x_rev, params.enc_bwd.w_in)
-                       + params.enc_bwd.b)
-    enc = np.concatenate([fwd[0], _flip(bwd[0], order)], axis=2)
-    return enc * mask[:, :, None], (indices, mask, order, x, x_rev, fwd, bwd)
+def _encode(params: ModelParams, tokens, packing: Packing):
+    """BiLSTM over a batch's (N,) packed token indices; returns
+    (enc (N, 2H), cache). The backward direction reads each row
+    mirrored, through packing.rev, an index that is its own inverse."""
+    x = params.embedding.matrix[tokens]
+    x_rev = x[packing.rev]
+    fwd = lstm_forward(params.enc_fwd, x @ params.enc_fwd.w_in.T
+                       + params.enc_fwd.b, packing.sizes)
+    bwd = lstm_forward(params.enc_bwd, x_rev @ params.enc_bwd.w_in.T
+                       + params.enc_bwd.b, packing.sizes)
+    enc = np.concatenate([fwd[0], bwd[0][packing.rev]], axis=1)
+    return enc, (tokens, packing, x, x_rev, fwd, bwd)
 
 
 def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
     """BPTT through both encoder directions; fills embedding grads."""
-    indices, mask, order, x, x_rev, fwd, bwd = enc_cache
+    tokens, packing, x, x_rev, fwd, bwd = enc_cache
     h_enc = params.dims.h_enc
-    d_enc = d_enc * mask[:, :, None]
-    d_x, g = lstm_backward(params.enc_fwd, x, *fwd, d_enc[:, :, :h_enc])
+    d_x, g = lstm_backward(params.enc_fwd, x, *fwd, d_enc[:, :h_enc],
+                           packing.sizes)
     _add_cell_grads(grads, "enc_fwd", g)
     d_x_rev, g = lstm_backward(params.enc_bwd, x_rev, *bwd,
-                               _flip(d_enc[:, :, h_enc:], order))
+                               d_enc[packing.rev, h_enc:], packing.sizes)
     _add_cell_grads(grads, "enc_bwd", g)
     if params.embedding.trainable:
-        real = mask & (indices != PAD_INDEX)
-        np.add.at(grads["embedding"], indices[real],
-                  (d_x + _flip(d_x_rev, order))[real])
+        real = tokens != PAD_INDEX
+        np.add.at(grads["embedding"], tokens[real],
+                  (d_x + d_x_rev[packing.rev])[real])
 
 
 # -------------------------------------------------------------- attention
 
-def _attend(params: ModelParams, enc, mask):
-    """Scaled dot-product self-attention over each row's real positions."""
+def _attend(params: ModelParams, enc, packing: Packing):
+    """Scaled dot-product self-attention of each row over its own
+    positions. Runs row by row on a rank-major copy of enc."""
     scale = 1.0 / np.sqrt(params.dims.d_att)
-    q = _times(enc, params.attn_q)
-    k = _times(enc, params.attn_k)
-    v = _times(enc, params.attn_v)
-    scores = (q @ k.transpose(0, 2, 1)) * scale
-    keys = np.broadcast_to(mask[:, None, :], scores.shape)
-    weights = softmax_rows(scores, mask=keys) * mask[:, :, None]
-    return weights @ v, (enc, q, k, v, weights)
+    x = enc[packing.by_row]
+    q = x @ params.attn_q.T
+    k = x @ params.attn_k.T
+    v = x @ params.attn_v.T
+    out = np.empty_like(v)
+    weights = []
+    start = 0
+    for n in packing.lengths:
+        row = slice(start, start + n)
+        w = softmax_rows((q[row] @ k[row].T) * scale)
+        out[row] = w @ v[row]
+        weights.append(w)
+        start += n
+    attended = np.empty_like(out)
+    attended[packing.by_row] = out
+    return attended, (packing, x, q, k, v, weights)
 
 
 def _attend_backward(params: ModelParams, att_cache, d_att, grads):
-    enc, q, k, v, weights = att_cache
+    packing, x, q, k, v, weights = att_cache
     scale = 1.0 / np.sqrt(params.dims.d_att)
-    d_w = d_att @ v.transpose(0, 2, 1)
-    d_v = weights.transpose(0, 2, 1) @ d_att
-    d_scores = (d_w - (d_w * weights).sum(axis=2, keepdims=True)) * weights
-    d_q = flat((d_scores @ k) * scale)
-    d_k = flat((d_scores.transpose(0, 2, 1) @ q) * scale)
-    d_v = flat(d_v)
-    grads["attn_q"] += d_q.T @ flat(enc)
-    grads["attn_k"] += d_k.T @ flat(enc)
-    grads["attn_v"] += d_v.T @ flat(enc)
-    d_enc = d_q @ params.attn_q + d_k @ params.attn_k + d_v @ params.attn_v
-    return d_enc.reshape(enc.shape)
+    d_out = d_att[packing.by_row]
+    d_q = np.empty_like(q)
+    d_k = np.empty_like(k)
+    d_v = np.empty_like(v)
+    start = 0
+    for w in weights:
+        row = slice(start, start + len(w))
+        d_w = d_out[row] @ v[row].T
+        d_v[row] = w.T @ d_out[row]
+        d_scores = (d_w - (d_w * w).sum(axis=1, keepdims=True)) * w
+        d_q[row] = (d_scores @ k[row]) * scale
+        d_k[row] = (d_scores.T @ q[row]) * scale
+        start += len(w)
+    grads["attn_q"] += d_q.T @ x
+    grads["attn_k"] += d_k.T @ x
+    grads["attn_v"] += d_v.T @ x
+    d_enc = np.empty_like(x)
+    d_enc[packing.by_row] = (d_q @ params.attn_q + d_k @ params.attn_k
+                             + d_v @ params.attn_v)
+    return d_enc
 
 
 # ---------------------------------------------------------------- decoder
 
 def _decoder_inputs(params: ModelParams, attended):
-    """The decoder's input projection in two parts: one row per step for
-    the attended states, one row per tag (bias included) for the fed tag.
-    Training and inference both sum the same two parts, so they agree
-    bit for bit."""
+    """The decoder's input projection in two parts: one row per position
+    for the attended states, one row per tag (bias included) for the fed
+    tag. Training and inference both sum the same two parts, so they
+    agree bit for bit."""
     d_att = params.dims.d_att
     w = params.dec.w_in
-    return (_times(attended, w[:, :d_att]),
+    return (attended @ w[:, :d_att].T,
             params.tag_embedding @ w[:, d_att:].T + params.dec.b)
 
 
-def _emissions(params: ModelParams, hs, mask):
-    return (_times(hs, params.emission_w) + params.emission_b) * mask[:, :, None]
+def _emissions(params: ModelParams, hs):
+    return hs @ params.emission_w.T + params.emission_b
 
 
-def _decode_training(params: ModelParams, attended, tags, mask):
-    """Teacher-forced decoder: step t is fed gold tag t-1 (START at t=0)."""
-    tags = np.asarray(tags)
-    if not np.isin(tags, (crf.O, crf.B, crf.I)).all():
-        raise ValueError(f"invalid gold tag index in {tags.tolist()}")
-    prev = np.concatenate([np.full((len(tags), 1), crf.START), tags[:, :-1]],
-                          axis=1)
+def _decode_training(params: ModelParams, attended, gold, packing: Packing):
+    """Teacher-forced decoder over packed (N,) gold tags: step t is fed
+    gold tag t-1 (START at t=0)."""
+    gold = np.asarray(gold)
+    if not np.isin(gold, (crf.O, crf.B, crf.I)).all():
+        raise ValueError(f"invalid gold tag index in {gold.tolist()}")
+    prev = np.concatenate([np.full(packing.sizes[0], crf.START),
+                           gold[previous_rows(packing.sizes)]])
     from_att, from_tag = _decoder_inputs(params, attended)
-    hs, caches = lstm_forward(params.dec, from_att + from_tag[prev])
-    x = np.concatenate([attended, params.tag_embedding[prev]], axis=2)
-    return _emissions(params, hs, mask), (x, hs, caches, prev, mask)
+    hs, caches = lstm_forward(params.dec, from_att + from_tag[prev],
+                              packing.sizes)
+    x = np.concatenate([attended, params.tag_embedding[prev]], axis=1)
+    return _emissions(params, hs), (x, hs, caches, prev, packing.sizes)
 
 
-def _decode_inference(params: ModelParams, attended, mask):
+def _decode_inference(params: ModelParams, attended, packing: Packing):
     """Decoder fed its own greedy tag: the best legal tag of the step before.
 
     I is legal only after B or I. argmax takes the first maximum, so ties
-    go to the lower tag. Returns (emissions, fed tags (B, T)).
+    go to the lower tag. Returns (emissions (N, 3), fed tags (N,)).
     """
-    batch, width, _ = attended.shape
+    sizes = packing.sizes
     from_att, from_tag = _decoder_inputs(params, attended)
-    h = np.zeros((batch, params.dims.h_dec))
-    c = np.zeros((batch, params.dims.h_dec))
-    hs = np.empty((batch, width, params.dims.h_dec))
-    fed = np.empty((batch, width), dtype=np.int64)
-    prev = np.full(batch, crf.START)
-    for t in range(width):
-        fed[:, t] = prev
-        h, c, _ = lstm_step(params.dec, from_att[:, t] + from_tag[prev], h, c)
-        hs[:, t] = h
+    h = np.zeros((sizes[0], params.dims.h_dec))
+    c = np.zeros((sizes[0], params.dims.h_dec))
+    hs = np.empty((len(attended), params.dims.h_dec))
+    fed = np.empty(len(attended), dtype=np.int64)
+    prev = np.full(sizes[0], crf.START)
+    start = 0
+    for n in sizes:
+        step = slice(start, start + n)
+        prev = prev[:n]
+        fed[step] = prev
+        h, c, _ = lstm_step(params.dec, from_att[step] + from_tag[prev],
+                            h[:n], c[:n])
+        hs[step] = h
         scores = h @ params.emission_w.T + params.emission_b
         scores[(prev == crf.START) | (prev == crf.O), crf.I] = -np.inf
         prev = np.argmax(scores, axis=1)
-    return _emissions(params, hs, mask), fed
+        start += n
+    return _emissions(params, hs), fed
 
 
 def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
-    x, hs, caches, prev, mask = dec_cache
+    x, hs, caches, prev, sizes = dec_cache
     d_att = params.dims.d_att
-    d_e = flat(d_emissions * mask[:, :, None])
-    grads["emission_w"] += d_e.T @ flat(hs)
-    grads["emission_b"] += d_e.sum(axis=0)
-    d_hs = (d_e @ params.emission_w).reshape(hs.shape)
-    d_x, g = lstm_backward(params.dec, x, hs, caches, d_hs)
+    grads["emission_w"] += d_emissions.T @ hs
+    grads["emission_b"] += d_emissions.sum(axis=0)
+    d_x, g = lstm_backward(params.dec, x, hs, caches,
+                           d_emissions @ params.emission_w, sizes)
     _add_cell_grads(grads, "dec", g)
-    np.add.at(grads["tag_embedding"], prev, d_x[:, :, d_att:])
-    return d_x[:, :, :d_att]
+    np.add.at(grads["tag_embedding"], prev, d_x[:, d_att:])
+    return d_x[:, :d_att]
 
 
 # ------------------------------------------------------------ entry points
@@ -275,19 +323,15 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     """Summed CRF NLL of a right-padded (B, T) batch, and its gradient for
     every trainable block as one name -> array dict."""
     indices = np.asarray(indices)
-    tags = np.asarray(tags)
-    mask = _length_mask(lengths, indices.shape)
+    packing = _pack(lengths, indices.shape)
+    gold = packing.gather(tags)
     grads = zero_grad_blocks(params)
-    enc, enc_cache = _encode(params, indices, mask)
-    attended, att_cache = _attend(params, enc, mask)
-    emissions, dec_cache = _decode_training(params, attended, tags, mask)
-    loss = 0.0
-    d_emissions = np.zeros_like(emissions)
-    for row, n in enumerate(mask.sum(axis=1)):
-        nll, d_emissions[row, :n], d_t = crf.crf_nll_backward(
-            emissions[row, :n], params.transitions, tags[row, :n].tolist())
-        loss += nll
-        grads["transitions"] += d_t
+    enc, enc_cache = _encode(params, packing.gather(indices), packing)
+    attended, att_cache = _attend(params, enc, packing)
+    emissions, dec_cache = _decode_training(params, attended, gold, packing)
+    loss, d_emissions, d_t = crf.crf_nll_backward(
+        emissions, params.transitions, gold, packing.sizes)
+    grads["transitions"] += d_t
     d_attended = _decode_backward(params, dec_cache, d_emissions, grads)
     d_enc = _attend_backward(params, att_cache, d_attended, grads)
     _encode_backward(params, enc_cache, d_enc, grads)
@@ -295,14 +339,22 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
 
 
 def predict_batch(params: ModelParams, indices, lengths):
-    """Viterbi-decoded BIO tag indices for each row of a right-padded batch."""
+    """Viterbi-decoded BIO tag indices for each row of a right-padded
+    batch, in input row order."""
     indices = np.asarray(indices)
-    mask = _length_mask(lengths, indices.shape)
-    enc, _ = _encode(params, indices, mask)
-    attended, _ = _attend(params, enc, mask)
-    emissions, _ = _decode_inference(params, attended, mask)
-    return [crf.crf_viterbi(emissions[row, :n], params.transitions)[0]
-            for row, n in enumerate(mask.sum(axis=1))]
+    packing = _pack(lengths, indices.shape)
+    enc, _ = _encode(params, packing.gather(indices), packing)
+    attended, _ = _attend(params, enc, packing)
+    emissions, _ = _decode_inference(params, attended, packing)
+    emissions = emissions[packing.by_row]
+    paths = [None] * len(packing.lengths)
+    start = 0
+    # positions 0..B-1 are step 0 of each rank, in rank order
+    for row, n in zip(packing.rows[:len(paths)].tolist(), packing.lengths):
+        paths[row] = crf.crf_viterbi(emissions[start:start + n],
+                                     params.transitions)[0]
+        start += n
+    return paths
 
 
 def predict_tags(params: ModelParams, indices):

@@ -111,19 +111,32 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
-    """One Adam update; clamped CRF entries and the pad row stay fixed."""
+    """One Adam update, in place on the moments and the parameters;
+    clamped CRF entries and the pad row stay fixed."""
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
+    c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
     blocks = param_blocks(params)
     for name, theta in blocks.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in block {name!r}")
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** state.t)
-        v_hat = state.v[name] / (1 - b2 ** state.t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        # the textbook expressions, evaluated in the same order
+        step = np.multiply(1 - b1, g)
+        m *= b1
+        m += step                        # b1 * m + (1 - b1) * g
+        np.multiply(1 - b2, g, out=step)
+        step *= g
+        v *= b2
+        v += step                        # b2 * v + (1 - b2) * g * g
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += eps                     # sqrt(v_hat) + eps
+        np.divide(m, c1, out=step)
+        step *= lr
+        step /= denom                    # lr * m_hat / (sqrt(v_hat) + eps)
+        theta -= step
     mask = crf.forbidden_mask()
     params.transitions[mask] = crf.FORBIDDEN_SCORE
     if "embedding" in blocks:

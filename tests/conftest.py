@@ -44,22 +44,28 @@ class GradCheckResult:
 
 
 def grad_check(loss_fn, param: np.ndarray, analytic_grad: np.ndarray,
-               h: float = 1e-4, tol: float = 1e-4) -> GradCheckResult:
+               h: float = 1e-4, tol: float = 1e-4,
+               skip: np.ndarray | None = None) -> GradCheckResult:
     """Central-difference check of an analytic gradient.
 
     loss_fn takes the parameter array and returns a scalar; param is
-    perturbed in place and restored, one coordinate at a time.
+    perturbed in place and restored, one coordinate at a time. skip, a
+    boolean array of param's shape, marks coordinates left unprobed.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     if param.shape != analytic_grad.shape:
         raise ShapeError(
             f"grad shape {analytic_grad.shape} != param shape {param.shape}")
+    if skip is not None and skip.shape != param.shape:
+        raise ShapeError(f"skip shape {skip.shape} != param shape {param.shape}")
     worst = (0,) * param.ndim
     max_err = 0.0
     it = np.nditer(param, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
+        if skip is not None and skip[idx]:
+            continue
         orig = param[idx]
         param[idx] = orig + h
         lo_plus = loss_fn(param)

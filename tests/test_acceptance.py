@@ -17,7 +17,7 @@ from reqtag.evaluation import compute_metrics, extract_spans
 from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
                             param_blocks, predict_batch, predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
-from conftest import make_synthetic_corpus
+from conftest import grad_check, make_synthetic_corpus
 
 
 def report(criterion, ok, detail=""):
@@ -61,33 +61,18 @@ def test_criterion_2_gradient_suite():
     tags = np.array([[0, 1, 2, 2, 0], [0, 1, 0, 0, 0]])
     lengths = [5, 3]
 
-    def batch_loss():
+    def batch_loss(_=None):
         return batch_loss_and_grads(params, indices, tags, lengths)[0] / 2
 
     _, grads = batch_loss_and_grads(params, indices, tags, lengths)
-    for k in grads:
-        grads[k] /= 2
-
-    forbidden = crf.forbidden_mask()
-    h = 1e-4
     worst = 0.0
     for name, arr in param_blocks(params).items():
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            if name == "transitions" and forbidden[idx]:
-                continue
-            orig = arr[idx]
-            arr[idx] = orig + h
-            lp = batch_loss()
-            arr[idx] = orig - h
-            lm = batch_loss()
-            arr[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            err = abs(fd - grads[name][idx]) / max(abs(fd),
-                                                   abs(grads[name][idx]), 1e-8)
-            worst = max(worst, err)
-            assert err <= 1e-4, f"block {name} at {idx}: {err}"
+        skip = crf.forbidden_mask() if name == "transitions" else None
+        res = grad_check(batch_loss, arr, grads[name] / 2, h=1e-4, tol=1e-4,
+                         skip=skip)
+        worst = max(worst, res.max_relative_error)
+        assert res.passed, (f"block {name} at {res.worst_index}: "
+                            f"{res.max_relative_error}")
     elapsed = time.monotonic() - start
     report("2 gradient-suite", elapsed < 60.0,
            f"worst rel err {worst:.2e}, {elapsed:.1f}s")

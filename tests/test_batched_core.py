@@ -2,8 +2,11 @@
 
 A right-padded batch through ``batch_loss_and_grads`` must give the sum
 of the reference's per-sentence losses and gradients, and
-``predict_tags`` the reference's Viterbi tags, for any batch size,
-lengths and padding, with trainable or frozen embeddings.
+``predict_batch`` the reference's Viterbi tags row by row in input
+order, for any batch size, row order, lengths (one row may be up to
+three times longer than the rest) and padding, with trainable or frozen
+embeddings. The packed core computes real positions only: every LSTM
+step row is one real token of one of the three sequences.
 """
 
 import numpy as np
@@ -11,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_sentence
-from reqtag import crf
+from reqtag import crf, lstm, network
 from reqtag.embeddings import EmbeddingTable
 from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
-                            predict_tags)
+                            predict_batch, predict_tags)
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
 VOCAB = 12
@@ -31,12 +34,19 @@ def _bio(raw):
     return tags
 
 
-# a sentence: (token indices, tags) of one length 1..8; index 0 is the
-# pad token and 1 the unknown token, both allowed at real positions
-SENTENCE = st.integers(1, 8).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, VOCAB - 1), min_size=n, max_size=n),
-    st.lists(st.sampled_from([crf.O, crf.B, crf.I]), min_size=n,
-             max_size=n).map(_bio)))
+def _sentences(lo, hi):
+    """(token indices, tags) of one length lo..hi; index 0 is the pad
+    token and 1 the unknown token, both allowed at real positions."""
+    return st.integers(lo, hi).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, VOCAB - 1), min_size=n, max_size=n),
+        st.lists(st.sampled_from([crf.O, crf.B, crf.I]), min_size=n,
+                 max_size=n).map(_bio)))
+
+
+SENTENCE = _sentences(1, 8)
+# a long review beside the rest: up to three times the longest
+OUTLIER = st.one_of(st.none(), st.tuples(st.integers(0, 5),
+                                         _sentences(9, 24)))
 
 
 def _model(seed, trainable):
@@ -67,11 +77,16 @@ def _assert_close(got, ref, what):
 
 @settings(max_examples=150, deadline=None)
 @given(sentences=st.lists(SENTENCE, min_size=1, max_size=5),
-       extra=st.integers(0, 2), seed=st.integers(0, 2 ** 16),
-       trainable=st.booleans())
-def test_batch_equals_per_sentence_sum(sentences, extra, seed, trainable):
+       outlier=OUTLIER, extra=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 16), trainable=st.booleans())
+def test_batch_equals_per_sentence_sum(sentences, outlier, extra, seed,
+                                       trainable):
+    if outlier is not None:
+        at, long = outlier
+        sentences = sentences[:at] + [long] + sentences[at:]
     params = _model(seed, trainable)
-    loss, grads = batch_loss_and_grads(params, *_pad(sentences, extra))
+    indices, tags, lengths = _pad(sentences, extra)
+    loss, grads = batch_loss_and_grads(params, indices, tags, lengths)
 
     ref_loss = 0.0
     ref_grads = per_sentence.zero_grad_blocks(params)
@@ -86,5 +101,33 @@ def test_batch_equals_per_sentence_sum(sentences, extra, seed, trainable):
     _assert_close(loss, ref_loss, "loss")
     for name, ref in ref_grads.items():
         _assert_close(grads[name], ref, name)
-    for idx, _ in sentences:
-        assert predict_tags(params, idx) == per_sentence.predict_tags(params, idx)
+    ref_paths = [per_sentence.predict_tags(params, idx) for idx, _ in sentences]
+    assert predict_batch(params, indices, lengths) == ref_paths
+    assert [predict_tags(params, idx) for idx, _ in sentences] == ref_paths
+
+
+def test_lstm_steps_cover_real_tokens_only(monkeypatch):
+    # encoder forward, encoder backward and decoder each step once per
+    # real token, in training and in inference; computing any pad
+    # position would raise the count
+    rows = []
+
+    def counting(step):
+        def wrapped(params, a_in, h_prev, c_prev):
+            rows.append(len(h_prev))
+            return step(params, a_in, h_prev, c_prev)
+        return wrapped
+
+    monkeypatch.setattr(lstm, "lstm_step", counting(lstm.lstm_step))
+    monkeypatch.setattr(network, "lstm_step", counting(network.lstm_step))
+    rng = np.random.default_rng(8)
+    lengths = [3, 7, 1, 21, 5, 7]  # unsorted, one row 3x the next longest
+    sentences = [(rng.integers(0, VOCAB, size=n).tolist(), [crf.O] * n)
+                 for n in lengths]
+    indices, tags, _ = _pad(sentences, 2)
+    params = _model(0, True)
+    batch_loss_and_grads(params, indices, tags, lengths)
+    assert sum(rows) == 3 * sum(lengths)
+    rows.clear()
+    predict_batch(params, indices, lengths)
+    assert sum(rows) == 3 * sum(lengths)

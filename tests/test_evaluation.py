@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from reqtag import evaluation
+from reqtag.data import TaggedSentence
+from reqtag.embeddings import build_vocabulary, encode_tokens
 from reqtag.evaluation import (BaselineMismatchError, RequirementSpan,
-                               compute_metrics,
+                               compute_metrics, evaluate_domain,
                                evaluate_tag_pairs, extract_spans,
                                load_baselines, match_spans, render_report)
+from reqtag.network import ModelDims, init_model, predict_tags
 from reqtag.training import FoldReport
 
 
@@ -115,6 +119,34 @@ def test_evaluate_tag_pairs_micro_averages():
     ]
     m = evaluate_tag_pairs(pairs)
     assert (m.tp, m.fp, m.fn) == (1, 1, 1)
+
+
+def test_evaluate_domain_batches_equal_per_sentence_predictions(monkeypatch):
+    # mixed lengths over more than one decode chunk, unsorted
+    rng = np.random.default_rng(11)
+    words = [f"w{i}" for i in range(20)]
+    sentences = []
+    for n in rng.integers(1, 30, size=evaluation.DECODE_CHUNK + 13):
+        tokens = [str(w) for w in rng.choice(words, size=n)]
+        sentences.append(TaggedSentence(app_id="d", tokens=tokens,
+                                        tags=["O"] * len(tokens)))
+    vocab = build_vocabulary(s.tokens for s in sentences[::2])  # some OOV
+    params = init_model(len(vocab), ModelDims(embedding_dim=8, h_enc=4,
+                                              d_att=6, h_dec=5, d_tag=3),
+                        np.random.default_rng(12))
+    seen = []
+
+    def capture(pairs, overlap=False):
+        pairs = list(pairs)
+        seen.extend(pairs)
+        return compute_metrics(0, 0, 0)
+
+    monkeypatch.setattr(evaluation, "evaluate_tag_pairs", capture)
+    evaluate_domain(params, vocab, sentences)
+    assert [pred for pred, _ in seen] == [
+        predict_tags(params, encode_tokens(s.tokens, vocab))
+        for s in sentences]
+    assert [gold for _, gold in seen] == [s.tag_indices() for s in sentences]
 
 
 def _reports():

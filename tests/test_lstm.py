@@ -97,17 +97,19 @@ def test_step_gradients_every_block():
 
 
 def test_sequence_gradients_every_block():
+    # a packed batch of two rows, lengths 4 and 2: sizes [2, 2, 1, 1]
     rng = np.random.default_rng(4)
     p = init_lstm(3, 2, rng)
-    x = rng.normal(size=(2, 4, 3))
-    weights = rng.normal(size=(2, 4, 2))
+    sizes = [2, 2, 1, 1]
+    x = rng.normal(size=(6, 3))
+    weights = rng.normal(size=(6, 2))
 
     def loss_of(_=None):
-        hs, _caches = lstm_forward(p, _project(p, x))
+        hs, _caches = lstm_forward(p, _project(p, x), sizes)
         return float((hs * weights).sum())
 
-    hs, caches = lstm_forward(p, _project(p, x))
-    dx, grads = lstm_backward(p, x, hs, caches, weights)
+    hs, caches = lstm_forward(p, _project(p, x), sizes)
+    dx, grads = lstm_backward(p, x, hs, caches, weights, sizes)
     for arr, g in ((p.w_in, grads.w_in), (p.w_h, grads.w_h), (p.b, grads.b),
                    (x, dx)):
         res = grad_check(loss_of, arr, g, h=1e-4, tol=1e-4)
@@ -115,20 +117,55 @@ def test_sequence_gradients_every_block():
 
 
 def test_pad_steps_get_zero_gradient():
-    # right padding: steps after a row's end, with zero output gradient,
-    # add nothing to any gradient
+    # steps after a row's end, with zero output gradient, add nothing
+    # to any gradient
     rng = np.random.default_rng(5)
     p = init_lstm(3, 2, rng)
-    x = rng.normal(size=(1, 5, 3))
-    d_hs = rng.normal(size=(1, 5, 2))
-    d_hs[:, 2:] = 0.0
-    hs, caches = lstm_forward(p, _project(p, x))
-    dx, grads = lstm_backward(p, x, hs, caches, d_hs)
-    np.testing.assert_array_equal(dx[:, 2:], 0.0)
-    hs2, caches2 = lstm_forward(p, _project(p, x[:, :2]))
-    np.testing.assert_array_equal(hs2, hs[:, :2])
-    dx2, grads2 = lstm_backward(p, x[:, :2], hs2, caches2, d_hs[:, :2])
-    np.testing.assert_allclose(dx[:, :2], dx2, rtol=1e-12, atol=0)
+    x = rng.normal(size=(5, 3))
+    d_hs = rng.normal(size=(5, 2))
+    d_hs[2:] = 0.0
+    hs, caches = lstm_forward(p, _project(p, x), [1] * 5)
+    dx, grads = lstm_backward(p, x, hs, caches, d_hs, [1] * 5)
+    np.testing.assert_array_equal(dx[2:], 0.0)
+    hs2, caches2 = lstm_forward(p, _project(p, x[:2]), [1] * 2)
+    np.testing.assert_array_equal(hs2, hs[:2])
+    dx2, grads2 = lstm_backward(p, x[:2], hs2, caches2, d_hs[:2], [1] * 2)
+    np.testing.assert_allclose(dx[:2], dx2, rtol=1e-12, atol=0)
     for name in ("w_in", "w_h", "b"):
         np.testing.assert_allclose(getattr(grads, name), getattr(grads2, name),
                                    rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+def test_packed_rows_match_each_row_alone():
+    # rows of lengths 4, 2, 2 packed by step: sizes [3, 3, 1, 1]; each
+    # row's outputs and input gradients equal the row run by itself,
+    # and the weight gradients are the sum over rows
+    rng = np.random.default_rng(6)
+    p = init_lstm(3, 2, rng)
+    lengths = [4, 2, 2]
+    sizes = [3, 3, 1, 1]
+    xs = [rng.normal(size=(n, 3)) for n in lengths]
+    d_hs = [rng.normal(size=(n, 2)) for n in lengths]
+    where = [(t, r) for t in range(4) for r in range(3) if t < lengths[r]]
+    x = np.array([xs[r][t] for t, r in where])
+    hs, caches = lstm_forward(p, _project(p, x), sizes)
+    dx, grads = lstm_backward(p, x, hs, caches,
+                              np.array([d_hs[r][t] for t, r in where]), sizes)
+    total = {name: 0.0 for name in ("w_in", "w_h", "b")}
+    for r, n in enumerate(lengths):
+        at = [i for i, (_, row) in enumerate(where) if row == r]
+        hs1, caches1 = lstm_forward(p, _project(p, xs[r]), [1] * n)
+        dx1, grads1 = lstm_backward(p, xs[r], hs1, caches1, d_hs[r], [1] * n)
+        np.testing.assert_allclose(hs[at], hs1, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(dx[at], dx1, rtol=1e-12, atol=1e-15)
+        for name in total:
+            total[name] = total[name] + getattr(grads1, name)
+    for name, ref in total.items():
+        np.testing.assert_allclose(getattr(grads, name), ref, rtol=1e-12,
+                                   atol=1e-15, err_msg=name)
+
+
+def test_step_sizes_must_cover_every_row():
+    p = init_lstm(3, 2, np.random.default_rng(7))
+    with pytest.raises(ShapeError):
+        lstm_forward(p, np.zeros((5, 8)), [2, 2])

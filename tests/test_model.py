@@ -12,7 +12,7 @@ from reqtag import crf
 from reqtag.embeddings import EmbeddingTable, Vocabulary
 from reqtag.lstm import lstm_step
 from reqtag.network import (ModelDims, _attend, _decode_inference,
-                            _decode_training, _encode, _length_mask,
+                            _decode_training, _encode, _pack,
                             batch_loss_and_grads, init_model, load_checkpoint,
                             param_blocks, predict_tags, save_checkpoint)
 
@@ -25,16 +25,24 @@ def tiny_model():
 
 
 def _full(n, batch=1):
-    """Mask of a batch whose rows all have n real positions."""
-    return _length_mask([n] * batch, (batch, n))
+    """Packing of a batch whose rows all have n real positions."""
+    return _pack([n] * batch, (batch, n))
+
+
+def _unpack(packing, packed, width):
+    """Packed rows put back at their (row, step) of a zero (B, T) batch."""
+    out = np.zeros((len(packing.lengths), width) + packed.shape[1:])
+    out[packing.rows, packing.steps] = packed
+    return out
 
 
 def _enc(params, rows, lengths=None):
-    """Encoder output for a list of equal-width index rows."""
+    """Encoder output for a list of equal-width index rows, as (B, T, 2H)."""
     idx = np.array(rows)
     lengths = [len(r) for r in rows] if lengths is None else lengths
-    enc, _ = _encode(params, idx, _length_mask(lengths, idx.shape))
-    return enc
+    packing = _pack(lengths, idx.shape)
+    enc, _ = _encode(params, packing.gather(idx), packing)
+    return _unpack(packing, enc, idx.shape[1])
 
 
 class TestEncoder:
@@ -67,10 +75,21 @@ class TestEncoder:
                              z, z)
         np.testing.assert_array_equal(enc[0], np.concatenate([hf[0], hb[0]]))
 
-    def test_padded_batch_pads_are_zero(self, tiny_model):
-        out = _enc(tiny_model, [[2, 3, 0, 0], [4, 5, 6, 7]], [2, 4])
-        assert np.all(out[0, 2:] == 0.0)
-        assert not np.all(out[1] == 0.0)
+    def test_padded_batch_packs_real_positions_only(self, tiny_model):
+        idx = np.array([[2, 3, 0, 0], [4, 5, 6, 7]])
+        packing = _pack([2, 4], idx.shape)
+        # the longer row ranks first; its steps 2 and 3 run alone
+        assert packing.sizes == [2, 2, 1, 1]
+        assert packing.lengths == [4, 2]
+        assert packing.rows.tolist() == [1, 0, 1, 0, 1, 1]
+        assert packing.steps.tolist() == [0, 0, 1, 1, 2, 3]
+        assert packing.gather(idx).tolist() == [4, 2, 5, 3, 6, 7]
+        np.testing.assert_array_equal(packing.rev[packing.rev], np.arange(6))
+        enc, _ = _encode(tiny_model, packing.gather(idx), packing)
+        assert enc.shape == (6, 2 * TINY.h_enc)
+        np.testing.assert_allclose(_unpack(packing, enc, 4)[0, :2],
+                                   _enc(tiny_model, [[2, 3]])[0],
+                                   rtol=1e-12, atol=1e-15)
 
     def test_length_exceeding_width_rejected(self, tiny_model):
         with pytest.raises(ValueError):
@@ -83,73 +102,89 @@ class TestEncoder:
 
 class TestAttention:
     def test_single_position_weight_is_one(self, tiny_model):
-        enc = np.random.default_rng(0).normal(size=(1, 1, 2 * TINY.h_enc))
-        attended, (_, _, _, v, weights) = _attend(tiny_model, enc, _full(1))
-        np.testing.assert_allclose(weights, [[[1.0]]])
+        enc = np.random.default_rng(0).normal(size=(1, 2 * TINY.h_enc))
+        attended, (*_, v, weights) = _attend(tiny_model, enc, _full(1))
+        np.testing.assert_allclose(weights[0], [[1.0]])
         np.testing.assert_allclose(attended, v)
 
     def test_weights_sum_to_one(self, tiny_model):
-        enc = np.random.default_rng(1).normal(size=(1, 5, 2 * TINY.h_enc))
-        _, (_, _, _, _, weights) = _attend(tiny_model, enc, _full(5))
-        np.testing.assert_allclose(weights.sum(axis=2), np.ones((1, 5)),
+        enc = np.random.default_rng(1).normal(size=(5, 2 * TINY.h_enc))
+        _, (*_, weights) = _attend(tiny_model, enc, _full(5))
+        np.testing.assert_allclose(weights[0].sum(axis=1), np.ones(5),
                                    atol=1e-9)
 
     def test_zero_keys_give_uniform_mean_of_values(self, tiny_model):
         tiny_model.attn_k[:] = 0.0
-        enc = np.random.default_rng(2).normal(size=(1, 4, 2 * TINY.h_enc))
-        attended, (_, _, _, v, weights) = _attend(tiny_model, enc, _full(4))
+        enc = np.random.default_rng(2).normal(size=(4, 2 * TINY.h_enc))
+        attended, (*_, v, weights) = _attend(tiny_model, enc, _full(4))
         np.testing.assert_allclose(weights[0], np.full((4, 4), 0.25), atol=1e-12)
-        np.testing.assert_allclose(attended[0],
-                                   np.tile(v[0].mean(axis=0), (4, 1)), atol=1e-12)
+        np.testing.assert_allclose(attended, np.tile(v.mean(axis=0), (4, 1)),
+                                   atol=1e-12)
 
-    def test_pads_are_masked(self, tiny_model):
-        enc = np.zeros((1, 4, 2 * TINY.h_enc))
-        enc[0, :2] = np.random.default_rng(3).normal(size=(2, 2 * TINY.h_enc))
-        out, (_, _, _, _, weights) = _attend(tiny_model, enc,
-                                             _length_mask([2], (1, 4)))
-        assert np.all(out[0, 2:] == 0.0)
-        assert np.all(weights[0, :, 2:] == 0.0)
-        np.testing.assert_allclose(weights[0, :2].sum(axis=1), 1.0, atol=1e-12)
+    def test_rows_attend_only_to_their_own_positions(self, tiny_model):
+        # rows of lengths 2 and 4: the short row's output is its output
+        # alone, and each row's weights cover only its own positions
+        rng = np.random.default_rng(3)
+        short = rng.normal(size=(2, 2 * TINY.h_enc))
+        long = rng.normal(size=(4, 2 * TINY.h_enc))
+        packing = _pack([2, 4], (2, 4))
+        enc = np.zeros((2, 4, 2 * TINY.h_enc))
+        enc[0, :2], enc[1] = short, long
+        out, (*_, weights) = _attend(tiny_model, packing.gather(enc), packing)
+        assert [w.shape for w in weights] == [(4, 4), (2, 2)]
+        for w in weights:
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        alone, _ = _attend(tiny_model, short, _full(2))
+        np.testing.assert_allclose(_unpack(packing, out, 4)[0, :2], alone,
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestDecoder:
     def test_emissions_shape(self, tiny_model):
-        attended = np.random.default_rng(0).normal(size=(1, 5, TINY.d_att))
+        attended = np.random.default_rng(0).normal(size=(5, TINY.d_att))
         out, _ = _decode_training(tiny_model, attended,
-                                  np.array([[0, 1, 2, 0, 1]]), _full(5))
-        assert out.shape == (1, 5, 3)
+                                  np.array([0, 1, 2, 0, 1]), _full(5))
+        assert out.shape == (5, 3)
 
     def test_teacher_forcing_is_causal(self, tiny_model):
-        attended = np.random.default_rng(1).normal(size=(1, 5, TINY.d_att))
-        e1, _ = _decode_training(tiny_model, attended, [[0, 1, 2, 0, 1]], _full(5))
-        e2, _ = _decode_training(tiny_model, attended, [[0, 1, 0, 0, 1]], _full(5))
-        np.testing.assert_array_equal(e1[0, :3], e2[0, :3])
-        assert not np.array_equal(e1[0, 3:], e2[0, 3:])
+        attended = np.random.default_rng(1).normal(size=(5, TINY.d_att))
+        e1, _ = _decode_training(tiny_model, attended, [0, 1, 2, 0, 1], _full(5))
+        e2, _ = _decode_training(tiny_model, attended, [0, 1, 0, 0, 1], _full(5))
+        np.testing.assert_array_equal(e1[:3], e2[:3])
+        assert not np.array_equal(e1[3:], e2[3:])
 
     def test_invalid_gold_tag_rejected(self, tiny_model):
-        attended = np.zeros((1, 2, TINY.d_att))
+        attended = np.zeros((2, TINY.d_att))
         with pytest.raises(ValueError):
-            _decode_training(tiny_model, attended, [[0, 5]], _full(2))
+            _decode_training(tiny_model, attended, [0, 5], _full(2))
 
     def test_inference_matches_training_on_greedy_path(self, tiny_model):
-        attended = np.random.default_rng(2).normal(size=(1, 4, TINY.d_att))
+        attended = np.random.default_rng(2).normal(size=(4, TINY.d_att))
         e_inf, fed = _decode_inference(tiny_model, attended, _full(4))
-        gold = np.append(fed[:, 1:], [[0]], axis=1)  # fed tags shifted back one
+        gold = np.append(fed[1:], 0)  # fed tags shifted back one
         e_train, _ = _decode_training(tiny_model, attended, gold, _full(4))
         np.testing.assert_array_equal(e_inf, e_train)
 
     def test_inference_deterministic(self, tiny_model):
-        attended = np.random.default_rng(3).normal(size=(1, 6, TINY.d_att))
+        attended = np.random.default_rng(3).normal(size=(6, TINY.d_att))
         e1, _ = _decode_inference(tiny_model, attended, _full(6))
         e2, _ = _decode_inference(tiny_model, attended, _full(6))
         np.testing.assert_array_equal(e1, e2)
 
-    def test_batch_inference_pads_are_zero(self, tiny_model):
-        attended = np.random.default_rng(4).normal(size=(2, 3, TINY.d_att))
-        out, _ = _decode_inference(tiny_model, attended,
-                                   _length_mask([3, 2], (2, 3)))
-        assert out.shape == (2, 3, 3)
-        assert np.all(out[1, 2] == 0.0)
+    def test_batch_inference_rows_match_each_row_alone(self, tiny_model):
+        rng = np.random.default_rng(4)
+        rows = [rng.normal(size=(n, TINY.d_att)) for n in (2, 3)]
+        packing = _pack([2, 3], (2, 3))
+        attended = np.zeros((2, 3, TINY.d_att))
+        attended[0, :2], attended[1] = rows
+        out, fed = _decode_inference(tiny_model, packing.gather(attended),
+                                     packing)
+        assert out.shape == (5, 3) and fed.shape == (5,)
+        for r, x in enumerate(rows):
+            alone, fed_alone = _decode_inference(tiny_model, x, _full(len(x)))
+            at = packing.rows == r
+            np.testing.assert_allclose(out[at], alone, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(fed[at], fed_alone)
 
 
 class TestEndToEnd:

@@ -129,6 +129,51 @@ class TestAdam:
         adam_step(params, grads, state, lr=0.5)
         np.testing.assert_array_equal(params.embedding.matrix[PAD_INDEX], 0.0)
 
+    @staticmethod
+    def _reference_step(params, grads, state, lr):
+        """Adam as it was written before the in-place update."""
+        state.t += 1
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        blocks = param_blocks(params)
+        for name, theta in blocks.items():
+            g = grads[name]
+            state.m[name] = b1 * state.m[name] + (1 - b1) * g
+            state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
+            m_hat = state.m[name] / (1 - b1 ** state.t)
+            v_hat = state.v[name] / (1 - b2 ** state.t)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        params.transitions[crf.forbidden_mask()] = crf.FORBIDDEN_SCORE
+        if "embedding" in blocks:
+            params.embedding.matrix[PAD_INDEX, :] = 0.0
+
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_in_place_update_is_bit_identical(self, trainable):
+        params = self._model()
+        params.embedding.trainable = trainable
+        ref = self._model()
+        ref.embedding.trainable = trainable
+        state = AdamState.for_params(params)
+        ref_state = AdamState.for_params(ref)
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            # every entry moves: forbidden transitions and the pad row too
+            grads = {k: rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]),
+                                   size=a.shape)
+                     for k, a in param_blocks(params).items()}
+            adam_step(params, grads, state, lr=0.01)
+            self._reference_step(ref, grads, ref_state, lr=0.01)
+            assert state.t == ref_state.t
+            for name, arr in param_blocks(ref).items():
+                np.testing.assert_array_equal(param_blocks(params)[name], arr,
+                                              err_msg=name)
+                np.testing.assert_array_equal(state.m[name],
+                                              ref_state.m[name], err_msg=name)
+                np.testing.assert_array_equal(state.v[name],
+                                              ref_state.v[name], err_msg=name)
+        np.testing.assert_array_equal(params.embedding.matrix,
+                                      ref.embedding.matrix)
+        assert ("embedding" in state.m) == trainable
+
     def test_non_finite_gradient_names_block(self):
         params = self._model()
         state = AdamState.for_params(params)
