@@ -5,9 +5,13 @@ stderr; machine-readable artifacts to the paths given by the flags.
 """
 
 import argparse
+import codecs
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import select
 import sys
 import time
 from pathlib import Path
@@ -16,9 +20,10 @@ from . import __version__
 from .data import (DataError, ParseError, SchemaError, load_corpus,
                    parse_conllu, parse_rebert_csv, save_corpus, clean_tokens)
 from .embeddings import encode_tokens
-from .evaluation import (BaselineMismatchError, evaluate_domain, extract_spans,
-                         load_baselines, render_report)
-from .network import load_checkpoint, predict_tags, save_checkpoint
+from .evaluation import (DECODE_CHUNK, BaselineMismatchError, evaluate_domain,
+                         extract_spans, load_baselines, render_report)
+from .network import (load_checkpoint, predict_batch, predict_tags,
+                      save_checkpoint)
 from .tensor import NumericError
 from .training import TrainConfig, cross_validate, train
 
@@ -119,19 +124,52 @@ def cmd_crossval(args):
     return 0
 
 
+def _ready_lines(fd):
+    """Batches of input lines without their newline, decoded as a
+    text-mode open() decodes them (UTF-8, universal newlines). A batch
+    holds every complete line that is buffered or readable at once, at
+    most DECODE_CHUNK; the read blocks only when none is buffered."""
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")(), translate=True)
+    text, eof = "", False
+    while True:
+        ready = text.count("\n")
+        if not eof and (not ready or ready < DECODE_CHUNK
+                        and select.select([fd], [], [], 0)[0]):
+            chunk = os.read(fd, 1 << 16)
+            eof = not chunk
+            text += decoder.decode(chunk, final=eof)
+        elif ready:
+            *lines, text = text.split("\n", DECODE_CHUNK)
+            yield lines
+        else:  # end of input; a last line may lack its newline
+            if text:
+                yield [text]
+            return
+
+
 def cmd_extract(args):
     params, vocab, _config = load_checkpoint(args.model)
-    with open(args.input, encoding="utf-8") as fh:
-        for line in fh:
-            text = line.rstrip("\n")
-            tokens = clean_tokens(text)
-            requirements = []
-            if tokens:
-                tags = predict_tags(params, encode_tokens(tokens, vocab))
-                for span in extract_spans(tags, tokens=tokens):
-                    requirements.append({"span": [span.start, span.end],
-                                         "text": span.text})
-            print(json.dumps({"text": text, "requirements": requirements}))
+    fd = os.open(args.input, os.O_RDONLY)
+    try:
+        for lines in _ready_lines(fd):
+            tokens = [clean_tokens(line) for line in lines]
+            rows = [encode_tokens(t, vocab) for t in tokens if t]
+            if len(rows) == 1:  # a closed-loop client's line comes alone
+                paths = [predict_tags(params, rows[0])]
+            else:
+                paths = predict_batch(params, rows) if rows else []
+            paths = iter(paths)
+            replies = []
+            for text, toks in zip(lines, tokens):
+                spans = extract_spans(next(paths), tokens=toks) if toks else []
+                replies.append(json.dumps({"text": text, "requirements": [
+                    {"span": [s.start, s.end], "text": s.text}
+                    for s in spans]}) + "\n")
+            sys.stdout.write("".join(replies))
+            sys.stdout.flush()
+    finally:
+        os.close(fd)
     return 0
 
 

@@ -164,25 +164,3 @@ def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
     d_e = unary
     d_e[np.arange(n_all), gold] -= 1.0
     return nll, d_e, d_t
-
-
-def brute_force_log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
-    """Enumeration oracle: log sum over all 3^L paths. Test use only."""
-    from itertools import product
-    n = emissions.shape[0]
-    scores = [path_score(emissions, transitions, path)
-              for path in product(range(N_TAGS), repeat=n)]
-    return float(logsumexp(np.array(scores)))
-
-
-def brute_force_viterbi(emissions: np.ndarray, transitions: np.ndarray):
-    """Enumeration oracle for the best path under the stated tie-break."""
-    from itertools import product
-    n = emissions.shape[0]
-    best_path, best_score = None, -np.inf
-    for path in product(range(N_TAGS), repeat=n):
-        s = path_score(emissions, transitions, path)
-        if s > best_score or (s == best_score
-                              and path[::-1] < best_path[::-1]):
-            best_path, best_score = path, s
-    return list(best_path), best_score

@@ -9,11 +9,11 @@ Counts are pooled (micro-averaged) across all sentences of a domain.
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import TAG_INDEX
+from .embeddings import encode_tokens
+from .network import predict_batch
 
-# sentences evaluate_domain decodes per predict_batch call
+# rows per predict_batch call, in evaluate_domain and the extract command
 DECODE_CHUNK = 32
 
 
@@ -108,23 +108,17 @@ def evaluate_domain(params, vocab, sentences, overlap: bool = False,
                     oracle: bool = False) -> MetricsTriple:
     """Decode a held-out domain's sentences and score them.
 
-    Sentences are decoded DECODE_CHUNK at a time as one padded batch.
+    Sentences are decoded DECODE_CHUNK at a time as one batch.
     oracle=True feeds the gold tags back as predictions (sanity mode).
     """
-    from .embeddings import PAD_INDEX, encode_tokens
-    from .network import predict_batch
     golds = [s.tag_indices() for s in sentences]
     if oracle:
         return evaluate_tag_pairs(zip(golds, golds), overlap=overlap)
     preds = []
     for start in range(0, len(sentences), DECODE_CHUNK):
-        rows = [encode_tokens(s.tokens, vocab)
-                for s in sentences[start:start + DECODE_CHUNK]]
-        lengths = [len(r) for r in rows]
-        indices = np.full((len(rows), max(lengths)), PAD_INDEX, dtype=np.int64)
-        for i, r in enumerate(rows):
-            indices[i, :len(r)] = r
-        preds.extend(predict_batch(params, indices, lengths))
+        preds.extend(predict_batch(params, [
+            encode_tokens(s.tokens, vocab)
+            for s in sentences[start:start + DECODE_CHUNK]]))
     return evaluate_tag_pairs(zip(preds, golds), overlap=overlap)
 
 

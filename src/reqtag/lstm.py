@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, previous_rows, sigmoid, tanh
+from .tensor import ShapeError, previous_rows, sigmoid
 
 
 @dataclass
@@ -59,10 +59,10 @@ def lstm_step(params: LstmCellParams, a_in, h_prev, c_prev):
     i_f = sigmoid(a[:, :2 * hid])  # the adjacent input and forget gates
     i = i_f[:, :hid]
     f = i_f[:, hid:]
-    g = tanh(a[:, 2 * hid:3 * hid])
+    g = np.tanh(a[:, 2 * hid:3 * hid])
     o = sigmoid(a[:, 3 * hid:])
     c = f * c_prev + i * g
-    return o * tanh(c), c, (c_prev, i, f, g, o, c)
+    return o * np.tanh(c), c, (c_prev, i, f, g, o, c)
 
 
 def lstm_step_backward(params: LstmCellParams, cache, dh, dc):

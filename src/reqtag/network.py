@@ -5,17 +5,18 @@ dot-product self-attention -> LSTM decoder fed the attended state and
 the previous tag's embedding -> linear emission projection -> linear
 chain CRF.
 
-A right-padded (B, T) batch is packed before any layer runs (see
-Packing): rows are stable-sorted longest first and the N real positions
-become (N, ...) arrays grouped by time step, so the rows still running
-at step t are the first n_t rows of step t-1. Pads are dropped at that
-gather and never computed. The LSTMs and the CRF advance only the n_t
-running rows at each step, every projection and weight-gradient GEMM
-covers the N rows once, the encoder's backward direction reads each row
-mirrored through a gather index, and attention runs on each row's own
-positions. Training calls batch_loss_and_grads once per batch;
-predict_batch runs the same layers for inference and returns paths in
-input row order, and predict_tags is its B = 1 case.
+A batch is packed before any layer runs (see Packing): rows are
+stable-sorted longest first and their N real positions become (N, ...)
+arrays grouped by time step, so the rows still running at step t are
+the first n_t rows of step t-1. The LSTMs and the CRF advance only the
+n_t running rows at each step, every projection and weight-gradient
+GEMM covers the N rows once, the encoder's backward direction reads
+each row mirrored through a gather index, and attention runs on each
+row's own positions. Training calls batch_loss_and_grads once per
+right-padded batch, whose pads are dropped at the gather and never
+computed. predict_batch runs the same layers for inference on a ragged
+list of rows, packed straight from their concatenation, and returns
+one path per row in input order; predict_tags is its B = 1 case.
 """
 
 import json
@@ -120,39 +121,42 @@ def zero_grad_blocks(params: ModelParams) -> dict:
 
 @dataclass(frozen=True)
 class Packing:
-    """Where the real positions of a right-padded (B, T) batch go.
+    """Where the real positions of a batch of rows go.
 
-    Packed position p holds step steps[p] of input row rows[p]. Rows are
-    ranked longest first (a stable sort), and the sizes[t] positions of
-    step t follow those of step t-1 in rank order, so the rows running
-    at step t are the first sizes[t] of step t-1.
+    Packed position p holds step steps[p] of input row rows[p], which is
+    position src[p] of the input rows laid end to end in input order.
+    Rows are ranked longest first (a stable sort), and the sizes[t]
+    positions of step t follow those of step t-1 in rank order, so the
+    rows running at step t are the first sizes[t] of step t-1.
     """
     rows: np.ndarray    # (N,) input row of each position
     steps: np.ndarray   # (N,) time step of each position
+    src: np.ndarray     # (N,) position in the concatenated input rows
     sizes: list         # rows running at each step
     rev: np.ndarray     # (N,) position of the same row's mirrored step
     by_row: np.ndarray  # (N,) positions rank by rank, each in step order
     lengths: list       # row lengths in rank order
 
-    def gather(self, padded):
-        """The (N, ...) real positions of a (B, T, ...) padded array."""
-        return np.asarray(padded)[self.rows, self.steps]
+    def gather(self, flat):
+        """The (N, ...) packed positions of the input rows' concatenation."""
+        return np.asarray(flat)[self.src]
 
 
-def _pack(lengths, shape) -> Packing:
-    """Packing of a (B, T) batch whose rows hold 1..T real tokens each."""
-    lengths = np.asarray(lengths)
-    batch, width = shape
-    if lengths.shape != (batch,) or not np.all((lengths >= 1) & (lengths <= width)):
-        raise ValueError(f"lengths {lengths.tolist()} do not fit a padded "
-                         f"batch of shape {tuple(shape)}")
+def _pack(lengths) -> Packing:
+    """Packing of a batch of rows holding lengths[b] >= 1 tokens each."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1:
+        raise ValueError(f"row lengths {lengths.tolist()} are not a batch "
+                         f"of non-empty rows")
     order = np.argsort(-lengths, kind="stable")
     ranked = lengths[order]
     live = np.arange(ranked[0]) < ranked[:, None]  # (rank, step)
     steps, rank = np.nonzero(live.T)
     pos = np.zeros(live.shape, dtype=np.int64)
     pos.T[live.T] = np.arange(len(steps))
-    return Packing(rows=order[rank], steps=steps,
+    rows = order[rank]
+    return Packing(rows=rows, steps=steps,
+                   src=(np.cumsum(lengths) - lengths)[rows] + steps,
                    sizes=live.sum(axis=0).tolist(),
                    rev=pos[rank, ranked[rank] - 1 - steps],
                    by_row=pos[live], lengths=ranked.tolist())
@@ -323,10 +327,15 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     """Summed CRF NLL of a right-padded (B, T) batch, and its gradient for
     every trainable block as one name -> array dict."""
     indices = np.asarray(indices)
-    packing = _pack(lengths, indices.shape)
-    gold = packing.gather(tags)
+    lengths = np.asarray(lengths)
+    if lengths.shape != indices.shape[:1] or lengths.max() > indices.shape[1]:
+        raise ValueError(f"lengths {lengths.tolist()} do not fit a padded "
+                         f"batch of shape {indices.shape}")
+    packing = _pack(lengths)
+    real = np.arange(indices.shape[1]) < lengths[:, None]
+    gold = packing.gather(np.asarray(tags)[real])
     grads = zero_grad_blocks(params)
-    enc, enc_cache = _encode(params, packing.gather(indices), packing)
+    enc, enc_cache = _encode(params, packing.gather(indices[real]), packing)
     attended, att_cache = _attend(params, enc, packing)
     emissions, dec_cache = _decode_training(params, attended, gold, packing)
     loss, d_emissions, d_t = crf.crf_nll_backward(
@@ -338,19 +347,18 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     return loss, grads
 
 
-def predict_batch(params: ModelParams, indices, lengths):
-    """Viterbi-decoded BIO tag indices for each row of a right-padded
-    batch, in input row order."""
-    indices = np.asarray(indices)
-    packing = _pack(lengths, indices.shape)
-    enc, _ = _encode(params, packing.gather(indices), packing)
+def predict_batch(params: ModelParams, rows):
+    """Viterbi-decoded BIO tag indices for each of a list of non-empty
+    1-D token index rows, in input order."""
+    packing = _pack([len(r) for r in rows])
+    enc, _ = _encode(params, packing.gather(np.concatenate(rows)), packing)
     attended, _ = _attend(params, enc, packing)
     emissions, _ = _decode_inference(params, attended, packing)
     emissions = emissions[packing.by_row]
-    paths = [None] * len(packing.lengths)
+    paths = [None] * len(rows)
     start = 0
     # positions 0..B-1 are step 0 of each rank, in rank order
-    for row, n in zip(packing.rows[:len(paths)].tolist(), packing.lengths):
+    for row, n in zip(packing.rows[:len(rows)].tolist(), packing.lengths):
         paths[row] = crf.crf_viterbi(emissions[start:start + n],
                                      params.transitions)[0]
         start += n
@@ -358,10 +366,10 @@ def predict_batch(params: ModelParams, indices, lengths):
 
 
 def predict_tags(params: ModelParams, indices):
-    """Viterbi-decoded BIO tag indices for one unpadded sentence."""
+    """Viterbi-decoded BIO tag indices for one sentence."""
     if len(indices) == 0:
         return []
-    return predict_batch(params, [indices], [len(indices)])[0]
+    return predict_batch(params, [indices])[0]
 
 
 # ------------------------------------------------------------- checkpoint

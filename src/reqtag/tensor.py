@@ -1,9 +1,9 @@
-"""Numeric helpers on float64 arrays: activations, softmax, logsumexp.
+"""Numeric helpers on float64 arrays: sigmoid, softmax, logsumexp.
 
 All numeric state in this package is a 2-D (or 1-D for vectors) float64
-numpy array; the helpers here add the masked softmax, a stable
-logsumexp, the step index of packed sequence batches and the error
-types the layer code raises.
+numpy array; the helpers here add a clipped sigmoid, a row-wise
+softmax, a stable logsumexp, the step index of packed sequence batches
+and the error types the layer code raises.
 """
 
 import numpy as np
@@ -11,10 +11,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand dimensions are incompatible."""
-
-
-class DegenerateMaskError(ValueError):
-    """A softmax row has no unmasked position."""
 
 
 class NumericError(ArithmeticError):
@@ -26,29 +22,10 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
-def tanh(x):
-    return np.tanh(x)
-
-
-def softmax_rows(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max-subtraction; masked entries come out 0.
-
-    mask, when given, is a boolean array of x's shape with True marking
-    positions that participate.
-    """
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction."""
     x = np.asarray(x, dtype=np.float64)
-    if mask is None:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ShapeError(f"mask shape {mask.shape} != input shape {x.shape}")
-    if not mask.any(axis=-1).all():
-        raise DegenerateMaskError("softmax row with every position masked")
-    neg = np.where(mask, x, -np.inf)
-    shifted = neg - neg.max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(shifted), 0.0)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 

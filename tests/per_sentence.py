@@ -14,7 +14,7 @@ from reqtag import crf
 from reqtag.embeddings import PAD_INDEX
 from reqtag.lstm import LstmCellParams
 from reqtag.network import ModelParams, param_blocks
-from reqtag.tensor import sigmoid, softmax_rows, tanh
+from reqtag.tensor import sigmoid, softmax_rows
 
 
 def zero_grad_blocks(params: ModelParams) -> dict:
@@ -30,10 +30,10 @@ def lstm_step(params: LstmCellParams, x, h_prev, c_prev):
     a = params.w_in @ x + params.w_h @ h_prev + params.b
     i = sigmoid(a[:h])
     f = sigmoid(a[h:2 * h])
-    g = tanh(a[2 * h:3 * h])
+    g = np.tanh(a[2 * h:3 * h])
     o = sigmoid(a[3 * h:])
     c = f * c_prev + i * g
-    return o * tanh(c), c, (x, h_prev, c_prev, i, f, g, o, c)
+    return o * np.tanh(c), c, (x, h_prev, c_prev, i, f, g, o, c)
 
 
 def lstm_step_backward(params: LstmCellParams, cache, dh, dc,

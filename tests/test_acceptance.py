@@ -18,6 +18,7 @@ from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
                             param_blocks, predict_batch, predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
 from conftest import grad_check, make_synthetic_corpus
+from crf_oracles import brute_force_log_partition, brute_force_viterbi
 
 
 def report(criterion, ok, detail=""):
@@ -43,9 +44,9 @@ def test_criterion_1_crf_oracle_suite():
         n = int(rng.integers(1, 7))
         e, t = random_crf_instance(rng, n)
         log_z = crf.crf_log_partition(e, t)
-        assert abs(log_z - crf.brute_force_log_partition(e, t)) <= 1e-8
+        assert abs(log_z - brute_force_log_partition(e, t)) <= 1e-8
         path, score = crf.crf_viterbi(e, t)
-        bpath, bscore = crf.brute_force_viterbi(e, t)
+        bpath, bscore = brute_force_viterbi(e, t)
         assert abs(score - bscore) <= 1e-8
         assert path == bpath
     elapsed = time.monotonic() - start
@@ -99,21 +100,23 @@ def test_criterion_3_constraint_guarantee():
 
 
 def _padded_run(params, indices, gold, pad_to):
-    """Run the batched core on one row right-padded to width pad_to;
-    returns (teacher-forced loss, Viterbi tags)."""
+    """Teacher-forced loss of the batched core on one row right-padded
+    to width pad_to."""
     n = len(indices)
     mat = np.full((1, pad_to), 0, dtype=np.int64)
     mat[0, :n] = indices
     tags = np.zeros((1, pad_to), dtype=np.int64)
     tags[0, :n] = gold
     loss, _ = batch_loss_and_grads(params, mat, tags, [n])
-    return loss, predict_batch(params, mat, [n])[0]
+    return loss
 
 
 def test_criterion_4_padding_invariance():
     rng = np.random.default_rng(104)
     dims = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
     params = init_model(15, dims, rng)
+    # a separate stream, so the longer rows leave the cases above unchanged
+    longer_rng = np.random.default_rng(204)
     for _ in range(100):
         n = int(rng.integers(1, 7))
         extra = int(rng.integers(1, 5))
@@ -127,10 +130,13 @@ def test_criterion_4_padding_invariance():
             elif runs[i]:
                 gold[i] = crf.B
             prev = gold[i]
-        loss1, p1 = _padded_run(params, indices, gold, n)
-        loss2, p2 = _padded_run(params, indices, gold, n + extra)
+        loss1 = _padded_run(params, indices, gold, n)
+        loss2 = _padded_run(params, indices, gold, n + extra)
         assert abs(loss1 - loss2) <= 1e-9
-        assert p1 == p2
+        # a row decodes alike alone and beside a longer row
+        longer = longer_rng.integers(2, 15, size=n + extra)
+        alone = predict_batch(params, [indices])[0]
+        assert predict_batch(params, [indices, longer])[0] == alone
     report("4 masking-padding", True, "100 random cases")
 
 

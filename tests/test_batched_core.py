@@ -1,12 +1,13 @@
 """The batched core against the frozen per-sentence reference.
 
 A right-padded batch through ``batch_loss_and_grads`` must give the sum
-of the reference's per-sentence losses and gradients, and
-``predict_batch`` the reference's Viterbi tags row by row in input
-order, for any batch size, row order, lengths (one row may be up to
-three times longer than the rest) and padding, with trainable or frozen
-embeddings. The packed core computes real positions only: every LSTM
-step row is one real token of one of the three sequences.
+of the reference's per-sentence losses and gradients, and the same
+sentences as a ragged list of rows through ``predict_batch`` the
+reference's Viterbi tags row by row in input order, for any batch size,
+row order, lengths (one row may be up to three times longer than the
+rest) and padding, with trainable or frozen embeddings. The packed core
+computes real positions only: every LSTM step row is one real token of
+one of the three sequences.
 """
 
 import numpy as np
@@ -102,7 +103,7 @@ def test_batch_equals_per_sentence_sum(sentences, outlier, extra, seed,
     for name, ref in ref_grads.items():
         _assert_close(grads[name], ref, name)
     ref_paths = [per_sentence.predict_tags(params, idx) for idx, _ in sentences]
-    assert predict_batch(params, indices, lengths) == ref_paths
+    assert predict_batch(params, [idx for idx, _ in sentences]) == ref_paths
     assert [predict_tags(params, idx) for idx, _ in sentences] == ref_paths
 
 
@@ -129,5 +130,9 @@ def test_lstm_steps_cover_real_tokens_only(monkeypatch):
     batch_loss_and_grads(params, indices, tags, lengths)
     assert sum(rows) == 3 * sum(lengths)
     rows.clear()
-    predict_batch(params, indices, lengths)
+    predict_batch(params, [idx for idx, _ in sentences])
+    assert sum(rows) == 3 * sum(lengths)
+    rows.clear()
+    for idx, _ in sentences:
+        predict_tags(params, idx)
     assert sum(rows) == 3 * sum(lengths)

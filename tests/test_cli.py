@@ -1,10 +1,20 @@
 import json
+import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reqtag
 from reqtag.cli import main
-from reqtag.data import save_corpus
+from reqtag.data import clean_tokens, save_corpus
+from reqtag.embeddings import encode_tokens
+from reqtag.evaluation import extract_spans
+from reqtag.network import load_checkpoint, predict_tags
 from conftest import make_synthetic_corpus
 
 TINY_CONFIG = {
@@ -172,6 +182,90 @@ class TestExtract:
         assert run(["extract", "--model", model, "--input", src]) == 0
         doc = json.loads(capsys.readouterr().out.strip())
         assert doc["requirements"] == []
+
+    def test_batched_output_equals_per_line_decoding(self, trained_model,
+                                                     tmp_path, capsys):
+        # 70 lines decode as batches of 32, 32 and 6; every reply must be
+        # the bytes one line decoded alone through predict_tags gives
+        model, _, target = trained_model
+        rng = np.random.default_rng(5)
+        words = target.tokens + ["Dark", "mode", "please", "crash", "x"]
+        ends = ["\n", "\r\n", "\r"]
+        lines = []
+        for k in range(70):
+            if k % 9 == 1:  # after a "\n", so no "\r" runs into its end
+                text = ""
+            elif k % 13 == 0:
+                text = "!!! ..."
+            else:
+                text = " ".join(rng.choice(words, size=rng.integers(1, 30)))
+            lines.append(text + (ends[k % 3] if k < 69 else ""))
+        src = tmp_path / "reviews.txt"
+        src.write_bytes("".join(lines).encode("utf-8"))
+        assert run(["extract", "--model", model, "--input", src]) == 0
+
+        params, vocab, _ = load_checkpoint(model)
+        want = []
+        with open(src, encoding="utf-8") as fh:
+            for line in fh:
+                text = line.rstrip("\n")
+                tokens = clean_tokens(text)
+                spans = extract_spans(predict_tags(
+                    params, encode_tokens(tokens, vocab)), tokens=tokens) \
+                    if tokens else []
+                want.append(json.dumps({"text": text, "requirements": [
+                    {"span": [s.start, s.end], "text": s.text}
+                    for s in spans]}) + "\n")
+        assert len(want) == 70
+        assert capsys.readouterr().out == "".join(want)
+
+    def test_pipe_replies_before_next_line(self, trained_model):
+        # a closed-loop client: each reply must come while the client
+        # still holds back its next line
+        model, _, target = trained_model
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(reqtag.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "reqtag.cli", "extract", "--model",
+             str(model), "--input", "/dev/stdin"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        try:
+            for text in [" ".join(target.tokens), "", "add dark mode"]:
+                proc.stdin.write(text.encode("utf-8") + b"\n")
+                proc.stdin.flush()
+                reply = _read_line(proc.stdout.fileno(), deadline=10.0)
+                assert json.loads(reply)["text"] == text
+            proc.stdin.close()
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    def test_invalid_utf8_is_one_error_line(self, trained_model, tmp_path,
+                                            capsys):
+        model, _, _ = trained_model
+        src = tmp_path / "reviews.txt"
+        src.write_bytes(b"add dark mode\n\xff\xfe mode\n")
+        assert run(["extract", "--model", model, "--input", src]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _read_line(fd, deadline):
+    """One line from fd, waiting at most deadline seconds in all."""
+    buf = b""
+    end = time.monotonic() + deadline
+    while b"\n" not in buf:
+        left = end - time.monotonic()
+        assert left > 0 and select.select([fd], [], [], left)[0], \
+            f"no reply within {deadline} s"
+        chunk = os.read(fd, 4096)
+        assert chunk, "extract exited before replying"
+        buf += chunk
+    line, _, rest = buf.partition(b"\n")
+    assert rest == b""
+    return line
 
 
 class TestEvaluate:

@@ -26,7 +26,7 @@ def tiny_model():
 
 def _full(n, batch=1):
     """Packing of a batch whose rows all have n real positions."""
-    return _pack([n] * batch, (batch, n))
+    return _pack([n] * batch)
 
 
 def _unpack(packing, packed, width):
@@ -39,9 +39,10 @@ def _unpack(packing, packed, width):
 def _enc(params, rows, lengths=None):
     """Encoder output for a list of equal-width index rows, as (B, T, 2H)."""
     idx = np.array(rows)
-    lengths = [len(r) for r in rows] if lengths is None else lengths
-    packing = _pack(lengths, idx.shape)
-    enc, _ = _encode(params, packing.gather(idx), packing)
+    lengths = np.array([len(r) for r in rows] if lengths is None else lengths)
+    packing = _pack(lengths)
+    real = np.arange(idx.shape[1]) < lengths[:, None]
+    enc, _ = _encode(params, packing.gather(idx[real]), packing)
     return _unpack(packing, enc, idx.shape[1])
 
 
@@ -76,16 +77,17 @@ class TestEncoder:
         np.testing.assert_array_equal(enc[0], np.concatenate([hf[0], hb[0]]))
 
     def test_padded_batch_packs_real_positions_only(self, tiny_model):
-        idx = np.array([[2, 3, 0, 0], [4, 5, 6, 7]])
-        packing = _pack([2, 4], idx.shape)
+        packing = _pack([2, 4])
         # the longer row ranks first; its steps 2 and 3 run alone
         assert packing.sizes == [2, 2, 1, 1]
         assert packing.lengths == [4, 2]
         assert packing.rows.tolist() == [1, 0, 1, 0, 1, 1]
         assert packing.steps.tolist() == [0, 0, 1, 1, 2, 3]
-        assert packing.gather(idx).tolist() == [4, 2, 5, 3, 6, 7]
+        # the rows laid end to end: [2, 3] then [4, 5, 6, 7]
+        tokens = packing.gather([2, 3, 4, 5, 6, 7])
+        assert tokens.tolist() == [4, 2, 5, 3, 6, 7]
         np.testing.assert_array_equal(packing.rev[packing.rev], np.arange(6))
-        enc, _ = _encode(tiny_model, packing.gather(idx), packing)
+        enc, _ = _encode(tiny_model, tokens, packing)
         assert enc.shape == (6, 2 * TINY.h_enc)
         np.testing.assert_allclose(_unpack(packing, enc, 4)[0, :2],
                                    _enc(tiny_model, [[2, 3]])[0],
@@ -127,10 +129,9 @@ class TestAttention:
         rng = np.random.default_rng(3)
         short = rng.normal(size=(2, 2 * TINY.h_enc))
         long = rng.normal(size=(4, 2 * TINY.h_enc))
-        packing = _pack([2, 4], (2, 4))
-        enc = np.zeros((2, 4, 2 * TINY.h_enc))
-        enc[0, :2], enc[1] = short, long
-        out, (*_, weights) = _attend(tiny_model, packing.gather(enc), packing)
+        packing = _pack([2, 4])
+        enc = packing.gather(np.concatenate([short, long]))
+        out, (*_, weights) = _attend(tiny_model, enc, packing)
         assert [w.shape for w in weights] == [(4, 4), (2, 2)]
         for w in weights:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
@@ -174,11 +175,9 @@ class TestDecoder:
     def test_batch_inference_rows_match_each_row_alone(self, tiny_model):
         rng = np.random.default_rng(4)
         rows = [rng.normal(size=(n, TINY.d_att)) for n in (2, 3)]
-        packing = _pack([2, 3], (2, 3))
-        attended = np.zeros((2, 3, TINY.d_att))
-        attended[0, :2], attended[1] = rows
-        out, fed = _decode_inference(tiny_model, packing.gather(attended),
-                                     packing)
+        packing = _pack([2, 3])
+        out, fed = _decode_inference(
+            tiny_model, packing.gather(np.concatenate(rows)), packing)
         assert out.shape == (5, 3) and fed.shape == (5,)
         for r, x in enumerate(rows):
             alone, fed_alone = _decode_inference(tiny_model, x, _full(len(x)))
