@@ -1,7 +1,8 @@
 """Command-line entry point: preprocess, train, crossval, extract, evaluate.
 
-Exit codes: 0 success, 1 runtime/data error, 2 usage error. Logs go to
-stderr; machine-readable artifacts to the paths given by the flags.
+Exit codes: 0 success, 1 runtime/data error or a path that cannot be
+read or written, 2 usage error. Logs go to stderr; machine-readable
+artifacts to the paths given by the flags.
 """
 
 import argparse
@@ -20,8 +21,9 @@ from . import __version__
 from .data import (DataError, ParseError, SchemaError, load_corpus,
                    parse_conllu, parse_rebert_csv, save_corpus, clean_tokens)
 from .embeddings import encode_tokens
-from .evaluation import (DECODE_CHUNK, BaselineMismatchError, evaluate_domain,
-                         extract_spans, load_baselines, render_report)
+from .evaluation import (DECODE_CHUNK, BaselineMismatchError,
+                         evaluate_tag_pairs, extract_spans, load_baselines,
+                         predict_sentences, render_report)
 from .network import (load_checkpoint, predict_batch, predict_tags,
                       save_checkpoint)
 from .tensor import NumericError
@@ -181,11 +183,13 @@ def cmd_evaluate(args):
         raise DataError(
             f"unknown domain {args.domain!r}; available: {sorted(domains)}")
     sentences = [corpus.sentences[i] for i in domains[args.domain]]
-    blocks = {"exact": evaluate_domain(params, vocab, sentences,
-                                       oracle=args.oracle)}
+    golds = [s.tag_indices() for s in sentences]
+    # --oracle feeds the gold tags back as predictions (sanity mode)
+    preds = golds if args.oracle else predict_sentences(params, vocab,
+                                                        sentences)
+    blocks = {"exact": evaluate_tag_pairs(zip(preds, golds))}
     if args.overlap:
-        blocks["overlap"] = evaluate_domain(params, vocab, sentences,
-                                            overlap=True, oracle=args.oracle)
+        blocks["overlap"] = evaluate_tag_pairs(zip(preds, golds), overlap=True)
     doc = {"domain": args.domain,
            "metrics": {k: dataclasses.asdict(v) for k, v in blocks.items()}}
     if args.baselines:
@@ -249,7 +253,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (DataError, ParseError, SchemaError, BaselineMismatchError,
-            FileNotFoundError, ValueError, NumericError) as exc:
+            OSError, ValueError, NumericError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -1,4 +1,5 @@
-"""Linear-chain CRF over BIO tags: forward algorithm, Viterbi, NLL.
+"""Linear-chain CRF over BIO tags: Viterbi decoding, and the NLL of a
+packed batch with its gradient by forward-backward.
 
 Tag indices: O=0, B=1, I=2, plus two virtual states used only inside the
 transition matrix: START=3 and STOP=4. Transitions that would produce an
@@ -11,7 +12,6 @@ import numpy as np
 from .tensor import logsumexp, previous_rows
 
 O, B, I = 0, 1, 2
-TAGS = ["O", "B", "I"]
 N_TAGS = 3
 START, STOP = 3, 4
 N_STATES = 5
@@ -33,35 +33,6 @@ def init_transitions() -> np.ndarray:
     t = np.zeros((N_STATES, N_STATES))
     t[forbidden_mask()] = FORBIDDEN_SCORE
     return t
-
-
-def is_valid_bio(tags) -> bool:
-    prev = None
-    for t in tags:
-        if t == I and (prev is None or prev == O):
-            return False
-        prev = t
-    return True
-
-
-def path_score(emissions: np.ndarray, transitions: np.ndarray, tags) -> float:
-    """Score of one tag path, including start and stop transitions."""
-    score = transitions[START, tags[0]] + emissions[0, tags[0]]
-    for t in range(1, len(tags)):
-        score += transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
-    score += transitions[tags[-1], STOP]
-    return float(score)
-
-
-def crf_log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
-    """log Z by the forward algorithm in log space."""
-    n = emissions.shape[0]
-    alpha = transitions[START, :N_TAGS] + emissions[0]
-    for t in range(1, n):
-        # alpha[y] = e[t,y] + logsumexp_y'(alpha[y'] + T[y',y])
-        alpha = emissions[t] + logsumexp(
-            alpha[:, None] + transitions[:N_TAGS, :N_TAGS], axis=0)
-    return float(logsumexp(alpha + transitions[:N_TAGS, STOP]))
 
 
 def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray):
@@ -88,23 +59,15 @@ def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray):
     return path, score
 
 
-def crf_nll(emissions: np.ndarray, transitions: np.ndarray, gold_tags) -> float:
-    """Negative log-likelihood of the gold path."""
-    if not is_valid_bio(gold_tags):
-        raise ValueError(f"gold tags are not a valid BIO sequence: {gold_tags}")
-    return crf_log_partition(emissions, transitions) - path_score(
-        emissions, transitions, gold_tags)
-
-
 def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
-                     gold_tags, sizes=None):
+                     gold_tags, sizes):
     """Summed NLL of a packed batch plus its gradients w.r.t. emissions
     and transitions, by forward-backward over every row at once.
 
     emissions (N, 3) and gold_tags (N,) hold the batch's real positions
     grouped by time step, sizes[t] rows at step t, rows sorted longest
     first so the rows running at step t are the first sizes[t] of step
-    t-1. Without sizes they are one sentence.
+    t-1; one sentence of n tokens has sizes [1] * n.
 
     d NLL / d e[t,y]  = p(y_t = y) - 1[gold_t = y]
     d NLL / d T[a,b]  = expected transition count - gold transition count
@@ -112,7 +75,7 @@ def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
     """
     gold = np.asarray(gold_tags)
     n_all = len(gold)
-    sizes = [1] * n_all if sizes is None else list(sizes)
+    sizes = list(sizes)
     starts = np.cumsum([0] + sizes)
     first = sizes[0]
     prev = previous_rows(sizes)

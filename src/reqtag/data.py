@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .lemmatizer import lemmatize
 
-TAG_NAMES = ["O", "B", "I"]
 TAG_INDEX = {"O": 0, "B": 1, "I": 2}
 
 _STRIP_RE = re.compile(r"[^a-z0-9'\s]")

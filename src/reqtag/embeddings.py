@@ -22,9 +22,7 @@ class EmptyCorpusError(ValueError):
 
 
 class GloveParseError(ValueError):
-    def __init__(self, message, line_number):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+    pass
 
 
 @dataclass
@@ -32,17 +30,11 @@ class Vocabulary:
     token_to_index: dict
     index_to_token: list
 
-    pad_index: int = PAD_INDEX
-    unk_index: int = UNK_INDEX
-
     def __len__(self):
         return len(self.index_to_token)
 
     def index_of(self, token: str) -> int:
-        return self.token_to_index.get(token, self.unk_index)
-
-    def token_of(self, index: int) -> str:
-        return self.index_to_token[index]
+        return self.token_to_index.get(token, UNK_INDEX)
 
 
 @dataclass
@@ -95,8 +87,8 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
             parts = line.rsplit(" ", dim)
             if len(parts) != dim + 1:
                 raise GloveParseError(
-                    f"expected a word and {dim} values, got {len(parts)} fields",
-                    lineno)
+                    f"line {lineno}: expected a word and {dim} values, "
+                    f"got {len(parts)} fields")
             word = parts[0]
             idx = vocab.token_to_index.get(word)
             if idx is None or idx in (PAD_INDEX, UNK_INDEX):
@@ -104,7 +96,8 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
             try:
                 table.matrix[idx, :] = [float(v) for v in parts[1:]]
             except ValueError:
-                raise GloveParseError("non-numeric embedding value", lineno) from None
+                raise GloveParseError(
+                    f"line {lineno}: non-numeric embedding value") from None
             matched += 1
     table.matched_words = matched
     return table
@@ -112,7 +105,3 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
 
 def encode_tokens(tokens, vocab: Vocabulary) -> list:
     return [vocab.index_of(t) for t in tokens]
-
-
-def decode_indices(indices, vocab: Vocabulary) -> list:
-    return [vocab.token_of(i) for i in indices]

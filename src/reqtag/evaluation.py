@@ -104,22 +104,23 @@ def evaluate_tag_pairs(pairs, overlap: bool = False) -> MetricsTriple:
     return compute_metrics(tp, fp, fn)
 
 
-def evaluate_domain(params, vocab, sentences, overlap: bool = False,
-                    oracle: bool = False) -> MetricsTriple:
-    """Decode a held-out domain's sentences and score them.
-
-    Sentences are decoded DECODE_CHUNK at a time as one batch.
-    oracle=True feeds the gold tags back as predictions (sanity mode).
-    """
-    golds = [s.tag_indices() for s in sentences]
-    if oracle:
-        return evaluate_tag_pairs(zip(golds, golds), overlap=overlap)
+def predict_sentences(params, vocab, sentences) -> list:
+    """Viterbi tag indices for each sentence, decoded DECODE_CHUNK
+    sentences at a time as one batch."""
     preds = []
     for start in range(0, len(sentences), DECODE_CHUNK):
         preds.extend(predict_batch(params, [
             encode_tokens(s.tokens, vocab)
             for s in sentences[start:start + DECODE_CHUNK]]))
-    return evaluate_tag_pairs(zip(preds, golds), overlap=overlap)
+    return preds
+
+
+def evaluate_domain(params, vocab, sentences,
+                    overlap: bool = False) -> MetricsTriple:
+    """Decode a held-out domain's sentences and score them."""
+    return evaluate_tag_pairs(
+        zip(predict_sentences(params, vocab, sentences),
+            [s.tag_indices() for s in sentences]), overlap=overlap)
 
 
 class BaselineMismatchError(ValueError):
@@ -137,20 +138,17 @@ def load_baselines(path, fold_labels):
     return table
 
 
-def render_report(fold_reports, baselines: dict | None = None):
+def render_report(fold_reports):
     """(json_doc, text_table) for a list of FoldReport objects."""
     rows = []
     for fr in fold_reports:
-        row = {
+        rows.append({
             "domain": fr.held_out_domain,
             "precision": fr.mean_precision,
             "recall": fr.mean_recall,
             "f1": fr.mean_f1,
             "runs": fr.runs,
-        }
-        if baselines and fr.held_out_domain in baselines:
-            row["baselines"] = baselines[fr.held_out_domain]
-        rows.append(row)
+        })
     n = len(fold_reports)
     mean_row = {
         "domain": "MEAN",
@@ -161,26 +159,12 @@ def render_report(fold_reports, baselines: dict | None = None):
     doc = {"folds": rows, "mean": mean_row,
            "note": "zero-denominator metrics reported as 0"}
 
-    headers = ["domain", "precision", "recall", "f1"]
-    baseline_cols = []
-    if baselines:
-        seen = set()
-        for scores in baselines.values():
-            for k in scores:
-                if k not in seen:
-                    seen.add(k)
-                    baseline_cols.append(k)
-        headers += [f"baseline_{c}" for c in baseline_cols]
-    lines = []
+    metrics = ("precision", "recall", "f1")
     all_rows = rows + [mean_row]
     width = max([len("domain")] + [len(str(r["domain"])) for r in all_rows])
-    fmt_head = "  ".join(["{:<%d}" % width] + ["{:>18}"] * (len(headers) - 1))
-    lines.append(fmt_head.format(*headers))
+    fmt = "  ".join(["{:<%d}" % width] + ["{:>18}"] * len(metrics))
+    lines = [fmt.format("domain", *metrics)]
     for r in all_rows:
-        cells = [str(r["domain"])] + ["{:.4f}".format(r[k])
-                                      for k in ("precision", "recall", "f1")]
-        for c in baseline_cols:
-            v = r.get("baselines", {}).get(c) if r is not mean_row else None
-            cells.append("{:.4f}".format(v) if v is not None else "-")
-        lines.append(fmt_head.format(*cells))
+        lines.append(fmt.format(str(r["domain"]),
+                                *("{:.4f}".format(r[k]) for k in metrics)))
     return doc, "\n".join(lines)

@@ -123,14 +123,13 @@ def zero_grad_blocks(params: ModelParams) -> dict:
 class Packing:
     """Where the real positions of a batch of rows go.
 
-    Packed position p holds step steps[p] of input row rows[p], which is
-    position src[p] of the input rows laid end to end in input order.
-    Rows are ranked longest first (a stable sort), and the sizes[t]
-    positions of step t follow those of step t-1 in rank order, so the
-    rows running at step t are the first sizes[t] of step t-1.
+    Packed position p belongs to input row rows[p] and is position src[p]
+    of the input rows laid end to end in input order. Rows are ranked
+    longest first (a stable sort), and the sizes[t] positions of step t
+    follow those of step t-1 in rank order, so the rows running at step t
+    are the first sizes[t] of step t-1.
     """
     rows: np.ndarray    # (N,) input row of each position
-    steps: np.ndarray   # (N,) time step of each position
     src: np.ndarray     # (N,) position in the concatenated input rows
     sizes: list         # rows running at each step
     rev: np.ndarray     # (N,) position of the same row's mirrored step
@@ -155,7 +154,7 @@ def _pack(lengths) -> Packing:
     pos = np.zeros(live.shape, dtype=np.int64)
     pos.T[live.T] = np.arange(len(steps))
     rows = order[rank]
-    return Packing(rows=rows, steps=steps,
+    return Packing(rows=rows,
                    src=(np.cumsum(lengths) - lengths)[rows] + steps,
                    sizes=live.sum(axis=0).tolist(),
                    rev=pos[rank, ranked[rank] - 1 - steps],

@@ -17,6 +17,10 @@ from .evaluation import evaluate_domain
 from .network import ModelDims, ModelParams, param_blocks
 from .tensor import NumericError
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -52,9 +56,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -114,7 +115,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
     """One Adam update, in place on the moments and the parameters;
     clamped CRF entries and the pad row stay fixed."""
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
     blocks = param_blocks(params)
     for name, theta in blocks.items():

@@ -1,13 +1,42 @@
-"""Enumeration oracles for the CRF: every one of the 3^L tag paths of a
-short sentence is scored with ``crf.path_score``. Only the tests call them.
+"""Reference checks for the CRF that only the tests use: the BIO validity
+rule, the score of one tag path, two enumeration oracles that score every
+one of the 3^L tag paths of a short sentence with ``path_score``, and the
+one-sentence NLL and log Z read from the training loss ``crf_nll_backward``.
 """
 
 from itertools import product
 
 import numpy as np
 
-from reqtag.crf import N_TAGS, path_score
+from reqtag.crf import B, I, N_TAGS, O, START, STOP, crf_nll_backward
 from reqtag.tensor import logsumexp
+
+
+def is_valid_bio(tags) -> bool:
+    prev = None
+    for t in tags:
+        if t == I and (prev is None or prev == O):
+            return False
+        prev = t
+    return True
+
+
+def random_bio(rng: np.random.Generator, n: int) -> list:
+    """A random valid BIO path of length n: I only after B or I."""
+    tags = []
+    for _ in range(n):
+        allowed = (O, B) if not tags or tags[-1] == O else (O, B, I)
+        tags.append(int(rng.choice(allowed)))
+    return tags
+
+
+def path_score(emissions: np.ndarray, transitions: np.ndarray, tags) -> float:
+    """Score of one tag path, including start and stop transitions."""
+    score = transitions[START, tags[0]] + emissions[0, tags[0]]
+    for t in range(1, len(tags)):
+        score += transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
+    score += transitions[tags[-1], STOP]
+    return float(score)
 
 
 def brute_force_log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
@@ -28,3 +57,17 @@ def brute_force_viterbi(emissions: np.ndarray, transitions: np.ndarray):
                               and path[::-1] < best_path[::-1]):
             best_path, best_score = path, s
     return list(best_path), best_score
+
+
+def sentence_nll(emissions: np.ndarray, transitions: np.ndarray, gold) -> float:
+    """NLL of one sentence's gold path, from the training loss."""
+    return crf_nll_backward(emissions, transitions, gold, [1] * len(gold))[0]
+
+
+def log_partition(emissions: np.ndarray, transitions: np.ndarray,
+                  gold=None) -> float:
+    """log Z from the training loss: NLL(gold) + score(gold), for any
+    valid gold path (all O by default)."""
+    gold = [O] * len(emissions) if gold is None else gold
+    return (sentence_nll(emissions, transitions, gold)
+            + path_score(emissions, transitions, gold))

@@ -174,21 +174,14 @@ def decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
 
 # --------------------------------------------------------- sentence level
 
-def sentence_loss(params: ModelParams, indices, gold_tags) -> float:
-    """Teacher-forced CRF negative log-likelihood of one sentence."""
-    enc, _ = encode(params, indices)
-    attended, _ = attend(params, enc)
-    emissions, _ = decode(params, attended, gold_tags)
-    return crf.crf_nll(emissions, params.transitions, gold_tags)
-
-
 def sentence_loss_and_grads(params: ModelParams, indices, gold_tags):
     """Loss plus gradients for every trainable block, as a name->array dict."""
     grads = zero_grad_blocks(params)
     enc, enc_caches = encode(params, indices)
     attended, att_cache = attend(params, enc)
     emissions, dec_cache = decode(params, attended, gold_tags)
-    loss, d_e, d_t = crf.crf_nll_backward(emissions, params.transitions, gold_tags)
+    loss, d_e, d_t = crf.crf_nll_backward(emissions, params.transitions,
+                                          gold_tags, [1] * len(gold_tags))
     grads["transitions"] += d_t
     d_attended = decode_backward(params, dec_cache, d_e, grads)
     d_enc = attend_backward(params, att_cache, d_attended, grads)

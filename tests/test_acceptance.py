@@ -18,7 +18,8 @@ from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
                             param_blocks, predict_batch, predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
 from conftest import grad_check, make_synthetic_corpus
-from crf_oracles import brute_force_log_partition, brute_force_viterbi
+from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
+                         is_valid_bio, log_partition, random_bio)
 
 
 def report(criterion, ok, detail=""):
@@ -39,11 +40,14 @@ def random_crf_instance(rng, n):
 
 def test_criterion_1_crf_oracle_suite():
     rng = np.random.default_rng(101)
+    # golds from their own stream, so the 200 instances stay as they were
+    gold_rng = np.random.default_rng(1101)
     start = time.monotonic()
     for _ in range(200):
         n = int(rng.integers(1, 7))
         e, t = random_crf_instance(rng, n)
-        log_z = crf.crf_log_partition(e, t)
+        # log Z from the training loss crf_nll_backward: NLL + score(gold)
+        log_z = log_partition(e, t, random_bio(gold_rng, n))
         assert abs(log_z - brute_force_log_partition(e, t)) <= 1e-8
         path, score = crf.crf_viterbi(e, t)
         bpath, bscore = brute_force_viterbi(e, t)
@@ -88,12 +92,12 @@ def test_criterion_3_constraint_guarantee():
         n = int(rng.integers(1, 10))
         e, t = random_crf_instance(rng, n)
         path, _ = crf.crf_viterbi(e, t)
-        if not crf.is_valid_bio(path):
+        if not is_valid_bio(path):
             violations += 1
     for _ in range(500):
         n = int(rng.integers(1, 10))
         idx = list(rng.integers(2, 20, size=n))
-        if not crf.is_valid_bio(predict_tags(params, idx)):
+        if not is_valid_bio(predict_tags(params, idx)):
             violations += 1
     report("3 constraint-guarantee", violations == 0,
            f"{violations} violations in 1000 decodes")

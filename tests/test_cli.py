@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import select
@@ -13,8 +14,9 @@ import reqtag
 from reqtag.cli import main
 from reqtag.data import clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
-from reqtag.evaluation import extract_spans
-from reqtag.network import load_checkpoint, predict_tags
+from reqtag import evaluation
+from reqtag.evaluation import DECODE_CHUNK, evaluate_tag_pairs, extract_spans
+from reqtag.network import load_checkpoint, predict_batch, predict_tags
 from conftest import make_synthetic_corpus
 
 TINY_CONFIG = {
@@ -289,6 +291,39 @@ class TestEvaluate:
                     "--domain", "nope"]) == 1
         assert "available" in capsys.readouterr().err
 
+    def test_overlap_decodes_once(self, trained_model, tmp_path, capsys,
+                                  monkeypatch):
+        # more sentences than one decode chunk, so a second pass would show
+        model, _, _ = trained_model
+        corpus = make_synthetic_corpus(DECODE_CHUNK + 8, 1, seed=5)
+        cpath = tmp_path / "many.jsonl"
+        save_corpus(cpath, corpus)
+        argv = ["evaluate", "--model", model, "--corpus", cpath,
+                "--domain", "dom0"]
+        calls = []
+
+        def counting(params, rows):
+            calls.append(len(rows))
+            return predict_batch(params, rows)
+
+        monkeypatch.setattr(evaluation, "predict_batch", counting)
+        assert run(argv + ["--overlap"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        n = len(corpus.sentences)
+        assert len(calls) == -(-n // DECODE_CHUNK) and sum(calls) == n
+        # the same blocks as scoring each matching on its own
+        params, vocab, _ = load_checkpoint(model)
+        preds = [predict_tags(params, encode_tokens(s.tokens, vocab))
+                 for s in corpus.sentences]
+        golds = [s.tag_indices() for s in corpus.sentences]
+        assert doc["metrics"] == {
+            k: dataclasses.asdict(evaluate_tag_pairs(zip(preds, golds),
+                                                     overlap=overlap))
+            for k, overlap in (("exact", False), ("overlap", True))}
+        assert run(argv) == 0
+        exact = json.loads(capsys.readouterr().out)["metrics"]
+        assert exact == {"exact": doc["metrics"]["exact"]}
+
     def test_baseline_mismatch(self, trained_model, tmp_path, capsys):
         model, cpath, target = trained_model
         base = tmp_path / "base.json"
@@ -296,6 +331,35 @@ class TestEvaluate:
         assert run(["evaluate", "--model", model, "--corpus", cpath,
                     "--domain", target.domain, "--baselines", base]) == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestUnreadablePath:
+    """An OS error on a path given by a flag is one error line, exit 1."""
+
+    def _one_error_line(self, capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_train_corpus_is_a_directory(self, config_path, tmp_path, capsys):
+        assert run(["train", "--corpus", tmp_path, "--config", config_path,
+                    "--output", tmp_path / "model.npz"]) == 1
+        self._one_error_line(capsys)
+
+    def test_evaluate_model_is_a_directory(self, corpus_path, tmp_path,
+                                           capsys):
+        assert run(["evaluate", "--model", tmp_path, "--corpus", corpus_path,
+                    "--domain", "dom0"]) == 1
+        self._one_error_line(capsys)
+
+    def test_crossval_out_is_an_existing_file(self, corpus_path, config_path,
+                                              tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert run(["crossval", "--corpus", corpus_path, "--config",
+                    config_path, "--out", out]) == 1
+        self._one_error_line(capsys)
 
 
 class TestMalformedCheckpoint:

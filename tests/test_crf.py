@@ -2,47 +2,57 @@ import numpy as np
 import pytest
 
 from reqtag import crf
+from reqtag.network import _pack
 from conftest import grad_check
-from crf_oracles import brute_force_log_partition, brute_force_viterbi
+from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
+                         is_valid_bio, log_partition, path_score, random_bio,
+                         sentence_nll)
+
+
+def random_transitions(rng):
+    transitions = crf.init_transitions()
+    free = ~crf.forbidden_mask()
+    transitions[free] = rng.normal(scale=1.5, size=free.sum())
+    return transitions
 
 
 def random_instance(rng, n):
     emissions = rng.normal(scale=2.0, size=(n, 3))
-    transitions = crf.init_transitions()
-    free = ~crf.forbidden_mask()
-    transitions[free] = rng.normal(scale=1.5, size=free.sum())
-    return emissions, transitions
+    return emissions, random_transitions(rng)
 
 
 class TestLogPartition:
+    """log Z as the training loss computes it: NLL(gold) + score(gold)."""
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
+        gold_rng = np.random.default_rng(111)
         for _ in range(50):
             n = int(rng.integers(1, 7))
             e, t = random_instance(rng, n)
-            assert crf.crf_log_partition(e, t) == pytest.approx(
+            assert log_partition(e, t, random_bio(gold_rng, n)) == pytest.approx(
                 brute_force_log_partition(e, t), abs=1e-8)
 
     def test_uniform_single_step(self):
         e = np.zeros((1, 3))
         t = np.zeros((5, 5))
-        assert crf.crf_log_partition(e, t) == pytest.approx(np.log(3), abs=1e-12)
+        assert log_partition(e, t) == pytest.approx(np.log(3), abs=1e-12)
 
     def test_monotone_in_emissions(self):
         rng = np.random.default_rng(4)
         e, t = random_instance(rng, 4)
-        base = crf.crf_log_partition(e, t)
+        base = log_partition(e, t)
         e2 = e.copy()
         e2[2, 1] += 0.5
-        assert crf.crf_log_partition(e2, t) > base
+        assert log_partition(e2, t) > base
 
     def test_path_probabilities_sum_to_one(self):
         from itertools import product
         rng = np.random.default_rng(5)
         for n in (1, 3, 5):
             e, t = random_instance(rng, n)
-            log_z = crf.crf_log_partition(e, t)
-            total = sum(np.exp(crf.path_score(e, t, p) - log_z)
+            log_z = log_partition(e, t)
+            total = sum(np.exp(path_score(e, t, p) - log_z)
                         for p in product(range(3), repeat=n))
             assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -87,14 +97,14 @@ class TestViterbi:
             free = ~crf.forbidden_mask()
             t[free] = rng.normal(scale=3.0, size=free.sum())
             path, _ = crf.crf_viterbi(e, t)
-            assert crf.is_valid_bio(path)
+            assert is_valid_bio(path)
 
 
 class TestNll:
     def test_uniform_single_step(self):
         e = np.zeros((1, 3))
         t = np.zeros((5, 5))
-        assert crf.crf_nll(e, t, [crf.B]) == pytest.approx(np.log(3), abs=1e-12)
+        assert sentence_nll(e, t, [crf.B]) == pytest.approx(np.log(3), abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(14)
@@ -102,7 +112,7 @@ class TestNll:
             n = int(rng.integers(1, 6))
             e, t = random_instance(rng, n)
             gold, _ = crf.crf_viterbi(e, t)
-            assert crf.crf_nll(e, t, gold) >= -1e-8
+            assert sentence_nll(e, t, gold) >= -1e-8
 
     def test_peaked_emissions_drive_loss_to_zero(self):
         gold = [crf.O, crf.B, crf.I, crf.O]
@@ -110,20 +120,20 @@ class TestNll:
         for i, y in enumerate(gold):
             e[i, y] = 50.0
         t = crf.init_transitions()
-        assert crf.crf_nll(e, t, gold) < 1e-3
+        assert sentence_nll(e, t, gold) < 1e-3
 
     def test_invalid_gold_rejected(self):
         e = np.zeros((2, 3))
         t = crf.init_transitions()
         with pytest.raises(ValueError):
-            crf.crf_nll(e, t, [crf.O, crf.I])
+            crf.crf_nll_backward(e, t, [crf.O, crf.I], [1, 1])
 
     def test_gradients_pass_finite_differences(self):
         rng = np.random.default_rng(15)
         e, t = random_instance(rng, 4)
         gold = [crf.O, crf.B, crf.I, crf.O]
-        _, d_e, d_t = crf.crf_nll_backward(e, t, gold)
-        res = grad_check(lambda a: crf.crf_nll(a, t, gold), e, d_e,
+        _, d_e, d_t = crf.crf_nll_backward(e, t, gold, [1] * 4)
+        res = grad_check(lambda a: sentence_nll(a, t, gold), e, d_e,
                          h=1e-4, tol=1e-4)
         assert res.passed, res
 
@@ -132,9 +142,9 @@ class TestNll:
         for idx in zip(*np.nonzero(free)):
             orig = t[idx]
             t[idx] = orig + 1e-4
-            lp = crf.crf_nll(e, t, gold)
+            lp = sentence_nll(e, t, gold)
             t[idx] = orig - 1e-4
-            lm = crf.crf_nll(e, t, gold)
+            lm = sentence_nll(e, t, gold)
             t[idx] = orig
             fd = (lp - lm) / 2e-4
             max_err = max(max_err,
@@ -144,5 +154,26 @@ class TestNll:
     def test_forbidden_transitions_get_zero_grad(self):
         rng = np.random.default_rng(16)
         e, t = random_instance(rng, 3)
-        _, _, d_t = crf.crf_nll_backward(e, t, [crf.O, crf.B, crf.I])
+        _, _, d_t = crf.crf_nll_backward(e, t, [crf.O, crf.B, crf.I], [1] * 3)
         assert np.all(d_t[crf.forbidden_mask()] == 0.0)
+
+
+class TestPackedNll:
+    def test_packed_batch_matches_brute_force_per_row(self):
+        # rows of mixed lengths packed as training packs them; the summed
+        # NLL is the sum of each row's log Z - score(gold) by enumeration
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for _ in range(60):
+            lengths = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+            t = random_transitions(rng)
+            rows = [rng.normal(scale=2.0, size=(n, 3)) for n in lengths]
+            golds = [random_bio(rng, int(n)) for n in lengths]
+            packing = _pack(lengths)
+            nll, _, _ = crf.crf_nll_backward(
+                packing.gather(np.concatenate(rows)), t,
+                packing.gather(np.concatenate(golds)), packing.sizes)
+            expected = sum(brute_force_log_partition(e, t) - path_score(e, t, g)
+                           for e, g in zip(rows, golds))
+            worst = max(worst, abs(nll - expected))
+        assert worst <= 1e-8

@@ -7,8 +7,9 @@ from reqtag.embeddings import PAD_INDEX, build_vocabulary, encode_tokens
 from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
                             param_blocks, predict_tags, zero_grad_blocks)
 from reqtag.tensor import NumericError
-from reqtag.training import (AdamState, TrainConfig, adam_step,
-                             clip_gradients, cross_validate, pad_batch, train)
+from reqtag.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                             TrainConfig, adam_step, clip_gradients,
+                             cross_validate, pad_batch, train)
 from conftest import make_synthetic_corpus
 
 TINY_CFG = dict(embedding_dim=16, h_enc=8, d_att=8, h_dec=8, d_tag=4)
@@ -108,7 +109,7 @@ class TestAdam:
         before = params.emission_b.copy()
         lr = 0.001
         adam_step(params, grads, state, lr=lr)
-        expected = before - lr * 1.0 / (1.0 + state.eps)
+        expected = before - lr * 1.0 / (1.0 + ADAM_EPS)
         np.testing.assert_allclose(params.emission_b, expected, atol=1e-12)
 
     def test_forbidden_transitions_stay_clamped(self):
@@ -133,7 +134,7 @@ class TestAdam:
     def _reference_step(params, grads, state, lr):
         """Adam as it was written before the in-place update."""
         state.t += 1
-        b1, b2, eps = state.beta1, state.beta2, state.eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         blocks = param_blocks(params)
         for name, theta in blocks.items():
             g = grads[name]
