@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import reqtag
+from reqtag import evaluation
 from reqtag.cli import main
 from reqtag.data import clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
-from reqtag import evaluation
 from reqtag.evaluation import DECODE_CHUNK, evaluate_tag_pairs, extract_spans
 from reqtag.network import load_checkpoint, predict_batch, predict_tags
 from conftest import make_synthetic_corpus
