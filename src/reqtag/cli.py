@@ -21,11 +21,10 @@ from . import __version__
 from .data import (DataError, ParseError, SchemaError, load_corpus,
                    parse_conllu, parse_rebert_csv, save_corpus, clean_tokens)
 from .embeddings import encode_tokens
-from .evaluation import (DECODE_CHUNK, BaselineMismatchError,
-                         evaluate_tag_pairs, extract_spans, load_baselines,
-                         predict_sentences, render_report)
-from .network import (load_checkpoint, predict_batch, predict_tags,
-                      save_checkpoint)
+from .evaluation import (BaselineMismatchError, evaluate_tag_pairs,
+                         extract_spans, load_baselines, render_report)
+from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
+                      predict_tags, save_checkpoint)
 from .tensor import NumericError
 from .training import TrainConfig, cross_validate, train
 
@@ -126,23 +125,23 @@ def cmd_crossval(args):
     return 0
 
 
-def _ready_lines(fd):
-    """Batches of input lines without their newline, decoded as a
-    text-mode open() decodes them (UTF-8, universal newlines). A batch
+def _ready_lines(fd, window=8 * DECODE_CHUNK):
+    """Windows of input lines without their newline, decoded as a
+    text-mode open() decodes them (UTF-8, universal newlines). A window
     holds every complete line that is buffered or readable at once, at
-    most DECODE_CHUNK; the read blocks only when none is buffered."""
+    most `window`; the read blocks only when none is buffered."""
     decoder = io.IncrementalNewlineDecoder(
         codecs.getincrementaldecoder("utf-8")(), translate=True)
     text, eof = "", False
     while True:
         ready = text.count("\n")
-        if not eof and (not ready or ready < DECODE_CHUNK
+        if not eof and (not ready or ready < window
                         and select.select([fd], [], [], 0)[0]):
             chunk = os.read(fd, 1 << 16)
             eof = not chunk
             text += decoder.decode(chunk, final=eof)
         elif ready:
-            *lines, text = text.split("\n", DECODE_CHUNK)
+            *lines, text = text.split("\n", window)
             yield lines
         else:  # end of input; a last line may lack its newline
             if text:
@@ -157,11 +156,9 @@ def cmd_extract(args):
         for lines in _ready_lines(fd):
             tokens = [clean_tokens(line) for line in lines]
             rows = [encode_tokens(t, vocab) for t in tokens if t]
-            if len(rows) == 1:  # a closed-loop client's line comes alone
-                paths = [predict_tags(params, rows[0])]
-            else:
-                paths = predict_batch(params, rows) if rows else []
-            paths = iter(paths)
+            # a closed-loop client's line comes alone
+            paths = iter([predict_tags(params, rows[0])] if len(rows) == 1
+                         else predict_batch(params, rows))
             replies = []
             for text, toks in zip(lines, tokens):
                 spans = extract_spans(next(paths), tokens=toks) if toks else []
@@ -185,8 +182,8 @@ def cmd_evaluate(args):
     sentences = [corpus.sentences[i] for i in domains[args.domain]]
     golds = [s.tag_indices() for s in sentences]
     # --oracle feeds the gold tags back as predictions (sanity mode)
-    preds = golds if args.oracle else predict_sentences(params, vocab,
-                                                        sentences)
+    preds = golds if args.oracle else predict_batch(
+        params, [encode_tokens(s.tokens, vocab) for s in sentences])
     blocks = {"exact": evaluate_tag_pairs(zip(preds, golds))}
     if args.overlap:
         blocks["overlap"] = evaluate_tag_pairs(zip(preds, golds), overlap=True)

@@ -1,11 +1,13 @@
-"""Linear-chain CRF over BIO tags: Viterbi decoding, and the NLL of a
-packed batch with its gradient by forward-backward.
+"""Linear-chain CRF over BIO tags: the Viterbi paths of a packed batch,
+and its NLL with the gradient by forward-backward.
 
 Tag indices: O=0, B=1, I=2, plus two virtual states used only inside the
 transition matrix: START=3 and STOP=4. Transitions that would produce an
 ill-formed BIO sequence (START->I, O->I) are clamped to a large negative
 score and never updated.
 """
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,28 +37,37 @@ def init_transitions() -> np.ndarray:
     return t
 
 
-def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray):
-    """Max-scoring path and its score.
-
-    Ties break toward the lower tag index (O < B < I), resolved from the
-    last position backward; np.argmax's first-max convention implements
-    exactly that through the backpointers.
-    """
-    n = emissions.shape[0]
-    v = transitions[START, :N_TAGS] + emissions[0]
-    backptr = np.zeros((n, N_TAGS), dtype=np.int64)
-    for t in range(1, n):
-        cand = v[:, None] + transitions[:N_TAGS, :N_TAGS]  # (prev, next)
-        backptr[t] = np.argmax(cand, axis=0)
-        v = emissions[t] + cand[backptr[t], np.arange(N_TAGS)]
-    final = v + transitions[:N_TAGS, STOP]
-    last = int(np.argmax(final))
-    score = float(final[last])
-    path = [last]
-    for t in range(n - 1, 0, -1):
-        path.append(int(backptr[t, path[-1]]))
-    path.reverse()
-    return path, score
+def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, sizes):
+    """Max-scoring path of each row of a packed batch laid out as for
+    crf_nll_backward (one sentence: sizes [1] * n), by one max-product
+    pass over every row. Returns the tags (N,) per packed position and
+    each row's best score (B,) in rank order. Ties break toward the lower
+    tag (O < B < I), resolved from the last position backward: argmax
+    takes the first maximum, in the backpointers too."""
+    starts = [0, *accumulate(sizes)]
+    v = np.empty((starts[-1], N_TAGS))
+    back = np.empty((starts[-1], N_TAGS), dtype=np.int64)
+    v[:sizes[0]] = transitions[START, :N_TAGS] + emissions[:sizes[0]]
+    for t in range(1, len(sizes)):
+        lo, n = starts[t], sizes[t]
+        cand = (v[starts[t - 1]:starts[t - 1] + n, :, None]
+                + transitions[:N_TAGS, :N_TAGS])  # (row, prev, next)
+        back[lo:lo + n] = cand.argmax(axis=1)
+        np.add(emissions[lo:lo + n], cand.max(axis=1), out=v[lo:lo + n])
+    # rank r runs while the step size exceeds r, ending at position r
+    lengths = (np.array(sizes)[:, None] > np.arange(sizes[0])).sum(axis=0)
+    final = (v[np.array(starts)[lengths - 1] + np.arange(sizes[0])]
+             + transitions[:N_TAGS, STOP])
+    # backtrack over Python ints: a numpy index per step costs more
+    back = back.tolist()
+    tags = [0] * starts[-1]
+    for r, (n, y) in enumerate(zip(lengths.tolist(),
+                                   final.argmax(axis=1).tolist())):
+        for t in range(n - 1, 0, -1):
+            tags[starts[t] + r] = y
+            y = back[starts[t] + r][y]
+        tags[r] = y
+    return np.array(tags), final.max(axis=1)
 
 
 def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,

@@ -60,10 +60,10 @@ def build_vocabulary(corpus) -> Vocabulary:
     return Vocabulary(token_to_index=token_to_index, index_to_token=index_to_token)
 
 
-def random_embeddings(vocab: Vocabulary, dim: int, rng: np.random.Generator,
+def random_embeddings(n_rows: int, dim: int, rng: np.random.Generator,
                       trainable: bool = True) -> EmbeddingTable:
-    """Table with every non-pad row drawn uniform(-0.25, 0.25)."""
-    matrix = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND, size=(len(vocab), dim))
+    """Table of n_rows rows, every non-pad row drawn uniform(-0.25, 0.25)."""
+    matrix = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND, size=(n_rows, dim))
     matrix[PAD_INDEX, :] = 0.0
     return EmbeddingTable(matrix=matrix, trainable=trainable, matched_words=0)
 
@@ -76,7 +76,7 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
     everything else (including UNK) gets a random uniform(-0.25, 0.25)
     row; the pad row is zeroed.
     """
-    table = random_embeddings(vocab, dim, rng, trainable=trainable)
+    table = random_embeddings(len(vocab), dim, rng, trainable=trainable)
     matched = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

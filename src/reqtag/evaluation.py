@@ -13,9 +13,6 @@ from .data import TAG_INDEX
 from .embeddings import encode_tokens
 from .network import predict_batch
 
-# rows per predict_batch call, in evaluate_domain and the extract command
-DECODE_CHUNK = 32
-
 
 @dataclass
 class RequirementSpan:
@@ -104,23 +101,13 @@ def evaluate_tag_pairs(pairs, overlap: bool = False) -> MetricsTriple:
     return compute_metrics(tp, fp, fn)
 
 
-def predict_sentences(params, vocab, sentences) -> list:
-    """Viterbi tag indices for each sentence, decoded DECODE_CHUNK
-    sentences at a time as one batch."""
-    preds = []
-    for start in range(0, len(sentences), DECODE_CHUNK):
-        preds.extend(predict_batch(params, [
-            encode_tokens(s.tokens, vocab)
-            for s in sentences[start:start + DECODE_CHUNK]]))
-    return preds
-
-
 def evaluate_domain(params, vocab, sentences,
                     overlap: bool = False) -> MetricsTriple:
     """Decode a held-out domain's sentences and score them."""
+    rows = [encode_tokens(s.tokens, vocab) for s in sentences]
     return evaluate_tag_pairs(
-        zip(predict_sentences(params, vocab, sentences),
-            [s.tag_indices() for s in sentences]), overlap=overlap)
+        zip(predict_batch(params, rows), [s.tag_indices() for s in sentences]),
+        overlap=overlap)
 
 
 class BaselineMismatchError(ValueError):

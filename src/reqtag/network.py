@@ -14,24 +14,27 @@ GEMM covers the N rows once, the encoder's backward direction reads
 each row mirrored through a gather index, and attention runs on each
 row's own positions. Training calls batch_loss_and_grads once per
 right-padded batch, whose pads are dropped at the gather and never
-computed. predict_batch runs the same layers for inference on a ragged
-list of rows, packed straight from their concatenation, and returns
-one path per row in input order; predict_tags is its B = 1 case.
+computed. predict_batch ranks any number of rows by length and runs the
+same layers and one packed Viterbi per DECODE_CHUNK ranked rows; paths
+come back in input order, and predict_tags is its B = 1 case.
 """
 
 import json
 import zipfile
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
 from . import crf
-from .embeddings import EmbeddingTable, PAD_INDEX, UNK_INDEX, Vocabulary
+from .embeddings import (EmbeddingTable, PAD_INDEX, UNK_INDEX, Vocabulary,
+                         random_embeddings)
 from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
                    lstm_step)
 from .tensor import ShapeError, previous_rows, softmax_rows
 
 CHECKPOINT_VERSION = 2
+DECODE_CHUNK = 32
 # what numpy and zipfile raise on a damaged archive or entry
 _DAMAGED = (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile)
 
@@ -64,11 +67,7 @@ class ModelParams:
 def init_model(vocab_size: int, dims: ModelDims, rng: np.random.Generator,
                embedding: EmbeddingTable | None = None) -> ModelParams:
     if embedding is None:
-        from .embeddings import OOV_INIT_BOUND
-        m = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND,
-                        size=(vocab_size, dims.embedding_dim))
-        m[PAD_INDEX, :] = 0.0
-        embedding = EmbeddingTable(matrix=m, trainable=True)
+        embedding = random_embeddings(vocab_size, dims.embedding_dim, rng)
     if embedding.matrix.shape[1] != dims.embedding_dim:
         raise ShapeError(
             f"embedding dim {embedding.matrix.shape[1]} != configured {dims.embedding_dim}")
@@ -348,19 +347,22 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
 
 def predict_batch(params: ModelParams, rows):
     """Viterbi-decoded BIO tag indices for each of a list of non-empty
-    1-D token index rows, in input order."""
-    packing = _pack([len(r) for r in rows])
-    enc, _ = _encode(params, packing.gather(np.concatenate(rows)), packing)
-    attended, _ = _attend(params, enc, packing)
-    emissions, _ = _decode_inference(params, attended, packing)
-    emissions = emissions[packing.by_row]
+    1-D token index rows, in input order. Rows are ranked longest first
+    and decoded DECODE_CHUNK ranked rows per pass (memory: one pass)."""
+    ranked = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
     paths = [None] * len(rows)
-    start = 0
-    # positions 0..B-1 are step 0 of each rank, in rank order
-    for row, n in zip(packing.rows[:len(rows)].tolist(), packing.lengths):
-        paths[row] = crf.crf_viterbi(emissions[start:start + n],
-                                     params.transitions)[0]
-        start += n
+    for lo in range(0, len(ranked), DECODE_CHUNK):
+        chunk = ranked[lo:lo + DECODE_CHUNK]  # _pack keeps this order
+        packing = _pack([len(rows[i]) for i in chunk])
+        flat = np.concatenate([rows[i] for i in chunk])
+        enc, _ = _encode(params, packing.gather(flat), packing)
+        attended, _ = _attend(params, enc, packing)
+        emissions, _ = _decode_inference(params, attended, packing)
+        tags, _ = crf.crf_viterbi(emissions, params.transitions,
+                                  packing.sizes)
+        tags = iter(tags[packing.by_row].tolist())
+        for i, n in zip(chunk, packing.lengths):
+            paths[i] = list(islice(tags, n))
     return paths
 
 

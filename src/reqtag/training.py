@@ -5,6 +5,8 @@ domain sentences never touch anything the optimizer sees. Each batch is
 padded to its own longest sentence.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -40,11 +42,23 @@ class TrainConfig:
     span_overlap_mode: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        for name in ("batch_size", "embedding_dim", "epochs", "runs_per_fold"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "grad_clip_norm"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
+        if not self.grad_clip_norm >= 0:  # 0 turns clipping off
+            raise ValueError(f"grad_clip_norm must be >= 0, "
+                             f"got {self.grad_clip_norm!r}")
+        for name in ("batch_size", "embedding_dim", "epochs", "runs_per_fold",
+                     "h_enc", "d_att", "h_dec", "d_tag"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
 
     def dims(self) -> ModelDims:
         return ModelDims(embedding_dim=self.embedding_dim, h_enc=self.h_enc,
@@ -165,8 +179,11 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
     if config.glove_path:
         table = load_glove(config.glove_path, vocab, config.embedding_dim, rng,
                            trainable=not config.freeze_embeddings)
+        if not table.matched_words:
+            raise DataError(f"{config.glove_path}: no word of the training "
+                            f"vocabulary has a vector in this file")
     else:
-        table = random_embeddings(vocab, config.embedding_dim, rng,
+        table = random_embeddings(len(vocab), config.embedding_dim, rng,
                                   trainable=not config.freeze_embeddings)
     params = network.init_model(len(vocab), config.dims(), rng, embedding=table)
     state = AdamState.for_params(params)

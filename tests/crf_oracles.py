@@ -1,7 +1,9 @@
 """Reference checks for the CRF that only the tests use: the BIO validity
 rule, the score of one tag path, two enumeration oracles that score every
-one of the 3^L tag paths of a short sentence with ``path_score``, and the
-one-sentence NLL and log Z read from the training loss ``crf_nll_backward``.
+one of the 3^L tag paths of a short sentence with ``path_score``, the
+one-sentence NLL and log Z read from the training loss ``crf_nll_backward``,
+and the frozen one-sentence Viterbi that the packed ``crf_viterbi``
+replaced.
 """
 
 from itertools import product
@@ -57,6 +59,27 @@ def brute_force_viterbi(emissions: np.ndarray, transitions: np.ndarray):
                               and path[::-1] < best_path[::-1]):
             best_path, best_score = path, s
     return list(best_path), best_score
+
+
+def sentence_viterbi(emissions: np.ndarray, transitions: np.ndarray):
+    """Max-scoring path of one sentence and its score, one step at a
+    time; ties go to the lower tag, resolved from the last position
+    backward."""
+    n = emissions.shape[0]
+    v = transitions[START, :N_TAGS] + emissions[0]
+    backptr = np.zeros((n, N_TAGS), dtype=np.int64)
+    for t in range(1, n):
+        cand = v[:, None] + transitions[:N_TAGS, :N_TAGS]  # (prev, next)
+        backptr[t] = np.argmax(cand, axis=0)
+        v = emissions[t] + cand[backptr[t], np.arange(N_TAGS)]
+    final = v + transitions[:N_TAGS, STOP]
+    last = int(np.argmax(final))
+    score = float(final[last])
+    path = [last]
+    for t in range(n - 1, 0, -1):
+        path.append(int(backptr[t, path[-1]]))
+    path.reverse()
+    return path, score
 
 
 def sentence_nll(emissions: np.ndarray, transitions: np.ndarray, gold) -> float:

@@ -5,7 +5,8 @@ batched: one unpadded sentence at a time, one token at a time, with its
 own vector LSTM cell that accumulates weight gradients by outer products
 at every step. Tests compare the batched core against it; nothing in
 ``src/`` imports it. It shares only the parameter container, the block
-names and the CRF with the package.
+names and the CRF loss with the package; it decodes with the frozen
+one-sentence Viterbi of ``crf_oracles``.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from reqtag.embeddings import PAD_INDEX
 from reqtag.lstm import LstmCellParams
 from reqtag.network import ModelParams, param_blocks
 from reqtag.tensor import sigmoid, softmax_rows
+from crf_oracles import sentence_viterbi
 
 
 def zero_grad_blocks(params: ModelParams) -> dict:
@@ -196,5 +198,5 @@ def predict_tags(params: ModelParams, indices):
     enc, _ = encode(params, indices)
     attended, _ = attend(params, enc)
     emissions, _ = decode(params, attended)
-    tags, _ = crf.crf_viterbi(emissions, params.transitions)
+    tags, _ = sentence_viterbi(emissions, params.transitions)
     return tags

@@ -49,10 +49,10 @@ def test_criterion_1_crf_oracle_suite():
         # log Z from the training loss crf_nll_backward: NLL + score(gold)
         log_z = log_partition(e, t, random_bio(gold_rng, n))
         assert abs(log_z - brute_force_log_partition(e, t)) <= 1e-8
-        path, score = crf.crf_viterbi(e, t)
+        tags, scores = crf.crf_viterbi(e, t, [1] * n)
         bpath, bscore = brute_force_viterbi(e, t)
-        assert abs(score - bscore) <= 1e-8
-        assert path == bpath
+        assert abs(scores[0] - bscore) <= 1e-8
+        assert tags.tolist() == bpath
     elapsed = time.monotonic() - start
     report("1 crf-oracle-suite", elapsed < 10.0, f"{elapsed:.1f}s")
 
@@ -91,8 +91,8 @@ def test_criterion_3_constraint_guarantee():
     for _ in range(500):
         n = int(rng.integers(1, 10))
         e, t = random_crf_instance(rng, n)
-        path, _ = crf.crf_viterbi(e, t)
-        if not is_valid_bio(path):
+        tags, _ = crf.crf_viterbi(e, t, [1] * n)
+        if not is_valid_bio(tags.tolist()):
             violations += 1
     for _ in range(500):
         n = int(rng.integers(1, 10))

@@ -5,10 +5,14 @@ of the reference's per-sentence losses and gradients, and the same
 sentences as a ragged list of rows through ``predict_batch`` the
 reference's Viterbi tags row by row in input order, for any batch size,
 row order, lengths (one row may be up to three times longer than the
-rest) and padding, with trainable or frozen embeddings. The packed core
+rest) and padding, with trainable or frozen embeddings. More rows than
+one decode chunk are ranked by length and decoded in chunks of at most
+DECODE_CHUNK rows, and still come back in input order. The packed core
 computes real positions only: every LSTM step row is one real token of
 one of the three sequences.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,8 +21,8 @@ from hypothesis import strategies as st
 import per_sentence
 from reqtag import crf, lstm, network
 from reqtag.embeddings import EmbeddingTable
-from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
-                            predict_batch, predict_tags)
+from reqtag.network import (DECODE_CHUNK, ModelDims, batch_loss_and_grads,
+                            init_model, predict_batch, predict_tags)
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
 VOCAB = 12
@@ -105,6 +109,27 @@ def test_batch_equals_per_sentence_sum(sentences, outlier, extra, seed,
     ref_paths = [per_sentence.predict_tags(params, idx) for idx, _ in sentences]
     assert predict_batch(params, [idx for idx, _ in sentences]) == ref_paths
     assert [predict_tags(params, idx) for idx, _ in sentences] == ref_paths
+
+
+@settings(max_examples=12, deadline=None)
+@given(sentences=st.lists(SENTENCE, min_size=40, max_size=80),
+       outliers=st.lists(st.tuples(st.integers(0, 80), _sentences(9, 24)),
+                         max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_ranked_chunks_decode_in_input_order(sentences, outliers, seed):
+    # rows in no length order, a few long ones among them: every row gets
+    # the reference's path at its own index, and no pass packs more than
+    # one chunk of rows
+    rows = [idx for idx, _ in sentences]
+    for at, (idx, _) in outliers:
+        rows.insert(at, idx)
+    params = _model(seed, True)
+    with mock.patch.object(network, "_pack", wraps=network._pack) as pack:
+        paths = predict_batch(params, rows)
+    packed = [len(call.args[0]) for call in pack.call_args_list]
+    assert paths == [per_sentence.predict_tags(params, r) for r in rows]
+    assert max(packed) <= DECODE_CHUNK and sum(packed) == len(rows)
+    assert len(packed) == -(-len(rows) // DECODE_CHUNK)
 
 
 def test_lstm_steps_cover_real_tokens_only(monkeypatch):

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import reqtag
-from reqtag import evaluation
+from reqtag import network
 from reqtag.cli import main
 from reqtag.data import clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
-from reqtag.evaluation import DECODE_CHUNK, evaluate_tag_pairs, extract_spans
-from reqtag.network import load_checkpoint, predict_batch, predict_tags
+from reqtag.evaluation import evaluate_tag_pairs, extract_spans
+from reqtag.network import DECODE_CHUNK, load_checkpoint, predict_tags
 from conftest import make_synthetic_corpus
 
 TINY_CONFIG = {
@@ -126,6 +126,22 @@ class TestTrain:
                     "--output", tmp_path / "model.npz"]) == 1
         assert capsys.readouterr().err.startswith("error: line 31: ")
 
+    @pytest.mark.parametrize("key,value", [
+        ("h_enc", 0), ("h_dec", 0), ("d_tag", 0), ("d_att", 0),
+        ("learning_rate", float("nan")), ("grad_clip_norm", -1.0),
+    ])
+    def test_bad_model_or_optimiser_setting(self, corpus_path, tmp_path,
+                                            capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, key: value}),
+                       encoding="utf-8")
+        assert run(["train", "--corpus", corpus_path, "--config", cfg,
+                    "--output", tmp_path / "model.npz"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "model.npz").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_names_block(self, corpus_path, tmp_path, capsys):
         # a step this large overflows every weight after the first update
@@ -187,8 +203,9 @@ class TestExtract:
 
     def test_batched_output_equals_per_line_decoding(self, trained_model,
                                                      tmp_path, capsys):
-        # 70 lines decode as batches of 32, 32 and 6; every reply must be
-        # the bytes one line decoded alone through predict_tags gives
+        # 70 lines decode as one window, in ranked chunks of at most 32;
+        # every reply must be the bytes one line decoded alone through
+        # predict_tags gives
         model, _, target = trained_model
         rng = np.random.default_rng(5)
         words = target.tokens + ["Dark", "mode", "please", "crash", "x"]
@@ -205,20 +222,29 @@ class TestExtract:
         src = tmp_path / "reviews.txt"
         src.write_bytes("".join(lines).encode("utf-8"))
         assert run(["extract", "--model", model, "--input", src]) == 0
-
-        params, vocab, _ = load_checkpoint(model)
-        want = []
-        with open(src, encoding="utf-8") as fh:
-            for line in fh:
-                text = line.rstrip("\n")
-                tokens = clean_tokens(text)
-                spans = extract_spans(predict_tags(
-                    params, encode_tokens(tokens, vocab)), tokens=tokens) \
-                    if tokens else []
-                want.append(json.dumps({"text": text, "requirements": [
-                    {"span": [s.start, s.end], "text": s.text}
-                    for s in spans]}) + "\n")
+        want = _per_line_replies(model, src)
         assert len(want) == 70
+        assert capsys.readouterr().out == "".join(want)
+
+    def test_windows_reply_in_input_order(self, trained_model, tmp_path,
+                                          capsys):
+        # 600 lines fill two whole windows and part of a third; long and
+        # short lines alternate at random, so each window's ranked chunks
+        # mix lines from all over it
+        model, _, target = trained_model
+        rng = np.random.default_rng(6)
+        words = target.tokens + ["Dark", "mode", "please", "crash", "x"]
+        lines = []
+        for k in range(600):
+            n = 0 if k % 7 == 3 else int(rng.choice([rng.integers(1, 8),
+                                                     rng.integers(60, 121)]))
+            lines.append(" ".join(rng.choice(words, size=n)))
+        src = tmp_path / "reviews.txt"
+        # CRLF endings, and the last line has none
+        src.write_bytes("\r\n".join(lines).encode("utf-8"))
+        assert run(["extract", "--model", model, "--input", src]) == 0
+        want = _per_line_replies(model, src)
+        assert len(want) == 600
         assert capsys.readouterr().out == "".join(want)
 
     def test_pipe_replies_before_next_line(self, trained_model):
@@ -252,6 +278,23 @@ class TestExtract:
         assert run(["extract", "--model", model, "--input", src]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _per_line_replies(model, src):
+    """The reply to each line of src, every line decoded alone."""
+    params, vocab, _ = load_checkpoint(model)
+    want = []
+    with open(src, encoding="utf-8") as fh:
+        for line in fh:
+            text = line.rstrip("\n")
+            tokens = clean_tokens(text)
+            spans = extract_spans(predict_tags(
+                params, encode_tokens(tokens, vocab)), tokens=tokens) \
+                if tokens else []
+            want.append(json.dumps({"text": text, "requirements": [
+                {"span": [s.start, s.end], "text": s.text}
+                for s in spans]}) + "\n")
+    return want
 
 
 def _read_line(fd, deadline):
@@ -295,22 +338,23 @@ class TestEvaluate:
                                   monkeypatch):
         # more sentences than one decode chunk, so a second pass would show
         model, _, _ = trained_model
-        corpus = make_synthetic_corpus(DECODE_CHUNK + 8, 1, seed=5)
+        corpus = make_synthetic_corpus(2 * DECODE_CHUNK + 8, 1, seed=5)
         cpath = tmp_path / "many.jsonl"
         save_corpus(cpath, corpus)
         argv = ["evaluate", "--model", model, "--corpus", cpath,
                 "--domain", "dom0"]
-        calls = []
+        packs = []
 
-        def counting(params, rows):
-            calls.append(len(rows))
-            return predict_batch(params, rows)
+        def counting(lengths):
+            packs.append(len(lengths))
+            return pack(lengths)
 
-        monkeypatch.setattr(evaluation, "predict_batch", counting)
+        pack = network._pack
+        monkeypatch.setattr(network, "_pack", counting)
         assert run(argv + ["--overlap"]) == 0
         doc = json.loads(capsys.readouterr().out)
         n = len(corpus.sentences)
-        assert len(calls) == -(-n // DECODE_CHUNK) and sum(calls) == n
+        assert len(packs) == -(-n // DECODE_CHUNK) and sum(packs) == n
         # the same blocks as scoring each matching on its own
         params, vocab, _ = load_checkpoint(model)
         preds = [predict_tags(params, encode_tokens(s.tokens, vocab))

@@ -6,7 +6,7 @@ from reqtag.network import _pack
 from conftest import grad_check
 from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
                          is_valid_bio, log_partition, path_score, random_bio,
-                         sentence_nll)
+                         sentence_nll, sentence_viterbi)
 
 
 def random_transitions(rng):
@@ -19,6 +19,13 @@ def random_transitions(rng):
 def random_instance(rng, n):
     emissions = rng.normal(scale=2.0, size=(n, 3))
     return emissions, random_transitions(rng)
+
+
+def viterbi(emissions, transitions):
+    """The packed crf_viterbi on one sentence: (path, score)."""
+    tags, scores = crf.crf_viterbi(emissions, transitions,
+                                   [1] * len(emissions))
+    return tags.tolist(), float(scores[0])
 
 
 class TestLogPartition:
@@ -63,7 +70,7 @@ class TestViterbi:
         for _ in range(50):
             n = int(rng.integers(1, 7))
             e, t = random_instance(rng, n)
-            path, score = crf.crf_viterbi(e, t)
+            path, score = viterbi(e, t)
             bpath, bscore = brute_force_viterbi(e, t)
             assert score == pytest.approx(bscore, abs=1e-8)
             assert path == bpath
@@ -73,7 +80,7 @@ class TestViterbi:
         # toward the lower index, so all-O must win
         e = np.zeros((3, 3))
         t = np.zeros((5, 5))
-        path, _ = crf.crf_viterbi(e, t)
+        path, _ = viterbi(e, t)
         assert path == [crf.O, crf.O, crf.O]
         assert path == brute_force_viterbi(e, t)[0]
 
@@ -84,7 +91,7 @@ class TestViterbi:
                       [0.0, 5.0, 1.0]])
         t = crf.init_transitions()
         t[crf.B, crf.B] = -20.0
-        path, _ = crf.crf_viterbi(e, t)
+        path, _ = viterbi(e, t)
         assert path == [crf.B, crf.I]
         assert path == brute_force_viterbi(e, t)[0]
 
@@ -96,8 +103,39 @@ class TestViterbi:
             t = crf.init_transitions()
             free = ~crf.forbidden_mask()
             t[free] = rng.normal(scale=3.0, size=free.sum())
-            path, _ = crf.crf_viterbi(e, t)
+            path, _ = viterbi(e, t)
             assert is_valid_bio(path)
+
+
+class TestPackedViterbi:
+    def test_rows_match_brute_force_and_one_sentence_viterbi(self):
+        # integer-valued scores tie often; a packed row must still take
+        # the path and score the one-sentence decoders give it alone
+        rng = np.random.default_rng(18)
+        rows_seen = 0
+        for _ in range(150):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+            t = crf.init_transitions()
+            free = ~crf.forbidden_mask()
+            t[free] = rng.integers(-2, 3, size=free.sum())
+            rows = [rng.integers(-2, 3, size=(n, 3)).astype(float)
+                    for n in lengths]
+            packing = _pack(lengths)
+            ranked = [rows[i] for i in packing.rows[:len(rows)]]
+            tags, scores = crf.crf_viterbi(
+                packing.gather(np.concatenate(rows)), t, packing.sizes)
+            assert tags.shape == (sum(lengths),)
+            assert scores.shape == (len(lengths),)
+            tags = tags[packing.by_row].tolist()
+            start = 0
+            for rank, n in enumerate(packing.lengths):
+                e = ranked[rank]
+                bpath, bscore = brute_force_viterbi(e, t)
+                assert (tags[start:start + n], scores[rank]) == (bpath, bscore)
+                assert sentence_viterbi(e, t) == (bpath, bscore)
+                start += n
+                rows_seen += 1
+        assert rows_seen > 400
 
 
 class TestNll:
@@ -111,7 +149,7 @@ class TestNll:
         for _ in range(30):
             n = int(rng.integers(1, 6))
             e, t = random_instance(rng, n)
-            gold, _ = crf.crf_viterbi(e, t)
+            gold, _ = viterbi(e, t)
             assert sentence_nll(e, t, gold) >= -1e-8
 
     def test_peaked_emissions_drive_loss_to_zero(self):

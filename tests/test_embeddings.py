@@ -97,7 +97,7 @@ class TestLoadGlove:
 
 
 def test_random_embeddings_pad_zero_and_bounds():
-    vocab = build_vocabulary([["a", "b", "c"]])
-    table = random_embeddings(vocab, 8, np.random.default_rng(5))
+    table = random_embeddings(5, 8, np.random.default_rng(5))
+    assert table.matrix.shape == (5, 8)
     np.testing.assert_array_equal(table.matrix[PAD_INDEX], 0.0)
     assert np.all(np.abs(table.matrix[1:]) < 0.25)

@@ -10,7 +10,7 @@ from reqtag.evaluation import (BaselineMismatchError, RequirementSpan,
                                compute_metrics, evaluate_domain,
                                evaluate_tag_pairs, extract_spans,
                                load_baselines, match_spans, render_report)
-from reqtag.network import ModelDims, init_model, predict_tags
+from reqtag.network import DECODE_CHUNK, ModelDims, init_model, predict_tags
 from reqtag.training import FoldReport
 
 
@@ -126,7 +126,7 @@ def test_evaluate_domain_batches_equal_per_sentence_predictions(monkeypatch):
     rng = np.random.default_rng(11)
     words = [f"w{i}" for i in range(20)]
     sentences = []
-    for n in rng.integers(1, 30, size=evaluation.DECODE_CHUNK + 13):
+    for n in rng.integers(1, 30, size=DECODE_CHUNK + 13):
         tokens = [str(w) for w in rng.choice(words, size=n)]
         sentences.append(TaggedSentence(app_id="d", tokens=tokens,
                                         tags=["O"] * len(tokens)))

@@ -32,10 +32,26 @@ class TestTrainConfig:
         {"batch_size": 0},
         {"epochs": 0},
         {"runs_per_fold": 0},
+        {"h_enc": 0},
+        {"h_dec": 0},
+        {"d_tag": 0},
+        {"d_att": 0},
+        {"embedding_dim": 2.5},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": "0.001"},
+        {"grad_clip_norm": -1.0},
+        {"grad_clip_norm": float("nan")},
     ])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
+
+    def test_zero_clip_norm_turns_clipping_off(self):
+        assert TrainConfig(grad_clip_norm=0.0).grad_clip_norm == 0.0
+        grads = {"w": np.full(4, 10.0)}
+        assert clip_gradients(grads, 0.0) == pytest.approx(20.0)
+        np.testing.assert_array_equal(grads["w"], 10.0)
 
 
 class TestPadBatch:
@@ -235,10 +251,21 @@ class TestTrain:
         # rebuild the exact initial table from the same seed: training
         # must not have touched a single bit of it
         rng = np.random.default_rng(cfg.seed)
-        initial = random_embeddings(vocab, cfg.embedding_dim, rng,
+        initial = random_embeddings(len(vocab), cfg.embedding_dim, rng,
                                     trainable=False)
         np.testing.assert_array_equal(params.embedding.matrix,
                                       initial.matrix)
+
+    def test_glove_file_without_vocabulary_words(self, synthetic_corpus,
+                                                tmp_path):
+        # every word of the file is out of vocabulary: training would run
+        # on random rows only, so it stops instead
+        glove = tmp_path / "glove.txt"
+        glove.write_text("".join(f"zz{k} " + " ".join(["0.5"] * 16) + "\n"
+                                 for k in range(5)), encoding="utf-8")
+        with pytest.raises(DataError, match="no word of the training"):
+            train(tiny_config(epochs=1, glove_path=str(glove)),
+                  synthetic_corpus, ["dom0"])
 
     def test_overfit_single_sentence(self):
         corpus = make_synthetic_corpus(8, 1, seed=4)
