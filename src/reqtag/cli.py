@@ -28,6 +28,8 @@ from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
 from .tensor import NumericError
 from .training import TrainConfig, cross_validate, train
 
+EXTRACT_WINDOW = 8 * DECODE_CHUNK  # most lines per extract predict_batch call
+
 
 def _log(msg):
     print(msg, file=sys.stderr)
@@ -125,23 +127,22 @@ def cmd_crossval(args):
     return 0
 
 
-def _ready_lines(fd, window=8 * DECODE_CHUNK):
-    """Windows of input lines without their newline, decoded as a
-    text-mode open() decodes them (UTF-8, universal newlines). A window
-    holds every complete line that is buffered or readable at once, at
-    most `window`; the read blocks only when none is buffered."""
+def _ready_lines(fd):
+    """Windows of the complete lines buffered or readable at once, at most
+    EXTRACT_WINDOW, newline stripped and decoded as a text-mode open() does
+    (UTF-8, universal newlines); the read blocks only when none is buffered."""
     decoder = io.IncrementalNewlineDecoder(
         codecs.getincrementaldecoder("utf-8")(), translate=True)
     text, eof = "", False
     while True:
         ready = text.count("\n")
-        if not eof and (not ready or ready < window
+        if not eof and (not ready or ready < EXTRACT_WINDOW
                         and select.select([fd], [], [], 0)[0]):
             chunk = os.read(fd, 1 << 16)
             eof = not chunk
             text += decoder.decode(chunk, final=eof)
         elif ready:
-            *lines, text = text.split("\n", window)
+            *lines, text = text.split("\n", EXTRACT_WINDOW)
             yield lines
         else:  # end of input; a last line may lack its newline
             if text:
