@@ -28,7 +28,7 @@ from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
 from .tensor import NumericError
 from .training import TrainConfig, cross_validate, train
 
-EXTRACT_WINDOW = 8 * DECODE_CHUNK  # most lines per extract predict_batch call
+EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_batch call
 
 
 def _log(msg):

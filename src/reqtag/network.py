@@ -17,10 +17,24 @@ right-padded batch, whose pads are dropped at the gather and never
 computed. predict_batch ranks any number of rows by length and runs the
 same layers and one packed Viterbi per DECODE_CHUNK ranked rows; paths
 come back in input order, and predict_tags is its B = 1 case.
+
+A call of two or more chunks decodes them on a thread pool of up to one
+thread per CPU, so memory is bounded by that many chunks, with OpenBLAS
+held to one thread meanwhile: numpy releases the GIL inside BLAS calls,
+and one BLAS thread per chunk keeps the threads from contending. Scores
+in such a call therefore round as at one BLAS thread and may differ from
+a one-chunk call in the last bits; each chunk runs whole on one thread,
+so the result does not depend on scheduling. Without OpenBLAS the chunks
+run one after another in the calling thread.
 """
 
+import ctypes
+import functools
 import json
+import os
+import threading
 import zipfile
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
@@ -34,7 +48,7 @@ from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
 from .tensor import ShapeError, previous_rows, softmax_rows
 
 CHECKPOINT_VERSION = 2
-DECODE_CHUNK = 32
+DECODE_CHUNK = 64
 # what numpy and zipfile raise on a damaged archive or entry
 _DAMAGED = (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile)
 
@@ -345,24 +359,91 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     return loss, grads
 
 
+def _decode_chunk(params: ModelParams, rows):
+    """Viterbi paths of rows already ranked longest first, in that order
+    (the stable sort in _pack keeps it)."""
+    packing = _pack([len(row) for row in rows])
+    enc, _ = _encode(params, packing.gather(np.concatenate(rows)), packing)
+    attended, _ = _attend(params, enc, packing)
+    emissions, _ = _decode_inference(params, attended, packing)
+    tags, _ = crf.crf_viterbi(emissions, params.transitions, packing.sizes)
+    tags = iter(tags[packing.by_row].tolist())
+    return [list(islice(tags, n)) for n in packing.lengths]
+
+
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                        "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+_blas_lock = threading.Lock()  # one multi-chunk call at a time holds BLAS
+_pool = None
+
+
+@functools.cache
+def _blas_thread_setter():
+    """(get, set) of the loaded OpenBLAS's thread count, found once through
+    ctypes in the libraries mapped into this process; None without one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh
+                    if "openblas" in line.lower()}
+    except OSError:
+        libs = set()
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in _BLAS_THREAD_SYMBOLS:
+            get = getattr(lib, sym.format("get"), None)
+            set_ = getattr(lib, sym.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _decode_on_pool(decode, chunks, blas):
+    """decode(chunk) for each chunk on the module's thread pool, with
+    OpenBLAS at one thread until every chunk has finished or one raised."""
+    global _pool
+    get, set_ = blas
+    with _blas_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                                       thread_name_prefix="reqtag-decode")
+        before = get()
+        set_(1)
+        try:
+            futures = [_pool.submit(decode, chunk) for chunk in chunks]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for future in futures:
+                future.cancel()
+            wait(futures)
+        finally:
+            set_(before)
+    return [future.result() for future in futures]
+
+
 def predict_batch(params: ModelParams, rows):
     """Viterbi-decoded BIO tag indices for each of a list of non-empty
     1-D token index rows, in input order. Rows are ranked longest first
-    and decoded DECODE_CHUNK ranked rows per pass (memory: one pass)."""
+    and decoded DECODE_CHUNK ranked rows per pass; two or more passes run
+    on up to one thread per CPU (memory: that many passes), one runs in
+    the calling thread."""
     ranked = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
+    chunks = [ranked[lo:lo + DECODE_CHUNK]
+              for lo in range(0, len(ranked), DECODE_CHUNK)]
+
+    def decode(chunk):
+        return _decode_chunk(params, [rows[i] for i in chunk])
+
+    blas = _blas_thread_setter() if len(chunks) > 1 else None
+    decoded = (map(decode, chunks) if blas is None
+               else _decode_on_pool(decode, chunks, blas))
     paths = [None] * len(rows)
-    for lo in range(0, len(ranked), DECODE_CHUNK):
-        chunk = ranked[lo:lo + DECODE_CHUNK]  # _pack keeps this order
-        packing = _pack([len(rows[i]) for i in chunk])
-        flat = np.concatenate([rows[i] for i in chunk])
-        enc, _ = _encode(params, packing.gather(flat), packing)
-        attended, _ = _attend(params, enc, packing)
-        emissions, _ = _decode_inference(params, attended, packing)
-        tags, _ = crf.crf_viterbi(emissions, params.transitions,
-                                  packing.sizes)
-        tags = iter(tags[packing.by_row].tolist())
-        for i, n in zip(chunk, packing.lengths):
-            paths[i] = list(islice(tags, n))
+    for chunk, chunk_paths in zip(chunks, decoded):
+        for i, path in zip(chunk, chunk_paths):
+            paths[i] = path
     return paths
 
 

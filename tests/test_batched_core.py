@@ -7,18 +7,28 @@ reference's Viterbi tags row by row in input order, for any batch size,
 row order, lengths (one row may be up to three times longer than the
 rest) and padding, with trainable or frozen embeddings. More rows than
 one decode chunk are ranked by length and decoded in chunks of at most
-DECODE_CHUNK rows, and still come back in input order. The packed core
-computes real positions only: every LSTM step row is one real token of
-one of the three sequences.
+DECODE_CHUNK rows, and still come back in input order. Two or more
+chunks are decoded on the thread pool with OpenBLAS at one thread, and
+the count is restored after the call, also when a chunk raises; one
+chunk or none runs in the calling thread, and so does every chunk when
+no OpenBLAS thread setter is found. The packed core computes real
+positions only: every LSTM step row is one real token of one of the
+three sequences.
 """
 
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_sentence
+import reqtag
 from reqtag import crf, lstm, network
 from reqtag.embeddings import EmbeddingTable
 from reqtag.network import (DECODE_CHUNK, ModelDims, batch_loss_and_grads,
@@ -111,18 +121,23 @@ def test_batch_equals_per_sentence_sum(sentences, outlier, extra, seed,
     assert [predict_tags(params, idx) for idx, _ in sentences] == ref_paths
 
 
+def _rows(lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, VOCAB, size=n) for n in lengths]
+
+
 @settings(max_examples=12, deadline=None)
-@given(sentences=st.lists(SENTENCE, min_size=40, max_size=80),
-       outliers=st.lists(st.tuples(st.integers(0, 80), _sentences(9, 24)),
+@given(lengths=st.lists(st.integers(1, 8), min_size=130, max_size=260),
+       outliers=st.lists(st.tuples(st.integers(0, 260), st.integers(9, 24)),
                          max_size=4),
        seed=st.integers(0, 2 ** 16))
-def test_ranked_chunks_decode_in_input_order(sentences, outliers, seed):
-    # rows in no length order, a few long ones among them: every row gets
-    # the reference's path at its own index, and no pass packs more than
-    # one chunk of rows
-    rows = [idx for idx, _ in sentences]
-    for at, (idx, _) in outliers:
-        rows.insert(at, idx)
+def test_ranked_chunks_decode_in_input_order(lengths, outliers, seed):
+    # rows in no length order, a few long ones among them, three chunks
+    # or more: every row gets the reference's path at its own index, and
+    # no pass packs more than one chunk of rows
+    for at, n in outliers:
+        lengths.insert(at, n)
+    rows = _rows(lengths, seed)
     params = _model(seed, True)
     with mock.patch.object(network, "_pack", wraps=network._pack) as pack:
         paths = predict_batch(params, rows)
@@ -130,6 +145,143 @@ def test_ranked_chunks_decode_in_input_order(sentences, outliers, seed):
     assert paths == [per_sentence.predict_tags(params, r) for r in rows]
     assert max(packed) <= DECODE_CHUNK and sum(packed) == len(rows)
     assert len(packed) == -(-len(rows) // DECODE_CHUNK)
+
+
+def _recording_attend(threads):
+    """network._attend that records the thread each chunk runs on."""
+    attend = network._attend
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return attend(*args)
+    return recording
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, DECODE_CHUNK])
+def test_one_chunk_or_none_runs_inline(n_rows):
+    rows = _rows(np.random.default_rng(n_rows).integers(1, 9, size=n_rows),
+                 n_rows)
+    params = _model(2, True)
+    threads = []
+    with mock.patch.object(network, "_attend", _recording_attend(threads)), \
+            mock.patch.object(network, "_blas_thread_setter") as setter, \
+            mock.patch.object(network, "_decode_on_pool") as pool:
+        paths = predict_batch(params, rows)
+    assert paths == [per_sentence.predict_tags(params, r) for r in rows]
+    assert threads == [threading.get_ident()] * (n_rows > 0)
+    setter.assert_not_called()
+    pool.assert_not_called()
+
+
+def test_no_threads_start_for_import_or_one_chunk():
+    # the pool is created by the first call of two chunks, not before
+    script = (
+        "import threading\n"
+        "before = threading.active_count()\n"
+        "import numpy as np\n"
+        "import reqtag.cli\n"
+        "from reqtag import network\n"
+        "assert threading.active_count() == before\n"
+        "params = network.init_model(12, network.ModelDims(4, 3, 4, 3, 2),\n"
+        "                            np.random.default_rng(0))\n"
+        "rows = [np.arange(1 + i % 7) for i in range(network.DECODE_CHUNK)]\n"
+        "network.predict_batch(params, rows)\n"
+        "network.predict_tags(params, rows[3])\n"
+        "assert threading.active_count() == before\n"
+        "assert network._pool is None\n"
+        "assert network._blas_thread_setter.cache_info().currsize == 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(reqtag.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the
+    test and put back after it."""
+    blas = network._blas_thread_setter()
+    if blas is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_ = blas
+    original = get()
+    set_(2)
+    yield get
+    set_(original)
+
+
+def test_chunks_run_on_pool_at_one_blas_thread_and_restore_it(blas_at_two):
+    get = blas_at_two
+    rows = _rows(np.random.default_rng(4).integers(1, 9, size=200), 4)
+    params = _model(4, True)
+    ref = [per_sentence.predict_tags(params, r) for r in rows]
+    decode = network._decode_inference
+    seen = []
+
+    def recording(*args):
+        seen.append((threading.get_ident(), get()))
+        return decode(*args)
+
+    def failing_second(*args):
+        seen.append(None)
+        if len(seen) == 2:
+            raise RuntimeError("chunk failed")
+        return decode(*args)
+
+    with mock.patch.object(network, "_decode_inference", recording):
+        assert predict_batch(params, rows) == ref
+    assert get() == 2
+    assert len(seen) == 4
+    assert all(ident != threading.get_ident() and threads == 1
+               for ident, threads in seen)
+    seen.clear()
+    with mock.patch.object(network, "_decode_inference", failing_second):
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            predict_batch(params, rows)
+    assert get() == 2
+
+
+def test_concurrent_callers_restore_blas_threads(blas_at_two):
+    # more calling threads than cores, switching often: each multi-chunk
+    # call must read and restore the count under the lock, or one caller
+    # restores the 1 another set
+    get = blas_at_two
+    params = _model(7, True)
+    rows = _rows(np.random.default_rng(7).integers(1, 5, size=140), 7)
+    ref = [per_sentence.predict_tags(params, r) for r in rows]
+    results = []
+
+    def call():
+        results.append(predict_batch(params, rows) == ref)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [True] * len(callers)
+    assert get() == 2
+
+
+def test_without_blas_setter_chunks_run_inline():
+    rows = _rows(np.random.default_rng(6).integers(1, 9, size=150), 6)
+    params = _model(6, True)
+    threads = []
+    with mock.patch.object(network, "_attend", _recording_attend(threads)), \
+            mock.patch.object(network, "_blas_thread_setter",
+                              return_value=None), \
+            mock.patch.object(network, "_decode_on_pool") as pool:
+        paths = predict_batch(params, rows)
+    assert paths == predict_batch(params, rows)
+    assert paths == [per_sentence.predict_tags(params, r) for r in rows]
+    assert threads == [threading.get_ident()] * 3
+    pool.assert_not_called()
 
 
 def test_lstm_steps_cover_real_tokens_only(monkeypatch):

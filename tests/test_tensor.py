@@ -45,6 +45,18 @@ class TestElementwise:
         s = sigmoid(x)
         assert np.all((s > 0) & (s < 1))
 
+    def test_sigmoid_bits_equal_np_clip_form(self):
+        # the clip through minimum/maximum gives the same bits as np.clip,
+        # at the clip bounds and beyond them, for infinities, NaN and -0.0
+        rng = np.random.default_rng(5)
+        special = [800.0, -800.0, 500.0, -500.0, np.inf, -np.inf, np.nan,
+                   -0.0, 0.0]
+        x = np.concatenate([rng.normal(scale=300.0, size=2000), special])
+        old = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+        with np.errstate(invalid="ignore"):
+            assert sigmoid(x).tobytes() == old.tobytes()
+            assert sigmoid(x.reshape(-1, 7)).tobytes() == old.tobytes()
+
 
 class TestGradCheck:
     def test_correct_gradient_passes(self):
