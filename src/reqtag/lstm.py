@@ -11,7 +11,8 @@ the first sizes[t] rows of step t-1 (see ``tensor.previous_rows``). Step t
 advances only those rows; a row that has ended is never computed. The
 input projection is one GEMM over the N rows before the time loop, and
 the weight gradients are stacked GEMMs over every step's gate gradient
-after it.
+after it. lstm_states runs the same steps for inference and keeps none
+of the per-step caches that lstm_backward reads.
 """
 
 from dataclasses import dataclass
@@ -100,6 +101,24 @@ def lstm_forward(params: LstmCellParams, pre, sizes):
         caches.append(cache)
         start += n
     return hs, caches
+
+
+def lstm_states(params: LstmCellParams, pre, sizes):
+    """lstm_forward's (hs, caches) for a run that no backward pass
+    follows: each step's cache is dropped once the step has run, so the
+    caches come back as None."""
+    if sum(sizes) != len(pre):
+        raise ShapeError(f"{len(pre)} input rows for step sizes summing "
+                         f"to {sum(sizes)}")
+    h = np.zeros((sizes[0], params.hidden))
+    c = np.zeros((sizes[0], params.hidden))
+    hs = np.empty((len(pre), params.hidden))
+    start = 0
+    for n in sizes:
+        h, c, _ = lstm_step(params, pre[start:start + n], h[:n], c[:n])
+        hs[start:start + n] = h
+        start += n
+    return hs, None
 
 
 def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, sizes):

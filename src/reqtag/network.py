@@ -9,14 +9,17 @@ A batch is packed before any layer runs (see Packing): rows are
 stable-sorted longest first and their N real positions become (N, ...)
 arrays grouped by time step, so the rows still running at step t are
 the first n_t rows of step t-1. The LSTMs and the CRF advance only the
-n_t running rows at each step, every projection and weight-gradient
-GEMM covers the N rows once, the encoder's backward direction reads
-each row mirrored through a gather index, and attention runs on each
-row's own positions. Training calls batch_loss_and_grads once per
-right-padded batch, whose pads are dropped at the gather and never
-computed. predict_batch ranks any number of rows by length and runs the
-same layers and one packed Viterbi per DECODE_CHUNK ranked rows; paths
-come back in input order, and predict_tags is its B = 1 case.
+n_t running rows at each step, and every weight-gradient GEMM covers
+the N rows once. The encoder projects each distinct token of the batch
+once per direction and gathers the projections to its positions; its
+backward direction reads each row mirrored through a gather index.
+Attention confines each row to its own positions, and the rows of one
+length, adjacent in rank order, attend as one stacked product. Training
+calls batch_loss_and_grads once per right-padded batch, whose pads are
+dropped at the gather and never computed. predict_batch ranks any
+number of rows by length and runs the same layers, keeping no backward
+caches, and one packed Viterbi per DECODE_CHUNK ranked rows; paths come
+back in input order, and predict_tags is its B = 1 case.
 
 A call of two or more chunks decodes them on a thread pool of up to one
 thread per CPU, so memory is bounded by that many chunks, with OpenBLAS
@@ -36,7 +39,7 @@ import threading
 import zipfile
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -44,11 +47,15 @@ from . import crf
 from .embeddings import (EmbeddingTable, PAD_INDEX, UNK_INDEX, Vocabulary,
                          random_embeddings)
 from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
-                   lstm_step)
+                   lstm_states, lstm_step)
 from .tensor import ShapeError, previous_rows, softmax_rows
 
 CHECKPOINT_VERSION = 2
 DECODE_CHUNK = 64
+# added to the greedy decoder's tag scores after each fed tag (rows by
+# crf state): I is legal only after B or I
+_FEED_MASK = np.zeros((crf.N_STATES, 3))
+_FEED_MASK[[crf.START, crf.O], crf.I] = -np.inf
 # what numpy and zipfile raise on a damaged archive or entry
 _DAMAGED = (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile)
 
@@ -182,23 +189,31 @@ def _add_cell_grads(grads, prefix, g: LstmCellParams):
 
 # ---------------------------------------------------------------- encoder
 
-def _encode(params: ModelParams, tokens, packing: Packing):
+def _encode(params: ModelParams, tokens, packing: Packing, run):
     """BiLSTM over a batch's (N,) packed token indices; returns
-    (enc (N, 2H), cache). The backward direction reads each row
-    mirrored, through packing.rev, an index that is its own inverse."""
-    x = params.embedding.matrix[tokens]
-    x_rev = x[packing.rev]
-    fwd = lstm_forward(params.enc_fwd, x @ params.enc_fwd.w_in.T
-                       + params.enc_fwd.b, packing.sizes)
-    bwd = lstm_forward(params.enc_bwd, x_rev @ params.enc_bwd.w_in.T
-                       + params.enc_bwd.b, packing.sizes)
+    (enc (N, 2H), cache). run(cell, pre, sizes) is the recurrence of
+    each direction: lstm_forward where a backward pass follows,
+    lstm_states where none does.
+
+    Each distinct token is projected once per direction and gathered to
+    its positions. The backward direction reads each row mirrored,
+    through packing.rev, an index that is its own inverse."""
+    uniq, inv = np.unique(tokens, return_inverse=True)
+    xu = params.embedding.matrix[uniq]
+    fwd = run(params.enc_fwd, (xu @ params.enc_fwd.w_in.T
+                               + params.enc_fwd.b)[inv], packing.sizes)
+    bwd = run(params.enc_bwd, (xu @ params.enc_bwd.w_in.T
+                               + params.enc_bwd.b)[inv[packing.rev]],
+              packing.sizes)
     enc = np.concatenate([fwd[0], bwd[0][packing.rev]], axis=1)
-    return enc, (tokens, packing, x, x_rev, fwd, bwd)
+    return enc, (tokens, packing, xu, inv, fwd, bwd)
 
 
 def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
     """BPTT through both encoder directions; fills embedding grads."""
-    tokens, packing, x, x_rev, fwd, bwd = enc_cache
+    tokens, packing, xu, inv, fwd, bwd = enc_cache
+    x = xu[inv]
+    x_rev = x[packing.rev]
     h_enc = params.dims.h_enc
     d_x, g = lstm_backward(params.enc_fwd, x, *fwd, d_enc[:, :h_enc],
                            packing.sizes)
@@ -214,9 +229,21 @@ def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
 
 # -------------------------------------------------------------- attention
 
+def _length_runs(lengths, *arrays):
+    """For each run of k rows of one length n in lengths, ranked longest
+    first: a (k, n, ...) view of each rank-major array's rows of the run."""
+    start = 0
+    for n, run in groupby(lengths):
+        stop = start + len(list(run)) * n
+        yield [a[start:stop].reshape(-1, n, a.shape[1]) for a in arrays]
+        start = stop
+
+
 def _attend(params: ModelParams, enc, packing: Packing):
     """Scaled dot-product self-attention of each row over its own
-    positions. Runs row by row on a rank-major copy of enc."""
+    positions, on a rank-major copy of enc. The k rows of each run of one
+    length n attend as stacked (k, n, .) products; the cache keeps each
+    run's (k, n, n) weights."""
     scale = 1.0 / np.sqrt(params.dims.d_att)
     x = enc[packing.by_row]
     q = x @ params.attn_q.T
@@ -224,13 +251,10 @@ def _attend(params: ModelParams, enc, packing: Packing):
     v = x @ params.attn_v.T
     out = np.empty_like(v)
     weights = []
-    start = 0
-    for n in packing.lengths:
-        row = slice(start, start + n)
-        w = softmax_rows((q[row] @ k[row].T) * scale)
-        out[row] = w @ v[row]
+    for q_r, k_r, v_r, out_r in _length_runs(packing.lengths, q, k, v, out):
+        w = softmax_rows((q_r @ k_r.transpose(0, 2, 1)) * scale)
+        out_r[...] = w @ v_r
         weights.append(w)
-        start += n
     attended = np.empty_like(out)
     attended[packing.by_row] = out
     return attended, (packing, x, q, k, v, weights)
@@ -243,15 +267,13 @@ def _attend_backward(params: ModelParams, att_cache, d_att, grads):
     d_q = np.empty_like(q)
     d_k = np.empty_like(k)
     d_v = np.empty_like(v)
-    start = 0
-    for w in weights:
-        row = slice(start, start + len(w))
-        d_w = d_out[row] @ v[row].T
-        d_v[row] = w.T @ d_out[row]
-        d_scores = (d_w - (d_w * w).sum(axis=1, keepdims=True)) * w
-        d_q[row] = (d_scores @ k[row]) * scale
-        d_k[row] = (d_scores.T @ q[row]) * scale
-        start += len(w)
+    runs = _length_runs(packing.lengths, q, k, v, d_out, d_q, d_k, d_v)
+    for w, (q_r, k_r, v_r, d_out_r, d_q_r, d_k_r, d_v_r) in zip(weights, runs):
+        d_w = d_out_r @ v_r.transpose(0, 2, 1)
+        d_v_r[...] = w.transpose(0, 2, 1) @ d_out_r
+        d_scores = (d_w - (d_w * w).sum(axis=-1, keepdims=True)) * w
+        d_q_r[...] = (d_scores @ k_r) * scale
+        d_k_r[...] = (d_scores.transpose(0, 2, 1) @ q_r) * scale
     grads["attn_q"] += d_q.T @ x
     grads["attn_k"] += d_k.T @ x
     grads["attn_v"] += d_v.T @ x
@@ -305,6 +327,7 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
     c = np.zeros((sizes[0], params.dims.h_dec))
     hs = np.empty((len(attended), params.dims.h_dec))
     fed = np.empty(len(attended), dtype=np.int64)
+    feed_bias = params.emission_b + _FEED_MASK
     prev = np.full(sizes[0], crf.START)
     start = 0
     for n in sizes:
@@ -314,9 +337,7 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
         h, c, _ = lstm_step(params.dec, from_att[step] + from_tag[prev],
                             h[:n], c[:n])
         hs[step] = h
-        scores = h @ params.emission_w.T + params.emission_b
-        scores[(prev == crf.START) | (prev == crf.O), crf.I] = -np.inf
-        prev = np.argmax(scores, axis=1)
+        prev = np.argmax(h @ params.emission_w.T + feed_bias[prev], axis=1)
         start += n
     return _emissions(params, hs), fed
 
@@ -347,7 +368,8 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     real = np.arange(indices.shape[1]) < lengths[:, None]
     gold = packing.gather(np.asarray(tags)[real])
     grads = zero_grad_blocks(params)
-    enc, enc_cache = _encode(params, packing.gather(indices[real]), packing)
+    enc, enc_cache = _encode(params, packing.gather(indices[real]), packing,
+                             lstm_forward)
     attended, att_cache = _attend(params, enc, packing)
     emissions, dec_cache = _decode_training(params, attended, gold, packing)
     loss, d_emissions, d_t = crf.crf_nll_backward(
@@ -363,8 +385,9 @@ def _decode_chunk(params: ModelParams, rows):
     """Viterbi paths of rows already ranked longest first, in that order
     (the stable sort in _pack keeps it)."""
     packing = _pack([len(row) for row in rows])
-    enc, _ = _encode(params, packing.gather(np.concatenate(rows)), packing)
-    attended, _ = _attend(params, enc, packing)
+    enc = _encode(params, packing.gather(np.concatenate(rows)), packing,
+                  lstm_states)[0]
+    attended = _attend(params, enc, packing)[0]
     emissions, _ = _decode_inference(params, attended, packing)
     tags, _ = crf.crf_viterbi(emissions, params.transitions, packing.sizes)
     tags = iter(tags[packing.by_row].tolist())
@@ -523,17 +546,24 @@ def _read_header(npz, path) -> dict:
     return header
 
 
-def load_checkpoint(path):
-    """Returns (params, vocab, config); a malformed file raises ValueError."""
+def _archive(fh, path):
+    """The .npz archive in an open binary file; ValueError if it is none."""
     try:
-        npz = np.load(path, allow_pickle=False)
+        npz = np.load(fh, allow_pickle=False)
     except _DAMAGED:
         npz = None  # not a zip: pickle refused, empty or truncated file
     if not isinstance(npz, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not an .npz archive; checkpoints are version "
                          f"{CHECKPOINT_VERSION} .npz files (JSON checkpoints "
                          f"from version 1 no longer load)")
-    with npz:
+    return npz
+
+
+def load_checkpoint(path):
+    """Returns (params, vocab, config); a malformed file raises ValueError."""
+    # np.load is given a file object so that the file is closed also when
+    # the archive turns out to be damaged
+    with open(path, "rb") as fh, _archive(fh, path) as npz:
         header = _read_header(npz, path)
         index_to_token = header["vocab"]
         params = init_model(len(index_to_token), ModelDims(**header["dims"]),

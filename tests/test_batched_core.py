@@ -14,27 +14,43 @@ chunk or none runs in the calling thread, and so does every chunk when
 no OpenBLAS thread setter is found. The packed core computes real
 positions only: every LSTM step row is one real token of one of the
 three sequences.
+
+Work is done once per batch where rows share it: the encoder projects
+each distinct token once per direction, and attention runs each run of
+equal-length rows as one stacked product. Both compute, bit for bit,
+what the per-position projection and the row-by-row attention frozen in
+``row_loops`` compute: attention outputs and gradients for ranked
+batches full of equal-length runs, and the loss, every gradient block
+and every emission of whole batches (criterion 2's among them) with the
+frozen functions put back in the network's place. Rows that repeat one
+token, or a few, decode to the reference's paths; a batch of one
+distinct token takes numpy's one-row product for its projection.
 """
 
 import subprocess
 import sys
 import threading
+from contextlib import ExitStack
+from itertools import groupby
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import per_sentence
 import reqtag
+import row_loops
 from reqtag import crf, lstm, network
-from reqtag.embeddings import EmbeddingTable
-from reqtag.network import (DECODE_CHUNK, ModelDims, batch_loss_and_grads,
-                            init_model, predict_batch, predict_tags)
+from reqtag.embeddings import UNK_INDEX, EmbeddingTable
+from reqtag.network import (DECODE_CHUNK, ModelDims, _attend, _attend_backward,
+                            _pack, batch_loss_and_grads, init_model,
+                            predict_batch, predict_tags, zero_grad_blocks)
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
+WIDE = ModelDims(embedding_dim=6, h_enc=8, d_att=24, h_dec=5, d_tag=3)
 VOCAB = 12
 TOL = 1e-10
 
@@ -313,3 +329,159 @@ def test_lstm_steps_cover_real_tokens_only(monkeypatch):
     for idx, _ in sentences:
         predict_tags(params, idx)
     assert sum(rows) == 3 * sum(lengths)
+
+
+# ------------------------------------------------- work done once per batch
+
+# lengths 1-6 drawn from a small pool, so that runs of one length (and
+# runs of one row) are common
+LENGTHS = st.lists(st.integers(1, 6), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+def _run_frozen(pairs, fn, *args):
+    """fn(*args) with each named row_loops pair ("encode", "attend") in
+    the network's place."""
+    with ExitStack() as stack:
+        for pair in pairs:
+            for name in (pair, f"{pair}_backward"):
+                stack.enter_context(mock.patch.object(
+                    network, f"_{name}", getattr(row_loops, name)))
+        return fn(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=LENGTHS, dims=st.sampled_from([TINY, WIDE]),
+       seed=st.integers(0, 2 ** 16))
+def test_grouped_attention_equals_row_loop(lengths, dims, seed):
+    rng = np.random.default_rng(seed)
+    params = init_model(VOCAB, dims, rng)
+    packing = _pack(lengths)
+    enc = rng.normal(size=(sum(lengths), 2 * dims.h_enc))
+    d_att = rng.normal(size=(sum(lengths), dims.d_att))
+
+    attended, cache = _attend(params, enc, packing)
+    ref, ref_cache = row_loops.attend(params, enc, packing)
+    np.testing.assert_array_equal(attended, ref)
+    weights = cache[-1]
+    assert [w.shape for w in weights] == [
+        (len(list(run)), n, n) for n, run in groupby(packing.lengths)]
+    rows = [row for w in weights for row in w]
+    assert len(rows) == len(ref_cache[-1])
+    for row, ref_row in zip(rows, ref_cache[-1]):
+        np.testing.assert_array_equal(row, ref_row)
+
+    grads = zero_grad_blocks(params)
+    ref_grads = zero_grad_blocks(params)
+    np.testing.assert_array_equal(
+        _attend_backward(params, cache, d_att, grads),
+        row_loops.attend_backward(params, ref_cache, d_att, ref_grads))
+    for name in ("attn_q", "attn_k", "attn_v"):
+        np.testing.assert_array_equal(grads[name], ref_grads[name],
+                                      err_msg=name)
+
+
+def _assert_frozen_core_equal(pairs, params, indices, tags, lengths):
+    loss, grads = batch_loss_and_grads(params, indices, tags, lengths)
+    ref_loss, ref_grads = _run_frozen(pairs, batch_loss_and_grads, params,
+                                      indices, tags, lengths)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        np.testing.assert_array_equal(grads[name], ref, err_msg=name)
+
+
+@pytest.mark.parametrize("pairs", [("encode",), ("attend",),
+                                   ("encode", "attend")])
+def test_criterion_2_batch_bit_identical_to_frozen_core(pairs):
+    # the gradient suite's batch: token 2 appears twice
+    params = init_model(10, TINY, np.random.default_rng(6))
+    indices = np.array([[2, 3, 4, 5, 2], [6, 7, 8, 0, 0]])
+    tags = np.array([[0, 1, 2, 2, 0], [0, 1, 0, 0, 0]])
+    _assert_frozen_core_equal(pairs, params, indices, tags, [5, 3])
+
+
+def _emissions(params, rows, pairs=()):
+    """predict_batch's paths and every emission matrix it decodes."""
+    seen = []
+    viterbi = crf.crf_viterbi
+
+    def recording(emissions, *args):
+        seen.append(emissions)
+        return viterbi(emissions, *args)
+    with mock.patch.object(crf, "crf_viterbi", recording):
+        paths = _run_frozen(pairs, predict_batch, params, rows)
+    return paths, seen
+
+
+def _sentences_of(rows, rng):
+    return [(row, _bio(rng.integers(0, 3, size=len(row)))) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=LENGTHS, tokens=st.integers(2, VOCAB), dims=st.sampled_from(
+    [TINY, WIDE]), seed=st.integers(0, 2 ** 16))
+def test_batches_bit_identical_to_frozen_core(lengths, tokens, dims, seed):
+    # tokens: how many distinct indices the batch draws from
+    rng = np.random.default_rng(seed)
+    params = init_model(VOCAB, dims, rng)
+    pool = rng.choice(VOCAB, size=tokens, replace=False)
+    rows = [rng.choice(pool, size=n) for n in lengths]
+    # one distinct token at several positions is projected by numpy's
+    # one-row product, which may round differently from a matrix product
+    assume(len(set(np.concatenate(rows).tolist())) > 1 or sum(lengths) == 1)
+    pairs = ("encode", "attend")
+    indices, tags, _ = _pad(_sentences_of(rows, rng), 0)
+    _assert_frozen_core_equal(pairs, params, indices, tags, lengths)
+    paths, emissions = _emissions(params, rows)
+    ref_paths, ref_emissions = _emissions(params, rows, pairs)
+    assert paths == ref_paths
+    assert len(emissions) == len(ref_emissions) == 1
+    np.testing.assert_array_equal(emissions[0], ref_emissions[0])
+
+
+@pytest.mark.parametrize("token", [UNK_INDEX, 5])
+@pytest.mark.parametrize("n", [1, 2, 9, 30])
+def test_row_of_one_repeated_token(token, n):
+    params = _model(n + token, True)
+    row = np.full(n, token)
+    assert predict_batch(params, [row]) == [per_sentence.predict_tags(params,
+                                                                      row)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(others=st.sets(st.integers(2, VOCAB - 1), max_size=2),
+       lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 16))
+def test_rows_of_few_distinct_tokens(others, lengths, seed):
+    # every row drawn from UNK and at most two other indices
+    rng = np.random.default_rng(seed)
+    params = _model(seed, True)
+    rows = [rng.choice([UNK_INDEX, *sorted(others)], size=n) for n in lengths]
+    sentences = _sentences_of(rows, rng)
+    assert predict_batch(params, rows) == [
+        per_sentence.predict_tags(params, row) for row in rows]
+    loss, grads = batch_loss_and_grads(params, *_pad(sentences, 0))
+    ref_loss = 0.0
+    ref_grads = per_sentence.zero_grad_blocks(params)
+    for row, tags in sentences:
+        l, g = per_sentence.sentence_loss_and_grads(params, row, tags)
+        ref_loss += l
+        for name in ref_grads:
+            ref_grads[name] += g[name]
+    _assert_close(loss, ref_loss, "loss")
+    for name, ref in ref_grads.items():
+        _assert_close(grads[name], ref, name)
+
+
+@pytest.mark.parametrize("token", [UNK_INDEX, 7])
+def test_window_of_one_word(token):
+    # more rows than three decode chunks, every token the same word: each
+    # chunk projects one distinct token
+    rng = np.random.default_rng(token)
+    params = _model(token, True)
+    lengths = rng.integers(1, 13, size=3 * DECODE_CHUNK + 5).tolist()
+    by_length = {n: per_sentence.predict_tags(params, np.full(n, token))
+                 for n in set(lengths)}
+    assert (predict_batch(params, [np.full(n, token) for n in lengths])
+            == [by_length[n] for n in lengths])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from reqtag.lstm import (LstmCellParams, init_lstm, lstm_backward,
-                         lstm_forward, lstm_step, lstm_step_backward)
+                         lstm_forward, lstm_states, lstm_step,
+                         lstm_step_backward)
 from reqtag.tensor import ShapeError
 from conftest import grad_check
 
@@ -163,6 +164,18 @@ def test_packed_rows_match_each_row_alone():
     for name, ref in total.items():
         np.testing.assert_allclose(getattr(grads, name), ref, rtol=1e-12,
                                    atol=1e-15, err_msg=name)
+
+
+def test_states_equal_forward_without_caches():
+    rng = np.random.default_rng(8)
+    p = init_lstm(3, 2, rng)
+    pre = _project(p, rng.normal(size=(8, 3)))
+    hs, _ = lstm_forward(p, pre, [3, 2, 2, 1])
+    states, none = lstm_states(p, pre, [3, 2, 2, 1])
+    np.testing.assert_array_equal(states, hs)
+    assert none is None
+    with pytest.raises(ShapeError):
+        lstm_states(p, pre, [3, 2, 2])
 
 
 def test_step_sizes_must_cover_every_row():

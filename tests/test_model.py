@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reqtag.embeddings import EmbeddingTable, Vocabulary
-from reqtag.lstm import lstm_step
+from reqtag.lstm import lstm_states, lstm_step
 from reqtag.network import (ModelDims, _attend, _decode_inference,
                             _decode_training, _encode, _pack,
                             batch_loss_and_grads, init_model, load_checkpoint,
@@ -43,7 +43,7 @@ def _enc(params, rows, lengths=None):
     lengths = np.array([len(r) for r in rows] if lengths is None else lengths)
     packing = _pack(lengths)
     real = np.arange(idx.shape[1]) < lengths[:, None]
-    enc, _ = _encode(params, packing.gather(idx[real]), packing)
+    enc, _ = _encode(params, packing.gather(idx[real]), packing, lstm_states)
     return _unpack(packing, enc, idx.shape[1])
 
 
@@ -87,7 +87,7 @@ class TestEncoder:
         tokens = packing.gather([2, 3, 4, 5, 6, 7])
         assert tokens.tolist() == [4, 2, 5, 3, 6, 7]
         np.testing.assert_array_equal(packing.rev[packing.rev], np.arange(6))
-        enc, _ = _encode(tiny_model, tokens, packing)
+        enc, _ = _encode(tiny_model, tokens, packing, lstm_states)
         assert enc.shape == (6, 2 * TINY.h_enc)
         np.testing.assert_allclose(_unpack(packing, enc, 4)[0, :2],
                                    _enc(tiny_model, [[2, 3]])[0],
@@ -106,35 +106,37 @@ class TestAttention:
     def test_single_position_weight_is_one(self, tiny_model):
         enc = np.random.default_rng(0).normal(size=(1, 2 * TINY.h_enc))
         attended, (*_, v, weights) = _attend(tiny_model, enc, _full(1))
-        np.testing.assert_allclose(weights[0], [[1.0]])
+        np.testing.assert_allclose(weights[0], [[[1.0]]])
         np.testing.assert_allclose(attended, v)
 
     def test_weights_sum_to_one(self, tiny_model):
         enc = np.random.default_rng(1).normal(size=(5, 2 * TINY.h_enc))
         _, (*_, weights) = _attend(tiny_model, enc, _full(5))
-        np.testing.assert_allclose(weights[0].sum(axis=1), np.ones(5),
+        np.testing.assert_allclose(weights[0].sum(axis=-1), np.ones((1, 5)),
                                    atol=1e-9)
 
     def test_zero_keys_give_uniform_mean_of_values(self, tiny_model):
         tiny_model.attn_k[:] = 0.0
         enc = np.random.default_rng(2).normal(size=(4, 2 * TINY.h_enc))
         attended, (*_, v, weights) = _attend(tiny_model, enc, _full(4))
-        np.testing.assert_allclose(weights[0], np.full((4, 4), 0.25), atol=1e-12)
+        np.testing.assert_allclose(weights[0], np.full((1, 4, 4), 0.25),
+                                   atol=1e-12)
         np.testing.assert_allclose(attended, np.tile(v.mean(axis=0), (4, 1)),
                                    atol=1e-12)
 
     def test_rows_attend_only_to_their_own_positions(self, tiny_model):
         # rows of lengths 2 and 4: the short row's output is its output
-        # alone, and each row's weights cover only its own positions
+        # alone, and each row's weights cover only its own positions;
+        # weights come per run of equal-length rows, as (rows, n, n)
         rng = np.random.default_rng(3)
         short = rng.normal(size=(2, 2 * TINY.h_enc))
         long = rng.normal(size=(4, 2 * TINY.h_enc))
         packing = _pack([2, 4])
         enc = packing.gather(np.concatenate([short, long]))
         out, (*_, weights) = _attend(tiny_model, enc, packing)
-        assert [w.shape for w in weights] == [(4, 4), (2, 2)]
+        assert [w.shape for w in weights] == [(1, 4, 4), (1, 2, 2)]
         for w in weights:
-            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
         alone, _ = _attend(tiny_model, short, _full(2))
         np.testing.assert_allclose(_unpack(packing, out, 4)[0, :2], alone,
                                    rtol=1e-12, atol=1e-15)
