@@ -48,6 +48,9 @@ def _load_config(path) -> TrainConfig:
         return TrainConfig()
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DataError(f"config must be a JSON object, "
+                        f"got {type(doc).__name__}")
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:

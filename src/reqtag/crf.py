@@ -40,10 +40,10 @@ def init_transitions() -> np.ndarray:
 def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, sizes):
     """Max-scoring path of each row of a packed batch laid out as for
     crf_nll_backward (one sentence: sizes [1] * n), by one max-product
-    pass over every row. Returns the tags (N,) per packed position and
-    each row's best score (B,) in rank order. Ties break toward the lower
-    tag (O < B < I), resolved from the last position backward: argmax
-    takes the first maximum, in the backpointers too."""
+    pass over every row. Returns the tags (N,) per packed position. Ties
+    break toward the lower tag (O < B < I), resolved from the last
+    position backward: argmax takes the first maximum, in the
+    backpointers too."""
     starts = [0, *accumulate(sizes)]
     v = np.empty((starts[-1], N_TAGS))
     back = np.empty((starts[-1], N_TAGS), dtype=np.int64)
@@ -67,7 +67,7 @@ def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, sizes):
             tags[starts[t] + r] = y
             y = back[starts[t] + r][y]
         tags[r] = y
-    return np.array(tags), final.max(axis=1)
+    return np.array(tags)
 
 
 def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,

@@ -96,7 +96,8 @@ def clean_tokens(text: str) -> list:
 
 
 def align_bio(sentence_tokens, requirement_phrases):
-    """Tag every contiguous occurrence of each phrase; returns (tags, misses).
+    """Tag every contiguous occurrence of each non-empty phrase; returns
+    (tags, misses).
 
     Overlaps resolve longest-phrase-first, then leftmost. A phrase with
     no occurrence counts as an alignment miss, not an error.
@@ -106,8 +107,6 @@ def align_bio(sentence_tokens, requirement_phrases):
     claimed = [False] * n
     misses = 0
     for phrase in sorted(requirement_phrases, key=len, reverse=True):
-        if not phrase:
-            continue
         m = len(phrase)
         matched_any = False
         for start in range(n - m + 1):

@@ -7,6 +7,7 @@ Counts are pooled (micro-averaged) across all sentences of a domain.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 from .data import TAG_INDEX
@@ -118,6 +119,20 @@ def load_baselines(path, fold_labels):
     """Baseline score file: JSON map domain -> {precision?, recall?, f1}."""
     with open(path, encoding="utf-8") as fh:
         table = json.load(fh)
+    if not isinstance(table, dict):
+        raise BaselineMismatchError(f"baselines must be a JSON object of "
+                                    f"domains, got {type(table).__name__}")
+    for domain, scores in table.items():
+        if not isinstance(scores, dict) or "f1" not in scores:
+            raise BaselineMismatchError(
+                f"baseline {domain!r} must be an object with an f1, "
+                f"got {scores!r}")
+        for key in ("precision", "recall", "f1"):
+            value = scores.get(key, 0.0)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise BaselineMismatchError(
+                    f"baseline {domain!r}: {key} must be a number, "
+                    f"got {value!r}")
     missing = sorted(set(table) - set(fold_labels))
     if missing:
         raise BaselineMismatchError(
@@ -139,9 +154,9 @@ def render_report(fold_reports):
     n = len(fold_reports)
     mean_row = {
         "domain": "MEAN",
-        "precision": sum(r["precision"] for r in rows) / n if n else 0.0,
-        "recall": sum(r["recall"] for r in rows) / n if n else 0.0,
-        "f1": sum(r["f1"] for r in rows) / n if n else 0.0,
+        "precision": sum(r["precision"] for r in rows) / n,
+        "recall": sum(r["recall"] for r in rows) / n,
+        "f1": sum(r["f1"] for r in rows) / n,
     }
     doc = {"folds": rows, "mean": mean_row,
            "note": "zero-denominator metrics reported as 0"}

@@ -11,8 +11,8 @@ the first sizes[t] rows of step t-1 (see ``tensor.previous_rows``). Step t
 advances only those rows; a row that has ended is never computed. The
 input projection is one GEMM over the N rows before the time loop, and
 the weight gradients are stacked GEMMs over every step's gate gradient
-after it. lstm_states runs the same steps for inference and keeps none
-of the per-step caches that lstm_backward reads.
+after it. lstm_forward and lstm_states run one step loop; lstm_states
+(inference) drops each step's cache, which lstm_backward reads.
 """
 
 from dataclasses import dataclass
@@ -84,40 +84,36 @@ def lstm_step_backward(params: LstmCellParams, cache, dh, dc):
     return da, da @ params.w_h, dc_total * f
 
 
-def lstm_forward(params: LstmCellParams, pre, sizes):
-    """Run over the (N, 4H) input projections of a packed sequence batch
-    with sizes[t] rows at step t; returns (hs (N, H), caches)."""
+def _steps(params: LstmCellParams, pre, sizes, hs):
+    """Step a packed sequence batch from a zero state, writing each step's
+    h into hs (N, H); yields each step's cache once the step has run."""
     if sum(sizes) != len(pre):
         raise ShapeError(f"{len(pre)} input rows for step sizes summing "
                          f"to {sum(sizes)}")
     h = np.zeros((sizes[0], params.hidden))
     c = np.zeros((sizes[0], params.hidden))
-    hs = np.empty((len(pre), params.hidden))
-    caches = []
     start = 0
     for n in sizes:
         h, c, cache = lstm_step(params, pre[start:start + n], h[:n], c[:n])
         hs[start:start + n] = h
-        caches.append(cache)
+        yield cache
         start += n
-    return hs, caches
+
+
+def lstm_forward(params: LstmCellParams, pre, sizes):
+    """Run over the (N, 4H) input projections of a packed sequence batch
+    with sizes[t] rows at step t; returns (hs (N, H), caches)."""
+    hs = np.empty((len(pre), params.hidden))
+    return hs, list(_steps(params, pre, sizes, hs))
 
 
 def lstm_states(params: LstmCellParams, pre, sizes):
     """lstm_forward's (hs, caches) for a run that no backward pass
-    follows: each step's cache is dropped once the step has run, so the
+    follows: the same steps, each cache dropped as it comes, so the
     caches come back as None."""
-    if sum(sizes) != len(pre):
-        raise ShapeError(f"{len(pre)} input rows for step sizes summing "
-                         f"to {sum(sizes)}")
-    h = np.zeros((sizes[0], params.hidden))
-    c = np.zeros((sizes[0], params.hidden))
     hs = np.empty((len(pre), params.hidden))
-    start = 0
-    for n in sizes:
-        h, c, _ = lstm_step(params, pre[start:start + n], h[:n], c[:n])
-        hs[start:start + n] = h
-        start += n
+    for _ in _steps(params, pre, sizes, hs):
+        pass
     return hs, None
 
 

@@ -389,7 +389,7 @@ def _decode_chunk(params: ModelParams, rows):
                   lstm_states)[0]
     attended = _attend(params, enc, packing)[0]
     emissions, _ = _decode_inference(params, attended, packing)
-    tags, _ = crf.crf_viterbi(emissions, params.transitions, packing.sizes)
+    tags = crf.crf_viterbi(emissions, params.transitions, packing.sizes)
     tags = iter(tags[packing.by_row].tolist())
     return [list(islice(tags, n)) for n in packing.lengths]
 
@@ -471,9 +471,7 @@ def predict_batch(params: ModelParams, rows):
 
 
 def predict_tags(params: ModelParams, indices):
-    """Viterbi-decoded BIO tag indices for one sentence."""
-    if len(indices) == 0:
-        return []
+    """Viterbi-decoded BIO tag indices for one non-empty sentence."""
     return predict_batch(params, [indices])[0]
 
 

@@ -18,9 +18,8 @@ class NumericError(ArithmeticError):
 
 
 def sigmoid(x):
-    # clip keeps exp() finite; sigmoid saturates well before +-500 anyway.
-    # minimum(maximum()) is what np.clip computes, without its Python wrapper
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
+    # the lower clip keeps exp() finite; above 500, 1 + exp(-x) is 1.0 anyway
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -500.0)))
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

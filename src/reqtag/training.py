@@ -52,13 +52,20 @@ class TrainConfig:
         if not self.grad_clip_norm >= 0:  # 0 turns clipping off
             raise ValueError(f"grad_clip_norm must be >= 0, "
                              f"got {self.grad_clip_norm!r}")
-        for name in ("batch_size", "embedding_dim", "epochs", "runs_per_fold",
-                     "h_enc", "d_att", "h_dec", "d_tag"):
-            value = getattr(self, name)
+        for name in ("seed", "batch_size", "embedding_dim", "epochs",
+                     "runs_per_fold", "h_enc", "d_att", "h_dec", "d_tag"):
+            value, low = getattr(self, name), int(name != "seed")
             if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral) or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1, "
+                    or not isinstance(value, numbers.Integral) or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, "
                                  f"got {value!r}")
+        for name in ("freeze_embeddings", "span_overlap_mode"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, "
+                                 f"got {getattr(self, name)!r}")
+        if self.glove_path is not None and not isinstance(self.glove_path, str):
+            raise ValueError(f"glove_path must be a path string or null, "
+                             f"got {self.glove_path!r}")
 
     def dims(self) -> ModelDims:
         return ModelDims(embedding_dim=self.embedding_dim, h_enc=self.h_enc,
@@ -228,9 +235,6 @@ def cross_validate(config: TrainConfig, corpus: Corpus,
     domains = corpus.domains
     if len(domains) < 2:
         raise DataError(f"need at least 2 domains, have {len(domains)}")
-    for d, idxs in domains.items():
-        if not idxs:
-            raise DataError(f"domain {d!r} has no sentences")
     reports = []
     for held_out in sorted(domains):
         runs = []

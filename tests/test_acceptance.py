@@ -19,7 +19,8 @@ from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
 from reqtag.training import TrainConfig, cross_validate, train
 from conftest import grad_check, make_synthetic_corpus
 from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
-                         is_valid_bio, log_partition, random_bio)
+                         is_valid_bio, log_partition, path_score,
+                         random_bio)
 
 
 def report(criterion, ok, detail=""):
@@ -49,10 +50,10 @@ def test_criterion_1_crf_oracle_suite():
         # log Z from the training loss crf_nll_backward: NLL + score(gold)
         log_z = log_partition(e, t, random_bio(gold_rng, n))
         assert abs(log_z - brute_force_log_partition(e, t)) <= 1e-8
-        tags, scores = crf.crf_viterbi(e, t, [1] * n)
+        tags = crf.crf_viterbi(e, t, [1] * n).tolist()
         bpath, bscore = brute_force_viterbi(e, t)
-        assert abs(scores[0] - bscore) <= 1e-8
-        assert tags.tolist() == bpath
+        assert abs(path_score(e, t, tags) - bscore) <= 1e-8
+        assert tags == bpath
     elapsed = time.monotonic() - start
     report("1 crf-oracle-suite", elapsed < 10.0, f"{elapsed:.1f}s")
 
@@ -91,7 +92,7 @@ def test_criterion_3_constraint_guarantee():
     for _ in range(500):
         n = int(rng.integers(1, 10))
         e, t = random_crf_instance(rng, n)
-        tags, _ = crf.crf_viterbi(e, t, [1] * n)
+        tags = crf.crf_viterbi(e, t, [1] * n)
         if not is_valid_bio(tags.tolist()):
             violations += 1
     for _ in range(500):

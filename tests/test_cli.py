@@ -106,6 +106,26 @@ class TestCrossval:
         assert manifest["fold_seeds"]["dom0"] == [0]
         assert "corpus" in manifest["input_digests"]
 
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    @pytest.mark.parametrize("doc", [[], 5, {"seed": 1.5}, {"seed": True},
+                                     {"seed": -1},
+                                     {"freeze_embeddings": "no"},
+                                     {"span_overlap_mode": "false"},
+                                     {"glove_path": 7}])
+    def test_bad_config_value(self, corpus_path, tmp_path, capsys, command,
+                              doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = (["--output", tmp_path / "model.npz"] if command == "train"
+               else ["--out", tmp_path / "o"])
+        assert run([command, "--corpus", corpus_path, "--config", bad,
+                    *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "model.npz").exists()
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_key(self, corpus_path, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"learningrate": 1}), encoding="utf-8")
@@ -375,6 +395,21 @@ class TestEvaluate:
         assert run(["evaluate", "--model", model, "--corpus", cpath,
                     "--domain", target.domain, "--baselines", base]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", [5, None, ["app0"], {"app0": 3},
+                                       {"app0": {"recall": 0.5}},
+                                       {"app0": {"f1": "0.5"}},
+                                       {"app0": {"f1": 0.5, "precision": []}}])
+    def test_baseline_shape(self, trained_model, tmp_path, capsys, table):
+        model, cpath, target = trained_model
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(table), encoding="utf-8")
+        assert run(["evaluate", "--model", model, "--corpus", cpath,
+                    "--domain", target.domain, "--baselines", base]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: baseline")
+        assert captured.err.count("\n") == 1
 
 
 class TestUnreadablePath:

@@ -22,10 +22,10 @@ def random_instance(rng, n):
 
 
 def viterbi(emissions, transitions):
-    """The packed crf_viterbi on one sentence: (path, score)."""
-    tags, scores = crf.crf_viterbi(emissions, transitions,
-                                   [1] * len(emissions))
-    return tags.tolist(), float(scores[0])
+    """The packed crf_viterbi on one sentence: (path, its score)."""
+    tags = crf.crf_viterbi(emissions, transitions,
+                           [1] * len(emissions)).tolist()
+    return tags, path_score(emissions, transitions, tags)
 
 
 class TestLogPartition:
@@ -122,16 +122,16 @@ class TestPackedViterbi:
                     for n in lengths]
             packing = _pack(lengths)
             ranked = [rows[i] for i in packing.rows[:len(rows)]]
-            tags, scores = crf.crf_viterbi(
+            tags = crf.crf_viterbi(
                 packing.gather(np.concatenate(rows)), t, packing.sizes)
             assert tags.shape == (sum(lengths),)
-            assert scores.shape == (len(lengths),)
             tags = tags[packing.by_row].tolist()
             start = 0
             for rank, n in enumerate(packing.lengths):
                 e = ranked[rank]
+                path = tags[start:start + n]
                 bpath, bscore = brute_force_viterbi(e, t)
-                assert (tags[start:start + n], scores[rank]) == (bpath, bscore)
+                assert (path, path_score(e, t, path)) == (bpath, bscore)
                 assert sentence_viterbi(e, t) == (bpath, bscore)
                 start += n
                 rows_seen += 1

@@ -183,3 +183,21 @@ def test_load_baselines_mismatch(tmp_path):
     path2 = tmp_path / "ok.json"
     path2.write_text(json.dumps({"ebay": {"f1": 0.4}}), encoding="utf-8")
     assert load_baselines(path2, ["ebay"]) == {"ebay": {"f1": 0.4}}
+
+
+@pytest.mark.parametrize("table, problem", [
+    (5, "JSON object"),
+    (None, "JSON object"),
+    (["ebay"], "JSON object"),
+    ({"ebay": 3}, "'ebay' must be an object"),
+    ({"ebay": {"precision": 0.5}}, "with an f1"),
+    ({"ebay": {"f1": "high"}}, "f1 must be a number"),
+    ({"ebay": {"f1": True}}, "f1 must be a number"),
+    ({"ebay": {"f1": 0.4, "precision": "0.5"}}, "precision must be a number"),
+    ({"ebay": {"f1": 0.4, "recall": None}}, "recall must be a number"),
+])
+def test_load_baselines_shape(tmp_path, table, problem):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    with pytest.raises(BaselineMismatchError, match=problem):
+        load_baselines(path, ["ebay"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,24 @@ def test_states_equal_forward_without_caches():
     assert none is None
     with pytest.raises(ShapeError):
         lstm_states(p, pre, [3, 2, 2])
+
+
+def test_states_keep_no_step_caches():
+    # inference holds one step's cache at a time: its peak is the (N, H)
+    # states plus a step, against every step's six (B, H) cache arrays
+    rng = np.random.default_rng(9)
+    p = init_lstm(4, 64, rng)
+    sizes = [16] * 400
+    pre = rng.normal(size=(sum(sizes), 4 * 64))
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run(p, pre, sizes)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(lstm_states) < peak(lstm_forward) / 3
 
 
 def test_step_sizes_must_cover_every_row():

@@ -46,8 +46,8 @@ class TestElementwise:
         assert np.all((s > 0) & (s < 1))
 
     def test_sigmoid_bits_equal_np_clip_form(self):
-        # the clip through minimum/maximum gives the same bits as np.clip,
-        # at the clip bounds and beyond them, for infinities, NaN and -0.0
+        # the lower clip alone gives the same bits as np.clip at both
+        # bounds, at the bounds and beyond them, for infinities, NaN and -0.0
         rng = np.random.default_rng(5)
         special = [800.0, -800.0, 500.0, -500.0, np.inf, -np.inf, np.nan,
                    -0.0, 0.0]

@@ -42,6 +42,12 @@ class TestTrainConfig:
         {"learning_rate": "0.001"},
         {"grad_clip_norm": -1.0},
         {"grad_clip_norm": float("nan")},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": -1},
+        {"freeze_embeddings": "no"},
+        {"span_overlap_mode": "false"},
+        {"glove_path": 7},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
