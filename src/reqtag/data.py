@@ -225,7 +225,7 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
                 raise ParseError(
                     f"line {lineno}: expected {CONLLU_COLUMNS} tab-separated "
                     f"columns, got {len(cols)}")
-            if tag_column >= len(cols):
+            if not 0 <= tag_column < len(cols):
                 raise ParseError(f"line {lineno}: no column {tag_column}")
             token_id = cols[0]
             if "-" in token_id or "." in token_id:

@@ -98,6 +98,9 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
             except ValueError:
                 raise GloveParseError(
                     f"line {lineno}: non-numeric embedding value") from None
+            if not np.isfinite(table.matrix[idx]).all():
+                raise GloveParseError(
+                    f"line {lineno}: non-finite embedding value")
             matched += 1
     table.matched_words = matched
     return table

@@ -21,14 +21,15 @@ number of rows by length and runs the same layers, keeping no backward
 caches, and one packed Viterbi per DECODE_CHUNK ranked rows; paths come
 back in input order, and predict_tags is its B = 1 case.
 
-A call of two or more chunks decodes them on a thread pool of up to one
-thread per CPU, so memory is bounded by that many chunks, with OpenBLAS
-held to one thread meanwhile: numpy releases the GIL inside BLAS calls,
-and one BLAS thread per chunk keeps the threads from contending. Scores
-in such a call therefore round as at one BLAS thread and may differ from
-a one-chunk call in the last bits; each chunk runs whole on one thread,
-so the result does not depend on scheduling. Without OpenBLAS the chunks
-run one after another in the calling thread.
+A call of two or more chunks decodes them on up to one thread per CPU,
+started by that call and joined before it returns or raises, so memory
+is bounded by that many chunks and no decode thread outlives a call.
+OpenBLAS is held to one thread meanwhile: numpy releases the GIL inside
+BLAS calls, and one BLAS thread per chunk keeps the threads from
+contending. Scores in such a call therefore round as at one BLAS thread
+and may differ from a one-chunk call in the last bits; each chunk runs
+whole on one thread, so the result does not depend on scheduling.
+Without OpenBLAS the chunks run one after another in the calling thread.
 """
 
 import ctypes
@@ -37,7 +38,7 @@ import json
 import os
 import threading
 import zipfile
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import groupby, islice
 
@@ -397,7 +398,6 @@ def _decode_chunk(params: ModelParams, rows):
 _BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
                         "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 _blas_lock = threading.Lock()  # one multi-chunk call at a time holds BLAS
-_pool = None
 
 
 @functools.cache
@@ -425,34 +425,26 @@ def _blas_thread_setter():
     return None
 
 
-def _decode_on_pool(decode, chunks, blas):
-    """decode(chunk) for each chunk on the module's thread pool, with
-    OpenBLAS at one thread until every chunk has finished or one raised."""
-    global _pool
-    get, set_ = blas
+def _decode_on_pool(decode, chunks, get, set_):
+    """decode(chunk) for each chunk, in order, on threads that live for
+    this call only, with OpenBLAS at one thread (get, set_) until they join."""
     with _blas_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
-                                       thread_name_prefix="reqtag-decode")
         before = get()
         set_(1)
         try:
-            futures = [_pool.submit(decode, chunk) for chunk in chunks]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            for future in futures:
-                future.cancel()
-            wait(futures)
+            with ThreadPoolExecutor(min(len(chunks), len(os.sched_getaffinity(0))),
+                                    thread_name_prefix="reqtag-decode") as pool:
+                return list(pool.map(decode, chunks))
         finally:
             set_(before)
-    return [future.result() for future in futures]
 
 
 def predict_batch(params: ModelParams, rows):
     """Viterbi-decoded BIO tag indices for each of a list of non-empty
     1-D token index rows, in input order. Rows are ranked longest first
     and decoded DECODE_CHUNK ranked rows per pass; two or more passes run
-    on up to one thread per CPU (memory: that many passes), one runs in
-    the calling thread."""
+    on up to one thread per CPU that lives for this call only (memory:
+    that many passes), one runs in the calling thread."""
     ranked = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
     chunks = [ranked[lo:lo + DECODE_CHUNK]
               for lo in range(0, len(ranked), DECODE_CHUNK)]
@@ -462,7 +454,7 @@ def predict_batch(params: ModelParams, rows):
 
     blas = _blas_thread_setter() if len(chunks) > 1 else None
     decoded = (map(decode, chunks) if blas is None
-               else _decode_on_pool(decode, chunks, blas))
+               else _decode_on_pool(decode, chunks, *blas))
     paths = [None] * len(rows)
     for chunk, chunk_paths in zip(chunks, decoded):
         for i, path in zip(chunk, chunk_paths):
@@ -573,6 +565,8 @@ def load_checkpoint(path):
                 raise ValueError(
                     f"{path}: block {name!r} is {arr.dtype} {arr.shape}, "
                     f"expected {skeleton.dtype} {skeleton.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: block {name!r} holds a non-finite value")
             skeleton[...] = arr
     vocab = Vocabulary(
         token_to_index={t: i for i, t in enumerate(index_to_token)},

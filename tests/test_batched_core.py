@@ -190,7 +190,8 @@ def test_one_chunk_or_none_runs_inline(n_rows):
 
 
 def test_no_threads_start_for_import_or_one_chunk():
-    # the pool is created by the first call of two chunks, not before
+    # decode threads start only inside a call of two chunks or more, and
+    # that call joins them before it returns
     script = (
         "import threading\n"
         "before = threading.active_count()\n"
@@ -204,8 +205,9 @@ def test_no_threads_start_for_import_or_one_chunk():
         "network.predict_batch(params, rows)\n"
         "network.predict_tags(params, rows[3])\n"
         "assert threading.active_count() == before\n"
-        "assert network._pool is None\n"
-        "assert network._blas_thread_setter.cache_info().currsize == 0\n")
+        "assert network._blas_thread_setter.cache_info().currsize == 0\n"
+        "network.predict_batch(params, rows * 3)\n"
+        "assert threading.active_count() == before\n")
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env={"PYTHONPATH": str(Path(reqtag.__file__).parents[1])})
@@ -224,6 +226,11 @@ def blas_at_two():
     set_(2)
     yield get
     set_(original)
+
+
+def _decode_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("reqtag-decode")]
 
 
 def test_chunks_run_on_pool_at_one_blas_thread_and_restore_it(blas_at_two):
@@ -250,11 +257,13 @@ def test_chunks_run_on_pool_at_one_blas_thread_and_restore_it(blas_at_two):
     assert len(seen) == 4
     assert all(ident != threading.get_ident() and threads == 1
                for ident, threads in seen)
+    assert not _decode_threads()
     seen.clear()
     with mock.patch.object(network, "_decode_inference", failing_second):
         with pytest.raises(RuntimeError, match="chunk failed"):
             predict_batch(params, rows)
     assert get() == 2
+    assert not _decode_threads()
 
 
 def test_concurrent_callers_restore_blas_threads(blas_at_two):

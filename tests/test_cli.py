@@ -78,6 +78,17 @@ class TestPreprocess:
                  "--input", "x", "--output", "y"])
         assert exc.value.code == 2
 
+    def test_negative_tag_column(self, tmp_path, capsys):
+        src = tmp_path / "d2.conllu"
+        cols = ["1", "dark", "dark", "NOUN", "NN", "_", "0", "root", "_", "O"]
+        src.write_text("# app_name = X\n# google_play_category = TOOLS\n"
+                       + "\t".join(cols) + "\n\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run(["preprocess", "--format", "conllu", "--tag-column", -1,
+                    "--input", src, "--output", out]) == 1
+        assert capsys.readouterr().err == "error: line 3: no column -1\n"
+        assert not out.exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert run(["preprocess", "--format", "rebert-csv",
                     "--input", tmp_path / "absent.csv",
@@ -160,6 +171,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "model.npz").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_glove_value_names_line(self, corpus_path, tmp_path,
+                                               capsys, value):
+        glove = tmp_path / "glove.txt"
+        glove.write_text("add " + " ".join(["0.5"] * 16) + "\n"
+                         + "add " + " ".join(["0.5"] * 15 + [value]) + "\n",
+                         encoding="utf-8")
+        cfg = tmp_path / "glove.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "glove_path": str(glove)}),
+                       encoding="utf-8")
+        assert run(["train", "--corpus", corpus_path, "--config", cfg,
+                    "--output", tmp_path / "model.npz"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\nerror: line 2: non-finite embedding value\n")
+        assert err.count("error:") == 1 and "Warning" not in err
         assert not (tmp_path / "model.npz").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -442,6 +470,25 @@ class TestUnreadablePath:
 
 
 class TestMalformedCheckpoint:
+    @staticmethod
+    def _run(command, model, corpus_path, tmp_path):
+        src = tmp_path / "reviews.txt"
+        src.write_text("add dark mode\n", encoding="utf-8")
+        args = {"extract": ["--input", src],
+                "evaluate": ["--corpus", corpus_path, "--domain", "dom0"]}
+        return run([command, "--model", model] + args[command])
+
+    @staticmethod
+    def _rewritten(model, tmp_path, name, edit):
+        """A copy of the checkpoint with entry name replaced by edit(entry)."""
+        with np.load(model, allow_pickle=False) as npz:
+            entries = {name: npz[name] for name in npz.files}
+        entries[name] = edit(entries[name])
+        bad = tmp_path / "bad.model"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **entries)
+        return bad
+
     @pytest.mark.parametrize("content", [
         b"",
         b'{"version": 1, "params": {}}',
@@ -452,28 +499,31 @@ class TestMalformedCheckpoint:
                                    command, content):
         model = tmp_path / "model.json"
         model.write_bytes(content)
-        src = tmp_path / "reviews.txt"
-        src.write_text("add dark mode\n", encoding="utf-8")
-        args = {"extract": ["--input", src],
-                "evaluate": ["--corpus", corpus_path, "--domain", "dom0"]}
-        assert run([command, "--model", model] + args[command]) == 1
+        assert self._run(command, model, corpus_path, tmp_path) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: {model}: not an .npz archive; "
                                 "checkpoints are version 2 .npz files (JSON "
                                 "checkpoints from version 1 no longer load)\n")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    def test_non_finite_block_names_block(self, trained_model, corpus_path,
+                                          tmp_path, capsys, command, value):
+        def poison(block):
+            block[1, 2] = value
+            return block
+        bad = self._rewritten(trained_model[0], tmp_path, "attn_q", poison)
+        assert self._run(command, bad, corpus_path, tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad}: block 'attn_q' holds a "
+                                "non-finite value\n")
+
     def test_wrong_shape_names_block(self, trained_model, tmp_path, capsys):
-        model, _, _ = trained_model
-        with np.load(model, allow_pickle=False) as npz:
-            entries = {name: npz[name] for name in npz.files}
-        entries["dec.w_h"] = entries["dec.w_h"][:, :-1]
-        bad = tmp_path / "bad.model"
-        with open(bad, "wb") as fh:
-            np.savez(fh, **entries)
-        src = tmp_path / "reviews.txt"
-        src.write_text("add dark mode\n", encoding="utf-8")
-        assert run(["extract", "--model", bad, "--input", src]) == 1
+        bad = self._rewritten(trained_model[0], tmp_path, "dec.w_h",
+                              lambda block: block[:, :-1])
+        assert self._run("extract", bad, None, tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: block 'dec.w_h' is float64 ")
         assert err.count("\n") == 1

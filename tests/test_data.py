@@ -226,6 +226,15 @@ class TestParseConllu:
         with pytest.raises(ParseError, match="line 3"):
             parse_conllu(path)
 
+    @pytest.mark.parametrize("column", [-1, 10])
+    def test_tag_column_outside_the_row(self, tmp_path, column):
+        # -1 would otherwise index the last column
+        path = tmp_path / "d2.conllu"
+        path.write_text(conllu_doc([token_line(1, "app", "app", "O")]),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 3: no column {column}"):
+            parse_conllu(path, tag_column=column)
+
     def test_missing_metadata(self, tmp_path):
         path = tmp_path / "d2.conllu"
         path.write_text(token_line(1, "app", "app", "O") + "\n\n",

@@ -78,6 +78,14 @@ class TestLoadGlove:
         with pytest.raises(GloveParseError, match="line 1: non-numeric"):
             load_glove(path, vocab, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        vocab = build_vocabulary([["cat", "dog"]])
+        path = self._write(tmp_path, ["cat 0.1 0.2 0.3",
+                                      f"dog 0.1 {value} 0.3"])
+        with pytest.raises(GloveParseError, match="line 2: non-finite"):
+            load_glove(path, vocab, 3, np.random.default_rng(0))
+
     def test_parses_vector_from_the_right(self, tmp_path):
         # trailing whitespace is dropped; a space inside the word stays
         # in the word
