@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from .lemmatizer import lemmatize
 
 TAG_INDEX = {"O": 0, "B": 1, "I": 2}
+# longest sentence a corpus may hold: training keeps each sentence's
+# (n, n) attention weights for the backward pass
+MAX_SENTENCE_TOKENS = 1000
 
 _STRIP_RE = re.compile(r"[^a-z0-9'\s]")
 _TOKEN_RE = re.compile(r"^[a-z0-9']+$")
@@ -39,9 +42,14 @@ class TaggedSentence:
     category: str | None = None
 
     def __post_init__(self):
+        if not self.domain:
+            raise DataError(f"app {self.app_id!r}: empty domain label")
         if len(self.tokens) != len(self.tags) or not self.tokens:
             raise DataError(
                 f"app {self.app_id!r}: {len(self.tokens)} tokens vs {len(self.tags)} tags")
+        if len(self.tokens) > MAX_SENTENCE_TOKENS:
+            raise DataError(f"app {self.app_id!r}: {len(self.tokens)} tokens, "
+                            f"more than {MAX_SENTENCE_TOKENS}")
         prev = "O"
         for pos, (tok, tag) in enumerate(zip(self.tokens, self.tags)):
             if tag not in TAG_INDEX:
@@ -72,9 +80,6 @@ class Corpus:
         for i, s in enumerate(self.sentences):
             out.setdefault(s.domain, []).append(i)
         return out
-
-    def __len__(self):
-        return len(self.sentences)
 
 
 @dataclass
@@ -128,7 +133,8 @@ def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
     """CSV with App Id / Sentence Content / Feature (All Annotated) columns."""
     summary = IngestSummary()
     sentences = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
         header = reader.fieldnames or []
@@ -136,21 +142,20 @@ def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
             if col not in header:
                 raise SchemaError(f"missing required column {col!r}")
         for rownum, row in enumerate(reader, start=2):
-            try:
-                app_id = row["App Id"]
-                content = row["Sentence Content"] or ""
-                feature_cell = row["Feature (All Annotated)"] or ""
-            except (KeyError, TypeError):
-                raise ParseError(f"row {rownum}: unreadable row") from None
-            tokens = clean_tokens(content)
+            tokens = clean_tokens(row["Sentence Content"] or "")
             if not tokens:
                 summary.dropped_empty += 1
                 continue
+            feature_cell = row["Feature (All Annotated)"] or ""
             phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
             phrases = [p for p in phrases if p]
             tags, misses = align_bio(tokens, phrases)
             summary.alignment_misses += misses
-            sentences.append(TaggedSentence(app_id=app_id, tokens=tokens, tags=tags))
+            try:
+                sentences.append(TaggedSentence(app_id=row["App Id"],
+                                                tokens=tokens, tags=tags))
+            except DataError as exc:
+                raise DataError(f"row {rownum}: {exc}") from None
             summary.kept += 1
     return Corpus(sentences=sentences), summary
 
@@ -158,14 +163,7 @@ def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
 _PUNCT_ONLY_RE = re.compile(r"^[^\w]+$", re.UNICODE)
 
 CONLLU_COLUMNS = 10
-
-
-def _conllu_tag(raw: str) -> str:
-    if raw == "B-feature":
-        return "B"
-    if raw == "I-feature":
-        return "I"
-    return "O"
+_CONLLU_TAGS = {"B-feature": "B", "I-feature": "I"}
 
 
 def _repair_bio(tags):
@@ -196,8 +194,8 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
     def flush():
         nonlocal tokens, tags
         if tokens:
-            if app_name is None or category is None:
-                raise DataError("sentence without app_name/category metadata")
+            if not app_name or not category:
+                raise DataError("sentence without a non-empty app_name and category")
             sentences.append(TaggedSentence(
                 app_id=app_name, category=category,
                 tokens=tokens, tags=_repair_bio(tags)))
@@ -237,7 +235,7 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
             if not lemma:
                 continue
             tokens.append(lemma)
-            tags.append(_conllu_tag(cols[tag_column]))
+            tags.append(_CONLLU_TAGS.get(cols[tag_column], "O"))
     flush()
     return Corpus(sentences=sentences), summary
 

@@ -39,7 +39,7 @@ import os
 import threading
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import groupby, islice
 
 import numpy as np
@@ -49,25 +49,24 @@ from .embeddings import (EmbeddingTable, PAD_INDEX, UNK_INDEX, Vocabulary,
                          random_embeddings)
 from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
                    lstm_states, lstm_step)
-from .tensor import ShapeError, previous_rows, softmax_rows
+from .tensor import previous_rows, softmax_rows
 
 CHECKPOINT_VERSION = 2
 DECODE_CHUNK = 64
 # added to the greedy decoder's tag scores after each fed tag (rows by
-# crf state): I is legal only after B or I
-_FEED_MASK = np.zeros((crf.N_STATES, 3))
-_FEED_MASK[[crf.START, crf.O], crf.I] = -np.inf
+# crf state): the CRF's forbidden transitions, so I follows only B or I
+_FEED_MASK = np.where(crf.forbidden_mask()[:, :crf.N_TAGS], -np.inf, 0.0)
 # what numpy and zipfile raise on a damaged archive or entry
 _DAMAGED = (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile)
 
 
 @dataclass
 class ModelDims:
-    embedding_dim: int = 300
-    h_enc: int = 128
-    d_att: int = 256
-    h_dec: int = 256
-    d_tag: int = 25
+    embedding_dim: int
+    h_enc: int
+    d_att: int
+    h_dec: int
+    d_tag: int
 
 
 @dataclass
@@ -83,16 +82,13 @@ class ModelParams:
     emission_w: np.ndarray   # (3, h_dec)
     emission_b: np.ndarray   # (3,)
     transitions: np.ndarray  # (5, 5)
-    dims: ModelDims = field(default_factory=ModelDims)
+    dims: ModelDims
 
 
 def init_model(vocab_size: int, dims: ModelDims, rng: np.random.Generator,
                embedding: EmbeddingTable | None = None) -> ModelParams:
     if embedding is None:
         embedding = random_embeddings(vocab_size, dims.embedding_dim, rng)
-    if embedding.matrix.shape[1] != dims.embedding_dim:
-        raise ShapeError(
-            f"embedding dim {embedding.matrix.shape[1]} != configured {dims.embedding_dim}")
     two_h = 2 * dims.h_enc
     ka = 1.0 / np.sqrt(two_h)
     kt = 1.0 / np.sqrt(dims.d_tag)
@@ -144,13 +140,12 @@ def zero_grad_blocks(params: ModelParams) -> dict:
 class Packing:
     """Where the real positions of a batch of rows go.
 
-    Packed position p belongs to input row rows[p] and is position src[p]
-    of the input rows laid end to end in input order. Rows are ranked
-    longest first (a stable sort), and the sizes[t] positions of step t
-    follow those of step t-1 in rank order, so the rows running at step t
-    are the first sizes[t] of step t-1.
+    Packed position p is position src[p] of the input rows laid end to
+    end in input order. Rows are ranked longest first (a stable sort),
+    and the sizes[t] positions of step t follow those of step t-1 in rank
+    order, so the rows running at step t are the first sizes[t] of step
+    t-1.
     """
-    rows: np.ndarray    # (N,) input row of each position
     src: np.ndarray     # (N,) position in the concatenated input rows
     sizes: list         # rows running at each step
     rev: np.ndarray     # (N,) position of the same row's mirrored step
@@ -174,9 +169,7 @@ def _pack(lengths) -> Packing:
     steps, rank = np.nonzero(live.T)
     pos = np.zeros(live.shape, dtype=np.int64)
     pos.T[live.T] = np.arange(len(steps))
-    rows = order[rank]
-    return Packing(rows=rows,
-                   src=(np.cumsum(lengths) - lengths)[rows] + steps,
+    return Packing(src=(np.cumsum(lengths) - lengths)[order[rank]] + steps,
                    sizes=live.sum(axis=0).tolist(),
                    rev=pos[rank, ranked[rank] - 1 - steps],
                    by_row=pos[live], lengths=ranked.tolist())
@@ -320,27 +313,25 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
     """Decoder fed its own greedy tag: the best legal tag of the step before.
 
     I is legal only after B or I. argmax takes the first maximum, so ties
-    go to the lower tag. Returns (emissions (N, 3), fed tags (N,)).
+    go to the lower tag. Returns the emissions (N, 3).
     """
     sizes = packing.sizes
     from_att, from_tag = _decoder_inputs(params, attended)
     h = np.zeros((sizes[0], params.dims.h_dec))
     c = np.zeros((sizes[0], params.dims.h_dec))
     hs = np.empty((len(attended), params.dims.h_dec))
-    fed = np.empty(len(attended), dtype=np.int64)
     feed_bias = params.emission_b + _FEED_MASK
     prev = np.full(sizes[0], crf.START)
     start = 0
     for n in sizes:
         step = slice(start, start + n)
         prev = prev[:n]
-        fed[step] = prev
         h, c, _ = lstm_step(params.dec, from_att[step] + from_tag[prev],
                             h[:n], c[:n])
         hs[step] = h
         prev = np.argmax(h @ params.emission_w.T + feed_bias[prev], axis=1)
         start += n
-    return _emissions(params, hs), fed
+    return _emissions(params, hs)
 
 
 def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
@@ -389,7 +380,7 @@ def _decode_chunk(params: ModelParams, rows):
     enc = _encode(params, packing.gather(np.concatenate(rows)), packing,
                   lstm_states)[0]
     attended = _attend(params, enc, packing)[0]
-    emissions, _ = _decode_inference(params, attended, packing)
+    emissions = _decode_inference(params, attended, packing)
     tags = crf.crf_viterbi(emissions, params.transitions, packing.sizes)
     tags = iter(tags[packing.by_row].tolist())
     return [list(islice(tags, n)) for n in packing.lengths]

@@ -24,7 +24,6 @@ def sigmoid(x):
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction."""
-    x = np.asarray(x, dtype=np.float64)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -89,6 +89,39 @@ class TestPreprocess:
         assert capsys.readouterr().err == "error: line 3: no column -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, text, message", [
+        pytest.param("d1.csv", "App Id,Sentence Content,Feature (All Annotated)\n"
+                     "ebay,Nice app!,\n,Add dark mode,dark mode\n",
+                     "row 3: app '': empty domain label", id="csv"),
+        pytest.param("d2.conllu", "# app_name = X\n# google_play_category = \n"
+                     "1\tdark\tdark\tNOUN\tNN\t_\t0\troot\t_\tO\n\n",
+                     "sentence without a non-empty app_name and category",
+                     id="conllu"),
+    ])
+    def test_empty_domain_label(self, tmp_path, capsys, name, text, message):
+        src = tmp_path / name
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        fmt = "rebert-csv" if name.endswith(".csv") else "conllu"
+        assert run(["preprocess", "--format", fmt,
+                    "--input", src, "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, code", [(1000, 0), (1001, 1)])
+    def test_sentence_token_cap(self, tmp_path, capsys, n, code):
+        src = tmp_path / "d1.csv"
+        src.write_text("App Id,Sentence Content,Feature (All Annotated)\n"
+                       f"ebay,{'app ' * n},\n", encoding="utf-8")
+        assert run(["preprocess", "--format", "rebert-csv",
+                    "--input", src, "--output", tmp_path / "out.jsonl"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("error: row 2: app 'ebay': 1001 tokens, "
+                           "more than 1000\n")
+        else:
+            assert json.loads(err)["sentences_kept"] == 1
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert run(["preprocess", "--format", "rebert-csv",
                     "--input", tmp_path / "absent.csv",
@@ -156,6 +189,16 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", config_path,
                     "--output", tmp_path / "model.npz"]) == 1
         assert capsys.readouterr().err.startswith("error: line 31: ")
+
+    def test_sentence_over_token_cap(self, corpus_path, config_path,
+                                     tmp_path, capsys):
+        with open(corpus_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"app": "a", "tokens": ["x"] * 1001,
+                                 "tags": ["O"] * 1001}) + "\n")
+        assert run(["train", "--corpus", corpus_path, "--config", config_path,
+                    "--output", tmp_path / "model.npz"]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 31: app 'a': 1001 tokens, more than 1000\n")
 
     @pytest.mark.parametrize("key,value", [
         ("h_enc", 0), ("h_dec", 0), ("d_tag", 0), ("d_att", 0),

@@ -121,7 +121,9 @@ class TestPackedViterbi:
             rows = [rng.integers(-2, 3, size=(n, 3)).astype(float)
                     for n in lengths]
             packing = _pack(lengths)
-            ranked = [rows[i] for i in packing.rows[:len(rows)]]
+            # the input rows of step 0's positions, one per rank
+            ranked = [rows[i] for i in np.searchsorted(
+                np.cumsum(lengths), packing.src[:len(rows)], side="right")]
             tags = crf.crf_viterbi(
                 packing.gather(np.concatenate(rows)), t, packing.sizes)
             assert tags.shape == (sum(lengths),)

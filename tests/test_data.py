@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reqtag.data import (Corpus, DataError, ParseError, SchemaError,
-                         TaggedSentence, align_bio, clean_tokens, load_corpus,
-                         parse_conllu, parse_rebert_csv, save_corpus)
+from reqtag.data import (MAX_SENTENCE_TOKENS, Corpus, DataError, ParseError,
+                         SchemaError, TaggedSentence, align_bio, clean_tokens,
+                         load_corpus, parse_conllu, parse_rebert_csv,
+                         save_corpus)
 from reqtag.lemmatizer import lemmatize
 
 
@@ -110,6 +111,22 @@ class TestTaggedSentence:
         with pytest.raises(DataError, match="unclean"):
             TaggedSentence(app_id="a", tokens=["Hello!"], tags=["O"])
 
+    @pytest.mark.parametrize("app_id, category", [
+        ("", None), (None, None), ("a", ""),
+    ])
+    def test_empty_domain_rejected(self, app_id, category):
+        with pytest.raises(DataError, match="empty domain label"):
+            TaggedSentence(app_id=app_id, category=category, tokens=["x"],
+                           tags=["O"])
+
+    def test_token_cap(self):
+        n = MAX_SENTENCE_TOKENS
+        assert n == 1000
+        TaggedSentence(app_id="a", tokens=["x"] * n, tags=["O"] * n)
+        with pytest.raises(DataError, match="1001 tokens, more than 1000"):
+            TaggedSentence(app_id="a", tokens=["x"] * (n + 1),
+                           tags=["O"] * (n + 1))
+
 
 REBERT_CSV = """App Id,Sentence Content,Feature (All Annotated)
 ebay,Can you add audio format for text to speech?,"audio format,text to speech"
@@ -143,6 +160,14 @@ class TestParseRebertCsv:
         with pytest.raises(SchemaError, match="App Id"):
             parse_rebert_csv(path)
 
+    def test_byte_order_mark_parses_like_plain_file(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(REBERT_CSV, encoding="utf-8")
+        bom.write_text(REBERT_CSV, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_rebert_csv(bom) == parse_rebert_csv(plain)
+
 
 def conllu_doc(lines, app="CoolApp", category="PRODUCTIVITY"):
     header = [f"# app_name = {app}", f"# google_play_category = {category}"]
@@ -175,7 +200,7 @@ class TestParseConllu:
         path.write_text("# app_name = X\n# google_play_category = Y\n\n",
                         encoding="utf-8")
         corpus, _ = parse_conllu(path)
-        assert len(corpus) == 0
+        assert len(corpus.sentences) == 0
 
     def test_punctuation_drop_keeps_run(self, tmp_path):
         # punctuation between B and I: the I still follows its B after
@@ -242,6 +267,15 @@ class TestParseConllu:
         with pytest.raises(DataError):
             parse_conllu(path)
 
+    @pytest.mark.parametrize("app, category", [("", "TOOLS"), ("X", "")])
+    def test_empty_metadata_value(self, tmp_path, app, category):
+        path = tmp_path / "d2.conllu"
+        path.write_text(conllu_doc([token_line(1, "app", "app", "O")],
+                                   app=app, category=category),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="non-empty app_name and category"):
+            parse_conllu(path)
+
 
 def test_corpus_round_trip(tmp_path):
     sentences = [
@@ -288,6 +322,10 @@ def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
      "line 2: app 'a' position 0: bad tag 'X'"),
     ('{"app": "a", "tokens": ["x", "y"], "tags": ["O"]}',
      "line 2: app 'a': 2 tokens vs 1 tags"),
+    ('{"app": "", "tokens": ["x"], "tags": ["O"]}',
+     "line 2: app '': empty domain label"),
+    ('{"app": "a", "category": "", "tokens": ["x"], "tags": ["O"]}',
+     "line 2: app 'a': empty domain label"),
 ])
 def test_load_corpus_invalid_sentence_names_line(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
@@ -295,6 +333,18 @@ def test_load_corpus_invalid_sentence_names_line(tmp_path, line, message):
     with pytest.raises(DataError) as exc:
         load_corpus(path)
     assert str(exc.value) == message
+
+
+def test_load_corpus_token_cap_names_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    lines = [json.dumps({"app": "a", "tokens": ["x"] * n, "tags": ["O"] * n})
+             for n in (1000, 1001)]
+    path.write_text(lines[0] + "\n", encoding="utf-8")
+    assert len(load_corpus(path).sentences[0].tokens) == 1000
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == "line 2: app 'a': 1001 tokens, more than 1000"
 
 
 _JSON = st.recursive(

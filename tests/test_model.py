@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reqtag import crf
 from reqtag.embeddings import EmbeddingTable, Vocabulary
 from reqtag.lstm import lstm_states, lstm_step
-from reqtag.network import (ModelDims, _attend, _decode_inference,
+from reqtag.network import (_FEED_MASK, ModelDims, _attend, _decode_inference,
                             _decode_training, _encode, _pack,
                             batch_loss_and_grads, init_model, load_checkpoint,
                             param_blocks, predict_tags, save_checkpoint)
+from reqtag.tensor import previous_rows
 from crf_oracles import is_valid_bio
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
@@ -29,12 +31,26 @@ def _full(n, batch=1):
     return _pack([n] * batch)
 
 
-def _unpack(packing, packed, width):
+def _input_rows(packing, lengths):
+    """The input row of each packed position, for input row lengths."""
+    return np.searchsorted(np.cumsum(lengths), packing.src, side="right")
+
+
+def _unpack(packing, lengths, packed, width):
     """Packed rows put back at their (row, step) of a zero (B, T) batch."""
     steps = np.repeat(np.arange(len(packing.sizes)), packing.sizes)
     out = np.zeros((len(packing.lengths), width) + packed.shape[1:])
-    out[packing.rows, steps] = packed
+    out[_input_rows(packing, lengths), steps] = packed
     return out
+
+
+def _fed(emissions, sizes):
+    """The tag the greedy decoder fed at each packed position: START at
+    step 0, then the best legal tag of the row's step before."""
+    fed = np.full(len(emissions), crf.START)
+    for p, q in enumerate(previous_rows(sizes), start=sizes[0]):
+        fed[p] = np.argmax(emissions[q] + _FEED_MASK[fed[q]])
+    return fed
 
 
 def _enc(params, rows, lengths=None):
@@ -44,7 +60,7 @@ def _enc(params, rows, lengths=None):
     packing = _pack(lengths)
     real = np.arange(idx.shape[1]) < lengths[:, None]
     enc, _ = _encode(params, packing.gather(idx[real]), packing, lstm_states)
-    return _unpack(packing, enc, idx.shape[1])
+    return _unpack(packing, lengths, enc, idx.shape[1])
 
 
 class TestEncoder:
@@ -82,14 +98,14 @@ class TestEncoder:
         # the longer row ranks first; its steps 2 and 3 run alone
         assert packing.sizes == [2, 2, 1, 1]
         assert packing.lengths == [4, 2]
-        assert packing.rows.tolist() == [1, 0, 1, 0, 1, 1]
+        assert _input_rows(packing, [2, 4]).tolist() == [1, 0, 1, 0, 1, 1]
         # the rows laid end to end: [2, 3] then [4, 5, 6, 7]
         tokens = packing.gather([2, 3, 4, 5, 6, 7])
         assert tokens.tolist() == [4, 2, 5, 3, 6, 7]
         np.testing.assert_array_equal(packing.rev[packing.rev], np.arange(6))
         enc, _ = _encode(tiny_model, tokens, packing, lstm_states)
         assert enc.shape == (6, 2 * TINY.h_enc)
-        np.testing.assert_allclose(_unpack(packing, enc, 4)[0, :2],
+        np.testing.assert_allclose(_unpack(packing, [2, 4], enc, 4)[0, :2],
                                    _enc(tiny_model, [[2, 3]])[0],
                                    rtol=1e-12, atol=1e-15)
 
@@ -138,7 +154,7 @@ class TestAttention:
         for w in weights:
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
         alone, _ = _attend(tiny_model, short, _full(2))
-        np.testing.assert_allclose(_unpack(packing, out, 4)[0, :2], alone,
+        np.testing.assert_allclose(_unpack(packing, [2, 4], out, 4)[0, :2], alone,
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -163,29 +179,30 @@ class TestDecoder:
 
     def test_inference_matches_training_on_greedy_path(self, tiny_model):
         attended = np.random.default_rng(2).normal(size=(4, TINY.d_att))
-        e_inf, fed = _decode_inference(tiny_model, attended, _full(4))
-        gold = np.append(fed[1:], 0)  # fed tags shifted back one
+        e_inf = _decode_inference(tiny_model, attended, _full(4))
+        gold = np.append(_fed(e_inf, [1] * 4)[1:], 0)  # fed tags shifted back one
         e_train, _ = _decode_training(tiny_model, attended, gold, _full(4))
         np.testing.assert_array_equal(e_inf, e_train)
 
     def test_inference_deterministic(self, tiny_model):
         attended = np.random.default_rng(3).normal(size=(6, TINY.d_att))
-        e1, _ = _decode_inference(tiny_model, attended, _full(6))
-        e2, _ = _decode_inference(tiny_model, attended, _full(6))
+        e1 = _decode_inference(tiny_model, attended, _full(6))
+        e2 = _decode_inference(tiny_model, attended, _full(6))
         np.testing.assert_array_equal(e1, e2)
 
     def test_batch_inference_rows_match_each_row_alone(self, tiny_model):
         rng = np.random.default_rng(4)
         rows = [rng.normal(size=(n, TINY.d_att)) for n in (2, 3)]
         packing = _pack([2, 3])
-        out, fed = _decode_inference(
+        out = _decode_inference(
             tiny_model, packing.gather(np.concatenate(rows)), packing)
-        assert out.shape == (5, 3) and fed.shape == (5,)
+        assert out.shape == (5, 3)
+        fed = _fed(out, packing.sizes)
         for r, x in enumerate(rows):
-            alone, fed_alone = _decode_inference(tiny_model, x, _full(len(x)))
-            at = packing.rows == r
+            alone = _decode_inference(tiny_model, x, _full(len(x)))
+            at = _input_rows(packing, [2, 3]) == r
             np.testing.assert_allclose(out[at], alone, rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(fed[at], fed_alone)
+            np.testing.assert_array_equal(fed[at], _fed(alone, [1] * len(x)))
 
 
 class TestEndToEnd:
