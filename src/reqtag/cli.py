@@ -46,7 +46,7 @@ def _sha256(path):
 def _load_config(path) -> TrainConfig:
     if path is None:
         return TrainConfig()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise DataError(f"config must be a JSON object, "
@@ -132,10 +132,10 @@ def cmd_crossval(args):
 
 def _ready_lines(fd):
     """Windows of the complete lines buffered or readable at once, at most
-    EXTRACT_WINDOW, newline stripped and decoded as a text-mode open() does
-    (UTF-8, universal newlines); the read blocks only when none is buffered."""
+    EXTRACT_WINDOW, newline stripped and decoded as a text-mode open() with
+    utf-8-sig does; the read blocks only when none is buffered."""
     decoder = io.IncrementalNewlineDecoder(
-        codecs.getincrementaldecoder("utf-8")(), translate=True)
+        codecs.getincrementaldecoder("utf-8-sig")(), translate=True)
     text, eof = "", False
     while True:
         ready = text.count("\n")

@@ -183,26 +183,32 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
 
     tag_column is the zero-based column holding the BIO tag (default:
     MISC, column 9). Tokens that are pure punctuation are dropped; BIO
-    runs broken by a drop are repaired.
+    runs broken by a drop are repaired. A sentence's errors name the
+    line of its first token.
     """
     summary = IngestSummary()
     sentences = []
     app_name = None
     category = None
     tokens, tags = [], []
+    first_line = None
 
     def flush():
-        nonlocal tokens, tags
+        nonlocal tokens, tags, first_line
         if tokens:
-            if not app_name or not category:
-                raise DataError("sentence without a non-empty app_name and category")
-            sentences.append(TaggedSentence(
-                app_id=app_name, category=category,
-                tokens=tokens, tags=_repair_bio(tags)))
+            try:
+                if not app_name or not category:
+                    raise DataError(
+                        "sentence without a non-empty app_name and category")
+                sentences.append(TaggedSentence(
+                    app_id=app_name, category=category,
+                    tokens=tokens, tags=_repair_bio(tags)))
+            except DataError as exc:
+                raise DataError(f"line {first_line}: {exc}") from None
             summary.kept += 1
-        tokens, tags = [], []
+        tokens, tags, first_line = [], [], None
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -225,6 +231,7 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
                     f"columns, got {len(cols)}")
             if not 0 <= tag_column < len(cols):
                 raise ParseError(f"line {lineno}: no column {tag_column}")
+            first_line = first_line or lineno
             token_id = cols[0]
             if "-" in token_id or "." in token_id:
                 continue  # multiword/empty nodes carry no tag of their own
@@ -267,7 +274,7 @@ def _corpus_line_problem(doc):
 
 def load_corpus(path) -> Corpus:
     sentences = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

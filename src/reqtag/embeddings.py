@@ -17,10 +17,6 @@ UNK_INDEX = 1
 OOV_INIT_BOUND = 0.25
 
 
-class EmptyCorpusError(ValueError):
-    pass
-
-
 class GloveParseError(ValueError):
     pass
 
@@ -48,15 +44,11 @@ def build_vocabulary(corpus) -> Vocabulary:
     """Assign indices in first-occurrence order after the reserved slots."""
     index_to_token = [PAD_TOKEN, UNK_TOKEN]
     token_to_index = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
-    saw_any = False
     for tokens in corpus:
-        saw_any = True
         for tok in tokens:
             if tok not in token_to_index:
                 token_to_index[tok] = len(index_to_token)
                 index_to_token.append(tok)
-    if not saw_any:
-        raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
     return Vocabulary(token_to_index=token_to_index, index_to_token=index_to_token)
 
 
@@ -78,7 +70,7 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
     """
     table = random_embeddings(len(vocab), dim, rng, trainable=trainable)
     matched = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip()
             if not line:

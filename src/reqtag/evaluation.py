@@ -7,10 +7,10 @@ Counts are pooled (micro-averaged) across all sentences of a domain.
 """
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
-from .data import TAG_INDEX
 from .embeddings import encode_tokens
 from .network import predict_batch
 
@@ -36,21 +36,20 @@ class MetricsTriple:
 
 
 def extract_spans(tags, tokens=None):
-    """Maximal runs of non-O tags, as sorted disjoint spans.
+    """Maximal runs of non-O tag indices, as sorted disjoint spans.
 
-    Accepts tag names or indices; the input need not be valid BIO.
+    The input need not be valid BIO.
     """
-    norm = [TAG_INDEX[t] if isinstance(t, str) else int(t) for t in tags]
     spans = []
     start = None
-    for pos, t in enumerate(norm):
+    for pos, t in enumerate(tags):
         if t != 0 and start is None:
             start = pos
         elif t == 0 and start is not None:
             spans.append(_make_span(start, pos - 1, tokens))
             start = None
     if start is not None:
-        spans.append(_make_span(start, len(norm) - 1, tokens))
+        spans.append(_make_span(start, len(tags) - 1, tokens))
     return spans
 
 
@@ -117,7 +116,7 @@ class BaselineMismatchError(ValueError):
 
 def load_baselines(path, fold_labels):
     """Baseline score file: JSON map domain -> {precision?, recall?, f1}."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         table = json.load(fh)
     if not isinstance(table, dict):
         raise BaselineMismatchError(f"baselines must be a JSON object of "
@@ -129,7 +128,9 @@ def load_baselines(path, fold_labels):
                 f"got {scores!r}")
         for key in ("precision", "recall", "f1"):
             value = scores.get(key, 0.0)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            # JSON has no NaN or Infinity, though Python's json reads them
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -math.inf < value < math.inf):
                 raise BaselineMismatchError(
                     f"baseline {domain!r}: {key} must be a number, "
                     f"got {value!r}")

@@ -28,12 +28,10 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def logsumexp(x: np.ndarray, axis=None):
-    x = np.asarray(x, dtype=np.float64)
+def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along axis of a finite array."""
     m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
-    return float(out.reshape(())) if axis is None else np.squeeze(out, axis=axis)
+    return np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def previous_rows(sizes):

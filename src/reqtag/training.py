@@ -101,21 +101,15 @@ class FoldReport:
         return self
 
 
-def pad_batch(sentences, vocab: Vocabulary, pad_to: int):
-    """Right-pad index/tag matrices; tags pad with O and are inert."""
-    for s in sentences:
-        if len(s.tokens) > pad_to:
-            raise ValueError(
-                f"sentence of length {len(s.tokens)} exceeds pad_to={pad_to}")
-    batch = len(sentences)
-    indices = np.full((batch, pad_to), PAD_INDEX, dtype=np.int64)
-    tags = np.zeros((batch, pad_to), dtype=np.int64)  # O = 0
-    lengths = []
-    for i, s in enumerate(sentences):
-        n = len(s.tokens)
+def pad_batch(sentences, vocab: Vocabulary):
+    """Right-pad index/tag matrices to the longest sentence; tags pad
+    with O and are inert."""
+    lengths = [len(s.tokens) for s in sentences]
+    indices = np.full((len(lengths), max(lengths)), PAD_INDEX, dtype=np.int64)
+    tags = np.zeros_like(indices)  # O = 0
+    for i, (s, n) in enumerate(zip(sentences, lengths)):
         indices[i, :n] = encode_tokens(s.tokens, vocab)
         tags[i, :n] = s.tag_indices()
-        lengths.append(n)
     return indices, tags, lengths
 
 
@@ -202,8 +196,7 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [sentences[i] for i in order[start:start + config.batch_size]]
-            indices, tags, lengths = pad_batch(
-                batch, vocab, max(len(s.tokens) for s in batch))
+            indices, tags, lengths = pad_batch(batch, vocab)
             batch_loss, grads = network.batch_loss_and_grads(
                 params, indices, tags, lengths)
             inv = 1.0 / len(batch)

@@ -46,7 +46,7 @@ def brute_force_log_partition(emissions: np.ndarray, transitions: np.ndarray) ->
     n = emissions.shape[0]
     scores = [path_score(emissions, transitions, path)
               for path in product(range(N_TAGS), repeat=n)]
-    return float(logsumexp(np.array(scores)))
+    return float(logsumexp(np.array(scores), axis=0))
 
 
 def brute_force_viterbi(emissions: np.ndarray, transitions: np.ndarray):

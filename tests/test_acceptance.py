@@ -167,7 +167,8 @@ def test_criterion_6_overfit_oracle():
                       runs_per_fold=1, seed=0)
     params, vocab, _ = train(cfg, single, [target.domain])
     pred = predict_tags(params, encode_tokens(target.tokens, vocab))
-    gold_spans = [(s.start, s.end) for s in extract_spans(target.tags)]
+    gold_spans = [(s.start, s.end)
+                  for s in extract_spans(target.tag_indices())]
     pred_spans = [(s.start, s.end) for s in extract_spans(pred)]
     tp = len(set(gold_spans) & set(pred_spans))
     m = compute_metrics(tp, len(pred_spans) - tp, len(gold_spans) - tp)

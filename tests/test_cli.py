@@ -95,8 +95,8 @@ class TestPreprocess:
                      "row 3: app '': empty domain label", id="csv"),
         pytest.param("d2.conllu", "# app_name = X\n# google_play_category = \n"
                      "1\tdark\tdark\tNOUN\tNN\t_\t0\troot\t_\tO\n\n",
-                     "sentence without a non-empty app_name and category",
-                     id="conllu"),
+                     "line 3: sentence without a non-empty app_name and "
+                     "category", id="conllu"),
     ])
     def test_empty_domain_label(self, tmp_path, capsys, name, text, message):
         src = tmp_path / name
@@ -233,6 +233,21 @@ class TestTrain:
         assert err.count("error:") == 1 and "Warning" not in err
         assert not (tmp_path / "model.npz").exists()
 
+    def test_byte_order_marks_train_like_plain_files(self, corpus_path,
+                                                     config_path, tmp_path):
+        curves = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            for path in (corpus_path, config_path):
+                path.write_text(path.read_text(encoding="utf-8-sig"),
+                                encoding=encoding)
+            curve = tmp_path / f"{encoding}.json"
+            assert run(["train", "--corpus", corpus_path, "--config",
+                        config_path, "--output", tmp_path / "model.npz",
+                        "--loss-curve", curve]) == 0
+            curves.append(json.loads(curve.read_text(encoding="utf-8")))
+        assert corpus_path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert curves[0] == curves[1]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_names_block(self, corpus_path, tmp_path, capsys):
         # a step this large overflows every weight after the first update
@@ -280,8 +295,8 @@ class TestExtract:
         assert run(["extract", "--model", model, "--input", src]) == 0
         doc = json.loads(capsys.readouterr().out.strip())
         from reqtag.evaluation import extract_spans
-        gold = [(s.start, s.end)
-                for s in extract_spans(target.tags, tokens=target.tokens)]
+        gold = [(s.start, s.end) for s in extract_spans(
+            target.tag_indices(), tokens=target.tokens)]
         assert [tuple(r["span"]) for r in doc["requirements"]] == gold
 
     def test_punctuation_only_line(self, trained_model, tmp_path, capsys):
@@ -360,6 +375,18 @@ class TestExtract:
             proc.kill()
             proc.wait()
             proc.stdout.close()
+
+    def test_byte_order_mark_is_not_part_of_the_first_line(
+            self, trained_model, tmp_path, capsys):
+        model, _, target = trained_model
+        text = " ".join(target.tokens) + "\nnice app\n"
+        replies = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            src = tmp_path / f"{encoding}.txt"
+            src.write_text(text, encoding=encoding)
+            assert run(["extract", "--model", model, "--input", src]) == 0
+            replies.append(capsys.readouterr().out)
+        assert replies[0] == replies[1]
 
     def test_invalid_utf8_is_one_error_line(self, trained_model, tmp_path,
                                             capsys):
@@ -481,6 +508,21 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err.startswith("error: baseline")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_baseline_non_finite(self, trained_model, tmp_path, capsys,
+                                 value):
+        model, cpath, target = trained_model
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({target.domain: {"f1": value}}),
+                        encoding="utf-8")
+        assert run(["evaluate", "--model", model, "--corpus", cpath,
+                    "--domain", target.domain, "--baselines", base]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: baseline {target.domain!r}: "
+                                f"f1 must be a number, got {value!r}\n")
 
 
 class TestUnreadablePath:

@@ -276,6 +276,32 @@ class TestParseConllu:
         with pytest.raises(DataError, match="non-empty app_name and category"):
             parse_conllu(path)
 
+    @pytest.mark.parametrize("category, n, message", [
+        ("", 2, "sentence without a non-empty app_name and category"),
+        ("TOOLS", 1 + MAX_SENTENCE_TOKENS,
+         "app 'X': 1001 tokens, more than 1000"),
+    ])
+    def test_sentence_error_names_first_token_line(self, tmp_path, category,
+                                                   n, message):
+        # the second sentence starts on line 6 with a token that is dropped
+        ok = conllu_doc([token_line(1, "app", "app", "O")], app="X")
+        bad = [f"# google_play_category = {category}",
+               token_line(1, ",", ",", "O")]
+        bad += [token_line(i, "app", "app", "O") for i in range(2, n + 2)]
+        path = tmp_path / "d2.conllu"
+        path.write_text(ok + "\n".join(bad) + "\n\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            parse_conllu(path)
+        assert str(exc.value) == f"line 6: {message}"
+
+    def test_byte_order_mark_parses_like_plain_file(self, tmp_path):
+        doc = conllu_doc([token_line(1, "dark", "dark", "B-feature")])
+        plain, bom = tmp_path / "plain.conllu", tmp_path / "bom.conllu"
+        plain.write_text(doc, encoding="utf-8")
+        bom.write_text(doc, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_conllu(bom) == parse_conllu(plain)
+
 
 def test_corpus_round_trip(tmp_path):
     sentences = [
@@ -289,6 +315,16 @@ def test_corpus_round_trip(tmp_path):
     save_corpus(path, corpus)
     loaded = load_corpus(path)
     assert loaded == corpus
+
+
+def test_load_corpus_byte_order_mark(tmp_path):
+    corpus = Corpus(sentences=[TaggedSentence(app_id="a", tokens=["nice"],
+                                              tags=["O"])])
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, corpus)
+    path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_corpus(path) == corpus
 
 
 GOOD_LINE = '{"app": "a", "tokens": ["x"], "tags": ["O"]}'

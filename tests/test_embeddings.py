@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from reqtag.embeddings import (EmptyCorpusError, GloveParseError, PAD_INDEX,
-                               UNK_INDEX, build_vocabulary, encode_tokens,
-                               load_glove, random_embeddings)
+from reqtag.embeddings import (GloveParseError, PAD_INDEX, UNK_INDEX,
+                               build_vocabulary, encode_tokens, load_glove,
+                               random_embeddings)
 
 
 class TestBuildVocabulary:
@@ -11,10 +11,6 @@ class TestBuildVocabulary:
         vocab = build_vocabulary([["a", "b"], ["b", "c"]])
         assert vocab.token_to_index == {"<pad>": 0, "<unk>": 1,
                                        "a": 2, "b": 3, "c": 4}
-
-    def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpusError):
-            build_vocabulary([])
 
     def test_duplicates_collapse(self):
         vocab = build_vocabulary([["x"] * 50, ["x", "x"]])
@@ -96,6 +92,15 @@ class TestLoadGlove:
         np.testing.assert_array_equal(table.matrix[2], [0.1, 0.2, 0.3])
         np.testing.assert_array_equal(table.matrix[3], [0.4, 0.5, 0.6])
         assert table.matched_words == 2
+
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        vocab = build_vocabulary([["cat"]])
+        path = tmp_path / "glove.txt"
+        path.write_text("cat 0.1 0.2 0.3\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        table = load_glove(path, vocab, 3, np.random.default_rng(0))
+        np.testing.assert_array_equal(table.matrix[2], [0.1, 0.2, 0.3])
+        assert table.matched_words == 1
 
     def test_pad_row_zero(self, tmp_path):
         vocab = build_vocabulary([["cat"]])

@@ -20,14 +20,14 @@ def spans(*pairs):
 
 class TestExtractSpans:
     def test_two_runs(self):
-        got = extract_spans(["O", "B", "I", "O", "B"])
+        got = extract_spans([0, 1, 2, 0, 1])
         assert [(s.start, s.end) for s in got] == [(1, 2), (4, 4)]
 
     def test_all_o(self):
-        assert extract_spans(["O", "O", "O"]) == []
+        assert extract_spans([0, 0, 0]) == []
 
     def test_consecutive_non_o_unify(self):
-        got = extract_spans(["B", "B", "I"])
+        got = extract_spans([1, 1, 2])
         assert [(s.start, s.end) for s in got] == [(0, 2)]
 
     def test_accepts_indices(self):
@@ -35,7 +35,7 @@ class TestExtractSpans:
         assert [(s.start, s.end) for s in got] == [(1, 2)]
 
     def test_text_joined_from_tokens(self):
-        got = extract_spans(["O", "B", "I"], tokens=["add", "dark", "mode"])
+        got = extract_spans([0, 1, 2], tokens=["add", "dark", "mode"])
         assert got[0].text == "dark mode"
 
     def test_run_count_invariant(self):
@@ -114,8 +114,8 @@ class TestComputeMetrics:
 
 def test_evaluate_tag_pairs_micro_averages():
     pairs = [
-        (["O", "B", "I"], ["O", "B", "I"]),   # tp 1
-        (["B", "O", "O"], ["O", "O", "B"]),   # fp 1, fn 1
+        ([0, 1, 2], [0, 1, 2]),   # tp 1
+        ([1, 0, 0], [0, 0, 1]),   # fp 1, fn 1
     ]
     m = evaluate_tag_pairs(pairs)
     assert (m.tp, m.fp, m.fn) == (1, 1, 1)
@@ -195,9 +195,21 @@ def test_load_baselines_mismatch(tmp_path):
     ({"ebay": {"f1": True}}, "f1 must be a number"),
     ({"ebay": {"f1": 0.4, "precision": "0.5"}}, "precision must be a number"),
     ({"ebay": {"f1": 0.4, "recall": None}}, "recall must be a number"),
+    # json writes and reads these, though JSON has no such numbers
+    ({"ebay": {"f1": float("nan")}}, "'ebay': f1 must be a number, got nan"),
+    ({"ebay": {"f1": 0.4, "precision": float("inf")}},
+     "'ebay': precision must be a number, got inf"),
+    ({"ebay": {"f1": 0.4, "recall": -float("inf")}},
+     "'ebay': recall must be a number, got -inf"),
 ])
 def test_load_baselines_shape(tmp_path, table, problem):
     path = tmp_path / "base.json"
     path.write_text(json.dumps(table), encoding="utf-8")
     with pytest.raises(BaselineMismatchError, match=problem):
         load_baselines(path, ["ebay"])
+
+
+def test_load_baselines_byte_order_mark(tmp_path):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"ebay": {"f1": 0.4}}), encoding="utf-8-sig")
+    assert load_baselines(path, ["ebay"]) == {"ebay": {"f1": 0.4}}

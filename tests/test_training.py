@@ -72,7 +72,7 @@ class TestPadBatch:
     def test_shapes_and_lengths(self):
         sents = self._sentences()
         vocab = build_vocabulary(s.tokens for s in sents)
-        indices, tags, lengths = pad_batch(sents, vocab, 5)
+        indices, tags, lengths = pad_batch(sents, vocab)
         assert indices.shape == (2, 5) and tags.shape == (2, 5)
         assert lengths == [3, 5]
         assert list(indices[0, 3:]) == [PAD_INDEX, PAD_INDEX]
@@ -81,14 +81,8 @@ class TestPadBatch:
     def test_exact_fit_adds_no_padding(self):
         sents = self._sentences()[1:]
         vocab = build_vocabulary(s.tokens for s in sents)
-        indices, _, lengths = pad_batch(sents, vocab, 5)
+        indices, _, lengths = pad_batch(sents, vocab)
         assert PAD_INDEX not in indices[0]
-
-    def test_too_long_rejected(self):
-        sents = self._sentences()
-        vocab = build_vocabulary(s.tokens for s in sents)
-        with pytest.raises(ValueError):
-            pad_batch(sents, vocab, 4)
 
     def test_padded_loss_equals_unpadded(self):
         # pad positions are masked, so the padded batch loss must equal
@@ -98,8 +92,11 @@ class TestPadBatch:
         params = init_model(len(vocab), ModelDims(
             embedding_dim=16, h_enc=8, d_att=8, h_dec=8, d_tag=4),
             np.random.default_rng(0))
-        padded_total, _ = batch_loss_and_grads(params,
-                                               *pad_batch(sents, vocab, 9))
+        indices, tags, lengths = pad_batch(sents, vocab)
+        wider = ((0, 0), (0, 4))  # four more pad columns than the batch needs
+        padded_total, _ = batch_loss_and_grads(
+            params, np.pad(indices, wider, constant_values=PAD_INDEX),
+            np.pad(tags, wider), lengths)
         unpadded_total = sum(
             batch_loss_and_grads(params, [encode_tokens(s.tokens, vocab)],
                                  [s.tag_indices()], [len(s.tokens)])[0]
