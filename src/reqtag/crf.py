@@ -75,10 +75,10 @@ def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
     """Summed NLL of a packed batch plus its gradients w.r.t. emissions
     and transitions, by forward-backward over every row at once.
 
-    emissions (N, 3) and gold_tags (N,) hold the batch's real positions
-    grouped by time step, sizes[t] rows at step t, rows sorted longest
-    first so the rows running at step t are the first sizes[t] of step
-    t-1; one sentence of n tokens has sizes [1] * n.
+    emissions (N, 3) and gold_tags (N,), valid BIO in every row, hold the
+    batch's real positions grouped by time step, sizes[t] rows at step t,
+    rows sorted longest first so the rows running at step t are the first
+    sizes[t] of step t-1; one sentence of n tokens has sizes [1] * n.
 
     d NLL / d e[t,y]  = p(y_t = y) - 1[gold_t = y]
     d NLL / d T[a,b]  = expected transition count - gold transition count
@@ -90,10 +90,6 @@ def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
     starts = np.cumsum([0] + sizes)
     first = sizes[0]
     prev = previous_rows(sizes)
-    if (gold[:first] == I).any() or ((gold[first:] == I)
-                                     & (gold[prev] == O)).any():
-        raise ValueError(f"gold tags are not a valid BIO sequence: "
-                         f"{gold.tolist()}")
     trans = transitions[:N_TAGS, :N_TAGS]
     stop = transitions[:N_TAGS, STOP]
     # each position's row (its rank within its step), and whether the

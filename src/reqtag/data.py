@@ -136,27 +136,31 @@ def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
     # utf-8-sig drops the byte-order mark spreadsheet exports put first
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
-        header = reader.fieldnames or []
-        for col in required:
-            if col not in header:
-                raise SchemaError(f"missing required column {col!r}")
-        for rownum, row in enumerate(reader, start=2):
-            tokens = clean_tokens(row["Sentence Content"] or "")
-            if not tokens:
-                summary.dropped_empty += 1
-                continue
-            feature_cell = row["Feature (All Annotated)"] or ""
-            phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
-            phrases = [p for p in phrases if p]
-            tags, misses = align_bio(tokens, phrases)
-            summary.alignment_misses += misses
-            try:
-                sentences.append(TaggedSentence(app_id=row["App Id"],
-                                                tokens=tokens, tags=tags))
-            except DataError as exc:
-                raise DataError(f"row {rownum}: {exc}") from None
-            summary.kept += 1
+        try:
+            required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
+            header = reader.fieldnames or []
+            for col in required:
+                if col not in header:
+                    raise SchemaError(f"missing required column {col!r}")
+            for rownum, row in enumerate(reader, start=2):
+                tokens = clean_tokens(row["Sentence Content"] or "")
+                if not tokens:
+                    summary.dropped_empty += 1
+                    continue
+                feature_cell = row["Feature (All Annotated)"] or ""
+                phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
+                phrases = [p for p in phrases if p]
+                tags, misses = align_bio(tokens, phrases)
+                summary.alignment_misses += misses
+                try:
+                    sentences.append(TaggedSentence(app_id=row["App Id"],
+                                                    tokens=tokens, tags=tags))
+                except DataError as exc:
+                    raise DataError(f"row {rownum}: {exc}") from None
+                summary.kept += 1
+        except csv.Error as exc:  # e.g. a cell over the field size limit
+            # the inner reader's count: DictReader's lags behind on an error
+            raise ParseError(f"line {reader.reader.line_num}: {exc}") from None
     return Corpus(sentences=sentences), summary
 
 

@@ -45,8 +45,8 @@ from itertools import groupby, islice
 import numpy as np
 
 from . import crf
-from .embeddings import (EmbeddingTable, PAD_INDEX, UNK_INDEX, Vocabulary,
-                         random_embeddings)
+from .embeddings import (EmbeddingTable, PAD_INDEX, PAD_TOKEN, UNK_TOKEN,
+                         Vocabulary, random_embeddings)
 from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
                    lstm_states, lstm_step)
 from .tensor import previous_rows, softmax_rows
@@ -160,9 +160,6 @@ class Packing:
 def _pack(lengths) -> Packing:
     """Packing of a batch of rows holding lengths[b] >= 1 tokens each."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1:
-        raise ValueError(f"row lengths {lengths.tolist()} are not a batch "
-                         f"of non-empty rows")
     order = np.argsort(-lengths, kind="stable")
     ranked = lengths[order]
     live = np.arange(ranked[0]) < ranked[:, None]  # (rank, step)
@@ -298,8 +295,6 @@ def _decode_training(params: ModelParams, attended, gold, packing: Packing):
     """Teacher-forced decoder over packed (N,) gold tags: step t is fed
     gold tag t-1 (START at t=0)."""
     gold = np.asarray(gold)
-    if not np.isin(gold, (crf.O, crf.B, crf.I)).all():
-        raise ValueError(f"invalid gold tag index in {gold.tolist()}")
     prev = np.concatenate([np.full(packing.sizes[0], crf.START),
                            gold[previous_rows(packing.sizes)]])
     from_att, from_tag = _decoder_inputs(params, attended)
@@ -353,9 +348,6 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     every trainable block as one name -> array dict."""
     indices = np.asarray(indices)
     lengths = np.asarray(lengths)
-    if lengths.shape != indices.shape[:1] or lengths.max() > indices.shape[1]:
-        raise ValueError(f"lengths {lengths.tolist()} do not fit a padded "
-                         f"batch of shape {indices.shape}")
     packing = _pack(lengths)
     real = np.arange(indices.shape[1]) < lengths[:, None]
     gold = packing.gather(np.asarray(tags)[real])
@@ -501,8 +493,10 @@ _HEADER_CHECKS = {
     "dims": lambda d: (isinstance(d, dict)
                        and set(d) == {f.name for f in fields(ModelDims)}
                        and all(type(v) is int and v > 0 for v in d.values())),
-    "vocab": lambda v: (isinstance(v, list) and len(v) > UNK_INDEX
-                        and all(isinstance(t, str) for t in v)),
+    # the reserved pair first, then distinct words
+    "vocab": lambda v: (isinstance(v, list) and v[:2] == [PAD_TOKEN, UNK_TOKEN]
+                        and all(isinstance(t, str) for t in v)
+                        and len(set(v)) == len(v)),
     "embedding_trainable": lambda b: isinstance(b, bool),
     "config": lambda c: isinstance(c, dict),
 }

@@ -164,6 +164,9 @@ def _training_sentences(corpus: Corpus, train_domains):
     missing = set(train_domains) - set(domains)
     if missing:
         raise DataError(f"unknown training domains: {sorted(missing)}")
+    repeated = sorted({d for d in train_domains if train_domains.count(d) > 1})
+    if repeated:
+        raise DataError(f"training domains listed more than once: {repeated}")
     out = []
     for d in sorted(train_domains):
         out.extend(corpus.sentences[i] for i in domains[d])

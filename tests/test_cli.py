@@ -122,6 +122,23 @@ class TestPreprocess:
         else:
             assert json.loads(err)["sentences_kept"] == 1
 
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("App Id,Sentence Content," + "x" * 140_000 + "\n", 1,
+                     id="header"),
+        pytest.param("App Id,Sentence Content,Feature (All Annotated)\n"
+                     "ebay," + "x" * 140_000 + ",\n", 2, id="row"),
+    ])
+    def test_csv_cell_over_field_limit_names_line(self, tmp_path, capsys,
+                                                  text, line):
+        src = tmp_path / "d1.csv"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run(["preprocess", "--format", "rebert-csv",
+                    "--input", src, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line {line}: field larger than field limit (131072)\n")
+        assert not out.exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert run(["preprocess", "--format", "rebert-csv",
                     "--input", tmp_path / "absent.csv",
@@ -199,6 +216,17 @@ class TestTrain:
                     "--output", tmp_path / "model.npz"]) == 1
         assert capsys.readouterr().err == (
             "error: line 31: app 'a': 1001 tokens, more than 1000\n")
+
+    def test_domain_listed_twice(self, corpus_path, config_path, tmp_path,
+                                 capsys):
+        assert run(["train", "--corpus", corpus_path, "--config", config_path,
+                    "--domains", "dom0,dom1,dom0",
+                    "--output", tmp_path / "model.npz"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "\nerror: training domains listed more than once: ['dom0']\n")
+        assert err.count("error:") == 1
+        assert not (tmp_path / "model.npz").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("h_enc", 0), ("h_dec", 0), ("d_tag", 0), ("d_att", 0),

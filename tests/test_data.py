@@ -2,15 +2,18 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reqtag.data import (MAX_SENTENCE_TOKENS, Corpus, DataError, ParseError,
-                         SchemaError, TaggedSentence, align_bio, clean_tokens,
-                         load_corpus, parse_conllu, parse_rebert_csv,
-                         save_corpus)
+from reqtag.crf import crf_nll_backward, init_transitions
+from reqtag.data import (MAX_SENTENCE_TOKENS, TAG_INDEX, Corpus, DataError,
+                         ParseError, SchemaError, TaggedSentence, align_bio,
+                         clean_tokens, load_corpus, parse_conllu,
+                         parse_rebert_csv, save_corpus)
 from reqtag.lemmatizer import lemmatize
+from crf_oracles import is_valid_bio
 
 
 class TestCleanTokens:
@@ -362,6 +365,10 @@ def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
      "line 2: app '': empty domain label"),
     ('{"app": "a", "category": "", "tokens": ["x"], "tags": ["O"]}',
      "line 2: app 'a': empty domain label"),
+    ('{"app": "a", "tokens": ["x"], "tags": ["I"]}',
+     "line 2: app 'a' position 0: I tag without preceding B/I"),
+    ('{"app": "a", "tokens": ["x", "y"], "tags": ["O", "I"]}',
+     "line 2: app 'a' position 1: I tag without preceding B/I"),
 ])
 def test_load_corpus_invalid_sentence_names_line(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
@@ -369,6 +376,24 @@ def test_load_corpus_invalid_sentence_names_line(tmp_path, line, message):
     with pytest.raises(DataError) as exc:
         load_corpus(path)
     assert str(exc.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("OBI"), min_size=1, max_size=12))
+def test_sentence_accepts_exactly_valid_bio(tags):
+    # the CRF loss does not check BIO itself: TaggedSentence is the gate
+    indices = [TAG_INDEX[t] for t in tags]
+    try:
+        sentence = TaggedSentence(app_id="a", tokens=["x"] * len(tags),
+                                  tags=tags)
+    except DataError:
+        assert not is_valid_bio(indices)
+        return
+    assert is_valid_bio(indices)
+    emissions = np.random.default_rng(len(tags)).normal(size=(len(tags), 3))
+    nll, _, _ = crf_nll_backward(emissions, init_transitions(),
+                                 sentence.tag_indices(), [1] * len(tags))
+    assert np.isfinite(nll)
 
 
 def test_load_corpus_token_cap_names_line(tmp_path):
