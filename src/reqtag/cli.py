@@ -8,10 +8,10 @@ artifacts to the paths given by the flags.
 import argparse
 import codecs
 import dataclasses
-import hashlib
 import io
 import json
 import os
+import re
 import select
 import sys
 import time
@@ -26,9 +26,10 @@ from .evaluation import (BaselineMismatchError, evaluate_tag_pairs,
 from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
                       predict_tags, save_checkpoint)
 from .tensor import NumericError
-from .training import TrainConfig, cross_validate, train
 
 EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_batch call
+# what surrogateescape decodes each byte that is not UTF-8 to
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def _log(msg):
@@ -36,6 +37,7 @@ def _log(msg):
 
 
 def _sha256(path):
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -43,7 +45,8 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _load_config(path) -> TrainConfig:
+def _load_config(path) -> "TrainConfig":
+    from .training import TrainConfig
     if path is None:
         return TrainConfig()
     with open(path, encoding="utf-8-sig") as fh:
@@ -77,6 +80,7 @@ def cmd_preprocess(args):
 
 
 def cmd_train(args):
+    from .training import train
     config = _load_config(args.config)
     corpus = load_corpus(args.corpus)
     domains = sorted(corpus.domains)
@@ -91,7 +95,7 @@ def cmd_train(args):
     return 0
 
 
-def _manifest(config: TrainConfig, inputs: dict, fold_reports):
+def _manifest(config: "TrainConfig", inputs: dict, fold_reports):
     return {
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -103,6 +107,7 @@ def _manifest(config: TrainConfig, inputs: dict, fold_reports):
 
 
 def cmd_crossval(args):
+    from .training import cross_validate
     config = _load_config(args.config)
     if args.runs is not None:
         config = dataclasses.replace(config, runs_per_fold=args.runs)
@@ -133,10 +138,12 @@ def cmd_crossval(args):
 def _ready_lines(fd):
     """Windows of the complete lines buffered or readable at once, at most
     EXTRACT_WINDOW, newline stripped and decoded as a text-mode open() with
-    utf-8-sig does; the read blocks only when none is buffered."""
+    utf-8-sig does; the read blocks only when none is buffered. A line that
+    is not UTF-8 raises DataError, after the windows of the lines before it."""
     decoder = io.IncrementalNewlineDecoder(
-        codecs.getincrementaldecoder("utf-8-sig")(), translate=True)
-    text, eof = "", False
+        codecs.getincrementaldecoder("utf-8-sig")("surrogateescape"),
+        translate=True)
+    text, eof, done = "", False, 0
     while True:
         ready = text.count("\n")
         if not eof and (not ready or ready < EXTRACT_WINDOW
@@ -144,12 +151,16 @@ def _ready_lines(fd):
             chunk = os.read(fd, 1 << 16)
             eof = not chunk
             text += decoder.decode(chunk, final=eof)
-        elif ready:
-            *lines, text = text.split("\n", EXTRACT_WINDOW)
-            yield lines
-        else:  # end of input; a last line may lack its newline
-            if text:
-                yield [text]
+        elif ready or text:  # at end of input a last line may lack its newline
+            *lines, text = text.split("\n", EXTRACT_WINDOW) if ready else [text, ""]
+            good = next((k for k, line in enumerate(lines)
+                         if _NOT_UTF8.search(line)), len(lines))
+            if good:
+                yield lines[:good]
+            if good < len(lines):
+                raise DataError(f"line {done + good + 1}: not UTF-8")
+            done += good
+        else:
             return
 
 

@@ -52,7 +52,7 @@ def build_vocabulary(corpus) -> Vocabulary:
     return Vocabulary(token_to_index=token_to_index, index_to_token=index_to_token)
 
 
-def random_embeddings(n_rows: int, dim: int, rng: np.random.Generator,
+def random_embeddings(n_rows: int, dim: int, rng: "np.random.Generator",
                       trainable: bool = True) -> EmbeddingTable:
     """Table of n_rows rows, every non-pad row drawn uniform(-0.25, 0.25)."""
     matrix = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND, size=(n_rows, dim))
@@ -60,7 +60,7 @@ def random_embeddings(n_rows: int, dim: int, rng: np.random.Generator,
     return EmbeddingTable(matrix=matrix, trainable=trainable, matched_words=0)
 
 
-def load_glove(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
+def load_glove(path, vocab: Vocabulary, dim: int, rng: "np.random.Generator",
                trainable: bool = True) -> EmbeddingTable:
     """Read a GloVe text file and build the table for vocab.
 

@@ -33,7 +33,7 @@ class LstmCellParams:
         return self.w_h.shape[1]
 
 
-def init_lstm(input_dim: int, hidden: int, rng: np.random.Generator) -> LstmCellParams:
+def init_lstm(input_dim: int, hidden: int, rng: "np.random.Generator") -> LstmCellParams:
     k = 1.0 / np.sqrt(hidden)
     p = LstmCellParams(
         w_in=rng.uniform(-k, k, size=(4 * hidden, input_dim)),

@@ -38,7 +38,6 @@ import json
 import os
 import threading
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import groupby, islice
 
@@ -85,7 +84,7 @@ class ModelParams:
     dims: ModelDims
 
 
-def init_model(vocab_size: int, dims: ModelDims, rng: np.random.Generator,
+def init_model(vocab_size: int, dims: ModelDims, rng: "np.random.Generator",
                embedding: EmbeddingTable | None = None) -> ModelParams:
     if embedding is None:
         embedding = random_embeddings(vocab_size, dims.embedding_dim, rng)
@@ -411,6 +410,7 @@ def _blas_thread_setter():
 def _decode_on_pool(decode, chunks, get, set_):
     """decode(chunk) for each chunk, in order, on threads that live for
     this call only, with OpenBLAS at one thread (get, set_) until they join."""
+    from concurrent.futures import ThreadPoolExecutor
     with _blas_lock:
         before = get()
         set_(1)
@@ -473,11 +473,18 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary,
 
 
 class _ZeroDraws:
-    """Stands in for the init generator: every block starts as zeros."""
+    """Stands in for the init generator: a zero skeleton of the blocks."""
 
     @staticmethod
     def uniform(low, high, size):
         return np.zeros(size)
+
+
+def _holder(params: ModelParams, name):
+    """The object and attribute of params that hold block name."""
+    prefix, _, attr = name.rpartition(".")
+    return ((params.embedding, "matrix") if name == "embedding"
+            else (getattr(params, prefix) if prefix else params, attr))
 
 
 def _entry(npz, path, name):
@@ -552,7 +559,8 @@ def load_checkpoint(path):
                     f"expected {skeleton.dtype} {skeleton.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}: block {name!r} holds a non-finite value")
-            skeleton[...] = arr
+            # the model keeps np.load's array: each block is copied once
+            setattr(*_holder(params, name), np.ascontiguousarray(arr))
     vocab = Vocabulary(
         token_to_index={t: i for i, t in enumerate(index_to_token)},
         index_to_token=list(index_to_token))

@@ -416,14 +416,40 @@ class TestExtract:
             replies.append(capsys.readouterr().out)
         assert replies[0] == replies[1]
 
+    def _bad_line_after(self, model, tmp_path, capsys, good, bad):
+        """Extract good lines, then the bytes bad and one more line: each good
+        line is answered, then one error line names the bad one."""
+        prefix = "".join(line + "\n" for line in good).encode("utf-8")
+        src = tmp_path / "reviews.txt"
+        src.write_bytes(prefix + bad + b"\nok line\n")
+        assert run(["extract", "--model", model, "--input", src]) == 1
+        out, err = capsys.readouterr()
+        answered = tmp_path / "good.txt"
+        answered.write_bytes(prefix)
+        assert out == "".join(_per_line_replies(model, answered))
+        assert err == f"error: line {len(good) + 1}: not UTF-8\n"
+        return prefix
+
     def test_invalid_utf8_is_one_error_line(self, trained_model, tmp_path,
                                             capsys):
         model, _, _ = trained_model
-        src = tmp_path / "reviews.txt"
-        src.write_bytes(b"add dark mode\n\xff\xfe mode\n")
-        assert run(["extract", "--model", model, "--input", src]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        self._bad_line_after(model, tmp_path, capsys, ["add dark mode"],
+                             b"\xff\xfe mode")
+
+    def test_invalid_utf8_in_the_first_line(self, trained_model, tmp_path,
+                                            capsys):
+        model, _, _ = trained_model
+        self._bad_line_after(model, tmp_path, capsys, [], b"\xffadd dark mode")
+
+    def test_invalid_utf8_after_the_first_read(self, trained_model, tmp_path,
+                                               capsys):
+        # the bad line starts beyond the first 64 KiB read of the input
+        model, _, target = trained_model
+        good = [f"{k} " + " ".join(target.tokens) + " add dark mode"
+                for k in range(1500)]
+        prefix = self._bad_line_after(model, tmp_path, capsys, good,
+                                      b"dark \xc3 mode")
+        assert len(prefix) > 1 << 16
 
 
 def _per_line_replies(model, src):
@@ -640,3 +666,22 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: block 'dec.w_h' is float64 ")
         assert err.count("\n") == 1
+
+
+def _modules_after(statement):
+    """The modules loaded in a fresh interpreter once statement has run."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(Path(reqtag.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_cli_import_leaves_out_training_and_random():
+    # extract and evaluate reach their first reply without these; train and
+    # crossval load them when they run
+    added = _modules_after("import reqtag.cli") - _modules_after("import numpy")
+    assert "reqtag.network" in added
+    assert added.isdisjoint({"reqtag.training", "numpy.random", "hashlib",
+                             "concurrent.futures"})

@@ -1,6 +1,8 @@
 import io
 import json
+import struct
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +339,52 @@ class TestCheckpoint:
             path = Path(tmp) / "cut.model"
             path.write_bytes(blob[:cut])
             _rejected(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_flipped_data_byte_raises_value_error(self, tiny_entries,
+                                                        data):
+        # zipfile's CRC-32 of an entry refuses a flip in its array data
+        buf = io.BytesIO()
+        np.savez(buf, **tiny_entries)
+        blob = bytearray(buf.getvalue())
+        name = data.draw(st.sampled_from(sorted(tiny_entries)), label="entry")
+        with zipfile.ZipFile(buf) as archive:
+            info = archive.getinfo(name + ".npy")
+        # the entry's local header, then its .npy bytes: array data last
+        start = info.header_offset + 30 + sum(struct.unpack(
+            "<HH", blob[info.header_offset + 26:info.header_offset + 30]))
+        end = start + info.file_size
+        at = data.draw(st.integers(end - tiny_entries[name].nbytes, end - 1),
+                       label="at")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flipped.model"
+            path.write_bytes(bytes(blob))
+            _rejected(path, repr(name))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_loaded_blocks_are_contiguous_writable_float64(
+            self, tiny_entries, tmp_path, order):
+        # a block an archive stores in Fortran order loads C-contiguous too
+        path = tmp_path / "model.model"
+        _write_entries(path, {name: np.asarray(arr, order=order)
+                              for name, arr in tiny_entries.items()})
+        params, _, _ = load_checkpoint(path)
+        blocks = param_blocks(params)
+        assert blocks.keys() == tiny_entries.keys() - {"header"}
+        for name, arr in blocks.items():
+            assert arr.flags.c_contiguous and arr.flags.writeable, name
+            assert arr.dtype == np.float64, name
+            np.testing.assert_array_equal(arr, tiny_entries[name],
+                                          err_msg=name)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        save_checkpoint(first, init_model(12, TINY, np.random.default_rng(3)),
+                        _vocab(12), extra_config={"seed": 1})
+        save_checkpoint(second, *load_checkpoint(first))
+        assert second.read_bytes() == first.read_bytes()
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
