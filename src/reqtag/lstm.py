@@ -11,8 +11,9 @@ the first sizes[t] rows of step t-1 (see ``tensor.previous_rows``). Step t
 advances only those rows; a row that has ended is never computed. The
 input projection is one GEMM over the N rows before the time loop, and
 the weight gradients are stacked GEMMs over every step's gate gradient
-after it. lstm_forward and lstm_states run one step loop; lstm_states
-(inference) drops each step's cache, which lstm_backward reads.
+after it. lstm_forward is the one sequence function: it keeps each
+step's cache, which lstm_backward reads, only when a backward pass
+follows, so inference holds one step's cache at a time.
 """
 
 from dataclasses import dataclass
@@ -84,37 +85,25 @@ def lstm_step_backward(params: LstmCellParams, cache, dh, dc):
     return da, da @ params.w_h, dc_total * f
 
 
-def _steps(params: LstmCellParams, pre, sizes, hs):
-    """Step a packed sequence batch from a zero state, writing each step's
-    h into hs (N, H); yields each step's cache once the step has run."""
+def lstm_forward(params: LstmCellParams, pre, sizes, caches=None):
+    """Run from a zero state over the (N, 4H) input projections of a
+    packed sequence batch with sizes[t] rows at step t; returns hs (N, H).
+    Each step's cache is appended to caches if a list is given and
+    dropped otherwise."""
     if sum(sizes) != len(pre):
         raise ShapeError(f"{len(pre)} input rows for step sizes summing "
                          f"to {sum(sizes)}")
+    hs = np.empty((len(pre), params.hidden))
     h = np.zeros((sizes[0], params.hidden))
     c = np.zeros((sizes[0], params.hidden))
     start = 0
     for n in sizes:
         h, c, cache = lstm_step(params, pre[start:start + n], h[:n], c[:n])
         hs[start:start + n] = h
-        yield cache
+        if caches is not None:
+            caches.append(cache)
         start += n
-
-
-def lstm_forward(params: LstmCellParams, pre, sizes):
-    """Run over the (N, 4H) input projections of a packed sequence batch
-    with sizes[t] rows at step t; returns (hs (N, H), caches)."""
-    hs = np.empty((len(pre), params.hidden))
-    return hs, list(_steps(params, pre, sizes, hs))
-
-
-def lstm_states(params: LstmCellParams, pre, sizes):
-    """lstm_forward's (hs, caches) for a run that no backward pass
-    follows: the same steps, each cache dropped as it comes, so the
-    caches come back as None."""
-    hs = np.empty((len(pre), params.hidden))
-    for _ in _steps(params, pre, sizes, hs):
-        pass
-    return hs, None
+    return hs
 
 
 def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, sizes):

@@ -15,11 +15,11 @@ once per direction and gathers the projections to its positions; its
 backward direction reads each row mirrored through a gather index.
 Attention confines each row to its own positions, and the rows of one
 length, adjacent in rank order, attend as one stacked product. Training
-calls batch_loss_and_grads once per right-padded batch, whose pads are
-dropped at the gather and never computed. predict_batch ranks any
-number of rows by length and runs the same layers, keeping no backward
-caches, and one packed Viterbi per DECODE_CHUNK ranked rows; paths come
-back in input order, and predict_tags is its B = 1 case.
+calls batch_loss_and_grads once per right-padded batch, packed through
+Packing.src, which skips the pads. predict_batch ranks any number of
+rows by length and runs the same layers, keeping no backward caches,
+and one packed Viterbi per DECODE_CHUNK ranked rows; paths come back in
+input order, and predict_tags is its B = 1 case.
 
 A call of two or more chunks decodes them on up to one thread per CPU,
 started by that call and joined before it returns or raises, so memory
@@ -47,7 +47,7 @@ from . import crf
 from .embeddings import (EmbeddingTable, PAD_INDEX, PAD_TOKEN, UNK_TOKEN,
                          Vocabulary, random_embeddings)
 from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
-                   lstm_states, lstm_step)
+                   lstm_step)
 from .tensor import previous_rows, softmax_rows
 
 CHECKPOINT_VERSION = 2
@@ -151,10 +151,6 @@ class Packing:
     by_row: np.ndarray  # (N,) positions rank by rank, each in step order
     lengths: list       # row lengths in rank order
 
-    def gather(self, flat):
-        """The (N, ...) packed positions of the input rows' concatenation."""
-        return np.asarray(flat)[self.src]
-
 
 def _pack(lengths) -> Packing:
     """Packing of a batch of rows holding lengths[b] >= 1 tokens each."""
@@ -179,24 +175,24 @@ def _add_cell_grads(grads, prefix, g: LstmCellParams):
 
 # ---------------------------------------------------------------- encoder
 
-def _encode(params: ModelParams, tokens, packing: Packing, run):
+def _encode(params: ModelParams, tokens, packing: Packing, keep):
     """BiLSTM over a batch's (N,) packed token indices; returns
-    (enc (N, 2H), cache). run(cell, pre, sizes) is the recurrence of
-    each direction: lstm_forward where a backward pass follows,
-    lstm_states where none does.
+    (enc (N, 2H), cache). keep is true where a backward pass follows:
+    only then does the cache hold each direction's step caches.
 
     Each distinct token is projected once per direction and gathered to
     its positions. The backward direction reads each row mirrored,
     through packing.rev, an index that is its own inverse."""
     uniq, inv = np.unique(tokens, return_inverse=True)
     xu = params.embedding.matrix[uniq]
-    fwd = run(params.enc_fwd, (xu @ params.enc_fwd.w_in.T
-                               + params.enc_fwd.b)[inv], packing.sizes)
-    bwd = run(params.enc_bwd, (xu @ params.enc_bwd.w_in.T
-                               + params.enc_bwd.b)[inv[packing.rev]],
-              packing.sizes)
-    enc = np.concatenate([fwd[0], bwd[0][packing.rev]], axis=1)
-    return enc, (tokens, packing, xu, inv, fwd, bwd)
+    fwd, bwd = ([], []) if keep else (None, None)
+    pre = xu @ params.enc_fwd.w_in.T + params.enc_fwd.b
+    hs_fwd = lstm_forward(params.enc_fwd, pre[inv], packing.sizes, fwd)
+    pre = xu @ params.enc_bwd.w_in.T + params.enc_bwd.b
+    hs_bwd = lstm_forward(params.enc_bwd, pre[inv[packing.rev]],
+                          packing.sizes, bwd)
+    enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
+    return enc, (tokens, packing, xu, inv, (hs_fwd, fwd), (hs_bwd, bwd))
 
 
 def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
@@ -297,8 +293,9 @@ def _decode_training(params: ModelParams, attended, gold, packing: Packing):
     prev = np.concatenate([np.full(packing.sizes[0], crf.START),
                            gold[previous_rows(packing.sizes)]])
     from_att, from_tag = _decoder_inputs(params, attended)
-    hs, caches = lstm_forward(params.dec, from_att + from_tag[prev],
-                              packing.sizes)
+    caches = []
+    hs = lstm_forward(params.dec, from_att + from_tag[prev], packing.sizes,
+                      caches)
     x = np.concatenate([attended, params.tag_embedding[prev]], axis=1)
     return _emissions(params, hs), (x, hs, caches, prev, packing.sizes)
 
@@ -349,10 +346,10 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     lengths = np.asarray(lengths)
     packing = _pack(lengths)
     real = np.arange(indices.shape[1]) < lengths[:, None]
-    gold = packing.gather(np.asarray(tags)[real])
+    gold = np.asarray(tags)[real][packing.src]
     grads = zero_grad_blocks(params)
-    enc, enc_cache = _encode(params, packing.gather(indices[real]), packing,
-                             lstm_forward)
+    enc, enc_cache = _encode(params, indices[real][packing.src], packing,
+                             keep=True)
     attended, att_cache = _attend(params, enc, packing)
     emissions, dec_cache = _decode_training(params, attended, gold, packing)
     loss, d_emissions, d_t = crf.crf_nll_backward(
@@ -368,8 +365,8 @@ def _decode_chunk(params: ModelParams, rows):
     """Viterbi paths of rows already ranked longest first, in that order
     (the stable sort in _pack keeps it)."""
     packing = _pack([len(row) for row in rows])
-    enc = _encode(params, packing.gather(np.concatenate(rows)), packing,
-                  lstm_states)[0]
+    enc = _encode(params, np.concatenate(rows)[packing.src], packing,
+                  keep=False)[0]
     attended = _attend(params, enc, packing)[0]
     emissions = _decode_inference(params, attended, packing)
     tags = crf.crf_viterbi(emissions, params.transitions, packing.sizes)
@@ -472,12 +469,12 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary,
         np.savez(fh, header=np.array(header), **_checkpoint_arrays(params))
 
 
-class _ZeroDraws:
-    """Stands in for the init generator: a zero skeleton of the blocks."""
+class _ShapeDraws:
+    """Init generator stand-in: unfilled blocks, for shapes and dtypes."""
 
     @staticmethod
     def uniform(low, high, size):
-        return np.zeros(size)
+        return np.empty(size)
 
 
 def _holder(params: ModelParams, name):
@@ -549,7 +546,7 @@ def load_checkpoint(path):
         header = _read_header(npz, path)
         index_to_token = header["vocab"]
         params = init_model(len(index_to_token), ModelDims(**header["dims"]),
-                            _ZeroDraws())
+                            _ShapeDraws())
         params.embedding.trainable = header["embedding_trainable"]
         for name, skeleton in _checkpoint_arrays(params).items():
             arr = _entry(npz, path, name)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import crf, network
+from . import network
 from .data import Corpus, DataError
 from .embeddings import (PAD_INDEX, Vocabulary, build_vocabulary,
                          encode_tokens, load_glove, random_embeddings)
@@ -127,13 +127,13 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
-    """One Adam update, in place on the moments and the parameters;
-    clamped CRF entries and the pad row stay fixed."""
+    """One Adam update, in place on the moments and the parameters. An
+    entry whose gradient is exactly 0.0 at every step never moves, so the
+    clamped CRF transitions and the pad row, which get 0.0, stay fixed."""
     state.t += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
-    blocks = param_blocks(params)
-    for name, theta in blocks.items():
+    for name, theta in param_blocks(params).items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in block {name!r}")
@@ -153,10 +153,6 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
         step *= lr
         step /= denom                    # lr * m_hat / (sqrt(v_hat) + eps)
         theta -= step
-    mask = crf.forbidden_mask()
-    params.transitions[mask] = crf.FORBIDDEN_SCORE
-    if "embedding" in blocks:
-        params.embedding.matrix[PAD_INDEX, :] = 0.0
 
 
 def _training_sentences(corpus: Corpus, train_domains):

@@ -1,7 +1,24 @@
+import importlib
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+
+# When a property test fails, hypothesis's pytest plugin imports
+# hypothesis.extra._patching, which imports libcst where it is installed.
+# Importing libcst raises a DeprecationWarning from its own dependencies,
+# and the error::DeprecationWarning filter in pyproject.toml turns that
+# into an INTERNALERROR that ends the run before its summary. Import the
+# helper once here, ignoring only DeprecationWarning while it loads, so
+# that a failing property test is reported like any other failure.
+# Without libcst the helper cannot be imported, and nothing is needed.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pass
 
 from reqtag.data import Corpus, TaggedSentence
 from reqtag.tensor import NumericError, ShapeError

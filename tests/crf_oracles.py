@@ -1,9 +1,9 @@
 """Reference checks for the CRF that only the tests use: the BIO validity
-rule, the score of one tag path, two enumeration oracles that score every
-one of the 3^L tag paths of a short sentence with ``path_score``, the
-one-sentence NLL and log Z read from the training loss ``crf_nll_backward``,
-and the frozen one-sentence Viterbi that the packed ``crf_viterbi``
-replaced.
+rule and a map of any tag list onto it, the score of one tag path, two
+enumeration oracles that score every one of the 3^L tag paths of a short
+sentence with ``path_score``, the one-sentence NLL and log Z read from
+the training loss ``crf_nll_backward``, and the frozen one-sentence
+Viterbi that the packed ``crf_viterbi`` replaced.
 """
 
 from itertools import product
@@ -21,6 +21,17 @@ def is_valid_bio(tags) -> bool:
             return False
         prev = t
     return True
+
+
+def as_bio(raw) -> list:
+    """Any tag list made valid BIO: an I that follows O (or opens the
+    list) becomes B, so every valid list maps to itself."""
+    tags, prev = [], O
+    for t in raw:
+        t = B if t == I and prev == O else t
+        tags.append(t)
+        prev = t
+    return tags
 
 
 def random_bio(rng: np.random.Generator, n: int) -> list:

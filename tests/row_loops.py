@@ -12,22 +12,25 @@ Nothing in ``src/`` imports this module.
 import numpy as np
 
 from reqtag.embeddings import PAD_INDEX
-from reqtag.lstm import lstm_backward
+from reqtag.lstm import lstm_backward, lstm_forward
 from reqtag.network import _add_cell_grads
 from reqtag.tensor import softmax_rows
 
 
-def encode(params, tokens, packing, run):
+def encode(params, tokens, packing, keep):
     """BiLSTM over a batch's (N,) packed token indices, one projection
     row per position; returns (enc (N, 2H), cache)."""
     x = params.embedding.matrix[tokens]
     x_rev = x[packing.rev]
-    fwd = run(params.enc_fwd, x @ params.enc_fwd.w_in.T + params.enc_fwd.b,
-              packing.sizes)
-    bwd = run(params.enc_bwd, x_rev @ params.enc_bwd.w_in.T
-              + params.enc_bwd.b, packing.sizes)
-    enc = np.concatenate([fwd[0], bwd[0][packing.rev]], axis=1)
-    return enc, (tokens, packing, x, x_rev, fwd, bwd)
+    fwd, bwd = ([], []) if keep else (None, None)
+    hs_fwd = lstm_forward(params.enc_fwd,
+                          x @ params.enc_fwd.w_in.T + params.enc_fwd.b,
+                          packing.sizes, fwd)
+    hs_bwd = lstm_forward(params.enc_bwd,
+                          x_rev @ params.enc_bwd.w_in.T + params.enc_bwd.b,
+                          packing.sizes, bwd)
+    enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
+    return enc, (tokens, packing, x, x_rev, (hs_fwd, fwd), (hs_bwd, bwd))
 
 
 def encode_backward(params, enc_cache, d_enc, grads):

@@ -58,27 +58,50 @@ def test_criterion_1_crf_oracle_suite():
     report("1 crf-oracle-suite", elapsed < 10.0, f"{elapsed:.1f}s")
 
 
-def test_criterion_2_gradient_suite():
-    start = time.monotonic()
-    dims = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
-    params = init_model(10, dims, np.random.default_rng(6))
-    # lengths 5 and 3: the second row is right-padded
-    indices = np.array([[2, 3, 4, 5, 2], [6, 7, 8, 0, 0]])
-    tags = np.array([[0, 1, 2, 2, 0], [0, 1, 0, 0, 0]])
-    lengths = [5, 3]
+def _worst_gradient_error(params, indices, tags, lengths):
+    """Largest relative error of the batch's analytic gradient against
+    central differences over every trainable block (clamped transitions
+    unprobed), for the loss averaged over rows; fails on any block
+    beyond 1e-4."""
+    rows = len(lengths)
 
     def batch_loss(_=None):
-        return batch_loss_and_grads(params, indices, tags, lengths)[0] / 2
+        return batch_loss_and_grads(params, indices, tags, lengths)[0] / rows
 
     _, grads = batch_loss_and_grads(params, indices, tags, lengths)
     worst = 0.0
     for name, arr in param_blocks(params).items():
         skip = crf.forbidden_mask() if name == "transitions" else None
-        res = grad_check(batch_loss, arr, grads[name] / 2, h=1e-4, tol=1e-4,
-                         skip=skip)
+        res = grad_check(batch_loss, arr, grads[name] / rows, h=1e-4,
+                         tol=1e-4, skip=skip)
         worst = max(worst, res.max_relative_error)
         assert res.passed, (f"block {name} at {res.worst_index}: "
                             f"{res.max_relative_error}")
+    return worst
+
+
+def test_criterion_2_gradient_suite():
+    start = time.monotonic()
+    dims = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
+    params = init_model(10, dims, np.random.default_rng(6))
+    # lengths 5 and 3: the second row is right-padded
+    worst = _worst_gradient_error(
+        params, np.array([[2, 3, 4, 5, 2], [6, 7, 8, 0, 0]]),
+        np.array([[0, 1, 2, 2, 0], [0, 1, 0, 0, 0]]), [5, 3])
+    # lengths 9, 4 and 4: the two rows of length 4 attend as one stacked
+    # run, the long row runs 9 steps alone after step 4, token 3 repeats
+    # within and across rows, and columns 4-8 are pads in two rows
+    indices = np.array([[3, 4, 3, 5, 6, 7, 3, 8, 9],
+                        [1, 3, 6, 3, 0, 0, 0, 0, 0],
+                        [2, 9, 3, 4, 0, 0, 0, 0, 0]])
+    tags = np.array([[0, 1, 2, 0, 1, 1, 2, 2, 0],
+                     [1, 2, 0, 1, 0, 0, 0, 0, 0],
+                     [0, 0, 1, 2, 0, 0, 0, 0, 0]])
+    for trainable in (True, False):
+        params = init_model(10, dims, np.random.default_rng(16))
+        params.embedding.trainable = trainable
+        worst = max(worst, _worst_gradient_error(params, indices, tags,
+                                                 [9, 4, 4]))
     elapsed = time.monotonic() - start
     report("2 gradient-suite", elapsed < 60.0,
            f"worst rel err {worst:.2e}, {elapsed:.1f}s")

@@ -48,21 +48,12 @@ from reqtag.embeddings import UNK_INDEX, EmbeddingTable
 from reqtag.network import (DECODE_CHUNK, ModelDims, _attend, _attend_backward,
                             _pack, batch_loss_and_grads, init_model,
                             predict_batch, predict_tags, zero_grad_blocks)
+from crf_oracles import as_bio
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
 WIDE = ModelDims(embedding_dim=6, h_enc=8, d_att=24, h_dec=5, d_tag=3)
 VOCAB = 12
 TOL = 1e-10
-
-
-def _bio(raw):
-    """Any tag list made valid BIO: an I that follows O becomes B."""
-    tags, prev = [], crf.O
-    for t in raw:
-        t = crf.B if t == crf.I and prev == crf.O else t
-        tags.append(t)
-        prev = t
-    return tags
 
 
 def _sentences(lo, hi):
@@ -71,7 +62,7 @@ def _sentences(lo, hi):
     return st.integers(lo, hi).flatmap(lambda n: st.tuples(
         st.lists(st.integers(0, VOCAB - 1), min_size=n, max_size=n),
         st.lists(st.sampled_from([crf.O, crf.B, crf.I]), min_size=n,
-                 max_size=n).map(_bio)))
+                 max_size=n).map(as_bio)))
 
 
 SENTENCE = _sentences(1, 8)
@@ -424,7 +415,7 @@ def _emissions(params, rows, pairs=()):
 
 
 def _sentences_of(rows, rng):
-    return [(row, _bio(rng.integers(0, 3, size=len(row)))) for row in rows]
+    return [(row, as_bio(rng.integers(0, 3, size=len(row)))) for row in rows]
 
 
 @settings(max_examples=60, deadline=None)

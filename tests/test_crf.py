@@ -125,7 +125,7 @@ class TestPackedViterbi:
             ranked = [rows[i] for i in np.searchsorted(
                 np.cumsum(lengths), packing.src[:len(rows)], side="right")]
             tags = crf.crf_viterbi(
-                packing.gather(np.concatenate(rows)), t, packing.sizes)
+                np.concatenate(rows)[packing.src], t, packing.sizes)
             assert tags.shape == (sum(lengths),)
             tags = tags[packing.by_row].tolist()
             start = 0
@@ -205,8 +205,8 @@ class TestPackedNll:
             golds = [random_bio(rng, int(n)) for n in lengths]
             packing = _pack(lengths)
             nll, _, _ = crf.crf_nll_backward(
-                packing.gather(np.concatenate(rows)), t,
-                packing.gather(np.concatenate(golds)), packing.sizes)
+                np.concatenate(rows)[packing.src], t,
+                np.concatenate(golds)[packing.src], packing.sizes)
             expected = sum(brute_force_log_partition(e, t) - path_score(e, t, g)
                            for e, g in zip(rows, golds))
             worst = max(worst, abs(nll - expected))

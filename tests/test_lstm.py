@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from reqtag.lstm import (LstmCellParams, init_lstm, lstm_backward,
-                         lstm_forward, lstm_states, lstm_step,
-                         lstm_step_backward)
+                         lstm_forward, lstm_step, lstm_step_backward)
 from reqtag.tensor import ShapeError
 from conftest import grad_check
 
 
 def _project(p, x):
     return x @ p.w_in.T + p.b
+
+
+def _forward(p, pre, sizes):
+    """lstm_forward's states and the step caches it keeps for a list."""
+    caches = []
+    return lstm_forward(p, pre, sizes, caches), caches
 
 
 def test_zero_params_zero_inputs_fixed_point():
@@ -108,10 +113,9 @@ def test_sequence_gradients_every_block():
     weights = rng.normal(size=(6, 2))
 
     def loss_of(_=None):
-        hs, _caches = lstm_forward(p, _project(p, x), sizes)
-        return float((hs * weights).sum())
+        return float((lstm_forward(p, _project(p, x), sizes) * weights).sum())
 
-    hs, caches = lstm_forward(p, _project(p, x), sizes)
+    hs, caches = _forward(p, _project(p, x), sizes)
     dx, grads = lstm_backward(p, x, hs, caches, weights, sizes)
     for arr, g in ((p.w_in, grads.w_in), (p.w_h, grads.w_h), (p.b, grads.b),
                    (x, dx)):
@@ -127,10 +131,10 @@ def test_pad_steps_get_zero_gradient():
     x = rng.normal(size=(5, 3))
     d_hs = rng.normal(size=(5, 2))
     d_hs[2:] = 0.0
-    hs, caches = lstm_forward(p, _project(p, x), [1] * 5)
+    hs, caches = _forward(p, _project(p, x), [1] * 5)
     dx, grads = lstm_backward(p, x, hs, caches, d_hs, [1] * 5)
     np.testing.assert_array_equal(dx[2:], 0.0)
-    hs2, caches2 = lstm_forward(p, _project(p, x[:2]), [1] * 2)
+    hs2, caches2 = _forward(p, _project(p, x[:2]), [1] * 2)
     np.testing.assert_array_equal(hs2, hs[:2])
     dx2, grads2 = lstm_backward(p, x[:2], hs2, caches2, d_hs[:2], [1] * 2)
     np.testing.assert_allclose(dx[:2], dx2, rtol=1e-12, atol=0)
@@ -151,13 +155,13 @@ def test_packed_rows_match_each_row_alone():
     d_hs = [rng.normal(size=(n, 2)) for n in lengths]
     where = [(t, r) for t in range(4) for r in range(3) if t < lengths[r]]
     x = np.array([xs[r][t] for t, r in where])
-    hs, caches = lstm_forward(p, _project(p, x), sizes)
+    hs, caches = _forward(p, _project(p, x), sizes)
     dx, grads = lstm_backward(p, x, hs, caches,
                               np.array([d_hs[r][t] for t, r in where]), sizes)
     total = {name: 0.0 for name in ("w_in", "w_h", "b")}
     for r, n in enumerate(lengths):
         at = [i for i, (_, row) in enumerate(where) if row == r]
-        hs1, caches1 = lstm_forward(p, _project(p, xs[r]), [1] * n)
+        hs1, caches1 = _forward(p, _project(p, xs[r]), [1] * n)
         dx1, grads1 = lstm_backward(p, xs[r], hs1, caches1, d_hs[r], [1] * n)
         np.testing.assert_allclose(hs[at], hs1, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(dx[at], dx1, rtol=1e-12, atol=1e-15)
@@ -172,12 +176,12 @@ def test_states_equal_forward_without_caches():
     rng = np.random.default_rng(8)
     p = init_lstm(3, 2, rng)
     pre = _project(p, rng.normal(size=(8, 3)))
-    hs, _ = lstm_forward(p, pre, [3, 2, 2, 1])
-    states, none = lstm_states(p, pre, [3, 2, 2, 1])
+    hs, caches = _forward(p, pre, [3, 2, 2, 1])
+    states = lstm_forward(p, pre, [3, 2, 2, 1])
     np.testing.assert_array_equal(states, hs)
-    assert none is None
+    assert len(caches) == 4  # one per step, kept only for a list
     with pytest.raises(ShapeError):
-        lstm_states(p, pre, [3, 2, 2])
+        lstm_forward(p, pre, [3, 2, 2])
 
 
 def test_states_keep_no_step_caches():
@@ -188,14 +192,14 @@ def test_states_keep_no_step_caches():
     sizes = [16] * 400
     pre = rng.normal(size=(sum(sizes), 4 * 64))
 
-    def peak(run):
+    def peak(caches):
         tracemalloc.start()
         try:
-            run(p, pre, sizes)
+            lstm_forward(p, pre, sizes, caches)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak(lstm_states) < peak(lstm_forward) / 3
+    assert peak(None) < peak([]) / 3
 
 
 def test_step_sizes_must_cover_every_row():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from reqtag import crf
 from reqtag.embeddings import (EmbeddingTable, PAD_TOKEN, UNK_TOKEN,
                                Vocabulary)
-from reqtag.lstm import lstm_states, lstm_step
+from reqtag.lstm import lstm_step
 from reqtag.network import (_FEED_MASK, ModelDims, _attend, _decode_inference,
                             _decode_training, _encode, _pack, init_model,
                             load_checkpoint, param_blocks, predict_tags,
@@ -62,7 +62,7 @@ def _enc(params, rows, lengths=None):
     lengths = np.array([len(r) for r in rows] if lengths is None else lengths)
     packing = _pack(lengths)
     real = np.arange(idx.shape[1]) < lengths[:, None]
-    enc, _ = _encode(params, packing.gather(idx[real]), packing, lstm_states)
+    enc, _ = _encode(params, idx[real][packing.src], packing, keep=False)
     return _unpack(packing, lengths, enc, idx.shape[1])
 
 
@@ -103,10 +103,10 @@ class TestEncoder:
         assert packing.lengths == [4, 2]
         assert _input_rows(packing, [2, 4]).tolist() == [1, 0, 1, 0, 1, 1]
         # the rows laid end to end: [2, 3] then [4, 5, 6, 7]
-        tokens = packing.gather([2, 3, 4, 5, 6, 7])
+        tokens = np.array([2, 3, 4, 5, 6, 7])[packing.src]
         assert tokens.tolist() == [4, 2, 5, 3, 6, 7]
         np.testing.assert_array_equal(packing.rev[packing.rev], np.arange(6))
-        enc, _ = _encode(tiny_model, tokens, packing, lstm_states)
+        enc, _ = _encode(tiny_model, tokens, packing, keep=False)
         assert enc.shape == (6, 2 * TINY.h_enc)
         np.testing.assert_allclose(_unpack(packing, [2, 4], enc, 4)[0, :2],
                                    _enc(tiny_model, [[2, 3]])[0],
@@ -143,7 +143,7 @@ class TestAttention:
         short = rng.normal(size=(2, 2 * TINY.h_enc))
         long = rng.normal(size=(4, 2 * TINY.h_enc))
         packing = _pack([2, 4])
-        enc = packing.gather(np.concatenate([short, long]))
+        enc = np.concatenate([short, long])[packing.src]
         out, (*_, weights) = _attend(tiny_model, enc, packing)
         assert [w.shape for w in weights] == [(1, 4, 4), (1, 2, 2)]
         for w in weights:
@@ -185,7 +185,7 @@ class TestDecoder:
         rows = [rng.normal(size=(n, TINY.d_att)) for n in (2, 3)]
         packing = _pack([2, 3])
         out = _decode_inference(
-            tiny_model, packing.gather(np.concatenate(rows)), packing)
+            tiny_model, np.concatenate(rows)[packing.src], packing)
         assert out.shape == (5, 3)
         fed = _fed(out, packing.sizes)
         for r, x in enumerate(rows):

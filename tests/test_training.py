@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reqtag import crf
 from reqtag.data import Corpus, DataError, TaggedSentence
@@ -11,6 +13,7 @@ from reqtag.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                              TrainConfig, adam_step, clip_gradients,
                              cross_validate, pad_batch, train)
 from conftest import make_synthetic_corpus
+from crf_oracles import as_bio
 
 TINY_CFG = dict(embedding_dim=16, h_enc=8, d_att=8, h_dec=8, d_tag=4)
 
@@ -104,6 +107,14 @@ class TestPadBatch:
         assert padded_total == pytest.approx(unpadded_total, abs=1e-9)
 
 
+# rows of (token, tag) pairs over the 8-word vocabulary of TestAdam's
+# model; PAD (0) and UNK (1) are drawn at real positions too
+TAGGED_ROWS = st.lists(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2)),
+             min_size=1, max_size=7),
+    min_size=1, max_size=4)
+
+
 class TestAdam:
     def _model(self):
         return init_model(8, ModelDims(embedding_dim=4, h_enc=3, d_att=4,
@@ -131,22 +142,33 @@ class TestAdam:
         expected = before - lr * 1.0 / (1.0 + ADAM_EPS)
         np.testing.assert_allclose(params.emission_b, expected, atol=1e-12)
 
-    def test_forbidden_transitions_stay_clamped(self):
+    @settings(max_examples=150, deadline=None)
+    @given(rows=TAGGED_ROWS, seed=st.integers(0, 2 ** 16))
+    def test_clamped_transitions_and_pad_row_get_zero_gradient(self, rows,
+                                                               seed):
+        # adam_step moves no entry whose gradient is always 0.0; these
+        # are the entries that must stay fixed
         params = self._model()
-        state = AdamState.for_params(params)
-        grads = zero_grad_blocks(params)
-        grads["transitions"][:] = 1.0  # deliberately touches everything
-        for _ in range(5):
-            adam_step(params, grads, state, lr=0.5)
-        assert np.all(params.transitions[crf.forbidden_mask()]
-                      == crf.FORBIDDEN_SCORE)
+        free = ~crf.forbidden_mask()
+        params.transitions[free] = np.random.default_rng(seed).normal(
+            size=free.sum())
+        lengths = [len(row) for row in rows]
+        indices = np.full((len(rows), max(lengths)), PAD_INDEX)
+        tags = np.zeros_like(indices)
+        for r, row in enumerate(rows):
+            indices[r, :len(row)] = [token for token, _ in row]
+            tags[r, :len(row)] = as_bio([tag for _, tag in row])
+        _, grads = batch_loss_and_grads(params, indices, tags, lengths)
+        np.testing.assert_array_equal(
+            grads["transitions"][crf.forbidden_mask()], 0.0)
+        np.testing.assert_array_equal(grads["embedding"][PAD_INDEX], 0.0)
 
-    def test_pad_row_stays_zero(self):
-        params = self._model()
-        state = AdamState.for_params(params)
-        grads = zero_grad_blocks(params)
-        grads["embedding"][:] = 1.0
-        adam_step(params, grads, state, lr=0.5)
+    def test_training_keeps_clamped_transitions_and_pad_row(
+            self, synthetic_corpus):
+        cfg = tiny_config(epochs=4, seed=4, batch_size=16)
+        params, _, _ = train(cfg, synthetic_corpus, ["dom0", "dom1"])
+        np.testing.assert_array_equal(
+            params.transitions[crf.forbidden_mask()], crf.FORBIDDEN_SCORE)
         np.testing.assert_array_equal(params.embedding.matrix[PAD_INDEX], 0.0)
 
     @staticmethod
@@ -154,17 +176,13 @@ class TestAdam:
         """Adam as it was written before the in-place update."""
         state.t += 1
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-        blocks = param_blocks(params)
-        for name, theta in blocks.items():
+        for name, theta in param_blocks(params).items():
             g = grads[name]
             state.m[name] = b1 * state.m[name] + (1 - b1) * g
             state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
             m_hat = state.m[name] / (1 - b1 ** state.t)
             v_hat = state.v[name] / (1 - b2 ** state.t)
             theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        params.transitions[crf.forbidden_mask()] = crf.FORBIDDEN_SCORE
-        if "embedding" in blocks:
-            params.embedding.matrix[PAD_INDEX, :] = 0.0
 
     @pytest.mark.parametrize("trainable", [True, False])
     def test_in_place_update_is_bit_identical(self, trainable):
@@ -176,7 +194,8 @@ class TestAdam:
         ref_state = AdamState.for_params(ref)
         rng = np.random.default_rng(9)
         for _ in range(6):
-            # every entry moves: forbidden transitions and the pad row too
+            # every entry moves, forbidden transitions and the pad row
+            # too: adam_step, like this reference, clamps nothing
             grads = {k: rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]),
                                    size=a.shape)
                      for k, a in param_blocks(params).items()}
