@@ -241,4 +241,10 @@ def test_criterion_9_crossval_determinism(tmp_path):
         (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
         for f in ("fold_dom0.json", "fold_dom1.json", "report.json",
                   "report.txt"))
-    report("9 crossval-determinism", identical, "fold reports byte-identical")
+    manifests = [json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+                 for out in outs]
+    for manifest in manifests:
+        del manifest["timestamp"]
+    identical = identical and manifests[0] == manifests[1]
+    report("9 crossval-determinism", identical,
+           "fold reports byte-identical, manifests equal but for timestamp")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reqtag
-from reqtag import network
+from reqtag import network, training
 from reqtag.cli import main
 from reqtag.data import clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
@@ -156,6 +156,65 @@ class TestCrossval:
         for name in ("fold_dom0.json", "fold_dom1.json", "report.json",
                      "report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_output_files_pinned(self, tmp_path, monkeypatch, capsys):
+        # precision, recall, f1 of each (held-out domain, run); the mean of
+        # 0.1, 0.2 and 0.3 depends on the order they are added in
+        scores = {"dom0": [(0.1, 0.3, 0.7), (0.2, 0.2, 0.8), (0.3, 0.1, 0.9)],
+                  "dom1": [(0.3, 0.5, 0.2), (0.2, 0.6, 0.3), (0.1, 0.7, 0.1)]}
+
+        def fake_run_fold(config, corpus, held_out, seed):
+            p, r, f = scores[held_out][seed - 4]
+            return {"seed": seed, "precision": p, "recall": r, "f1": f}
+
+        monkeypatch.setattr(training, "run_fold", fake_run_fold)
+        corpus, cfg = tmp_path / "corpus.jsonl", tmp_path / "cfg.json"
+        save_corpus(corpus, make_synthetic_corpus(6, 2))
+        cfg.write_text(json.dumps({"runs_per_fold": 3, "seed": 4}),
+                       encoding="utf-8")
+        out = tmp_path / "res"
+        assert run(["crossval", "--corpus", corpus, "--config", cfg,
+                    "--out", out]) == 0
+        runs = {d: [{"f1": f, "precision": p, "recall": r, "seed": 4 + k}
+                    for k, (p, r, f) in enumerate(rows)]
+                for d, rows in scores.items()}
+        folds = {"dom0": {"held_out_domain": "dom0",
+                          "mean_f1": 0.7999999999999999,
+                          "mean_precision": 0.20000000000000004,
+                          "mean_recall": 0.19999999999999998,
+                          "runs": runs["dom0"]},
+                 "dom1": {"held_out_domain": "dom1",
+                          "mean_f1": 0.19999999999999998,
+                          "mean_precision": 0.19999999999999998,
+                          "mean_recall": 0.6,
+                          "runs": runs["dom1"]}}
+        report = {
+            "folds": [{"domain": "dom0", "f1": 0.7999999999999999,
+                       "precision": 0.20000000000000004,
+                       "recall": 0.19999999999999998, "runs": runs["dom0"]},
+                      {"domain": "dom1", "f1": 0.19999999999999998,
+                       "precision": 0.19999999999999998, "recall": 0.6,
+                       "runs": runs["dom1"]}],
+            "mean": {"domain": "MEAN", "f1": 0.49999999999999994,
+                     "precision": 0.2, "recall": 0.39999999999999997},
+            "note": "zero-denominator metrics reported as 0"}
+        for name, doc in [("fold_dom0.json", folds["dom0"]),
+                          ("fold_dom1.json", folds["dom1"]),
+                          ("report.json", report)]:
+            assert (out / name).read_text(encoding="utf-8") == json.dumps(
+                doc, indent=2, sort_keys=True) + "\n"
+        table = (
+            "domain           precision              recall                  f1\n"
+            "dom0                0.2000              0.2000              0.8000\n"
+            "dom1                0.2000              0.6000              0.2000\n"
+            "MEAN                0.2000              0.4000              0.5000\n")
+        assert (out / "report.txt").read_text(encoding="utf-8") == table
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["fold_seeds"] == {"dom0": [4, 5, 6],
+                                          "dom1": [4, 5, 6]}
+        assert capsys.readouterr().err == "".join(
+            f"[fold={d} run={k}] seed={4 + k}\n"
+            for d in ("dom0", "dom1") for k in range(3)) + table
 
     def test_runs_override(self, corpus_path, config_path, tmp_path):
         out = tmp_path / "r"
