@@ -22,7 +22,8 @@ from .data import (DataError, ParseError, SchemaError, load_corpus,
                    parse_conllu, parse_rebert_csv, save_corpus, clean_tokens)
 from .embeddings import encode_tokens
 from .evaluation import (BaselineMismatchError, evaluate_tag_pairs,
-                         extract_spans, load_baselines, render_report)
+                         extract_spans, load_baselines, mean_scores,
+                         render_report)
 from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
                       predict_tags, save_checkpoint)
 from .tensor import NumericError
@@ -62,6 +63,8 @@ def _load_config(path) -> "TrainConfig":
 
 
 def cmd_preprocess(args):
+    if not args.feature_delim:
+        raise DataError("--feature-delim must not be empty")
     if args.format == "rebert-csv":
         corpus, summary = parse_rebert_csv(args.input,
                                            feature_delim=args.feature_delim)
@@ -95,14 +98,14 @@ def cmd_train(args):
     return 0
 
 
-def _manifest(config: "TrainConfig", inputs: dict, fold_reports):
+def _manifest(config: "TrainConfig", inputs: dict, folds):
     return {
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "config": dataclasses.asdict(config),
         "input_digests": {name: _sha256(p) for name, p in inputs.items()},
-        "fold_seeds": {fr.held_out_domain: [r["seed"] for r in fr.runs]
-                       for fr in fold_reports},
+        "fold_seeds": {domain: [r["seed"] for r in runs]
+                       for domain, runs in folds.items()},
     }
 
 
@@ -112,23 +115,27 @@ def cmd_crossval(args):
     if args.runs is not None:
         config = dataclasses.replace(config, runs_per_fold=args.runs)
     corpus = load_corpus(args.corpus)
+    for domain in corpus.domains:  # each names a file fold_<domain>.json
+        if "/" in domain or "\0" in domain:
+            raise DataError(f"domain {domain!r} holds '/' or NUL, so it "
+                            f"cannot name a fold file")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     def progress(domain, run_index, seed):
         _log(f"[fold={domain} run={run_index}] seed={seed}")
 
-    reports = cross_validate(config, corpus, progress=progress)
-    for fr in reports:
-        fold_path = out / f"fold_{fr.held_out_domain}.json"
-        fold_path.write_text(
-            json.dumps(dataclasses.asdict(fr), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-    doc, table = render_report(reports)
+    folds = cross_validate(config, corpus, progress=progress)
+    for domain, runs in folds.items():
+        means = {f"mean_{k}": v for k, v in mean_scores(runs).items()}
+        (out / f"fold_{domain}.json").write_text(json.dumps(
+            {"held_out_domain": domain, "runs": runs, **means},
+            indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    doc, table = render_report(folds)
     (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
     (out / "report.txt").write_text(table + "\n", encoding="utf-8")
-    manifest = _manifest(config, {"corpus": args.corpus}, reports)
+    manifest = _manifest(config, {"corpus": args.corpus}, folds)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _log(table)
@@ -176,9 +183,10 @@ def cmd_extract(args):
                          else predict_batch(params, rows))
             replies = []
             for text, toks in zip(lines, tokens):
-                spans = extract_spans(next(paths), tokens=toks) if toks else []
+                spans = extract_spans(next(paths)) if toks else []
                 replies.append(json.dumps({"text": text, "requirements": [
-                    {"span": [s.start, s.end], "text": s.text}
+                    {"span": [s.start, s.end],
+                     "text": " ".join(toks[s.start:s.end + 1])}
                     for s in spans]}) + "\n")
             sys.stdout.write("".join(replies))
             sys.stdout.flush()

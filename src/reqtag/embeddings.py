@@ -37,7 +37,6 @@ class Vocabulary:
 class EmbeddingTable:
     matrix: np.ndarray  # (vocab_size, dim)
     trainable: bool = True
-    matched_words: int = 0  # vocab words found in the pretrained file
 
 
 def build_vocabulary(corpus) -> Vocabulary:
@@ -57,7 +56,7 @@ def random_embeddings(n_rows: int, dim: int, rng: "np.random.Generator",
     """Table of n_rows rows, every non-pad row drawn uniform(-0.25, 0.25)."""
     matrix = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND, size=(n_rows, dim))
     matrix[PAD_INDEX, :] = 0.0
-    return EmbeddingTable(matrix=matrix, trainable=trainable, matched_words=0)
+    return EmbeddingTable(matrix=matrix, trainable=trainable)
 
 
 def load_glove(path, vocab: Vocabulary, dim: int, rng: "np.random.Generator",
@@ -66,10 +65,11 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: "np.random.Generator",
 
     Rows for vocabulary words present in the file are copied verbatim;
     everything else (including UNK) gets a random uniform(-0.25, 0.25)
-    row; the pad row is zeroed.
+    row; the pad row is zeroed. A file with no vocabulary word in it is
+    an error.
     """
     table = random_embeddings(len(vocab), dim, rng, trainable=trainable)
-    matched = 0
+    matched = False
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip()
@@ -93,8 +93,10 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng: "np.random.Generator",
             if not np.isfinite(table.matrix[idx]).all():
                 raise GloveParseError(
                     f"line {lineno}: non-finite embedding value")
-            matched += 1
-    table.matched_words = matched
+            matched = True
+    if not matched:
+        raise GloveParseError(f"{path}: no word of the training vocabulary "
+                              f"has a vector in this file")
     return table
 
 

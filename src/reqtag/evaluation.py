@@ -1,9 +1,10 @@
 """Requirement-level evaluation: span extraction, matching, P/R/F1.
 
 A predicted requirement is a maximal run of non-O tags; the B/I split
-inside a run is ignored. Matching defaults to exact (start, end)
-equality; token-overlap matching is available for comparability.
-Counts are pooled (micro-averaged) across all sentences of a domain.
+inside a run is ignored. A span is its start and end positions only.
+Matching defaults to exact (start, end) equality; token-overlap matching
+is available for comparability. Counts are pooled (micro-averaged)
+across all sentences of a domain; mean_scores averages runs and folds.
 """
 
 import json
@@ -19,7 +20,6 @@ from .network import predict_batch
 class RequirementSpan:
     start: int  # inclusive
     end: int    # inclusive
-    text: str = ""
 
     def overlaps(self, other: "RequirementSpan") -> bool:
         return self.start <= other.end and other.start <= self.end
@@ -35,7 +35,7 @@ class MetricsTriple:
     fn: int
 
 
-def extract_spans(tags, tokens=None):
+def extract_spans(tags):
     """Maximal runs of non-O tag indices, as sorted disjoint spans.
 
     The input need not be valid BIO.
@@ -46,16 +46,11 @@ def extract_spans(tags, tokens=None):
         if t != 0 and start is None:
             start = pos
         elif t == 0 and start is not None:
-            spans.append(_make_span(start, pos - 1, tokens))
+            spans.append(RequirementSpan(start, pos - 1))
             start = None
     if start is not None:
-        spans.append(_make_span(start, len(tags) - 1, tokens))
+        spans.append(RequirementSpan(start, len(tags) - 1))
     return spans
-
-
-def _make_span(start, end, tokens):
-    text = " ".join(tokens[start:end + 1]) if tokens else ""
-    return RequirementSpan(start=start, end=end, text=text)
 
 
 def match_spans(predicted, gold, overlap: bool = False):
@@ -141,24 +136,17 @@ def load_baselines(path, fold_labels):
     return table
 
 
-def render_report(fold_reports):
-    """(json_doc, text_table) for a list of FoldReport objects."""
-    rows = []
-    for fr in fold_reports:
-        rows.append({
-            "domain": fr.held_out_domain,
-            "precision": fr.mean_precision,
-            "recall": fr.mean_recall,
-            "f1": fr.mean_f1,
-            "runs": fr.runs,
-        })
-    n = len(fold_reports)
-    mean_row = {
-        "domain": "MEAN",
-        "precision": sum(r["precision"] for r in rows) / n,
-        "recall": sum(r["recall"] for r in rows) / n,
-        "f1": sum(r["f1"] for r in rows) / n,
-    }
+def mean_scores(rows) -> dict:
+    """Mean precision, recall and f1 of score dicts, summed in row order."""
+    return {k: sum(r[k] for r in rows) / len(rows)
+            for k in ("precision", "recall", "f1")}
+
+
+def render_report(folds):
+    """(json_doc, text_table) for {held-out domain: [run dicts]}."""
+    rows = [{"domain": domain, **mean_scores(runs), "runs": runs}
+            for domain, runs in folds.items()]
+    mean_row = {"domain": "MEAN", **mean_scores(rows)}
     doc = {"folds": rows, "mean": mean_row,
            "note": "zero-denominator metrics reported as 0"}
 

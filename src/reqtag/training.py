@@ -2,7 +2,9 @@
 
 The vocabulary is always built from the training folds only; held-out
 domain sentences never touch anything the optimizer sees. Each batch is
-padded to its own longest sentence.
+padded to its own longest sentence. Cross-validation returns one record
+per (held-out domain, run) and nothing derived from them; means are
+taken where they are written, by evaluation.mean_scores.
 """
 
 import math
@@ -85,22 +87,6 @@ class AdamState:
                    v={k: np.zeros_like(a) for k, a in blocks.items()})
 
 
-@dataclass
-class FoldReport:
-    held_out_domain: str
-    runs: list  # per-run dicts {seed, precision, recall, f1}
-    mean_precision: float = 0.0
-    mean_recall: float = 0.0
-    mean_f1: float = 0.0
-
-    def finalize(self):
-        n = len(self.runs)
-        self.mean_precision = sum(r["precision"] for r in self.runs) / n
-        self.mean_recall = sum(r["recall"] for r in self.runs) / n
-        self.mean_f1 = sum(r["f1"] for r in self.runs) / n
-        return self
-
-
 def pad_batch(sentences, vocab: Vocabulary):
     """Right-pad index/tag matrices to the longest sentence; tags pad
     with O and are inert."""
@@ -179,9 +165,6 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
     if config.glove_path:
         table = load_glove(config.glove_path, vocab, config.embedding_dim, rng,
                            trainable=not config.freeze_embeddings)
-        if not table.matched_words:
-            raise DataError(f"{config.glove_path}: no word of the training "
-                            f"vocabulary has a vector in this file")
     else:
         table = random_embeddings(len(vocab), config.embedding_dim, rng,
                                   trainable=not config.freeze_embeddings)
@@ -222,18 +205,18 @@ def run_fold(config: TrainConfig, corpus: Corpus, held_out: str, seed: int):
 
 
 def cross_validate(config: TrainConfig, corpus: Corpus,
-                   progress=None) -> list:
-    """Leave-one-domain-out over every domain, runs_per_fold runs each."""
+                   progress=None) -> dict:
+    """Leave-one-domain-out over every domain, runs_per_fold runs each;
+    returns {held-out domain: [run_fold dicts]} in sorted domain order."""
     domains = corpus.domains
     if len(domains) < 2:
         raise DataError(f"need at least 2 domains, have {len(domains)}")
-    reports = []
+    folds = {}
     for held_out in sorted(domains):
-        runs = []
+        runs = folds[held_out] = []
         for run_index in range(config.runs_per_fold):
             seed = config.seed + run_index
             if progress:
                 progress(held_out, run_index, seed)
             runs.append(run_fold(config, corpus, held_out, seed))
-        reports.append(FoldReport(held_out_domain=held_out, runs=runs).finalize())
-    return reports
+    return folds

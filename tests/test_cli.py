@@ -13,7 +13,7 @@ import pytest
 import reqtag
 from reqtag import network, training
 from reqtag.cli import main
-from reqtag.data import clean_tokens, save_corpus
+from reqtag.data import Corpus, TaggedSentence, clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
 from reqtag.evaluation import evaluate_tag_pairs, extract_spans
 from reqtag.network import DECODE_CHUNK, load_checkpoint, predict_tags
@@ -144,8 +144,33 @@ class TestPreprocess:
                     "--input", tmp_path / "absent.csv",
                     "--output", tmp_path / "o"]) == 1
 
+    def test_empty_feature_delim(self, tmp_path, capsys):
+        # rejected before the input is opened: the file does not exist
+        assert run(["preprocess", "--format", "rebert-csv",
+                    "--feature-delim", "", "--input", tmp_path / "absent.csv",
+                    "--output", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --feature-delim must not be empty\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestCrossval:
+    @pytest.mark.parametrize("label", ["a/b", "a\0b"])
+    def test_domain_that_cannot_name_a_file(self, tmp_path, config_path,
+                                            capsys, label):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, Corpus(sentences=[
+            TaggedSentence(app_id=app, tokens=["add", "dark", "mode"],
+                           tags=["O", "B", "I"])
+            for app in ("x", "x", label, label)]))
+        out = tmp_path / "res"
+        assert run(["crossval", "--corpus", corpus, "--config", config_path,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: domain {label!r} holds '/' or NUL, so it cannot name "
+            f"a fold file\n")
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, corpus_path, config_path,
                                         tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -354,7 +379,6 @@ def trained_model(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("model")
     corpus = make_synthetic_corpus(6, 1, seed=4)
     target = next(s for s in corpus.sentences if "B" in s.tags)
-    from reqtag.data import Corpus
     cpath = tmp / "single.jsonl"
     save_corpus(cpath, Corpus(sentences=[target]))
     cfg = tmp / "cfg.json"
@@ -381,10 +405,24 @@ class TestExtract:
         src.write_text(" ".join(target.tokens) + "\n", encoding="utf-8")
         assert run(["extract", "--model", model, "--input", src]) == 0
         doc = json.loads(capsys.readouterr().out.strip())
-        from reqtag.evaluation import extract_spans
-        gold = [(s.start, s.end) for s in extract_spans(
-            target.tag_indices(), tokens=target.tokens)]
+        gold = [(s.start, s.end) for s in extract_spans(target.tag_indices())]
         assert [tuple(r["span"]) for r in doc["requirements"]] == gold
+        assert [r["text"] for r in doc["requirements"]] == [
+            " ".join(target.tokens[s:e + 1]) for s, e in gold]
+
+    def test_span_text_is_its_tokens_joined(self, trained_model, tmp_path,
+                                            capsys):
+        model, _, target = trained_model
+        src = tmp_path / "reviews.txt"
+        src.write_text("Nice!! " + " ".join(target.tokens) + "\n",
+                       encoding="utf-8")
+        assert run(["extract", "--model", model, "--input", src]) == 0
+        doc = json.loads(capsys.readouterr().out.strip())
+        tokens = clean_tokens(doc["text"])
+        assert doc["requirements"]
+        for r in doc["requirements"]:
+            start, end = r["span"]
+            assert r["text"] == " ".join(tokens[start:end + 1])
 
     def test_punctuation_only_line(self, trained_model, tmp_path, capsys):
         model, _, _ = trained_model
@@ -520,10 +558,10 @@ def _per_line_replies(model, src):
             text = line.rstrip("\n")
             tokens = clean_tokens(text)
             spans = extract_spans(predict_tags(
-                params, encode_tokens(tokens, vocab)), tokens=tokens) \
-                if tokens else []
+                params, encode_tokens(tokens, vocab))) if tokens else []
             want.append(json.dumps({"text": text, "requirements": [
-                {"span": [s.start, s.end], "text": s.text}
+                {"span": [s.start, s.end],
+                 "text": " ".join(tokens[s.start:s.end + 1])}
                 for s in spans]}) + "\n")
     return want
 

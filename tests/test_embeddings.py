@@ -48,12 +48,20 @@ class TestLoadGlove:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
+    def _assert_other_rows_drawn(self, table, vocab, in_file):
+        """Every row the file does not give, pad and unk included, is the
+        same-seed random_embeddings row."""
+        drawn = random_embeddings(len(vocab), 3, np.random.default_rng(0))
+        others = [i for i in range(len(vocab)) if i not in in_file]
+        np.testing.assert_array_equal(table.matrix[others],
+                                      drawn.matrix[others])
+
     def test_matched_rows_copied_exactly(self, tmp_path):
         vocab = build_vocabulary([["cat", "dog"]])
         path = self._write(tmp_path, ["cat 0.25 -1.5 3.0"])
         table = load_glove(path, vocab, 3, np.random.default_rng(0))
         np.testing.assert_array_equal(table.matrix[2], [0.25, -1.5, 3.0])
-        assert table.matched_words == 1
+        self._assert_other_rows_drawn(table, vocab, {2})
 
     def test_oov_rows_within_bound(self, tmp_path):
         vocab = build_vocabulary([["cat", "dog"]])
@@ -91,7 +99,7 @@ class TestLoadGlove:
         table = load_glove(path, vocab, 3, np.random.default_rng(0))
         np.testing.assert_array_equal(table.matrix[2], [0.1, 0.2, 0.3])
         np.testing.assert_array_equal(table.matrix[3], [0.4, 0.5, 0.6])
-        assert table.matched_words == 2
+        self._assert_other_rows_drawn(table, vocab, {2, 3})
 
     def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
         vocab = build_vocabulary([["cat"]])
@@ -100,7 +108,7 @@ class TestLoadGlove:
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         table = load_glove(path, vocab, 3, np.random.default_rng(0))
         np.testing.assert_array_equal(table.matrix[2], [0.1, 0.2, 0.3])
-        assert table.matched_words == 1
+        self._assert_other_rows_drawn(table, vocab, {2})
 
     def test_pad_row_zero(self, tmp_path):
         vocab = build_vocabulary([["cat"]])

@@ -11,7 +11,6 @@ from reqtag.evaluation import (BaselineMismatchError, RequirementSpan,
                                evaluate_tag_pairs, extract_spans,
                                load_baselines, match_spans, render_report)
 from reqtag.network import DECODE_CHUNK, ModelDims, init_model, predict_tags
-from reqtag.training import FoldReport
 
 
 def spans(*pairs):
@@ -33,10 +32,6 @@ class TestExtractSpans:
     def test_accepts_indices(self):
         got = extract_spans([0, 1, 2, 0])
         assert [(s.start, s.end) for s in got] == [(1, 2)]
-
-    def test_text_joined_from_tokens(self):
-        got = extract_spans([0, 1, 2], tokens=["add", "dark", "mode"])
-        assert got[0].text == "dark mode"
 
     def test_run_count_invariant(self):
         rng = np.random.default_rng(21)
@@ -150,14 +145,10 @@ def test_evaluate_domain_batches_equal_per_sentence_predictions(monkeypatch):
 
 
 def _reports():
-    return [
-        FoldReport(held_out_domain="ebay",
-                   runs=[{"seed": 0, "precision": 0.5, "recall": 1.0,
-                          "f1": 2 / 3}]).finalize(),
-        FoldReport(held_out_domain="spotify",
-                   runs=[{"seed": 0, "precision": 1.0, "recall": 0.5,
-                          "f1": 2 / 3}]).finalize(),
-    ]
+    return {
+        "ebay": [{"seed": 0, "precision": 0.5, "recall": 1.0, "f1": 2 / 3}],
+        "spotify": [{"seed": 0, "precision": 1.0, "recall": 0.5, "f1": 2 / 3}],
+    }
 
 
 class TestRenderReport:

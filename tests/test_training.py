@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from reqtag import crf
 from reqtag.data import Corpus, DataError, TaggedSentence
-from reqtag.embeddings import PAD_INDEX, build_vocabulary, encode_tokens
+from reqtag.embeddings import (GloveParseError, PAD_INDEX, build_vocabulary,
+                               encode_tokens)
+from reqtag.evaluation import mean_scores
 from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
                             param_blocks, predict_tags, zero_grad_blocks)
 from reqtag.tensor import NumericError
@@ -285,7 +289,9 @@ class TestTrain:
         glove = tmp_path / "glove.txt"
         glove.write_text("".join(f"zz{k} " + " ".join(["0.5"] * 16) + "\n"
                                  for k in range(5)), encoding="utf-8")
-        with pytest.raises(DataError, match="no word of the training"):
+        with pytest.raises(GloveParseError, match=re.escape(
+                f"{glove}: no word of the training vocabulary has a vector "
+                f"in this file")):
             train(tiny_config(epochs=1, glove_path=str(glove)),
                   synthetic_corpus, ["dom0"])
 
@@ -302,20 +308,21 @@ class TestTrain:
 class TestCrossValidate:
     def test_fold_count_and_report_shape(self, synthetic_corpus):
         cfg = tiny_config(epochs=1, runs_per_fold=2, seed=1, batch_size=8)
-        reports = cross_validate(cfg, synthetic_corpus)
-        assert len(reports) == 3
-        for fr in reports:
-            assert len(fr.runs) == 2
-            assert fr.runs[0]["seed"] == 1 and fr.runs[1]["seed"] == 2
-            assert fr.mean_f1 == pytest.approx(
-                sum(r["f1"] for r in fr.runs) / 2, abs=1e-12)
-            assert 0.0 <= fr.mean_f1 <= 1.0
+        folds = cross_validate(cfg, synthetic_corpus)
+        assert list(folds) == ["dom0", "dom1", "dom2"]
+        for runs in folds.values():
+            assert len(runs) == 2
+            assert runs[0]["seed"] == 1 and runs[1]["seed"] == 2
+            mean_f1 = mean_scores(runs)["f1"]
+            assert mean_f1 == pytest.approx(
+                sum(r["f1"] for r in runs) / 2, abs=1e-12)
+            assert 0.0 <= mean_f1 <= 1.0
 
     def test_single_run_mean_is_that_run(self, synthetic_corpus):
         cfg = tiny_config(epochs=1, runs_per_fold=1, seed=0, batch_size=8)
-        reports = cross_validate(cfg, synthetic_corpus)
-        for fr in reports:
-            assert fr.mean_f1 == fr.runs[0]["f1"]
+        folds = cross_validate(cfg, synthetic_corpus)
+        for runs in folds.values():
+            assert mean_scores(runs)["f1"] == runs[0]["f1"]
 
     def test_needs_two_domains(self):
         corpus = make_synthetic_corpus(10, 1)
