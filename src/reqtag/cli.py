@@ -84,6 +84,13 @@ def cmd_preprocess(args):
 
 def cmd_train(args):
     from .training import train
+    for flag, path in (("--output", args.output),
+                       ("--loss-curve", args.loss_curve)):
+        # a pre-flight: the write after training may still fail
+        if path and (os.path.isdir(path)
+                     or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise DataError(f"{flag} {path!r} does not name a file in an "
+                            f"existing directory")
     config = _load_config(args.config)
     corpus = load_corpus(args.corpus)
     domains = sorted(corpus.domains)
@@ -110,15 +117,23 @@ def _manifest(config: "TrainConfig", inputs: dict, folds):
 
 
 def cmd_crossval(args):
-    from .training import cross_validate
+    from .training import cross_validate, fold_domains
     config = _load_config(args.config)
     if args.runs is not None:
         config = dataclasses.replace(config, runs_per_fold=args.runs)
     corpus = load_corpus(args.corpus)
-    for domain in corpus.domains:  # each names a file fold_<domain>.json
+    for domain in fold_domains(corpus):  # each names fold_<domain>.json
         if "/" in domain or "\0" in domain:
             raise DataError(f"domain {domain!r} holds '/' or NUL, so it "
                             f"cannot name a fold file")
+        try:
+            domain.encode("utf-8")  # as report.txt holds it
+            fits = len(os.fsencode(f"fold_{domain}.json")) <= 255
+        except UnicodeEncodeError:
+            fits = False
+        if not fits:
+            raise DataError(f"domain {domain!r} cannot name a fold file of "
+                            f"at most 255 UTF-8 bytes")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

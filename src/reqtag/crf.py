@@ -7,11 +7,9 @@ ill-formed BIO sequence (START->I, O->I) are clamped to a large negative
 score and never updated.
 """
 
-from itertools import accumulate
-
 import numpy as np
 
-from .tensor import logsumexp, previous_rows
+from .tensor import logsumexp
 
 O, B, I = 0, 1, 2
 N_TAGS = 3
@@ -37,48 +35,44 @@ def init_transitions() -> np.ndarray:
     return t
 
 
-def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, sizes):
-    """Max-scoring path of each row of a packed batch laid out as for
-    crf_nll_backward (one sentence: sizes [1] * n), by one max-product
-    pass over every row. Returns the tags (N,) per packed position. Ties
-    break toward the lower tag (O < B < I), resolved from the last
-    position backward: argmax takes the first maximum, in the
-    backpointers too."""
-    starts = [0, *accumulate(sizes)]
-    v = np.empty((starts[-1], N_TAGS))
-    back = np.empty((starts[-1], N_TAGS), dtype=np.int64)
-    v[:sizes[0]] = transitions[START, :N_TAGS] + emissions[:sizes[0]]
-    for t in range(1, len(sizes)):
-        lo, n = starts[t], sizes[t]
-        cand = (v[starts[t - 1]:starts[t - 1] + n, :, None]
+def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, packing):
+    """Max-scoring path of each row of a packed batch (see network.Packing),
+    by one max-product pass over every row. Returns each row's tags as a
+    list, in rank order. Ties break toward the lower tag (O < B < I),
+    resolved from the last position backward: argmax takes the first
+    maximum, in the backpointers too."""
+    sizes, first = packing.sizes, packing.sizes[0]
+    v = np.empty((len(emissions), N_TAGS))
+    back = np.empty((len(emissions), N_TAGS), dtype=np.int64)
+    v[:first] = transitions[START, :N_TAGS] + emissions[:first]
+    lo = 0
+    for n_prev, n in zip(sizes, sizes[1:]):
+        cand = (v[lo:lo + n, :, None]
                 + transitions[:N_TAGS, :N_TAGS])  # (row, prev, next)
+        lo += n_prev
         back[lo:lo + n] = cand.argmax(axis=1)
         np.add(emissions[lo:lo + n], cand.max(axis=1), out=v[lo:lo + n])
-    # rank r runs while the step size exceeds r, ending at position r
-    lengths = (np.array(sizes)[:, None] > np.arange(sizes[0])).sum(axis=0)
-    final = (v[np.array(starts)[lengths - 1] + np.arange(sizes[0])]
-             + transitions[:N_TAGS, STOP])
+    final = v[packing.last] + transitions[:N_TAGS, STOP]
     # backtrack over Python ints: a numpy index per step costs more
     back = back.tolist()
-    tags = [0] * starts[-1]
-    for r, (n, y) in enumerate(zip(lengths.tolist(),
-                                   final.argmax(axis=1).tolist())):
-        for t in range(n - 1, 0, -1):
-            tags[starts[t] + r] = y
-            y = back[starts[t] + r][y]
-        tags[r] = y
-    return np.array(tags)
+    prev = packing.prev.tolist()
+    paths = []
+    for p, y in zip(packing.last.tolist(), final.argmax(axis=1).tolist()):
+        path = [y]
+        while p >= first:
+            y = back[p][y]
+            p = prev[p - first]
+            path.append(y)
+        paths.append(path[::-1])
+    return paths
 
 
 def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
-                     gold_tags, sizes):
-    """Summed NLL of a packed batch plus its gradients w.r.t. emissions
-    and transitions, by forward-backward over every row at once.
-
-    emissions (N, 3) and gold_tags (N,), valid BIO in every row, hold the
-    batch's real positions grouped by time step, sizes[t] rows at step t,
-    rows sorted longest first so the rows running at step t are the first
-    sizes[t] of step t-1; one sentence of n tokens has sizes [1] * n.
+                     gold_tags, packing):
+    """Summed NLL of a packed batch (see network.Packing) plus its
+    gradients w.r.t. emissions and transitions, by forward-backward over
+    every row at once. emissions (N, 3) and gold_tags (N,), valid BIO in
+    every row, hold the batch's packed positions.
 
     d NLL / d e[t,y]  = p(y_t = y) - 1[gold_t = y]
     d NLL / d T[a,b]  = expected transition count - gold transition count
@@ -86,36 +80,35 @@ def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
     """
     gold = np.asarray(gold_tags)
     n_all = len(gold)
-    sizes = list(sizes)
-    starts = np.cumsum([0] + sizes)
-    first = sizes[0]
-    prev = previous_rows(sizes)
+    sizes, first = packing.sizes, packing.sizes[0]
+    prev, rank = packing.prev, packing.rank
     trans = transitions[:N_TAGS, :N_TAGS]
     stop = transitions[:N_TAGS, STOP]
-    # each position's row (its rank within its step), and whether the
-    # row ends there
-    row = np.arange(n_all) - np.repeat(starts[:-1], sizes)
-    ends = row >= np.repeat(sizes[1:] + [0], sizes)
+    # where rows end, as a mask: sums over it run in position order
+    ends = np.zeros(n_all, dtype=bool)
+    ends[packing.last] = True
 
     alpha = np.empty((n_all, N_TAGS))
     alpha[:first] = transitions[START, :N_TAGS] + emissions[:first]
-    for t in range(1, len(sizes)):
-        lo, n = starts[t], sizes[t]
-        alpha[lo:lo + n] = emissions[lo:lo + n] + logsumexp(
-            alpha[starts[t - 1]:starts[t - 1] + n, :, None] + trans, axis=1)
+    lo = 0
+    for n_prev, n in zip(sizes, sizes[1:]):
+        cand = alpha[lo:lo + n, :, None] + trans
+        lo += n_prev
+        alpha[lo:lo + n] = emissions[lo:lo + n] + logsumexp(cand, axis=1)
     beta = np.empty((n_all, N_TAGS))
     beta[ends] = stop
-    for t in range(len(sizes) - 2, -1, -1):
-        nxt = slice(starts[t + 1], starts[t + 2])
-        beta[starts[t]:starts[t] + sizes[t + 1]] = logsumexp(
+    hi = n_all
+    for n_prev, n in reversed(list(zip(sizes, sizes[1:]))):
+        nxt = slice(hi - n, hi)
+        hi -= n
+        beta[hi - n_prev:hi - n_prev + n] = logsumexp(
             trans + (emissions[nxt] + beta[nxt])[:, None, :], axis=2)
 
-    log_z = np.empty(first)
-    log_z[row[ends]] = logsumexp(alpha[ends] + stop, axis=1)
-    unary = np.exp(alpha + beta - log_z[row][:, None])
+    log_z = logsumexp(alpha[packing.last] + stop, axis=1)
+    unary = np.exp(alpha + beta - log_z[rank][:, None])
     pairwise = np.exp(alpha[prev][:, :, None] + trans
                       + (emissions[first:] + beta[first:])[:, None, :]
-                      - log_z[row[first:]][:, None, None])
+                      - log_z[rank[first:]][:, None, None])
     gold_score = (transitions[START, gold[:first]].sum()
                   + emissions[np.arange(n_all), gold].sum()
                   + trans[gold[prev], gold[first:]].sum()

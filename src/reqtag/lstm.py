@@ -4,23 +4,21 @@ Gate order in the stacked weight matrices is [input, forget, candidate,
 output]. The forget-gate bias block starts at 1.0; everything else is
 uniform(-k, k) with k = 1/sqrt(hidden).
 
-A sequence batch runs packed, from a zero state: its N real steps are
-(N, ...) rows grouped by time step, sizes[t] rows at step t, with the
-rows sorted longest first so that the rows still running at step t are
-the first sizes[t] rows of step t-1 (see ``tensor.previous_rows``). Step t
-advances only those rows; a row that has ended is never computed. The
-input projection is one GEMM over the N rows before the time loop, and
-the weight gradients are stacked GEMMs over every step's gate gradient
-after it. lstm_forward is the one sequence function: it keeps each
-step's cache, which lstm_backward reads, only when a backward pass
-follows, so inference holds one step's cache at a time.
+A sequence batch runs packed, from a zero state, in the layout that
+``network.Packing`` describes: step t advances only the sizes[t] rows
+still running, and a row that has ended is never computed. The input
+projection is one GEMM over the N rows before the time loop, and the
+weight gradients are stacked GEMMs over every step's gate gradient after
+it. lstm_forward is the one sequence function: it keeps each step's
+cache, which lstm_backward reads, only when a backward pass follows, so
+inference holds one step's cache at a time.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, previous_rows, sigmoid
+from .tensor import ShapeError, sigmoid
 
 
 @dataclass
@@ -106,13 +104,15 @@ def lstm_forward(params: LstmCellParams, pre, sizes, caches=None):
     return hs
 
 
-def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, sizes):
-    """BPTT over a packed sequence batch that ran on inputs x (N, input_dim).
+def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, packing):
+    """BPTT over a packed sequence batch (a network.Packing) that ran on
+    inputs x (N, input_dim).
 
     d_hs is the (N, H) gradient reaching each step's output. Returns
     (dx (N, input_dim), weight gradients as LstmCellParams).
     """
     hid = params.hidden
+    sizes = packing.sizes
     d_a = np.empty((len(hs), 4 * hid))
     # a row that ends at step t gets no gradient from later steps
     dh = np.zeros((sizes[0], hid))
@@ -125,6 +125,6 @@ def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, sizes):
         end -= n
     # step 0 starts from h = 0, so only later steps feed w_h
     grads = LstmCellParams(w_in=d_a.T @ x,
-                           w_h=d_a[sizes[0]:].T @ hs[previous_rows(sizes)],
+                           w_h=d_a[sizes[0]:].T @ hs[packing.prev],
                            b=d_a.sum(axis=0))
     return d_a @ params.w_in, grads

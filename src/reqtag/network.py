@@ -5,21 +5,20 @@ dot-product self-attention -> LSTM decoder fed the attended state and
 the previous tag's embedding -> linear emission projection -> linear
 chain CRF.
 
-A batch is packed before any layer runs (see Packing): rows are
-stable-sorted longest first and their N real positions become (N, ...)
-arrays grouped by time step, so the rows still running at step t are
-the first n_t rows of step t-1. The LSTMs and the CRF advance only the
-n_t running rows at each step, and every weight-gradient GEMM covers
-the N rows once. The encoder projects each distinct token of the batch
-once per direction and gathers the projections to its positions; its
-backward direction reads each row mirrored through a gather index.
-Attention confines each row to its own positions, and the rows of one
-length, adjacent in rank order, attend as one stacked product. Training
-calls batch_loss_and_grads once per right-padded batch, packed through
-Packing.src, which skips the pads. predict_batch ranks any number of
-rows by length and runs the same layers, keeping no backward caches,
-and one packed Viterbi per DECODE_CHUNK ranked rows; paths come back in
-input order, and predict_tags is its B = 1 case.
+A batch is packed before any layer runs: its N real positions become
+(N, ...) arrays in the layout that Packing describes, with every index
+the layers read. The LSTMs and the CRF advance only the rows running at
+each step, and every weight-gradient GEMM covers the N rows once. The
+encoder projects each distinct token of the batch once per direction and
+gathers the projections to its positions; its backward direction reads
+each row mirrored through a gather index. Attention confines each row to
+its own positions, and the rows of one length, adjacent in rank order,
+attend as one stacked product. Training calls batch_loss_and_grads once
+per right-padded batch, packed through Packing.src, which skips the
+pads. predict_batch ranks any number of rows by length and runs the same
+layers, keeping no backward caches, and one packed Viterbi per
+DECODE_CHUNK ranked rows; paths come back in input order, and
+predict_tags is its B = 1 case.
 
 A call of two or more chunks decodes them on up to one thread per CPU,
 started by that call and joined before it returns or raises, so memory
@@ -39,7 +38,7 @@ import os
 import threading
 import zipfile
 from dataclasses import dataclass, fields
-from itertools import groupby, islice
+from itertools import groupby
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .embeddings import (EmbeddingTable, PAD_INDEX, PAD_TOKEN, UNK_TOKEN,
                          Vocabulary, random_embeddings)
 from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
                    lstm_step)
-from .tensor import previous_rows, softmax_rows
+from .tensor import softmax_rows
 
 CHECKPOINT_VERSION = 2
 DECODE_CHUNK = 64
@@ -143,13 +142,16 @@ class Packing:
     end in input order. Rows are ranked longest first (a stable sort),
     and the sizes[t] positions of step t follow those of step t-1 in rank
     order, so the rows running at step t are the first sizes[t] of step
-    t-1.
+    t-1. The layers read every index of this layout from here.
     """
     src: np.ndarray     # (N,) position in the concatenated input rows
     sizes: list         # rows running at each step
     rev: np.ndarray     # (N,) position of the same row's mirrored step
     by_row: np.ndarray  # (N,) positions rank by rank, each in step order
     lengths: list       # row lengths in rank order
+    rank: np.ndarray    # (N,) rank of each position's row
+    prev: np.ndarray    # (N - B,) same row's position a step back, steps >= 1
+    last: np.ndarray    # (B,) each rank's final position
 
 
 def _pack(lengths) -> Packing:
@@ -161,10 +163,13 @@ def _pack(lengths) -> Packing:
     steps, rank = np.nonzero(live.T)
     pos = np.zeros(live.shape, dtype=np.int64)
     pos.T[live.T] = np.arange(len(steps))
+    b = len(ranked)
     return Packing(src=(np.cumsum(lengths) - lengths)[order[rank]] + steps,
                    sizes=live.sum(axis=0).tolist(),
                    rev=pos[rank, ranked[rank] - 1 - steps],
-                   by_row=pos[live], lengths=ranked.tolist())
+                   by_row=pos[live], lengths=ranked.tolist(), rank=rank,
+                   prev=pos[rank[b:], steps[b:] - 1],
+                   last=pos[np.arange(b), ranked - 1])
 
 
 def _add_cell_grads(grads, prefix, g: LstmCellParams):
@@ -202,10 +207,10 @@ def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
     x_rev = x[packing.rev]
     h_enc = params.dims.h_enc
     d_x, g = lstm_backward(params.enc_fwd, x, *fwd, d_enc[:, :h_enc],
-                           packing.sizes)
+                           packing)
     _add_cell_grads(grads, "enc_fwd", g)
     d_x_rev, g = lstm_backward(params.enc_bwd, x_rev, *bwd,
-                               d_enc[packing.rev, h_enc:], packing.sizes)
+                               d_enc[packing.rev, h_enc:], packing)
     _add_cell_grads(grads, "enc_bwd", g)
     if params.embedding.trainable:
         real = tokens != PAD_INDEX
@@ -291,13 +296,13 @@ def _decode_training(params: ModelParams, attended, gold, packing: Packing):
     gold tag t-1 (START at t=0)."""
     gold = np.asarray(gold)
     prev = np.concatenate([np.full(packing.sizes[0], crf.START),
-                           gold[previous_rows(packing.sizes)]])
+                           gold[packing.prev]])
     from_att, from_tag = _decoder_inputs(params, attended)
     caches = []
     hs = lstm_forward(params.dec, from_att + from_tag[prev], packing.sizes,
                       caches)
     x = np.concatenate([attended, params.tag_embedding[prev]], axis=1)
-    return _emissions(params, hs), (x, hs, caches, prev, packing.sizes)
+    return _emissions(params, hs), (x, hs, caches, prev, packing)
 
 
 def _decode_inference(params: ModelParams, attended, packing: Packing):
@@ -326,12 +331,12 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
 
 
 def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
-    x, hs, caches, prev, sizes = dec_cache
+    x, hs, caches, prev, packing = dec_cache
     d_att = params.dims.d_att
     grads["emission_w"] += d_emissions.T @ hs
     grads["emission_b"] += d_emissions.sum(axis=0)
     d_x, g = lstm_backward(params.dec, x, hs, caches,
-                           d_emissions @ params.emission_w, sizes)
+                           d_emissions @ params.emission_w, packing)
     _add_cell_grads(grads, "dec", g)
     np.add.at(grads["tag_embedding"], prev, d_x[:, d_att:])
     return d_x[:, :d_att]
@@ -353,7 +358,7 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     attended, att_cache = _attend(params, enc, packing)
     emissions, dec_cache = _decode_training(params, attended, gold, packing)
     loss, d_emissions, d_t = crf.crf_nll_backward(
-        emissions, params.transitions, gold, packing.sizes)
+        emissions, params.transitions, gold, packing)
     grads["transitions"] += d_t
     d_attended = _decode_backward(params, dec_cache, d_emissions, grads)
     d_enc = _attend_backward(params, att_cache, d_attended, grads)
@@ -369,9 +374,7 @@ def _decode_chunk(params: ModelParams, rows):
                   keep=False)[0]
     attended = _attend(params, enc, packing)[0]
     emissions = _decode_inference(params, attended, packing)
-    tags = crf.crf_viterbi(emissions, params.transitions, packing.sizes)
-    tags = iter(tags[packing.by_row].tolist())
-    return [list(islice(tags, n)) for n in packing.lengths]
+    return crf.crf_viterbi(emissions, params.transitions, packing)
 
 
 _BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",

@@ -2,8 +2,7 @@
 
 All numeric state in this package is a 2-D (or 1-D for vectors) float64
 numpy array; the helpers here add a clipped sigmoid, a row-wise
-softmax, a stable logsumexp, the step index of packed sequence batches
-and the error types the layer code raises.
+softmax, a stable logsumexp and the error types the layer code raises.
 """
 
 import numpy as np
@@ -32,15 +31,3 @@ def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along axis of a finite array."""
     m = np.max(x, axis=axis, keepdims=True)
     return np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
-
-
-def previous_rows(sizes):
-    """Step links of a packed sequence batch with sizes[t] rows at step t.
-
-    The rows running at step t are the first sizes[t] rows of step t-1,
-    so row p of step t >= 1 continues row p - sizes[t-1]. Returns that
-    row for every row past step 0, an index array of length N - sizes[0].
-    """
-    sizes = np.asarray(sizes)
-    return (np.arange(sizes[0], sizes.sum())
-            - np.repeat(sizes[:-1], sizes[1:]))

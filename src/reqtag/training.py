@@ -204,13 +204,19 @@ def run_fold(config: TrainConfig, corpus: Corpus, held_out: str, seed: int):
             "recall": metrics.recall, "f1": metrics.f1}
 
 
+def fold_domains(corpus: Corpus) -> dict:
+    """corpus.domains, if there are the two that cross-validation needs."""
+    domains = corpus.domains
+    if len(domains) < 2:
+        raise DataError(f"need at least 2 domains, have {len(domains)}")
+    return domains
+
+
 def cross_validate(config: TrainConfig, corpus: Corpus,
                    progress=None) -> dict:
     """Leave-one-domain-out over every domain, runs_per_fold runs each;
     returns {held-out domain: [run_fold dicts]} in sorted domain order."""
-    domains = corpus.domains
-    if len(domains) < 2:
-        raise DataError(f"need at least 2 domains, have {len(domains)}")
+    domains = fold_domains(corpus)
     folds = {}
     for held_out in sorted(domains):
         runs = folds[held_out] = []

@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 
 from reqtag.crf import B, I, N_TAGS, O, START, STOP, crf_nll_backward
+from reqtag.network import _pack
 from reqtag.tensor import logsumexp
 
 
@@ -95,7 +96,7 @@ def sentence_viterbi(emissions: np.ndarray, transitions: np.ndarray):
 
 def sentence_nll(emissions: np.ndarray, transitions: np.ndarray, gold) -> float:
     """NLL of one sentence's gold path, from the training loss."""
-    return crf_nll_backward(emissions, transitions, gold, [1] * len(gold))[0]
+    return crf_nll_backward(emissions, transitions, gold, _pack([len(gold)]))[0]
 
 
 def log_partition(emissions: np.ndarray, transitions: np.ndarray,

@@ -14,7 +14,7 @@ import numpy as np
 from reqtag import crf
 from reqtag.embeddings import PAD_INDEX
 from reqtag.lstm import LstmCellParams
-from reqtag.network import ModelParams, param_blocks
+from reqtag.network import ModelParams, _pack, param_blocks
 from reqtag.tensor import sigmoid, softmax_rows
 from crf_oracles import sentence_viterbi
 
@@ -183,7 +183,7 @@ def sentence_loss_and_grads(params: ModelParams, indices, gold_tags):
     attended, att_cache = attend(params, enc)
     emissions, dec_cache = decode(params, attended, gold_tags)
     loss, d_e, d_t = crf.crf_nll_backward(emissions, params.transitions,
-                                          gold_tags, [1] * len(gold_tags))
+                                          gold_tags, _pack([len(gold_tags)]))
     grads["transitions"] += d_t
     d_attended = decode_backward(params, dec_cache, d_e, grads)
     d_enc = attend_backward(params, att_cache, d_attended, grads)

@@ -37,10 +37,10 @@ def encode_backward(params, enc_cache, d_enc, grads):
     tokens, packing, x, x_rev, fwd, bwd = enc_cache
     h_enc = params.dims.h_enc
     d_x, g = lstm_backward(params.enc_fwd, x, *fwd, d_enc[:, :h_enc],
-                           packing.sizes)
+                           packing)
     _add_cell_grads(grads, "enc_fwd", g)
     d_x_rev, g = lstm_backward(params.enc_bwd, x_rev, *bwd,
-                               d_enc[packing.rev, h_enc:], packing.sizes)
+                               d_enc[packing.rev, h_enc:], packing)
     _add_cell_grads(grads, "enc_bwd", g)
     if params.embedding.trainable:
         real = tokens != PAD_INDEX

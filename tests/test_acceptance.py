@@ -14,8 +14,9 @@ from reqtag.cli import main as cli_main
 from reqtag.data import Corpus, align_bio, clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
 from reqtag.evaluation import compute_metrics, extract_spans, mean_scores
-from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
-                            param_blocks, predict_batch, predict_tags)
+from reqtag.network import (ModelDims, _pack, batch_loss_and_grads,
+                            init_model, param_blocks, predict_batch,
+                            predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
 from conftest import grad_check, make_synthetic_corpus
 from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
@@ -50,7 +51,7 @@ def test_criterion_1_crf_oracle_suite():
         # log Z from the training loss crf_nll_backward: NLL + score(gold)
         log_z = log_partition(e, t, random_bio(gold_rng, n))
         assert abs(log_z - brute_force_log_partition(e, t)) <= 1e-8
-        tags = crf.crf_viterbi(e, t, [1] * n).tolist()
+        tags = crf.crf_viterbi(e, t, _pack([n]))[0]
         bpath, bscore = brute_force_viterbi(e, t)
         assert abs(path_score(e, t, tags) - bscore) <= 1e-8
         assert tags == bpath
@@ -115,8 +116,8 @@ def test_criterion_3_constraint_guarantee():
     for _ in range(500):
         n = int(rng.integers(1, 10))
         e, t = random_crf_instance(rng, n)
-        tags = crf.crf_viterbi(e, t, [1] * n)
-        if not is_valid_bio(tags.tolist()):
+        tags = crf.crf_viterbi(e, t, _pack([n]))[0]
+        if not is_valid_bio(tags):
             violations += 1
     for _ in range(500):
         n = int(rng.integers(1, 10))

@@ -171,6 +171,39 @@ class TestCrossval:
             f"a fold file\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["x" * 300, "\ud800", "\udc80"],
+                             ids=["300-chars", "high-surrogate",
+                                  "low-surrogate"])
+    def test_label_that_cannot_name_a_fold_file_stops_first_run(
+            self, tmp_path, config_path, capsys, monkeypatch, label):
+        # too long for a file name, or not UTF-8 text for report.txt
+        def fail(*args):
+            raise AssertionError("run_fold called")
+        monkeypatch.setattr(training, "run_fold", fail)
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, Corpus(sentences=[
+            TaggedSentence(app_id=app, tokens=["add", "dark", "mode"],
+                           tags=["O", "B", "I"])
+            for app in ("x", label)]))
+        out = tmp_path / "res"
+        assert run(["crossval", "--corpus", corpus, "--config", config_path,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: domain {label!r} cannot name a fold file of at most "
+            f"255 UTF-8 bytes\n")
+        assert not out.exists()
+
+    def test_one_domain_leaves_no_out_directory(self, tmp_path, config_path,
+                                                capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, make_synthetic_corpus(6, 1))
+        out = tmp_path / "res"
+        assert run(["crossval", "--corpus", corpus, "--config", config_path,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: need at least 2 domains, have 1\n")
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, corpus_path, config_path,
                                         tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -359,6 +392,24 @@ class TestTrain:
             curves.append(json.loads(curve.read_text(encoding="utf-8")))
         assert corpus_path.read_bytes().startswith(b"\xef\xbb\xbf")
         assert curves[0] == curves[1]
+
+    @pytest.mark.parametrize("flag", ["--output", "--loss-curve"])
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_unwritable_output_stops_before_training(
+            self, corpus_path, config_path, tmp_path, capsys, monkeypatch,
+            flag, where):
+        def fail(*args):
+            raise AssertionError("train called")
+        monkeypatch.setattr(training, "train", fail)
+        paths = {"--output": tmp_path / "model.npz",
+                 "--loss-curve": tmp_path / "curve.json",
+                 flag: tmp_path / where}
+        assert run(["train", "--corpus", corpus_path, "--config",
+                    config_path, *[a for kv in paths.items() for a in kv]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} {str(paths[flag])!r} does not name a file in an "
+            f"existing directory\n")
+        assert sorted(tmp_path.iterdir()) == sorted([config_path, corpus_path])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_names_block(self, corpus_path, tmp_path, capsys):

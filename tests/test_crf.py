@@ -23,8 +23,7 @@ def random_instance(rng, n):
 
 def viterbi(emissions, transitions):
     """The packed crf_viterbi on one sentence: (path, its score)."""
-    tags = crf.crf_viterbi(emissions, transitions,
-                           [1] * len(emissions)).tolist()
+    tags = crf.crf_viterbi(emissions, transitions, _pack([len(emissions)]))[0]
     return tags, path_score(emissions, transitions, tags)
 
 
@@ -124,18 +123,13 @@ class TestPackedViterbi:
             # the input rows of step 0's positions, one per rank
             ranked = [rows[i] for i in np.searchsorted(
                 np.cumsum(lengths), packing.src[:len(rows)], side="right")]
-            tags = crf.crf_viterbi(
-                np.concatenate(rows)[packing.src], t, packing.sizes)
-            assert tags.shape == (sum(lengths),)
-            tags = tags[packing.by_row].tolist()
-            start = 0
-            for rank, n in enumerate(packing.lengths):
-                e = ranked[rank]
-                path = tags[start:start + n]
+            paths = crf.crf_viterbi(
+                np.concatenate(rows)[packing.src], t, packing)
+            assert [len(path) for path in paths] == packing.lengths
+            for e, path in zip(ranked, paths):
                 bpath, bscore = brute_force_viterbi(e, t)
                 assert (path, path_score(e, t, path)) == (bpath, bscore)
                 assert sentence_viterbi(e, t) == (bpath, bscore)
-                start += n
                 rows_seen += 1
         assert rows_seen > 400
 
@@ -166,7 +160,7 @@ class TestNll:
         rng = np.random.default_rng(15)
         e, t = random_instance(rng, 4)
         gold = [crf.O, crf.B, crf.I, crf.O]
-        _, d_e, d_t = crf.crf_nll_backward(e, t, gold, [1] * 4)
+        _, d_e, d_t = crf.crf_nll_backward(e, t, gold, _pack([4]))
         res = grad_check(lambda a: sentence_nll(a, t, gold), e, d_e,
                          h=1e-4, tol=1e-4)
         assert res.passed, res
@@ -188,7 +182,8 @@ class TestNll:
     def test_forbidden_transitions_get_zero_grad(self):
         rng = np.random.default_rng(16)
         e, t = random_instance(rng, 3)
-        _, _, d_t = crf.crf_nll_backward(e, t, [crf.O, crf.B, crf.I], [1] * 3)
+        _, _, d_t = crf.crf_nll_backward(e, t, [crf.O, crf.B, crf.I],
+                                         _pack([3]))
         assert np.all(d_t[crf.forbidden_mask()] == 0.0)
 
 
@@ -206,7 +201,7 @@ class TestPackedNll:
             packing = _pack(lengths)
             nll, _, _ = crf.crf_nll_backward(
                 np.concatenate(rows)[packing.src], t,
-                np.concatenate(golds)[packing.src], packing.sizes)
+                np.concatenate(golds)[packing.src], packing)
             expected = sum(brute_force_log_partition(e, t) - path_score(e, t, g)
                            for e, g in zip(rows, golds))
             worst = max(worst, abs(nll - expected))

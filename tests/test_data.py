@@ -13,6 +13,7 @@ from reqtag.data import (MAX_SENTENCE_TOKENS, TAG_INDEX, Corpus, DataError,
                          clean_tokens, load_corpus, parse_conllu,
                          parse_rebert_csv, save_corpus)
 from reqtag.lemmatizer import lemmatize
+from reqtag.network import _pack
 from crf_oracles import is_valid_bio
 
 
@@ -392,7 +393,7 @@ def test_sentence_accepts_exactly_valid_bio(tags):
     assert is_valid_bio(indices)
     emissions = np.random.default_rng(len(tags)).normal(size=(len(tags), 3))
     nll, _, _ = crf_nll_backward(emissions, init_transitions(),
-                                 sentence.tag_indices(), [1] * len(tags))
+                                 sentence.tag_indices(), _pack([len(tags)]))
     assert np.isfinite(nll)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from reqtag.lstm import (LstmCellParams, init_lstm, lstm_backward,
                          lstm_forward, lstm_step, lstm_step_backward)
+from reqtag.network import _pack
 from reqtag.tensor import ShapeError
 from conftest import grad_check
 
@@ -108,7 +109,8 @@ def test_sequence_gradients_every_block():
     # a packed batch of two rows, lengths 4 and 2: sizes [2, 2, 1, 1]
     rng = np.random.default_rng(4)
     p = init_lstm(3, 2, rng)
-    sizes = [2, 2, 1, 1]
+    packing = _pack([4, 2])
+    sizes = packing.sizes
     x = rng.normal(size=(6, 3))
     weights = rng.normal(size=(6, 2))
 
@@ -116,7 +118,7 @@ def test_sequence_gradients_every_block():
         return float((lstm_forward(p, _project(p, x), sizes) * weights).sum())
 
     hs, caches = _forward(p, _project(p, x), sizes)
-    dx, grads = lstm_backward(p, x, hs, caches, weights, sizes)
+    dx, grads = lstm_backward(p, x, hs, caches, weights, packing)
     for arr, g in ((p.w_in, grads.w_in), (p.w_h, grads.w_h), (p.b, grads.b),
                    (x, dx)):
         res = grad_check(loss_of, arr, g, h=1e-4, tol=1e-4)
@@ -132,11 +134,11 @@ def test_pad_steps_get_zero_gradient():
     d_hs = rng.normal(size=(5, 2))
     d_hs[2:] = 0.0
     hs, caches = _forward(p, _project(p, x), [1] * 5)
-    dx, grads = lstm_backward(p, x, hs, caches, d_hs, [1] * 5)
+    dx, grads = lstm_backward(p, x, hs, caches, d_hs, _pack([5]))
     np.testing.assert_array_equal(dx[2:], 0.0)
     hs2, caches2 = _forward(p, _project(p, x[:2]), [1] * 2)
     np.testing.assert_array_equal(hs2, hs[:2])
-    dx2, grads2 = lstm_backward(p, x[:2], hs2, caches2, d_hs[:2], [1] * 2)
+    dx2, grads2 = lstm_backward(p, x[:2], hs2, caches2, d_hs[:2], _pack([2]))
     np.testing.assert_allclose(dx[:2], dx2, rtol=1e-12, atol=0)
     for name in ("w_in", "w_h", "b"):
         np.testing.assert_allclose(getattr(grads, name), getattr(grads2, name),
@@ -150,19 +152,20 @@ def test_packed_rows_match_each_row_alone():
     rng = np.random.default_rng(6)
     p = init_lstm(3, 2, rng)
     lengths = [4, 2, 2]
-    sizes = [3, 3, 1, 1]
+    packing = _pack(lengths)
+    assert packing.sizes == [3, 3, 1, 1]
     xs = [rng.normal(size=(n, 3)) for n in lengths]
     d_hs = [rng.normal(size=(n, 2)) for n in lengths]
     where = [(t, r) for t in range(4) for r in range(3) if t < lengths[r]]
     x = np.array([xs[r][t] for t, r in where])
-    hs, caches = _forward(p, _project(p, x), sizes)
+    hs, caches = _forward(p, _project(p, x), packing.sizes)
     dx, grads = lstm_backward(p, x, hs, caches,
-                              np.array([d_hs[r][t] for t, r in where]), sizes)
+                              np.array([d_hs[r][t] for t, r in where]), packing)
     total = {name: 0.0 for name in ("w_in", "w_h", "b")}
     for r, n in enumerate(lengths):
         at = [i for i, (_, row) in enumerate(where) if row == r]
         hs1, caches1 = _forward(p, _project(p, xs[r]), [1] * n)
-        dx1, grads1 = lstm_backward(p, xs[r], hs1, caches1, d_hs[r], [1] * n)
+        dx1, grads1 = lstm_backward(p, xs[r], hs1, caches1, d_hs[r], _pack([n]))
         np.testing.assert_allclose(hs[at], hs1, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(dx[at], dx1, rtol=1e-12, atol=1e-15)
         for name in total:

@@ -18,7 +18,6 @@ from reqtag.network import (_FEED_MASK, ModelDims, _attend, _decode_inference,
                             _decode_training, _encode, _pack, init_model,
                             load_checkpoint, param_blocks, predict_tags,
                             save_checkpoint)
-from reqtag.tensor import previous_rows
 from crf_oracles import is_valid_bio
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
@@ -47,11 +46,11 @@ def _unpack(packing, lengths, packed, width):
     return out
 
 
-def _fed(emissions, sizes):
+def _fed(emissions, packing):
     """The tag the greedy decoder fed at each packed position: START at
     step 0, then the best legal tag of the row's step before."""
     fed = np.full(len(emissions), crf.START)
-    for p, q in enumerate(previous_rows(sizes), start=sizes[0]):
+    for p, q in enumerate(packing.prev, start=packing.sizes[0]):
         fed[p] = np.argmax(emissions[q] + _FEED_MASK[fed[q]])
     return fed
 
@@ -170,7 +169,7 @@ class TestDecoder:
     def test_inference_matches_training_on_greedy_path(self, tiny_model):
         attended = np.random.default_rng(2).normal(size=(4, TINY.d_att))
         e_inf = _decode_inference(tiny_model, attended, _full(4))
-        gold = np.append(_fed(e_inf, [1] * 4)[1:], 0)  # fed tags shifted back one
+        gold = np.append(_fed(e_inf, _full(4))[1:], 0)  # fed tags shifted back one
         e_train, _ = _decode_training(tiny_model, attended, gold, _full(4))
         np.testing.assert_array_equal(e_inf, e_train)
 
@@ -187,12 +186,12 @@ class TestDecoder:
         out = _decode_inference(
             tiny_model, np.concatenate(rows)[packing.src], packing)
         assert out.shape == (5, 3)
-        fed = _fed(out, packing.sizes)
+        fed = _fed(out, packing)
         for r, x in enumerate(rows):
             alone = _decode_inference(tiny_model, x, _full(len(x)))
             at = _input_rows(packing, [2, 3]) == r
             np.testing.assert_allclose(out[at], alone, rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(fed[at], _fed(alone, [1] * len(x)))
+            np.testing.assert_array_equal(fed[at], _fed(alone, _full(len(x))))
 
 
 class TestEndToEnd:
