@@ -8,11 +8,13 @@ artifacts to the paths given by the flags.
 import argparse
 import codecs
 import dataclasses
+import errno
 import io
 import json
 import os
 import re
 import select
+import stat
 import sys
 import time
 from pathlib import Path
@@ -46,6 +48,24 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _same_file(a, b):
+    """Whether paths a and b name one file, which need not exist yet."""
+    return (os.path.realpath(a) == os.path.realpath(b)
+            or os.path.exists(a) and os.path.exists(b)
+            and os.path.samefile(a, b))
+
+
+def _refuse_same_file(outputs, inputs):
+    """DataError if an output names the file of a later output or of an
+    input; each is a (flag, path) pair, and a None path names nothing."""
+    pairs = [*outputs, *inputs]
+    for i, (flag, path) in enumerate(outputs):
+        for other, other_path in pairs[i + 1:]:
+            if path and other_path and _same_file(path, other_path):
+                raise DataError(f"{flag} {path!r} and {other} "
+                                f"{other_path!r} name the same file")
+
+
 def _load_config(path) -> "TrainConfig":
     from .training import TrainConfig
     if path is None:
@@ -63,6 +83,7 @@ def _load_config(path) -> "TrainConfig":
 
 
 def cmd_preprocess(args):
+    _refuse_same_file([("--output", args.output)], [("--input", args.input)])
     if not args.feature_delim:
         raise DataError("--feature-delim must not be empty")
     if args.format == "rebert-csv":
@@ -84,8 +105,10 @@ def cmd_preprocess(args):
 
 def cmd_train(args):
     from .training import train
-    for flag, path in (("--output", args.output),
-                       ("--loss-curve", args.loss_curve)):
+    outputs = [("--output", args.output), ("--loss-curve", args.loss_curve)]
+    _refuse_same_file(outputs,
+                      [("--corpus", args.corpus), ("--config", args.config)])
+    for flag, path in outputs:
         # a pre-flight: the write after training may still fail
         if path and (os.path.isdir(path)
                      or not os.path.isdir(os.path.dirname(path) or ".")):
@@ -190,6 +213,9 @@ def cmd_extract(args):
     params, vocab, _config = load_checkpoint(args.model)
     fd = os.open(args.input, os.O_RDONLY)
     try:
+        if stat.S_ISDIR(os.fstat(fd).st_mode):  # else os.read fails unnamed
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    args.input)
         for lines in _ready_lines(fd):
             tokens = [clean_tokens(line) for line in lines]
             rows = [encode_tokens(t, vocab) for t in tokens if t]

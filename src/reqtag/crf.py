@@ -41,17 +41,16 @@ def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, packing):
     list, in rank order. Ties break toward the lower tag (O < B < I),
     resolved from the last position backward: argmax takes the first
     maximum, in the backpointers too."""
-    sizes, first = packing.sizes, packing.sizes[0]
+    sizes, starts, first = packing.sizes, packing.starts, packing.sizes[0]
     v = np.empty((len(emissions), N_TAGS))
     back = np.empty((len(emissions), N_TAGS), dtype=np.int64)
     v[:first] = transitions[START, :N_TAGS] + emissions[:first]
-    lo = 0
-    for n_prev, n in zip(sizes, sizes[1:]):
-        cand = (v[lo:lo + n, :, None]
+    for t in range(1, len(sizes)):
+        cand = (v[starts[t - 1]:starts[t - 1] + sizes[t], :, None]
                 + transitions[:N_TAGS, :N_TAGS])  # (row, prev, next)
-        lo += n_prev
-        back[lo:lo + n] = cand.argmax(axis=1)
-        np.add(emissions[lo:lo + n], cand.max(axis=1), out=v[lo:lo + n])
+        step = slice(starts[t], starts[t + 1])
+        back[step] = cand.argmax(axis=1)
+        np.add(emissions[step], cand.max(axis=1), out=v[step])
     final = v[packing.last] + transitions[:N_TAGS, STOP]
     # backtrack over Python ints: a numpy index per step costs more
     back = back.tolist()
@@ -80,7 +79,7 @@ def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
     """
     gold = np.asarray(gold_tags)
     n_all = len(gold)
-    sizes, first = packing.sizes, packing.sizes[0]
+    sizes, starts, first = packing.sizes, packing.starts, packing.sizes[0]
     prev, rank = packing.prev, packing.rank
     trans = transitions[:N_TAGS, :N_TAGS]
     stop = transitions[:N_TAGS, STOP]
@@ -90,19 +89,16 @@ def crf_nll_backward(emissions: np.ndarray, transitions: np.ndarray,
 
     alpha = np.empty((n_all, N_TAGS))
     alpha[:first] = transitions[START, :N_TAGS] + emissions[:first]
-    lo = 0
-    for n_prev, n in zip(sizes, sizes[1:]):
-        cand = alpha[lo:lo + n, :, None] + trans
-        lo += n_prev
-        alpha[lo:lo + n] = emissions[lo:lo + n] + logsumexp(cand, axis=1)
+    for t in range(1, len(sizes)):
+        cand = alpha[starts[t - 1]:starts[t - 1] + sizes[t], :, None] + trans
+        step = slice(starts[t], starts[t + 1])
+        alpha[step] = emissions[step] + logsumexp(cand, axis=1)
     beta = np.empty((n_all, N_TAGS))
     beta[ends] = stop
-    hi = n_all
-    for n_prev, n in reversed(list(zip(sizes, sizes[1:]))):
-        nxt = slice(hi - n, hi)
-        hi -= n
-        beta[hi - n_prev:hi - n_prev + n] = logsumexp(
-            trans + (emissions[nxt] + beta[nxt])[:, None, :], axis=2)
+    for t in range(len(sizes) - 1, 0, -1):
+        step = slice(starts[t], starts[t + 1])
+        beta[starts[t - 1]:starts[t - 1] + sizes[t]] = logsumexp(
+            trans + (emissions[step] + beta[step])[:, None, :], axis=2)
 
     log_z = logsumexp(alpha[packing.last] + stop, axis=1)
     unary = np.exp(alpha + beta - log_z[rank][:, None])

@@ -6,12 +6,12 @@ uniform(-k, k) with k = 1/sqrt(hidden).
 
 A sequence batch runs packed, from a zero state, in the layout that
 ``network.Packing`` describes: step t advances only the sizes[t] rows
-still running, and a row that has ended is never computed. The input
-projection is one GEMM over the N rows before the time loop, and the
-weight gradients are stacked GEMMs over every step's gate gradient after
-it. lstm_forward is the one sequence function: it keeps each step's
-cache, which lstm_backward reads, only when a backward pass follows, so
-inference holds one step's cache at a time.
+still running, at positions starts[t]:starts[t + 1], and a row that has
+ended is never computed. The input projection is one GEMM over the N rows
+before the time loop, and the weight gradients are stacked GEMMs over
+every step's gate gradient after it. lstm_forward is the one sequence
+function: it keeps each step's cache, which lstm_backward reads, only when
+a backward pass follows, so inference holds one step's cache at a time.
 """
 
 from dataclasses import dataclass
@@ -83,24 +83,21 @@ def lstm_step_backward(params: LstmCellParams, cache, dh, dc):
     return da, da @ params.w_h, dc_total * f
 
 
-def lstm_forward(params: LstmCellParams, pre, sizes, caches=None):
+def lstm_forward(params: LstmCellParams, pre, packing, caches=None):
     """Run from a zero state over the (N, 4H) input projections of a
-    packed sequence batch with sizes[t] rows at step t; returns hs (N, H).
-    Each step's cache is appended to caches if a list is given and
-    dropped otherwise."""
-    if sum(sizes) != len(pre):
-        raise ShapeError(f"{len(pre)} input rows for step sizes summing "
-                         f"to {sum(sizes)}")
+    packed batch (a network.Packing); returns hs (N, H). Each step's
+    cache is appended to caches if a list is given, else dropped."""
+    sizes, starts = packing.sizes, packing.starts
+    if starts[-1] != len(pre):
+        raise ShapeError(f"{len(pre)} input rows for {starts[-1]} positions")
     hs = np.empty((len(pre), params.hidden))
     h = np.zeros((sizes[0], params.hidden))
     c = np.zeros((sizes[0], params.hidden))
-    start = 0
-    for n in sizes:
-        h, c, cache = lstm_step(params, pre[start:start + n], h[:n], c[:n])
-        hs[start:start + n] = h
+    for n, lo, hi in zip(sizes, starts, starts[1:]):
+        h, c, cache = lstm_step(params, pre[lo:hi], h[:n], c[:n])
+        hs[lo:hi] = h
         if caches is not None:
             caches.append(cache)
-        start += n
     return hs
 
 
@@ -112,17 +109,15 @@ def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, packing):
     (dx (N, input_dim), weight gradients as LstmCellParams).
     """
     hid = params.hidden
-    sizes = packing.sizes
+    sizes, starts = packing.sizes, packing.starts
     d_a = np.empty((len(hs), 4 * hid))
     # a row that ends at step t gets no gradient from later steps
     dh = np.zeros((sizes[0], hid))
     dc = np.zeros((sizes[0], hid))
-    end = len(hs)
     for t in range(len(sizes) - 1, -1, -1):
-        n = sizes[t]
-        d_a[end - n:end], dh[:n], dc[:n] = lstm_step_backward(
-            params, caches[t], dh[:n] + d_hs[end - n:end], dc[:n])
-        end -= n
+        n, step = sizes[t], slice(starts[t], starts[t + 1])
+        d_a[step], dh[:n], dc[:n] = lstm_step_backward(
+            params, caches[t], dh[:n] + d_hs[step], dc[:n])
     # step 0 starts from h = 0, so only later steps feed w_h
     grads = LstmCellParams(w_in=d_a.T @ x,
                            w_h=d_a[sizes[0]:].T @ hs[packing.prev],

@@ -139,13 +139,14 @@ class Packing:
     """Where the real positions of a batch of rows go.
 
     Packed position p is position src[p] of the input rows laid end to
-    end in input order. Rows are ranked longest first (a stable sort),
-    and the sizes[t] positions of step t follow those of step t-1 in rank
-    order, so the rows running at step t are the first sizes[t] of step
-    t-1. The layers read every index of this layout from here.
+    end in input order. Rows are ranked longest first (a stable sort).
+    Step t holds positions starts[t]:starts[t + 1]: the first sizes[t]
+    rows of step t-1, in rank order. The layers read every index and
+    step bound of this layout from here.
     """
     src: np.ndarray     # (N,) position in the concatenated input rows
     sizes: list         # rows running at each step
+    starts: list        # (T + 1) step bounds: [0, *cumsum(sizes)]
     rev: np.ndarray     # (N,) position of the same row's mirrored step
     by_row: np.ndarray  # (N,) positions rank by rank, each in step order
     lengths: list       # row lengths in rank order
@@ -164,8 +165,9 @@ def _pack(lengths) -> Packing:
     pos = np.zeros(live.shape, dtype=np.int64)
     pos.T[live.T] = np.arange(len(steps))
     b = len(ranked)
+    sizes = live.sum(axis=0)
     return Packing(src=(np.cumsum(lengths) - lengths)[order[rank]] + steps,
-                   sizes=live.sum(axis=0).tolist(),
+                   sizes=sizes.tolist(), starts=[0, *np.cumsum(sizes).tolist()],
                    rev=pos[rank, ranked[rank] - 1 - steps],
                    by_row=pos[live], lengths=ranked.tolist(), rank=rank,
                    prev=pos[rank[b:], steps[b:] - 1],
@@ -192,10 +194,9 @@ def _encode(params: ModelParams, tokens, packing: Packing, keep):
     xu = params.embedding.matrix[uniq]
     fwd, bwd = ([], []) if keep else (None, None)
     pre = xu @ params.enc_fwd.w_in.T + params.enc_fwd.b
-    hs_fwd = lstm_forward(params.enc_fwd, pre[inv], packing.sizes, fwd)
+    hs_fwd = lstm_forward(params.enc_fwd, pre[inv], packing, fwd)
     pre = xu @ params.enc_bwd.w_in.T + params.enc_bwd.b
-    hs_bwd = lstm_forward(params.enc_bwd, pre[inv[packing.rev]],
-                          packing.sizes, bwd)
+    hs_bwd = lstm_forward(params.enc_bwd, pre[inv[packing.rev]], packing, bwd)
     enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
     return enc, (tokens, packing, xu, inv, (hs_fwd, fwd), (hs_bwd, bwd))
 
@@ -299,8 +300,7 @@ def _decode_training(params: ModelParams, attended, gold, packing: Packing):
                            gold[packing.prev]])
     from_att, from_tag = _decoder_inputs(params, attended)
     caches = []
-    hs = lstm_forward(params.dec, from_att + from_tag[prev], packing.sizes,
-                      caches)
+    hs = lstm_forward(params.dec, from_att + from_tag[prev], packing, caches)
     x = np.concatenate([attended, params.tag_embedding[prev]], axis=1)
     return _emissions(params, hs), (x, hs, caches, prev, packing)
 
@@ -311,22 +311,19 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
     I is legal only after B or I. argmax takes the first maximum, so ties
     go to the lower tag. Returns the emissions (N, 3).
     """
-    sizes = packing.sizes
+    sizes, starts = packing.sizes, packing.starts
     from_att, from_tag = _decoder_inputs(params, attended)
     h = np.zeros((sizes[0], params.dims.h_dec))
     c = np.zeros((sizes[0], params.dims.h_dec))
     hs = np.empty((len(attended), params.dims.h_dec))
     feed_bias = params.emission_b + _FEED_MASK
     prev = np.full(sizes[0], crf.START)
-    start = 0
-    for n in sizes:
-        step = slice(start, start + n)
+    for n, lo, hi in zip(sizes, starts, starts[1:]):
         prev = prev[:n]
-        h, c, _ = lstm_step(params.dec, from_att[step] + from_tag[prev],
+        h, c, _ = lstm_step(params.dec, from_att[lo:hi] + from_tag[prev],
                             h[:n], c[:n])
-        hs[step] = h
+        hs[lo:hi] = h
         prev = np.argmax(h @ params.emission_w.T + feed_bias[prev], axis=1)
-        start += n
     return _emissions(params, hs)
 
 

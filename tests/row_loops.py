@@ -25,10 +25,10 @@ def encode(params, tokens, packing, keep):
     fwd, bwd = ([], []) if keep else (None, None)
     hs_fwd = lstm_forward(params.enc_fwd,
                           x @ params.enc_fwd.w_in.T + params.enc_fwd.b,
-                          packing.sizes, fwd)
+                          packing, fwd)
     hs_bwd = lstm_forward(params.enc_bwd,
                           x_rev @ params.enc_bwd.w_in.T + params.enc_bwd.b,
-                          packing.sizes, bwd)
+                          packing, bwd)
     enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
     return enc, (tokens, packing, x, x_rev, (hs_fwd, fwd), (hs_bwd, bwd))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import select
@@ -77,6 +78,20 @@ class TestPreprocess:
             run(["preprocess", "--format", "nope",
                  "--input", "x", "--output", "y"])
         assert exc.value.code == 2
+
+    def test_output_naming_input_stops_before_reading(self, tmp_path,
+                                                      capsys):
+        src = tmp_path / "r.csv"
+        src.write_text("App Id,Sentence Content,Feature (All Annotated)\n"
+                       "ebay,Add dark mode,dark mode\n", encoding="utf-8")
+        before = src.read_bytes()
+        out = tmp_path / "." / "r.csv"
+        assert run(["preprocess", "--format", "rebert-csv",
+                    "--input", src, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --output {str(out)!r} and --input {str(src)!r} "
+            f"name the same file\n")
+        assert src.read_bytes() == before
 
     def test_negative_tag_column(self, tmp_path, capsys):
         src = tmp_path / "d2.conllu"
@@ -411,6 +426,45 @@ class TestTrain:
             f"existing directory\n")
         assert sorted(tmp_path.iterdir()) == sorted([config_path, corpus_path])
 
+    @staticmethod
+    def _refused(paths, flag, other, tmp_path, capsys, monkeypatch):
+        """train with paths refuses, naming flag and other, before it
+        trains, and leaves every file in tmp_path as it was."""
+        def fail(*args):
+            raise AssertionError("train called")
+        monkeypatch.setattr(training, "train", fail)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run(["train", *[a for kv in paths.items() for a in kv]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} {str(paths[flag])!r} and {other} "
+            f"{str(paths[other])!r} name the same file\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("flag,other", [
+        ("--output", "--loss-curve"), ("--output", "--corpus"),
+        ("--output", "--config"), ("--loss-curve", "--corpus"),
+        ("--loss-curve", "--config"),
+    ])
+    def test_output_naming_another_path_stops_before_reading(
+            self, corpus_path, config_path, tmp_path, capsys, monkeypatch,
+            flag, other):
+        paths = {"--corpus": corpus_path, "--config": config_path,
+                 "--output": tmp_path / "model.npz",
+                 "--loss-curve": tmp_path / "curve.json"}
+        # the other path spelled another way
+        paths[flag] = tmp_path / ".." / tmp_path.name / paths[other].name
+        self._refused(paths, flag, other, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("link", [os.symlink, os.link])
+    def test_output_linked_to_corpus_stops_before_reading(
+            self, corpus_path, config_path, tmp_path, capsys, monkeypatch,
+            link):
+        link(corpus_path, tmp_path / "linked.jsonl")
+        paths = {"--corpus": corpus_path, "--config": config_path,
+                 "--output": tmp_path / "linked.jsonl"}
+        self._refused(paths, "--output", "--corpus", tmp_path, capsys,
+                      monkeypatch)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_names_block(self, corpus_path, tmp_path, capsys):
         # a step this large overflows every weight after the first update
@@ -442,6 +496,15 @@ def trained_model(tmp_path_factory):
 
 
 class TestExtract:
+    def test_input_directory_is_named(self, trained_model, tmp_path, capsys):
+        model, _, _ = trained_model
+        assert run(["extract", "--model", model, "--input", tmp_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: [Errno {errno.EISDIR}] "
+                                f"{os.strerror(errno.EISDIR)}: "
+                                f"{str(tmp_path)!r}\n")
+
     def test_empty_input(self, trained_model, tmp_path, capsys):
         model, _, _ = trained_model
         src = tmp_path / "reviews.txt"

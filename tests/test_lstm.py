@@ -14,10 +14,10 @@ def _project(p, x):
     return x @ p.w_in.T + p.b
 
 
-def _forward(p, pre, sizes):
+def _forward(p, pre, packing):
     """lstm_forward's states and the step caches it keeps for a list."""
     caches = []
-    return lstm_forward(p, pre, sizes, caches), caches
+    return lstm_forward(p, pre, packing, caches), caches
 
 
 def test_zero_params_zero_inputs_fixed_point():
@@ -110,14 +110,14 @@ def test_sequence_gradients_every_block():
     rng = np.random.default_rng(4)
     p = init_lstm(3, 2, rng)
     packing = _pack([4, 2])
-    sizes = packing.sizes
     x = rng.normal(size=(6, 3))
     weights = rng.normal(size=(6, 2))
 
     def loss_of(_=None):
-        return float((lstm_forward(p, _project(p, x), sizes) * weights).sum())
+        return float((lstm_forward(p, _project(p, x), packing)
+                      * weights).sum())
 
-    hs, caches = _forward(p, _project(p, x), sizes)
+    hs, caches = _forward(p, _project(p, x), packing)
     dx, grads = lstm_backward(p, x, hs, caches, weights, packing)
     for arr, g in ((p.w_in, grads.w_in), (p.w_h, grads.w_h), (p.b, grads.b),
                    (x, dx)):
@@ -133,10 +133,10 @@ def test_pad_steps_get_zero_gradient():
     x = rng.normal(size=(5, 3))
     d_hs = rng.normal(size=(5, 2))
     d_hs[2:] = 0.0
-    hs, caches = _forward(p, _project(p, x), [1] * 5)
+    hs, caches = _forward(p, _project(p, x), _pack([5]))
     dx, grads = lstm_backward(p, x, hs, caches, d_hs, _pack([5]))
     np.testing.assert_array_equal(dx[2:], 0.0)
-    hs2, caches2 = _forward(p, _project(p, x[:2]), [1] * 2)
+    hs2, caches2 = _forward(p, _project(p, x[:2]), _pack([2]))
     np.testing.assert_array_equal(hs2, hs[:2])
     dx2, grads2 = lstm_backward(p, x[:2], hs2, caches2, d_hs[:2], _pack([2]))
     np.testing.assert_allclose(dx[:2], dx2, rtol=1e-12, atol=0)
@@ -158,13 +158,13 @@ def test_packed_rows_match_each_row_alone():
     d_hs = [rng.normal(size=(n, 2)) for n in lengths]
     where = [(t, r) for t in range(4) for r in range(3) if t < lengths[r]]
     x = np.array([xs[r][t] for t, r in where])
-    hs, caches = _forward(p, _project(p, x), packing.sizes)
+    hs, caches = _forward(p, _project(p, x), packing)
     dx, grads = lstm_backward(p, x, hs, caches,
                               np.array([d_hs[r][t] for t, r in where]), packing)
     total = {name: 0.0 for name in ("w_in", "w_h", "b")}
     for r, n in enumerate(lengths):
         at = [i for i, (_, row) in enumerate(where) if row == r]
-        hs1, caches1 = _forward(p, _project(p, xs[r]), [1] * n)
+        hs1, caches1 = _forward(p, _project(p, xs[r]), _pack([n]))
         dx1, grads1 = lstm_backward(p, xs[r], hs1, caches1, d_hs[r], _pack([n]))
         np.testing.assert_allclose(hs[at], hs1, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(dx[at], dx1, rtol=1e-12, atol=1e-15)
@@ -179,12 +179,13 @@ def test_states_equal_forward_without_caches():
     rng = np.random.default_rng(8)
     p = init_lstm(3, 2, rng)
     pre = _project(p, rng.normal(size=(8, 3)))
-    hs, caches = _forward(p, pre, [3, 2, 2, 1])
-    states = lstm_forward(p, pre, [3, 2, 2, 1])
+    # sizes [3, 2, 2, 1]
+    hs, caches = _forward(p, pre, _pack([4, 3, 1]))
+    states = lstm_forward(p, pre, _pack([4, 3, 1]))
     np.testing.assert_array_equal(states, hs)
     assert len(caches) == 4  # one per step, kept only for a list
     with pytest.raises(ShapeError):
-        lstm_forward(p, pre, [3, 2, 2])
+        lstm_forward(p, pre, _pack([3, 3, 1]))  # sizes [3, 2, 2]
 
 
 def test_states_keep_no_step_caches():
@@ -192,13 +193,13 @@ def test_states_keep_no_step_caches():
     # states plus a step, against every step's six (B, H) cache arrays
     rng = np.random.default_rng(9)
     p = init_lstm(4, 64, rng)
-    sizes = [16] * 400
-    pre = rng.normal(size=(sum(sizes), 4 * 64))
+    packing = _pack([400] * 16)  # 400 steps of 16 rows
+    pre = rng.normal(size=(400 * 16, 4 * 64))
 
     def peak(caches):
         tracemalloc.start()
         try:
-            lstm_forward(p, pre, sizes, caches)
+            lstm_forward(p, pre, packing, caches)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -208,4 +209,4 @@ def test_states_keep_no_step_caches():
 def test_step_sizes_must_cover_every_row():
     p = init_lstm(3, 2, np.random.default_rng(7))
     with pytest.raises(ShapeError):
-        lstm_forward(p, np.zeros((5, 8)), [2, 2])
+        lstm_forward(p, np.zeros((5, 8)), _pack([2, 2]))

@@ -55,6 +55,25 @@ def test_pack_indices_match_walk(lengths):
 
 
 @settings(max_examples=200, deadline=None)
+@given(lengths=LENGTHS)
+@example(lengths=[1]).via("one row, one step")
+@example(lengths=[1] * 12).via("one step")
+@example(lengths=[9]).via("one row")
+def test_starts_bound_each_step(lengths):
+    packing = _pack(lengths)
+    starts, sizes, b = packing.starts, packing.sizes, len(lengths)
+    assert all(type(s) is int for s in starts)
+    assert starts[0] == 0 and starts[-1] == len(packing.src)
+    np.testing.assert_array_equal(np.diff(starts), sizes)
+    for t, n in enumerate(sizes):
+        lo, hi = starts[t], starts[t + 1]
+        assert packing.rank[lo:hi].tolist() == list(range(n))
+        if t:
+            np.testing.assert_array_equal(packing.prev[lo - b:hi - b],
+                                          starts[t - 1] + np.arange(n))
+
+
+@settings(max_examples=200, deadline=None)
 @given(lengths=LENGTHS, ties=st.booleans(), seed=st.integers(0, 2 ** 16))
 @example(lengths=[1], ties=False, seed=0).via("one row, one step")
 @example(lengths=[1] * 12, ties=True, seed=1).via("one step")
