@@ -400,3 +400,94 @@ class TestCheckpoint:
             path = Path(tmp) / "model.json"
             _write_entries(path, entries)
             _rejected(path, repr(name), str(shape))
+
+
+def _drawn_by_hand(vocab_size, dims, seed, embedding=True):
+    """The blocks init_model makes from default_rng(seed), written out:
+    name -> array in param_blocks order, with the draws taken in the
+    order embedding (unless given), enc_fwd, enc_bwd, attn_q/k/v,
+    tag_embedding, dec, emission_w, emission_b. Returns the blocks and
+    the generator after the last draw."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(k, *shape):
+        return rng.uniform(-k, k, size=shape)
+
+    def cell(n_in, hidden):
+        k = 1.0 / np.sqrt(hidden)
+        w_in, w_h, b = (uniform(k, 4 * hidden, n_in),
+                        uniform(k, 4 * hidden, hidden), uniform(k, 4 * hidden))
+        b[hidden:2 * hidden] = 1.0  # the forget gate's bias
+        return {"w_in": w_in, "w_h": w_h, "b": b}
+
+    drawn = {}
+    if embedding:
+        drawn["embedding"] = uniform(0.25, vocab_size, dims.embedding_dim)
+        drawn["embedding"][0] = 0.0  # the pad row
+    cells = {"enc_fwd": cell(dims.embedding_dim, dims.h_enc),
+             "enc_bwd": cell(dims.embedding_dim, dims.h_enc)}
+    ka = 1.0 / np.sqrt(2 * dims.h_enc)
+    for name in ("attn_q", "attn_k", "attn_v"):
+        drawn[name] = uniform(ka, dims.d_att, 2 * dims.h_enc)
+    drawn["tag_embedding"] = uniform(1.0 / np.sqrt(dims.d_tag), crf.N_STATES,
+                                     dims.d_tag)
+    cells["dec"] = cell(dims.d_att + dims.d_tag, dims.h_dec)
+    ke = 1.0 / np.sqrt(dims.h_dec)
+    drawn["emission_w"] = uniform(ke, 3, dims.h_dec)
+    drawn["emission_b"] = uniform(ke, 3)
+    transitions = np.zeros((crf.N_STATES, crf.N_STATES))
+    transitions[crf.forbidden_mask()] = crf.FORBIDDEN_SCORE
+    blocks = {"embedding": drawn["embedding"]} if embedding else {}
+    for prefix in ("enc_fwd", "enc_bwd", "dec"):
+        blocks.update({f"{prefix}.{k}": a for k, a in cells[prefix].items()})
+    for name in ("attn_q", "attn_k", "attn_v", "tag_embedding", "emission_w",
+                 "emission_b"):
+        blocks[name] = drawn[name]
+    blocks["transitions"] = transitions
+    return blocks, rng
+
+
+class TestBlockTable:
+    """What the list of parameter blocks must keep: the arrays a seed
+    draws, their order, and a checkpoint's entry order."""
+
+    @pytest.mark.parametrize("vocab_size, dims", [
+        (12, TINY), (7, ModelDims(embedding_dim=5, h_enc=2, d_att=3, h_dec=4,
+                                  d_tag=6))])
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_seed_draws_the_same_blocks(self, vocab_size, dims, seed):
+        rng = np.random.default_rng(seed)
+        blocks = param_blocks(init_model(vocab_size, dims, rng))
+        expected, hand_rng = _drawn_by_hand(vocab_size, dims, seed)
+        assert list(blocks) == list(expected)
+        for name, arr in expected.items():
+            assert blocks[name].shape == arr.shape, name
+            np.testing.assert_array_equal(blocks[name], arr, err_msg=name)
+        assert rng.random() == hand_rng.random()  # and nothing more drawn
+
+    def test_given_embedding_is_not_drawn(self):
+        matrix = np.arange(12.0 * TINY.embedding_dim).reshape(12, -1)
+        rng = np.random.default_rng(9)
+        params = init_model(12, TINY, rng, embedding=EmbeddingTable(
+            matrix=matrix, trainable=False))
+        blocks = param_blocks(params)
+        expected, hand_rng = _drawn_by_hand(12, TINY, 9, embedding=False)
+        assert list(blocks) == list(expected)
+        for name, arr in expected.items():
+            np.testing.assert_array_equal(blocks[name], arr, err_msg=name)
+        assert rng.random() == hand_rng.random()
+
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_checkpoint_entries_in_block_order(self, tmp_path, trainable):
+        rng = np.random.default_rng(4)
+        matrix = rng.uniform(-1, 1, size=(12, TINY.embedding_dim))
+        params = init_model(12, TINY, rng, embedding=EmbeddingTable(
+            matrix=matrix, trainable=trainable))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, params, _vocab(12))
+        with zipfile.ZipFile(path) as archive:
+            names = [n.removesuffix(".npy") for n in archive.namelist()]
+        blocks = list(param_blocks(params))
+        # a trainable embedding is the first block, a frozen one comes last
+        assert names == ["header", *blocks] + ([] if trainable else ["embedding"])
+        assert (blocks[0] == "embedding") is trainable
