@@ -1,8 +1,8 @@
-"""LSTM cell over a batch of rows: steps, whole sequences, parameter init.
+"""LSTM cell over a batch of rows: steps and whole sequences.
 
 Gate order in the stacked weight matrices is [input, forget, candidate,
-output]. The forget-gate bias block starts at 1.0; everything else is
-uniform(-k, k) with k = 1/sqrt(hidden).
+output]. A cell's three arrays are blocks of the model (network.BLOCKS),
+which also draws them.
 
 A sequence batch runs packed, from a zero state, in the layout that
 ``network.Packing`` describes: step t advances only the sizes[t] rows
@@ -30,17 +30,6 @@ class LstmCellParams:
     @property
     def hidden(self) -> int:
         return self.w_h.shape[1]
-
-
-def init_lstm(input_dim: int, hidden: int, rng: "np.random.Generator") -> LstmCellParams:
-    k = 1.0 / np.sqrt(hidden)
-    p = LstmCellParams(
-        w_in=rng.uniform(-k, k, size=(4 * hidden, input_dim)),
-        w_h=rng.uniform(-k, k, size=(4 * hidden, hidden)),
-        b=rng.uniform(-k, k, size=4 * hidden),
-    )
-    p.b[hidden:2 * hidden] = 1.0  # forget gate bias
-    return p
 
 
 def lstm_step(params: LstmCellParams, a_in, h_prev, c_prev):
@@ -101,12 +90,13 @@ def lstm_forward(params: LstmCellParams, pre, packing, caches=None):
     return hs
 
 
-def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, packing):
+def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, packing,
+                  grads: LstmCellParams):
     """BPTT over a packed sequence batch (a network.Packing) that ran on
     inputs x (N, input_dim).
 
-    d_hs is the (N, H) gradient reaching each step's output. Returns
-    (dx (N, input_dim), weight gradients as LstmCellParams).
+    d_hs is the (N, H) gradient reaching each step's output. Adds the
+    weight gradients into grads and returns dx (N, input_dim).
     """
     hid = params.hidden
     sizes, starts = packing.sizes, packing.starts
@@ -119,7 +109,7 @@ def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, packing):
         d_a[step], dh[:n], dc[:n] = lstm_step_backward(
             params, caches[t], dh[:n] + d_hs[step], dc[:n])
     # step 0 starts from h = 0, so only later steps feed w_h
-    grads = LstmCellParams(w_in=d_a.T @ x,
-                           w_h=d_a[sizes[0]:].T @ hs[packing.prev],
-                           b=d_a.sum(axis=0))
-    return d_a @ params.w_in, grads
+    grads.w_in += d_a.T @ x
+    grads.w_h += d_a[sizes[0]:].T @ hs[packing.prev]
+    grads.b += d_a.sum(axis=0)
+    return d_a @ params.w_in

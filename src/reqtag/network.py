@@ -45,8 +45,7 @@ import numpy as np
 from . import crf
 from .embeddings import (EmbeddingTable, PAD_INDEX, PAD_TOKEN, UNK_TOKEN,
                          Vocabulary, random_embeddings)
-from .lstm import (LstmCellParams, init_lstm, lstm_backward, lstm_forward,
-                   lstm_step)
+from .lstm import LstmCellParams, lstm_backward, lstm_forward, lstm_step
 from .tensor import softmax_rows
 
 CHECKPOINT_VERSION = 2
@@ -67,69 +66,78 @@ class ModelDims:
     d_tag: int
 
 
+# Every parameter block, listed only here: name -> shape for the dims d
+# and n vocabulary words. The blocks go in this order wherever they go
+# (clip_gradients sums their norms in it); a checkpoint entry is named
+# after its block. An LSTM cell is the blocks <cell>.w_in, .w_h and .b.
+BLOCKS = {
+    "embedding": lambda d, n: (n, d.embedding_dim),
+    "enc_fwd.w_in": lambda d, n: (4 * d.h_enc, d.embedding_dim),
+    "enc_fwd.w_h": lambda d, n: (4 * d.h_enc, d.h_enc),
+    "enc_fwd.b": lambda d, n: (4 * d.h_enc,),
+    "enc_bwd.w_in": lambda d, n: (4 * d.h_enc, d.embedding_dim),
+    "enc_bwd.w_h": lambda d, n: (4 * d.h_enc, d.h_enc),
+    "enc_bwd.b": lambda d, n: (4 * d.h_enc,),
+    "dec.w_in": lambda d, n: (4 * d.h_dec, d.d_att + d.d_tag),
+    "dec.w_h": lambda d, n: (4 * d.h_dec, d.h_dec),
+    "dec.b": lambda d, n: (4 * d.h_dec,),
+    "attn_q": lambda d, n: (d.d_att, 2 * d.h_enc),
+    "attn_k": lambda d, n: (d.d_att, 2 * d.h_enc),
+    "attn_v": lambda d, n: (d.d_att, 2 * d.h_enc),
+    "tag_embedding": lambda d, n: (crf.N_STATES, d.d_tag),  # rows by crf state
+    "emission_w": lambda d, n: (3, d.h_dec),
+    "emission_b": lambda d, n: (3,),
+    "transitions": lambda d, n: (crf.N_STATES, crf.N_STATES),
+}
+
+
 @dataclass
 class ModelParams:
-    embedding: EmbeddingTable
-    enc_fwd: LstmCellParams
-    enc_bwd: LstmCellParams
-    attn_q: np.ndarray       # (d_att, 2*h_enc)
-    attn_k: np.ndarray
-    attn_v: np.ndarray
-    tag_embedding: np.ndarray  # (5, d_tag), rows indexed by crf state
-    dec: LstmCellParams
-    emission_w: np.ndarray   # (3, h_dec)
-    emission_b: np.ndarray   # (3,)
-    transitions: np.ndarray  # (5, 5)
+    blocks: dict  # name -> array for each name of BLOCKS, in its order
     dims: ModelDims
+    embedding_trainable: bool = True
 
 
 def init_model(vocab_size: int, dims: ModelDims, rng: "np.random.Generator",
                embedding: EmbeddingTable | None = None) -> ModelParams:
+    """A new model: the embedding given or random_embeddings', the
+    transitions of crf.init_transitions(), and each other block drawn
+    uniform(-k, k), k = 1/sqrt(fan), group by group in the order below (not
+    BLOCKS', so that a seed keeps its model); forget-gate biases then 1.0."""
     if embedding is None:
         embedding = random_embeddings(vocab_size, dims.embedding_dim, rng)
+    blocks = {"embedding": embedding.matrix,
+              "transitions": crf.init_transitions()}
     two_h = 2 * dims.h_enc
-    ka = 1.0 / np.sqrt(two_h)
-    kt = 1.0 / np.sqrt(dims.d_tag)
-    ke = 1.0 / np.sqrt(dims.h_dec)
-    return ModelParams(
-        embedding=embedding,
-        enc_fwd=init_lstm(dims.embedding_dim, dims.h_enc, rng),
-        enc_bwd=init_lstm(dims.embedding_dim, dims.h_enc, rng),
-        attn_q=rng.uniform(-ka, ka, size=(dims.d_att, two_h)),
-        attn_k=rng.uniform(-ka, ka, size=(dims.d_att, two_h)),
-        attn_v=rng.uniform(-ka, ka, size=(dims.d_att, two_h)),
-        tag_embedding=rng.uniform(-kt, kt, size=(crf.N_STATES, dims.d_tag)),
-        dec=init_lstm(dims.d_att + dims.d_tag, dims.h_dec, rng),
-        emission_w=rng.uniform(-ke, ke, size=(3, dims.h_dec)),
-        emission_b=rng.uniform(-ke, ke, size=3),
-        transitions=crf.init_transitions(),
-        dims=dims,
-    )
+    for group, fan in (("enc_fwd", dims.h_enc), ("enc_bwd", dims.h_enc),
+                       ("attn_q", two_h), ("attn_k", two_h), ("attn_v", two_h),
+                       ("tag_embedding", dims.d_tag), ("dec", dims.h_dec),
+                       ("emission_w", dims.h_dec), ("emission_b", dims.h_dec)):
+        k = 1.0 / np.sqrt(fan)
+        for name, shape in BLOCKS.items():
+            if name.partition(".")[0] == group:
+                blocks[name] = rng.uniform(-k, k, size=shape(dims, vocab_size))
+                if name.endswith(".b"):  # fan is the cell's hidden size
+                    blocks[name][fan:2 * fan] = 1.0
+    return ModelParams({name: blocks[name] for name in BLOCKS}, dims,
+                       embedding.trainable)
 
 
-# parameter blocks exposed to the optimizer / gradient checker
 def param_blocks(params: ModelParams) -> dict:
-    blocks = {}
-    if params.embedding.trainable:
-        blocks["embedding"] = params.embedding.matrix
-    for name, cell in (("enc_fwd", params.enc_fwd), ("enc_bwd", params.enc_bwd),
-                       ("dec", params.dec)):
-        blocks[f"{name}.w_in"] = cell.w_in
-        blocks[f"{name}.w_h"] = cell.w_h
-        blocks[f"{name}.b"] = cell.b
-    blocks["attn_q"] = params.attn_q
-    blocks["attn_k"] = params.attn_k
-    blocks["attn_v"] = params.attn_v
-    blocks["tag_embedding"] = params.tag_embedding
-    blocks["emission_w"] = params.emission_w
-    blocks["emission_b"] = params.emission_b
-    blocks["transitions"] = params.transitions
-    return blocks
+    """What the optimizer steps: the blocks but a frozen embedding, in order."""
+    return {name: params.blocks[name] for name in BLOCKS
+            if name != "embedding" or params.embedding_trainable}
 
 
 def zero_grad_blocks(params: ModelParams) -> dict:
     return {name: np.zeros_like(arr)
             for name, arr in param_blocks(params).items()}
+
+
+def _cell(blocks: dict, name: str) -> LstmCellParams:
+    """The LSTM cell in blocks name.w_in, .w_h and .b (weights or grads)."""
+    return LstmCellParams(*(blocks[f"{name}.{f.name}"]
+                            for f in fields(LstmCellParams)))
 
 
 # ---------------------------------------------------------------- packing
@@ -174,12 +182,6 @@ def _pack(lengths) -> Packing:
                    last=pos[np.arange(b), ranked - 1])
 
 
-def _add_cell_grads(grads, prefix, g: LstmCellParams):
-    grads[f"{prefix}.w_in"] += g.w_in
-    grads[f"{prefix}.w_h"] += g.w_h
-    grads[f"{prefix}.b"] += g.b
-
-
 # ---------------------------------------------------------------- encoder
 
 def _encode(params: ModelParams, tokens, packing: Packing, keep):
@@ -191,12 +193,14 @@ def _encode(params: ModelParams, tokens, packing: Packing, keep):
     its positions. The backward direction reads each row mirrored,
     through packing.rev, an index that is its own inverse."""
     uniq, inv = np.unique(tokens, return_inverse=True)
-    xu = params.embedding.matrix[uniq]
+    xu = params.blocks["embedding"][uniq]
     fwd, bwd = ([], []) if keep else (None, None)
-    pre = xu @ params.enc_fwd.w_in.T + params.enc_fwd.b
-    hs_fwd = lstm_forward(params.enc_fwd, pre[inv], packing, fwd)
-    pre = xu @ params.enc_bwd.w_in.T + params.enc_bwd.b
-    hs_bwd = lstm_forward(params.enc_bwd, pre[inv[packing.rev]], packing, bwd)
+    cell = _cell(params.blocks, "enc_fwd")
+    pre = xu @ cell.w_in.T + cell.b
+    hs_fwd = lstm_forward(cell, pre[inv], packing, fwd)
+    cell = _cell(params.blocks, "enc_bwd")
+    pre = xu @ cell.w_in.T + cell.b
+    hs_bwd = lstm_forward(cell, pre[inv[packing.rev]], packing, bwd)
     enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
     return enc, (tokens, packing, xu, inv, (hs_fwd, fwd), (hs_bwd, bwd))
 
@@ -207,13 +211,12 @@ def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
     x = xu[inv]
     x_rev = x[packing.rev]
     h_enc = params.dims.h_enc
-    d_x, g = lstm_backward(params.enc_fwd, x, *fwd, d_enc[:, :h_enc],
-                           packing)
-    _add_cell_grads(grads, "enc_fwd", g)
-    d_x_rev, g = lstm_backward(params.enc_bwd, x_rev, *bwd,
-                               d_enc[packing.rev, h_enc:], packing)
-    _add_cell_grads(grads, "enc_bwd", g)
-    if params.embedding.trainable:
+    d_x = lstm_backward(_cell(params.blocks, "enc_fwd"), x, *fwd,
+                        d_enc[:, :h_enc], packing, _cell(grads, "enc_fwd"))
+    d_x_rev = lstm_backward(_cell(params.blocks, "enc_bwd"), x_rev, *bwd,
+                            d_enc[packing.rev, h_enc:], packing,
+                            _cell(grads, "enc_bwd"))
+    if params.embedding_trainable:
         real = tokens != PAD_INDEX
         np.add.at(grads["embedding"], tokens[real],
                   (d_x + d_x_rev[packing.rev])[real])
@@ -238,9 +241,9 @@ def _attend(params: ModelParams, enc, packing: Packing):
     run's (k, n, n) weights."""
     scale = 1.0 / np.sqrt(params.dims.d_att)
     x = enc[packing.by_row]
-    q = x @ params.attn_q.T
-    k = x @ params.attn_k.T
-    v = x @ params.attn_v.T
+    q = x @ params.blocks["attn_q"].T
+    k = x @ params.blocks["attn_k"].T
+    v = x @ params.blocks["attn_v"].T
     out = np.empty_like(v)
     weights = []
     for q_r, k_r, v_r, out_r in _length_runs(packing.lengths, q, k, v, out):
@@ -270,8 +273,8 @@ def _attend_backward(params: ModelParams, att_cache, d_att, grads):
     grads["attn_k"] += d_k.T @ x
     grads["attn_v"] += d_v.T @ x
     d_enc = np.empty_like(x)
-    d_enc[packing.by_row] = (d_q @ params.attn_q + d_k @ params.attn_k
-                             + d_v @ params.attn_v)
+    p = params.blocks
+    d_enc[packing.by_row] = d_q @ p["attn_q"] + d_k @ p["attn_k"] + d_v @ p["attn_v"]
     return d_enc
 
 
@@ -283,13 +286,14 @@ def _decoder_inputs(params: ModelParams, attended):
     tag. Training and inference both sum the same two parts, so they
     agree bit for bit."""
     d_att = params.dims.d_att
-    w = params.dec.w_in
+    p = params.blocks
+    w = p["dec.w_in"]
     return (attended @ w[:, :d_att].T,
-            params.tag_embedding @ w[:, d_att:].T + params.dec.b)
+            p["tag_embedding"] @ w[:, d_att:].T + p["dec.b"])
 
 
 def _emissions(params: ModelParams, hs):
-    return hs @ params.emission_w.T + params.emission_b
+    return hs @ params.blocks["emission_w"].T + params.blocks["emission_b"]
 
 
 def _decode_training(params: ModelParams, attended, gold, packing: Packing):
@@ -300,8 +304,9 @@ def _decode_training(params: ModelParams, attended, gold, packing: Packing):
                            gold[packing.prev]])
     from_att, from_tag = _decoder_inputs(params, attended)
     caches = []
-    hs = lstm_forward(params.dec, from_att + from_tag[prev], packing, caches)
-    x = np.concatenate([attended, params.tag_embedding[prev]], axis=1)
+    hs = lstm_forward(_cell(params.blocks, "dec"), from_att + from_tag[prev],
+                      packing, caches)
+    x = np.concatenate([attended, params.blocks["tag_embedding"][prev]], axis=1)
     return _emissions(params, hs), (x, hs, caches, prev, packing)
 
 
@@ -312,18 +317,20 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
     go to the lower tag. Returns the emissions (N, 3).
     """
     sizes, starts = packing.sizes, packing.starts
+    p = params.blocks
+    dec = _cell(p, "dec")
     from_att, from_tag = _decoder_inputs(params, attended)
     h = np.zeros((sizes[0], params.dims.h_dec))
     c = np.zeros((sizes[0], params.dims.h_dec))
     hs = np.empty((len(attended), params.dims.h_dec))
-    feed_bias = params.emission_b + _FEED_MASK
+    feed_bias = p["emission_b"] + _FEED_MASK
     prev = np.full(sizes[0], crf.START)
     for n, lo, hi in zip(sizes, starts, starts[1:]):
         prev = prev[:n]
-        h, c, _ = lstm_step(params.dec, from_att[lo:hi] + from_tag[prev],
-                            h[:n], c[:n])
+        h, c, _ = lstm_step(dec, from_att[lo:hi] + from_tag[prev], h[:n],
+                            c[:n])
         hs[lo:hi] = h
-        prev = np.argmax(h @ params.emission_w.T + feed_bias[prev], axis=1)
+        prev = np.argmax(h @ p["emission_w"].T + feed_bias[prev], axis=1)
     return _emissions(params, hs)
 
 
@@ -332,9 +339,9 @@ def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
     d_att = params.dims.d_att
     grads["emission_w"] += d_emissions.T @ hs
     grads["emission_b"] += d_emissions.sum(axis=0)
-    d_x, g = lstm_backward(params.dec, x, hs, caches,
-                           d_emissions @ params.emission_w, packing)
-    _add_cell_grads(grads, "dec", g)
+    d_x = lstm_backward(_cell(params.blocks, "dec"), x, hs, caches,
+                        d_emissions @ params.blocks["emission_w"], packing,
+                        _cell(grads, "dec"))
     np.add.at(grads["tag_embedding"], prev, d_x[:, d_att:])
     return d_x[:, :d_att]
 
@@ -355,7 +362,7 @@ def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
     attended, att_cache = _attend(params, enc, packing)
     emissions, dec_cache = _decode_training(params, attended, gold, packing)
     loss, d_emissions, d_t = crf.crf_nll_backward(
-        emissions, params.transitions, gold, packing)
+        emissions, params.blocks["transitions"], gold, packing)
     grads["transitions"] += d_t
     d_attended = _decode_backward(params, dec_cache, d_emissions, grads)
     d_enc = _attend_backward(params, att_cache, d_attended, grads)
@@ -371,7 +378,7 @@ def _decode_chunk(params: ModelParams, rows):
                   keep=False)[0]
     attended = _attend(params, enc, packing)[0]
     emissions = _decode_inference(params, attended, packing)
-    return crf.crf_viterbi(emissions, params.transitions, packing)
+    return crf.crf_viterbi(emissions, params.blocks["transitions"], packing)
 
 
 _BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
@@ -449,39 +456,21 @@ def predict_tags(params: ModelParams, indices):
 
 # ------------------------------------------------------------- checkpoint
 
-def _checkpoint_arrays(params: ModelParams) -> dict:
-    """Every array a checkpoint holds; the embedding even when frozen."""
-    return {**param_blocks(params), "embedding": params.embedding.matrix}
-
-
 def save_checkpoint(path, params: ModelParams, vocab: Vocabulary,
                     extra_config: dict | None = None):
-    """Uncompressed .npz: one entry per parameter block plus a JSON header."""
+    """Uncompressed .npz: a JSON header, then one entry per block in
+    param_blocks order, and a frozen embedding last."""
     header = json.dumps({
         "version": CHECKPOINT_VERSION,
         "dims": vars(params.dims),
-        "embedding_trainable": params.embedding.trainable,
+        "embedding_trainable": params.embedding_trainable,
         "vocab": vocab.index_to_token,
         "config": extra_config or {},
     })
     # a file object, because np.savez appends ".npz" to a path without it
     with open(path, "wb") as fh:
-        np.savez(fh, header=np.array(header), **_checkpoint_arrays(params))
-
-
-class _ShapeDraws:
-    """Init generator stand-in: unfilled blocks, for shapes and dtypes."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.empty(size)
-
-
-def _holder(params: ModelParams, name):
-    """The object and attribute of params that hold block name."""
-    prefix, _, attr = name.rpartition(".")
-    return ((params.embedding, "matrix") if name == "embedding"
-            else (getattr(params, prefix) if prefix else params, attr))
+        np.savez(fh, header=np.array(header), **{
+            **param_blocks(params), "embedding": params.blocks["embedding"]})
 
 
 def _entry(npz, path, name):
@@ -539,26 +528,26 @@ def _archive(fh, path):
 
 
 def load_checkpoint(path):
-    """Returns (params, vocab, config); a malformed file raises ValueError."""
+    """Returns (params, vocab, config); a malformed file raises ValueError.
+    Each block's entry must be float64 in the shape BLOCKS gives it."""
     # np.load is given a file object so that the file is closed also when
     # the archive turns out to be damaged
     with open(path, "rb") as fh, _archive(fh, path) as npz:
         header = _read_header(npz, path)
         index_to_token = header["vocab"]
-        params = init_model(len(index_to_token), ModelDims(**header["dims"]),
-                            _ShapeDraws())
-        params.embedding.trainable = header["embedding_trainable"]
-        for name, skeleton in _checkpoint_arrays(params).items():
-            arr = _entry(npz, path, name)
-            if arr.shape != skeleton.shape or arr.dtype != skeleton.dtype:
-                raise ValueError(
-                    f"{path}: block {name!r} is {arr.dtype} {arr.shape}, "
-                    f"expected {skeleton.dtype} {skeleton.shape}")
+        dims = ModelDims(**header["dims"])
+        blocks = {}
+        for name, shape in BLOCKS.items():
+            arr, shape = _entry(npz, path, name), shape(dims, len(index_to_token))
+            if arr.shape != shape or arr.dtype != np.float64:
+                raise ValueError(f"{path}: block {name!r} is {arr.dtype} "
+                                 f"{arr.shape}, expected float64 {shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}: block {name!r} holds a non-finite value")
             # the model keeps np.load's array: each block is copied once
-            setattr(*_holder(params, name), np.ascontiguousarray(arr))
+            blocks[name] = np.ascontiguousarray(arr)
     vocab = Vocabulary(
         token_to_index={t: i for i, t in enumerate(index_to_token)},
         index_to_token=list(index_to_token))
-    return params, vocab, header["config"]
+    return (ModelParams(blocks, dims, header["embedding_trainable"]), vocab,
+            header["config"])

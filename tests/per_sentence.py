@@ -57,9 +57,10 @@ def lstm_step_backward(params: LstmCellParams, cache, dh, dc,
     return params.w_in.T @ da, params.w_h.T @ da, dc_total * f
 
 
-def _cell_grads(grads, prefix):
-    return LstmCellParams(w_in=grads[f"{prefix}.w_in"], w_h=grads[f"{prefix}.w_h"],
-                          b=grads[f"{prefix}.b"])
+def _cell(blocks, prefix):
+    """The cell of blocks prefix.w_in, .w_h and .b: parameters or grads."""
+    return LstmCellParams(w_in=blocks[f"{prefix}.w_in"], w_h=blocks[f"{prefix}.w_h"],
+                          b=blocks[f"{prefix}.b"])
 
 
 # ---------------------------------------------------------------- encoder
@@ -68,12 +69,13 @@ def encode(params: ModelParams, indices):
     """BiLSTM over one unpadded sentence; returns (enc (n, 2H), caches)."""
     n = len(indices)
     h_enc = params.dims.h_enc
-    xs = [params.embedding.matrix[i] for i in indices]
+    xs = [params.blocks["embedding"][i] for i in indices]
     enc = np.zeros((n, 2 * h_enc))
     caches = []
-    for cell, order, half in ((params.enc_fwd, range(n), slice(None, h_enc)),
-                              (params.enc_bwd, range(n - 1, -1, -1),
-                               slice(h_enc, None))):
+    for cell, order, half in ((_cell(params.blocks, "enc_fwd"), range(n),
+                               slice(None, h_enc)),
+                              (_cell(params.blocks, "enc_bwd"),
+                               range(n - 1, -1, -1), slice(h_enc, None))):
         h = np.zeros(h_enc)
         c = np.zeros(h_enc)
         steps = []
@@ -89,16 +91,15 @@ def encode_backward(params: ModelParams, indices, enc_caches, d_enc, grads):
     """BPTT through both encoder directions; fills embedding grads."""
     h_enc = params.dims.h_enc
     d_x = np.zeros((len(indices), params.dims.embedding_dim))
-    for cell, prefix, half, steps in (
-            (params.enc_fwd, "enc_fwd", slice(None, h_enc), enc_caches[0]),
-            (params.enc_bwd, "enc_bwd", slice(h_enc, None), enc_caches[1])):
-        g = _cell_grads(grads, prefix)
+    for prefix, half, steps in (("enc_fwd", slice(None, h_enc), enc_caches[0]),
+                                ("enc_bwd", slice(h_enc, None), enc_caches[1])):
+        cell, g = _cell(params.blocks, prefix), _cell(grads, prefix)
         dh = np.zeros(h_enc)
         dc = np.zeros(h_enc)
         for t, cache in reversed(steps):
             dx, dh, dc = lstm_step_backward(cell, cache, dh + d_enc[t, half], dc, g)
             d_x[t] += dx
-    if params.embedding.trainable:
+    if params.embedding_trainable:
         for t, idx in enumerate(indices):
             if idx != PAD_INDEX:
                 grads["embedding"][idx] += d_x[t]
@@ -109,9 +110,9 @@ def encode_backward(params: ModelParams, indices, enc_caches, d_enc, grads):
 def attend(params: ModelParams, enc):
     """Scaled dot-product self-attention over one sentence."""
     scale = 1.0 / np.sqrt(params.dims.d_att)
-    q = enc @ params.attn_q.T
-    k = enc @ params.attn_k.T
-    v = enc @ params.attn_v.T
+    q = enc @ params.blocks["attn_q"].T
+    k = enc @ params.blocks["attn_k"].T
+    v = enc @ params.blocks["attn_v"].T
     weights = softmax_rows((q @ k.T) * scale)
     return weights @ v, (enc, q, k, v, weights)
 
@@ -127,7 +128,8 @@ def attend_backward(params: ModelParams, att_cache, d_att, grads):
     grads["attn_q"] += d_q.T @ enc
     grads["attn_k"] += d_k.T @ enc
     grads["attn_v"] += d_v.T @ enc
-    return d_q @ params.attn_q + d_k @ params.attn_k + d_v @ params.attn_v
+    p = params.blocks
+    return d_q @ p["attn_q"] + d_k @ p["attn_k"] + d_v @ p["attn_v"]
 
 
 # ---------------------------------------------------------------- decoder
@@ -135,6 +137,7 @@ def attend_backward(params: ModelParams, att_cache, d_att, grads):
 def decode(params: ModelParams, attended, gold_tags=None):
     """Teacher-forced with gold_tags, else fed the greedy legal tag."""
     n = attended.shape[0]
+    p = params.blocks
     h = np.zeros(params.dims.h_dec)
     c = np.zeros(params.dims.h_dec)
     emissions = np.zeros((n, 3))
@@ -148,9 +151,9 @@ def decode(params: ModelParams, attended, gold_tags=None):
                        else (crf.O, crf.B, crf.I))
             prev = max(allowed, key=lambda y: (emissions[t - 1, y], -y))
         prev_tags.append(prev)
-        u = np.concatenate([attended[t], params.tag_embedding[prev]])
-        h, c, cache = lstm_step(params.dec, u, h, c)
-        emissions[t] = params.emission_w @ h + params.emission_b
+        u = np.concatenate([attended[t], p["tag_embedding"][prev]])
+        h, c, cache = lstm_step(_cell(p, "dec"), u, h, c)
+        emissions[t] = p["emission_w"] @ h + p["emission_b"]
         caches.append(cache)
         hidden.append(h)
     return emissions, (caches, hidden, prev_tags)
@@ -159,7 +162,7 @@ def decode(params: ModelParams, attended, gold_tags=None):
 def decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
     caches, hidden, prev_tags = dec_cache
     d_att = params.dims.d_att
-    g_dec = _cell_grads(grads, "dec")
+    g_dec = _cell(grads, "dec")
     d_attended = np.zeros((len(caches), d_att))
     dh = np.zeros(params.dims.h_dec)
     dc = np.zeros(params.dims.h_dec)
@@ -167,8 +170,9 @@ def decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
         de = d_emissions[t]
         grads["emission_w"] += np.outer(de, hidden[t])
         grads["emission_b"] += de
-        du, dh, dc = lstm_step_backward(params.dec, caches[t],
-                                        dh + params.emission_w.T @ de, dc, g_dec)
+        du, dh, dc = lstm_step_backward(_cell(params.blocks, "dec"), caches[t],
+                                        dh + params.blocks["emission_w"].T @ de,
+                                        dc, g_dec)
         d_attended[t] = du[:d_att]
         grads["tag_embedding"][prev_tags[t]] += du[d_att:]
     return d_attended
@@ -182,7 +186,7 @@ def sentence_loss_and_grads(params: ModelParams, indices, gold_tags):
     enc, enc_caches = encode(params, indices)
     attended, att_cache = attend(params, enc)
     emissions, dec_cache = decode(params, attended, gold_tags)
-    loss, d_e, d_t = crf.crf_nll_backward(emissions, params.transitions,
+    loss, d_e, d_t = crf.crf_nll_backward(emissions, params.blocks["transitions"],
                                           gold_tags, _pack([len(gold_tags)]))
     grads["transitions"] += d_t
     d_attended = decode_backward(params, dec_cache, d_e, grads)
@@ -198,5 +202,5 @@ def predict_tags(params: ModelParams, indices):
     enc, _ = encode(params, indices)
     attended, _ = attend(params, enc)
     emissions, _ = decode(params, attended)
-    tags, _ = sentence_viterbi(emissions, params.transitions)
+    tags, _ = sentence_viterbi(emissions, params.blocks["transitions"])
     return tags

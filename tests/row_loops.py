@@ -13,21 +13,19 @@ import numpy as np
 
 from reqtag.embeddings import PAD_INDEX
 from reqtag.lstm import lstm_backward, lstm_forward
-from reqtag.network import _add_cell_grads
+from reqtag.network import _cell
 from reqtag.tensor import softmax_rows
 
 
 def encode(params, tokens, packing, keep):
     """BiLSTM over a batch's (N,) packed token indices, one projection
     row per position; returns (enc (N, 2H), cache)."""
-    x = params.embedding.matrix[tokens]
+    x = params.blocks["embedding"][tokens]
     x_rev = x[packing.rev]
     fwd, bwd = ([], []) if keep else (None, None)
-    hs_fwd = lstm_forward(params.enc_fwd,
-                          x @ params.enc_fwd.w_in.T + params.enc_fwd.b,
-                          packing, fwd)
-    hs_bwd = lstm_forward(params.enc_bwd,
-                          x_rev @ params.enc_bwd.w_in.T + params.enc_bwd.b,
+    enc_fwd, enc_bwd = _cell(params.blocks, "enc_fwd"), _cell(params.blocks, "enc_bwd")
+    hs_fwd = lstm_forward(enc_fwd, x @ enc_fwd.w_in.T + enc_fwd.b, packing, fwd)
+    hs_bwd = lstm_forward(enc_bwd, x_rev @ enc_bwd.w_in.T + enc_bwd.b,
                           packing, bwd)
     enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
     return enc, (tokens, packing, x, x_rev, (hs_fwd, fwd), (hs_bwd, bwd))
@@ -36,13 +34,12 @@ def encode(params, tokens, packing, keep):
 def encode_backward(params, enc_cache, d_enc, grads):
     tokens, packing, x, x_rev, fwd, bwd = enc_cache
     h_enc = params.dims.h_enc
-    d_x, g = lstm_backward(params.enc_fwd, x, *fwd, d_enc[:, :h_enc],
-                           packing)
-    _add_cell_grads(grads, "enc_fwd", g)
-    d_x_rev, g = lstm_backward(params.enc_bwd, x_rev, *bwd,
-                               d_enc[packing.rev, h_enc:], packing)
-    _add_cell_grads(grads, "enc_bwd", g)
-    if params.embedding.trainable:
+    d_x = lstm_backward(_cell(params.blocks, "enc_fwd"), x, *fwd,
+                        d_enc[:, :h_enc], packing, _cell(grads, "enc_fwd"))
+    d_x_rev = lstm_backward(_cell(params.blocks, "enc_bwd"), x_rev, *bwd,
+                            d_enc[packing.rev, h_enc:], packing,
+                            _cell(grads, "enc_bwd"))
+    if params.embedding_trainable:
         real = tokens != PAD_INDEX
         np.add.at(grads["embedding"], tokens[real],
                   (d_x + d_x_rev[packing.rev])[real])
@@ -54,9 +51,9 @@ def attend(params, enc, packing):
     per row."""
     scale = 1.0 / np.sqrt(params.dims.d_att)
     x = enc[packing.by_row]
-    q = x @ params.attn_q.T
-    k = x @ params.attn_k.T
-    v = x @ params.attn_v.T
+    q = x @ params.blocks["attn_q"].T
+    k = x @ params.blocks["attn_k"].T
+    v = x @ params.blocks["attn_v"].T
     out = np.empty_like(v)
     weights = []
     start = 0
@@ -91,6 +88,6 @@ def attend_backward(params, att_cache, d_att, grads):
     grads["attn_k"] += d_k.T @ x
     grads["attn_v"] += d_v.T @ x
     d_enc = np.empty_like(x)
-    d_enc[packing.by_row] = (d_q @ params.attn_q + d_k @ params.attn_k
-                             + d_v @ params.attn_v)
+    p = params.blocks
+    d_enc[packing.by_row] = d_q @ p["attn_q"] + d_k @ p["attn_k"] + d_v @ p["attn_v"]
     return d_enc

@@ -100,7 +100,7 @@ def test_criterion_2_gradient_suite():
                      [0, 0, 1, 2, 0, 0, 0, 0, 0]])
     for trainable in (True, False):
         params = init_model(10, dims, np.random.default_rng(16))
-        params.embedding.trainable = trainable
+        params.embedding_trainable = trainable
         worst = max(worst, _worst_gradient_error(params, indices, tags,
                                                  [9, 4, 4]))
     elapsed = time.monotonic() - start

@@ -3,15 +3,33 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reqtag.lstm import (LstmCellParams, init_lstm, lstm_backward,
-                         lstm_forward, lstm_step, lstm_step_backward)
-from reqtag.network import _pack
+from reqtag.lstm import (LstmCellParams, lstm_backward, lstm_forward,
+                         lstm_step, lstm_step_backward)
+from reqtag.network import ModelDims, _pack, init_model
 from reqtag.tensor import ShapeError
 from conftest import grad_check
 
 
 def _project(p, x):
     return x @ p.w_in.T + p.b
+
+
+def init_lstm(input_dim, hidden, rng):
+    """A cell drawn as the model draws one: uniform(-k, k) with
+    k = 1/sqrt(hidden), then the forget-gate bias at 1.0."""
+    k = 1.0 / np.sqrt(hidden)
+    p = LstmCellParams(w_in=rng.uniform(-k, k, size=(4 * hidden, input_dim)),
+                       w_h=rng.uniform(-k, k, size=(4 * hidden, hidden)),
+                       b=rng.uniform(-k, k, size=4 * hidden))
+    p.b[hidden:2 * hidden] = 1.0
+    return p
+
+
+def _backward(p, x, hs, caches, d_hs, packing):
+    """lstm_backward's input gradient, and the weight gradients it adds
+    into a zero cell."""
+    grads = LstmCellParams(*(np.zeros_like(a) for a in (p.w_in, p.w_h, p.b)))
+    return lstm_backward(p, x, hs, caches, d_hs, packing, grads), grads
 
 
 def _forward(p, pre, packing):
@@ -78,12 +96,16 @@ def test_shape_errors():
 
 
 def test_init_forget_bias_and_bounds():
-    hidden = 5
-    p = init_lstm(4, hidden, np.random.default_rng(1))
-    np.testing.assert_array_equal(p.b[hidden:2 * hidden], 1.0)
-    k = 1.0 / np.sqrt(hidden)
-    assert np.all(np.abs(p.w_in) <= k)
-    assert np.all(np.abs(p.w_h) <= k)
+    # each cell the model draws
+    dims = ModelDims(embedding_dim=4, h_enc=5, d_att=3, h_dec=6, d_tag=2)
+    params = init_model(9, dims, np.random.default_rng(1))
+    for name, hidden in (("enc_fwd", 5), ("enc_bwd", 5), ("dec", 6)):
+        b = params.blocks[f"{name}.b"]
+        np.testing.assert_array_equal(b[hidden:2 * hidden], 1.0)
+        k = 1.0 / np.sqrt(hidden)
+        assert np.all(np.abs(np.delete(b, np.s_[hidden:2 * hidden])) <= k)
+        assert np.all(np.abs(params.blocks[f"{name}.w_in"]) <= k)
+        assert np.all(np.abs(params.blocks[f"{name}.w_h"]) <= k)
 
 
 def test_step_gradients_every_block():
@@ -118,7 +140,7 @@ def test_sequence_gradients_every_block():
                       * weights).sum())
 
     hs, caches = _forward(p, _project(p, x), packing)
-    dx, grads = lstm_backward(p, x, hs, caches, weights, packing)
+    dx, grads = _backward(p, x, hs, caches, weights, packing)
     for arr, g in ((p.w_in, grads.w_in), (p.w_h, grads.w_h), (p.b, grads.b),
                    (x, dx)):
         res = grad_check(loss_of, arr, g, h=1e-4, tol=1e-4)
@@ -134,11 +156,11 @@ def test_pad_steps_get_zero_gradient():
     d_hs = rng.normal(size=(5, 2))
     d_hs[2:] = 0.0
     hs, caches = _forward(p, _project(p, x), _pack([5]))
-    dx, grads = lstm_backward(p, x, hs, caches, d_hs, _pack([5]))
+    dx, grads = _backward(p, x, hs, caches, d_hs, _pack([5]))
     np.testing.assert_array_equal(dx[2:], 0.0)
     hs2, caches2 = _forward(p, _project(p, x[:2]), _pack([2]))
     np.testing.assert_array_equal(hs2, hs[:2])
-    dx2, grads2 = lstm_backward(p, x[:2], hs2, caches2, d_hs[:2], _pack([2]))
+    dx2, grads2 = _backward(p, x[:2], hs2, caches2, d_hs[:2], _pack([2]))
     np.testing.assert_allclose(dx[:2], dx2, rtol=1e-12, atol=0)
     for name in ("w_in", "w_h", "b"):
         np.testing.assert_allclose(getattr(grads, name), getattr(grads2, name),
@@ -159,13 +181,13 @@ def test_packed_rows_match_each_row_alone():
     where = [(t, r) for t in range(4) for r in range(3) if t < lengths[r]]
     x = np.array([xs[r][t] for t, r in where])
     hs, caches = _forward(p, _project(p, x), packing)
-    dx, grads = lstm_backward(p, x, hs, caches,
-                              np.array([d_hs[r][t] for t, r in where]), packing)
+    dx, grads = _backward(p, x, hs, caches,
+                          np.array([d_hs[r][t] for t, r in where]), packing)
     total = {name: 0.0 for name in ("w_in", "w_h", "b")}
     for r, n in enumerate(lengths):
         at = [i for i, (_, row) in enumerate(where) if row == r]
         hs1, caches1 = _forward(p, _project(p, xs[r]), _pack([n]))
-        dx1, grads1 = lstm_backward(p, xs[r], hs1, caches1, d_hs[r], _pack([n]))
+        dx1, grads1 = _backward(p, xs[r], hs1, caches1, d_hs[r], _pack([n]))
         np.testing.assert_allclose(hs[at], hs1, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(dx[at], dx1, rtol=1e-12, atol=1e-15)
         for name in total:

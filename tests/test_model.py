@@ -14,10 +14,10 @@ from reqtag import crf
 from reqtag.embeddings import (EmbeddingTable, PAD_TOKEN, UNK_TOKEN,
                                Vocabulary)
 from reqtag.lstm import lstm_step
-from reqtag.network import (_FEED_MASK, ModelDims, _attend, _decode_inference,
-                            _decode_training, _encode, _pack, init_model,
-                            load_checkpoint, param_blocks, predict_tags,
-                            save_checkpoint)
+from reqtag.network import (_FEED_MASK, ModelDims, _attend, _cell,
+                            _decode_inference, _decode_training, _encode,
+                            _pack, init_model, load_checkpoint, param_blocks,
+                            predict_tags, save_checkpoint)
 from crf_oracles import is_valid_bio
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
@@ -85,14 +85,12 @@ class TestEncoder:
 
     def test_single_token_equals_direct_step(self, tiny_model):
         enc = _enc(tiny_model, [[5]])[0]
-        x = tiny_model.embedding.matrix[5][None, :]
+        x = tiny_model.blocks["embedding"][5][None, :]
         z = np.zeros((1, TINY.h_enc))
-        hf, _, _ = lstm_step(tiny_model.enc_fwd,
-                             x @ tiny_model.enc_fwd.w_in.T + tiny_model.enc_fwd.b,
-                             z, z)
-        hb, _, _ = lstm_step(tiny_model.enc_bwd,
-                             x @ tiny_model.enc_bwd.w_in.T + tiny_model.enc_bwd.b,
-                             z, z)
+        fwd = _cell(tiny_model.blocks, "enc_fwd")
+        bwd = _cell(tiny_model.blocks, "enc_bwd")
+        hf, _, _ = lstm_step(fwd, x @ fwd.w_in.T + fwd.b, z, z)
+        hb, _, _ = lstm_step(bwd, x @ bwd.w_in.T + bwd.b, z, z)
         np.testing.assert_array_equal(enc[0], np.concatenate([hf[0], hb[0]]))
 
     def test_padded_batch_packs_real_positions_only(self, tiny_model):
@@ -126,7 +124,7 @@ class TestAttention:
                                    atol=1e-9)
 
     def test_zero_keys_give_uniform_mean_of_values(self, tiny_model):
-        tiny_model.attn_k[:] = 0.0
+        tiny_model.blocks["attn_k"][:] = 0.0
         enc = np.random.default_rng(2).normal(size=(4, 2 * TINY.h_enc))
         attended, (*_, v, weights) = _attend(tiny_model, enc, _full(4))
         np.testing.assert_allclose(weights[0], np.full((1, 4, 4), 0.25),
@@ -226,8 +224,8 @@ class TestEndToEnd:
         for name, arr in param_blocks(loaded).items():
             np.testing.assert_array_equal(arr, orig_blocks[name],
                                           err_msg=name)
-        np.testing.assert_array_equal(loaded.embedding.matrix,
-                                      tiny_model.embedding.matrix)
+        np.testing.assert_array_equal(loaded.blocks["embedding"],
+                                      tiny_model.blocks["embedding"])
 
 
 def _vocab(n):
@@ -270,8 +268,8 @@ class TestCheckpoint:
         save_checkpoint(path, params, _vocab(12))
         loaded, _, config = load_checkpoint(path)
         assert config == {}
-        assert loaded.embedding.trainable is False
-        np.testing.assert_array_equal(loaded.embedding.matrix, matrix)
+        assert loaded.embedding_trainable is False
+        np.testing.assert_array_equal(loaded.blocks["embedding"], matrix)
         assert param_blocks(loaded).keys() == param_blocks(params).keys()
         for name, arr in param_blocks(params).items():
             np.testing.assert_array_equal(param_blocks(loaded)[name], arr,

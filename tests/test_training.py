@@ -140,11 +140,12 @@ class TestAdam:
         state = AdamState.for_params(params)
         grads = zero_grad_blocks(params)
         grads["emission_b"][:] = 1.0
-        before = params.emission_b.copy()
+        before = params.blocks["emission_b"].copy()
         lr = 0.001
         adam_step(params, grads, state, lr=lr)
         expected = before - lr * 1.0 / (1.0 + ADAM_EPS)
-        np.testing.assert_allclose(params.emission_b, expected, atol=1e-12)
+        np.testing.assert_allclose(params.blocks["emission_b"], expected,
+                                   atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(rows=TAGGED_ROWS, seed=st.integers(0, 2 ** 16))
@@ -154,7 +155,7 @@ class TestAdam:
         # are the entries that must stay fixed
         params = self._model()
         free = ~crf.forbidden_mask()
-        params.transitions[free] = np.random.default_rng(seed).normal(
+        params.blocks["transitions"][free] = np.random.default_rng(seed).normal(
             size=free.sum())
         lengths = [len(row) for row in rows]
         indices = np.full((len(rows), max(lengths)), PAD_INDEX)
@@ -172,8 +173,8 @@ class TestAdam:
         cfg = tiny_config(epochs=4, seed=4, batch_size=16)
         params, _, _ = train(cfg, synthetic_corpus, ["dom0", "dom1"])
         np.testing.assert_array_equal(
-            params.transitions[crf.forbidden_mask()], crf.FORBIDDEN_SCORE)
-        np.testing.assert_array_equal(params.embedding.matrix[PAD_INDEX], 0.0)
+            params.blocks["transitions"][crf.forbidden_mask()], crf.FORBIDDEN_SCORE)
+        np.testing.assert_array_equal(params.blocks["embedding"][PAD_INDEX], 0.0)
 
     @staticmethod
     def _reference_step(params, grads, state, lr):
@@ -191,9 +192,9 @@ class TestAdam:
     @pytest.mark.parametrize("trainable", [True, False])
     def test_in_place_update_is_bit_identical(self, trainable):
         params = self._model()
-        params.embedding.trainable = trainable
+        params.embedding_trainable = trainable
         ref = self._model()
-        ref.embedding.trainable = trainable
+        ref.embedding_trainable = trainable
         state = AdamState.for_params(params)
         ref_state = AdamState.for_params(ref)
         rng = np.random.default_rng(9)
@@ -213,8 +214,8 @@ class TestAdam:
                                               ref_state.m[name], err_msg=name)
                 np.testing.assert_array_equal(state.v[name],
                                               ref_state.v[name], err_msg=name)
-        np.testing.assert_array_equal(params.embedding.matrix,
-                                      ref.embedding.matrix)
+        np.testing.assert_array_equal(params.blocks["embedding"],
+                                      ref.blocks["embedding"])
         assert ("embedding" in state.m) == trainable
 
     def test_non_finite_gradient_names_block(self):
@@ -279,7 +280,7 @@ class TestTrain:
         rng = np.random.default_rng(cfg.seed)
         initial = random_embeddings(len(vocab), cfg.embedding_dim, rng,
                                     trainable=False)
-        np.testing.assert_array_equal(params.embedding.matrix,
+        np.testing.assert_array_equal(params.blocks["embedding"],
                                       initial.matrix)
 
     def test_glove_file_without_vocabulary_words(self, synthetic_corpus,
