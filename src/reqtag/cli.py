@@ -128,12 +128,12 @@ def cmd_train(args):
     return 0
 
 
-def _manifest(config: "TrainConfig", inputs: dict, folds):
+def _manifest(config: "TrainConfig", digests: dict, folds):
     return {
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "config": dataclasses.asdict(config),
-        "input_digests": {name: _sha256(p) for name, p in inputs.items()},
+        "input_digests": digests,
         "fold_seeds": {domain: [r["seed"] for r in runs]
                        for domain, runs in folds.items()},
     }
@@ -145,7 +145,8 @@ def cmd_crossval(args):
     if args.runs is not None:
         config = dataclasses.replace(config, runs_per_fold=args.runs)
     corpus = load_corpus(args.corpus)
-    for domain in fold_domains(corpus):  # each names fold_<domain>.json
+    domains = fold_domains(corpus)
+    for domain in domains:  # each names fold_<domain>.json
         if "/" in domain or "\0" in domain:
             raise DataError(f"domain {domain!r} holds '/' or NUL, so it "
                             f"cannot name a fold file")
@@ -157,6 +158,11 @@ def cmd_crossval(args):
         if not fits:
             raise DataError(f"domain {domain!r} cannot name a fold file of "
                             f"at most 255 UTF-8 bytes")
+    for name in ("report.json", "report.txt", "manifest.json",
+                 *(f"fold_{domain}.json" for domain in sorted(domains))):
+        _refuse_same_file([("--out", os.path.join(args.out, name))],
+                          [("--corpus", args.corpus), ("--config", args.config)])
+    digests = {"corpus": _sha256(args.corpus)}  # what the runs read
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -173,7 +179,7 @@ def cmd_crossval(args):
     (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
     (out / "report.txt").write_text(table + "\n", encoding="utf-8")
-    manifest = _manifest(config, {"corpus": args.corpus}, folds)
+    manifest = _manifest(config, digests, folds)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _log(table)
@@ -314,7 +320,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (DataError, ParseError, SchemaError, BaselineMismatchError,
-            OSError, ValueError, NumericError) as exc:
+            OSError, ValueError, NumericError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -95,7 +95,7 @@ BLOCKS = {
 class ModelParams:
     blocks: dict  # name -> array for each name of BLOCKS, in its order
     dims: ModelDims
-    embedding_trainable: bool = True
+    embedding_trainable: bool
 
 
 def init_model(vocab_size: int, dims: ModelDims, rng: "np.random.Generator",

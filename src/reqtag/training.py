@@ -155,6 +155,9 @@ def _training_sentences(corpus: Corpus, train_domains):
     return out
 
 
+# a diverging run overflows without a warning: adam_step names the first
+# block whose gradient is not finite
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig, corpus: Corpus, train_domains):
     """Train on the given domains; returns (params, vocab, loss_curve)."""
     sentences = _training_sentences(corpus, train_domains)

@@ -27,6 +27,7 @@ token, or a few, decode to the reference's paths; a batch of one
 distinct token takes numpy's one-row product for its projection.
 """
 
+import os
 import subprocess
 import sys
 import threading
@@ -199,9 +200,11 @@ def test_no_threads_start_for_import_or_one_chunk():
         "assert network._blas_thread_setter.cache_info().currsize == 0\n"
         "network.predict_batch(params, rows * 3)\n"
         "assert threading.active_count() == before\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env={"PYTHONPATH": str(Path(reqtag.__file__).parents[1])})
+    # the caller's environment, so that PYTHONDONTWRITEBYTECODE and the
+    # BLAS thread settings hold in the child too
+    env = {**os.environ, "PYTHONPATH": str(Path(reqtag.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

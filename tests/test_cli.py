@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import select
@@ -289,6 +290,47 @@ class TestCrossval:
             f"[fold={d} run={k}] seed={4 + k}\n"
             for d in ("dom0", "dom1") for k in range(3)) + table
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--corpus", "report.json"), ("--corpus", "fold_dom1.json"),
+        ("--config", "manifest.json"), ("--config", "report.txt")])
+    def test_output_naming_an_input_stops_before_first_run(
+            self, corpus_path, config_path, tmp_path, capsys, monkeypatch,
+            flag, name):
+        def fail(*args):
+            raise AssertionError("run_fold called")
+        monkeypatch.setattr(training, "run_fold", fail)
+        out = tmp_path / "res"
+        out.mkdir()
+        inputs = {"--corpus": corpus_path, "--config": config_path}
+        kept = out / name  # the input, where crossval writes an output
+        before = inputs[flag].read_bytes()
+        kept.write_bytes(before)
+        inputs[flag] = kept
+        assert run(["crossval", "--corpus", inputs["--corpus"],
+                    "--config", inputs["--config"], "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {str(kept)!r} and {flag} {str(kept)!r} name the "
+            f"same file\n")
+        assert os.listdir(out) == [name]
+        assert kept.read_bytes() == before
+
+    def test_manifest_digests_the_corpus_the_runs_read(
+            self, corpus_path, config_path, tmp_path, monkeypatch):
+        # a corpus rewritten while the folds run keeps the digest of the
+        # file as it was when the first run started
+        read = hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+
+        def rewriting_run_fold(config, corpus, held_out, seed):
+            with open(corpus_path, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            return {"seed": seed, "precision": 0.0, "recall": 0.0, "f1": 0.0}
+        monkeypatch.setattr(training, "run_fold", rewriting_run_fold)
+        out = tmp_path / "res"
+        assert run(["crossval", "--corpus", corpus_path,
+                    "--config", config_path, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_digests"] == {"corpus": read}
+
     def test_runs_override(self, corpus_path, config_path, tmp_path):
         out = tmp_path / "r"
         assert run(["crossval", "--corpus", corpus_path,
@@ -476,6 +518,34 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: non-finite gradient in block '" in err
         assert "Traceback" not in err
+
+    def test_diverging_run_prints_no_warning(self, corpus_path, tmp_path,
+                                             capsys):
+        # overflow in the forward pass, the clip and Adam warns nowhere
+        # (a RuntimeWarning fails this test); the first block is named
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "epochs": 3,
+                                   "learning_rate": 1e308}), encoding="utf-8")
+        assert run(["train", "--corpus", corpus_path, "--config", cfg,
+                    "--output", tmp_path / "model.npz"]) == 1
+        assert capsys.readouterr().err == (
+            "training on domains: ['dom0', 'dom1']\n"
+            "error: non-finite gradient in block 'embedding'\n")
+
+    def test_config_too_large_to_allocate(self, corpus_path, tmp_path,
+                                          capsys):
+        # numpy refuses the (V, 10**15) embedding at once: no traceback
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "embedding_dim": 10 ** 15}),
+                       encoding="utf-8")
+        model = tmp_path / "model.npz"
+        assert run(["train", "--corpus", corpus_path, "--config", cfg,
+                    "--output", model]) == 1
+        logged, error = capsys.readouterr().err.splitlines()
+        assert logged == "training on domains: ['dom0', 'dom1']"
+        assert error.startswith("error: Unable to allocate ")
+        assert "1000000000000000" in error
+        assert not model.exists()
 
 
 @pytest.fixture(scope="module")
