@@ -316,6 +316,10 @@ class TestCheckpoint:
          "'embedding_trainable'"),
         (lambda h: {**h, "vocab": h["vocab"][:-1]},
          "'embedding' is float64 (12, 4), expected float64 (11, 4)"),
+        # shapes come from the dims alone: nothing that size is allocated
+        (lambda h: {**h, "dims": {**h["dims"], "embedding_dim": 10 ** 15}},
+         "'embedding' is float64 (12, 4), expected float64 "
+         "(12, 1000000000000000)"),
     ])
     def test_bad_header(self, tiny_entries, tmp_path, change, fragment):
         entries = dict(tiny_entries)
