@@ -14,7 +14,6 @@ import json
 import os
 import re
 import select
-import stat
 import sys
 import time
 from pathlib import Path
@@ -48,22 +47,31 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _same_file(a, b):
-    """Whether paths a and b name one file, which need not exist yet."""
-    return (os.path.realpath(a) == os.path.realpath(b)
-            or os.path.exists(a) and os.path.exists(b)
-            and os.path.samefile(a, b))
-
-
-def _refuse_same_file(outputs, inputs):
-    """DataError if an output names the file of a later output or of an
-    input; each is a (flag, path) pair, and a None path names nothing."""
+def _check_paths(outputs, inputs):
+    """Refuse bad path flags before a command reads, draws or writes
+    anything; each argument is a list of (flag, path) pairs, and a None
+    path names nothing. An output must name a file in an existing
+    directory, and not the file of a later output or of an input (which
+    need not exist yet); an input must not be a directory."""
     pairs = [*outputs, *inputs]
     for i, (flag, path) in enumerate(outputs):
         for other, other_path in pairs[i + 1:]:
-            if path and other_path and _same_file(path, other_path):
+            if path is not None and other_path is not None and (
+                    os.path.realpath(path) == os.path.realpath(other_path)
+                    or os.path.exists(path) and os.path.exists(other_path)
+                    and os.path.samefile(path, other_path)):
                 raise DataError(f"{flag} {path!r} and {other} "
                                 f"{other_path!r} name the same file")
+    for flag, path in outputs:  # the write after the work may still fail
+        if path is not None and (
+                not os.path.basename(path) or os.path.isdir(path)
+                or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise DataError(f"{flag} {path!r} does not name a file in an "
+                            f"existing directory")
+    for _flag, path in inputs:  # os.read of a directory fails unnamed
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
 
 
 def _load_config(path) -> "TrainConfig":
@@ -83,7 +91,7 @@ def _load_config(path) -> "TrainConfig":
 
 
 def cmd_preprocess(args):
-    _refuse_same_file([("--output", args.output)], [("--input", args.input)])
+    _check_paths([("--output", args.output)], [("--input", args.input)])
     if not args.feature_delim:
         raise DataError("--feature-delim must not be empty")
     if args.format == "rebert-csv":
@@ -105,15 +113,8 @@ def cmd_preprocess(args):
 
 def cmd_train(args):
     from .training import train
-    outputs = [("--output", args.output), ("--loss-curve", args.loss_curve)]
-    _refuse_same_file(outputs,
-                      [("--corpus", args.corpus), ("--config", args.config)])
-    for flag, path in outputs:
-        # a pre-flight: the write after training may still fail
-        if path and (os.path.isdir(path)
-                     or not os.path.isdir(os.path.dirname(path) or ".")):
-            raise DataError(f"{flag} {path!r} does not name a file in an "
-                            f"existing directory")
+    _check_paths([("--output", args.output), ("--loss-curve", args.loss_curve)],
+                 [("--corpus", args.corpus), ("--config", args.config)])
     config = _load_config(args.config)
     corpus = load_corpus(args.corpus)
     domains = sorted(corpus.domains)
@@ -158,13 +159,13 @@ def cmd_crossval(args):
         if not fits:
             raise DataError(f"domain {domain!r} cannot name a fold file of "
                             f"at most 255 UTF-8 bytes")
-    for name in ("report.json", "report.txt", "manifest.json",
-                 *(f"fold_{domain}.json" for domain in sorted(domains))):
-        _refuse_same_file([("--out", os.path.join(args.out, name))],
-                          [("--corpus", args.corpus), ("--config", args.config)])
-    digests = {"corpus": _sha256(args.corpus)}  # what the runs read
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _check_paths([("--out", os.path.join(args.out, name)) for name in (
+        "report.json", "report.txt", "manifest.json",
+        *(f"fold_{domain}.json" for domain in sorted(domains)))],
+        [("--corpus", args.corpus), ("--config", args.config)])
+    digests = {"corpus": _sha256(args.corpus)}  # what the runs read
 
     def progress(domain, run_index, seed):
         _log(f"[fold={domain} run={run_index}] seed={seed}")
@@ -216,12 +217,10 @@ def _ready_lines(fd):
 
 
 def cmd_extract(args):
+    _check_paths([], [("--model", args.model), ("--input", args.input)])
     params, vocab, _config = load_checkpoint(args.model)
     fd = os.open(args.input, os.O_RDONLY)
     try:
-        if stat.S_ISDIR(os.fstat(fd).st_mode):  # else os.read fails unnamed
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                    args.input)
         for lines in _ready_lines(fd):
             tokens = [clean_tokens(line) for line in lines]
             rows = [encode_tokens(t, vocab) for t in tokens if t]
@@ -249,6 +248,9 @@ def cmd_evaluate(args):
     if args.domain not in domains:
         raise DataError(
             f"unknown domain {args.domain!r}; available: {sorted(domains)}")
+    doc = {"domain": args.domain}
+    if args.baselines:  # read before the decode, the slow part
+        doc["baselines"] = load_baselines(args.baselines, [args.domain])
     sentences = [corpus.sentences[i] for i in domains[args.domain]]
     golds = [s.tag_indices() for s in sentences]
     # --oracle feeds the gold tags back as predictions (sanity mode)
@@ -257,10 +259,7 @@ def cmd_evaluate(args):
     blocks = {"exact": evaluate_tag_pairs(zip(preds, golds))}
     if args.overlap:
         blocks["overlap"] = evaluate_tag_pairs(zip(preds, golds), overlap=True)
-    doc = {"domain": args.domain,
-           "metrics": {k: dataclasses.asdict(v) for k, v in blocks.items()}}
-    if args.baselines:
-        doc["baselines"] = load_baselines(args.baselines, [args.domain])
+    doc["metrics"] = {k: dataclasses.asdict(v) for k, v in blocks.items()}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

@@ -65,7 +65,8 @@ class TrainConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, "
                                  f"got {getattr(self, name)!r}")
-        if self.glove_path is not None and not isinstance(self.glove_path, str):
+        if self.glove_path is not None and not (
+                isinstance(self.glove_path, str) and self.glove_path):
             raise ValueError(f"glove_path must be a path string or null, "
                              f"got {self.glove_path!r}")
 

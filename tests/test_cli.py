@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reqtag
-from reqtag import network, training
+from reqtag import cli, network, training
 from reqtag.cli import main
 from reqtag.data import Corpus, TaggedSentence, clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
@@ -451,7 +451,7 @@ class TestTrain:
         assert curves[0] == curves[1]
 
     @pytest.mark.parametrize("flag", ["--output", "--loss-curve"])
-    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    @pytest.mark.parametrize("where", ["missing/x.json", ".", ""])
     def test_unwritable_output_stops_before_training(
             self, corpus_path, config_path, tmp_path, capsys, monkeypatch,
             flag, where):
@@ -460,7 +460,7 @@ class TestTrain:
         monkeypatch.setattr(training, "train", fail)
         paths = {"--output": tmp_path / "model.npz",
                  "--loss-curve": tmp_path / "curve.json",
-                 flag: tmp_path / where}
+                 flag: tmp_path / where if where else ""}
         assert run(["train", "--corpus", corpus_path, "--config",
                     config_path, *[a for kv in paths.items() for a in kv]]) == 1
         assert capsys.readouterr().err == (
@@ -829,6 +829,21 @@ class TestEvaluate:
                     "--domain", target.domain, "--baselines", base]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_baselines_read_before_decoding(self, trained_model, tmp_path,
+                                            capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("predict_batch called")
+        monkeypatch.setattr(cli, "predict_batch", fail)
+        model, cpath, target = trained_model
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"bogus": {"f1": 0.5}}), encoding="utf-8")
+        assert run(["evaluate", "--model", model, "--corpus", cpath,
+                    "--domain", target.domain, "--baselines", base]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: baseline domains not present in "
+                                "fold reports: ['bogus']\n")
+
     @pytest.mark.parametrize("table", [5, None, ["app0"], {"app0": 3},
                                        {"app0": {"recall": 0.5}},
                                        {"app0": {"f1": "0.5"}},
@@ -858,6 +873,55 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err == (f"error: baseline {target.domain!r}: "
                                 f"f1 must be a number, got {value!r}\n")
+
+
+def _tree(root):
+    """Every path under root, with a file's bytes or None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+# each file a command writes; a directory is put in its place, except
+# where its own directory is missing
+@pytest.mark.parametrize("command, flag, output", [
+    ("preprocess", "--output", "out.jsonl"),
+    ("preprocess", "--output", "missing/out.jsonl"),
+    ("train", "--output", "model.npz"),
+    ("train", "--loss-curve", "curve.json"),
+    ("crossval", "--out", "res/report.json"),
+    ("crossval", "--out", "res/report.txt"),
+    ("crossval", "--out", "res/manifest.json"),
+    ("crossval", "--out", "res/fold_dom1.json"),
+])
+def test_unwritable_output_stops_before_any_work(
+        corpus_path, config_path, tmp_path, capsys, monkeypatch, command,
+        flag, output):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{command} did work")
+    for module, name in [(cli, "parse_rebert_csv"), (training, "train"),
+                         (training, "run_fold")]:
+        monkeypatch.setattr(module, name, fail)
+    src = tmp_path / "r.csv"
+    src.write_text("App Id,Sentence Content,Feature (All Annotated)\n"
+                   "ebay,Add dark mode,dark mode\n", encoding="utf-8")
+    path = tmp_path / output
+    if not output.startswith("missing/"):
+        path.mkdir(parents=True)
+    argv = {"preprocess": ["--format", "rebert-csv", "--input", src,
+                           "--output", path],
+            # the last of a repeated flag wins
+            "train": ["--corpus", corpus_path, "--config", config_path,
+                      "--output", tmp_path / "model.npz",
+                      "--loss-curve", tmp_path / "curve.json", flag, path],
+            "crossval": ["--corpus", corpus_path, "--config", config_path,
+                         "--out", path.parent]}[command]
+    before = _tree(tmp_path)
+    assert run([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} {str(path)!r} does not name a "
+                            f"file in an existing directory\n")
+    assert _tree(tmp_path) == before
 
 
 class TestUnreadablePath:

@@ -55,6 +55,7 @@ class TestTrainConfig:
         {"freeze_embeddings": "no"},
         {"span_overlap_mode": "false"},
         {"glove_path": 7},
+        {"glove_path": ""},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
