@@ -12,15 +12,15 @@ import errno
 import io
 import json
 import os
-import re
 import select
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .data import (DataError, ParseError, SchemaError, load_corpus,
-                   parse_conllu, parse_rebert_csv, save_corpus, clean_tokens)
+from .data import (_NOT_UTF8, DataError, ParseError, SchemaError,
+                   clean_tokens, load_corpus, parse_conllu, parse_rebert_csv,
+                   save_corpus)
 from .embeddings import encode_tokens
 from .evaluation import (BaselineMismatchError, evaluate_tag_pairs,
                          extract_spans, load_baselines, mean_scores,
@@ -30,8 +30,6 @@ from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
 from .tensor import NumericError
 
 EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_batch call
-# what surrogateescape decodes each byte that is not UTF-8 to
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def _log(msg):

@@ -20,6 +20,8 @@ MAX_SENTENCE_TOKENS = 1000
 
 _STRIP_RE = re.compile(r"[^a-z0-9'\s]")
 _TOKEN_RE = re.compile(r"^[a-z0-9']+$")
+# what surrogateescape decodes each byte that is not UTF-8 to
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 class SchemaError(ValueError):
@@ -87,6 +89,17 @@ class IngestSummary:
     kept: int = 0
     dropped_empty: int = 0
     alignment_misses: int = 0
+
+
+def text_lines(path):
+    """(line number, line) for each line of a text file read as utf-8-sig,
+    line end kept; a line that is not UTF-8 raises ParseError naming it."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # isascii() reads a flag; the scan costs as much as a float parse
+            if not line.isascii() and _NOT_UTF8.search(line):
+                raise ParseError(f"line {lineno}: not UTF-8")
+            yield lineno, line
 
 
 def clean_tokens(text: str) -> list:
@@ -212,41 +225,40 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
             summary.kept += 1
         tokens, tags, first_line = [], [], None
 
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                flush()
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    key = key.strip()
-                    if key == "app_name":
-                        app_name = value.strip()
-                    elif key.endswith("category"):
-                        category = value.strip()
-                continue
-            cols = line.split("\t")
-            if len(cols) != CONLLU_COLUMNS and len(cols) != CONLLU_COLUMNS + 1:
-                raise ParseError(
-                    f"line {lineno}: expected {CONLLU_COLUMNS} tab-separated "
-                    f"columns, got {len(cols)}")
-            if not 0 <= tag_column < len(cols):
-                raise ParseError(f"line {lineno}: no column {tag_column}")
-            first_line = first_line or lineno
-            token_id = cols[0]
-            if "-" in token_id or "." in token_id:
-                continue  # multiword/empty nodes carry no tag of their own
-            lemma = cols[2].lower()
-            if _PUNCT_ONLY_RE.match(lemma) or not lemma:
-                continue
-            lemma = _STRIP_RE.sub("", lemma).strip("'")
-            if not lemma:
-                continue
-            tokens.append(lemma)
-            tags.append(_CONLLU_TAGS.get(cols[tag_column], "O"))
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            flush()
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                key = key.strip()
+                if key == "app_name":
+                    app_name = value.strip()
+                elif key.endswith("category"):
+                    category = value.strip()
+            continue
+        cols = line.split("\t")
+        if len(cols) != CONLLU_COLUMNS and len(cols) != CONLLU_COLUMNS + 1:
+            raise ParseError(
+                f"line {lineno}: expected {CONLLU_COLUMNS} tab-separated "
+                f"columns, got {len(cols)}")
+        if not 0 <= tag_column < len(cols):
+            raise ParseError(f"line {lineno}: no column {tag_column}")
+        first_line = first_line or lineno
+        token_id = cols[0]
+        if "-" in token_id or "." in token_id:
+            continue  # multiword/empty nodes carry no tag of their own
+        lemma = cols[2].lower()
+        if _PUNCT_ONLY_RE.match(lemma) or not lemma:
+            continue
+        lemma = _STRIP_RE.sub("", lemma).strip("'")
+        if not lemma:
+            continue
+        tokens.append(lemma)
+        tags.append(_CONLLU_TAGS.get(cols[tag_column], "O"))
     flush()
     return Corpus(sentences=sentences), summary
 
@@ -278,22 +290,21 @@ def _corpus_line_problem(doc):
 
 def load_corpus(path) -> Corpus:
     sentences = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            problem = _corpus_line_problem(doc)
-            if problem:
-                raise ParseError(f"line {lineno}: {problem}")
-            try:
-                sentences.append(TaggedSentence(
-                    app_id=doc["app"], category=doc.get("category"),
-                    tokens=doc["tokens"], tags=doc["tags"]))
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from None
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        problem = _corpus_line_problem(doc)
+        if problem:
+            raise ParseError(f"line {lineno}: {problem}")
+        try:
+            sentences.append(TaggedSentence(
+                app_id=doc["app"], category=doc.get("category"),
+                tokens=doc["tokens"], tags=doc["tags"]))
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
     return Corpus(sentences=sentences)

@@ -1,12 +1,15 @@
-"""Vocabulary construction and GloVe embedding loading.
+"""Vocabulary construction, random embedding tables and GloVe parsing.
 
-Indices 0 and 1 are reserved for padding and unknown tokens. The padding
-row of an embedding table is all zeros and never receives gradient.
+Indices 0 and 1 are reserved for padding and unknown tokens. An embedding
+table is a plain (vocabulary size, dim) matrix; its padding row is all
+zeros and never receives gradient.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import text_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -29,15 +32,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.index_to_token)
 
-    def index_of(self, token: str) -> int:
-        return self.token_to_index.get(token, UNK_INDEX)
-
-
-@dataclass
-class EmbeddingTable:
-    matrix: np.ndarray  # (vocab_size, dim)
-    trainable: bool = True
-
 
 def build_vocabulary(corpus) -> Vocabulary:
     """Assign indices in first-occurrence order after the reserved slots."""
@@ -51,54 +45,47 @@ def build_vocabulary(corpus) -> Vocabulary:
     return Vocabulary(token_to_index=token_to_index, index_to_token=index_to_token)
 
 
-def random_embeddings(n_rows: int, dim: int, rng: "np.random.Generator",
-                      trainable: bool = True) -> EmbeddingTable:
-    """Table of n_rows rows, every non-pad row drawn uniform(-0.25, 0.25)."""
+def random_embeddings(n_rows: int, dim: int,
+                      rng: "np.random.Generator") -> np.ndarray:
+    """An (n_rows, dim) table, every non-pad row drawn uniform(-0.25, 0.25)."""
     matrix = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND, size=(n_rows, dim))
     matrix[PAD_INDEX, :] = 0.0
-    return EmbeddingTable(matrix=matrix, trainable=trainable)
+    return matrix
 
 
-def load_glove(path, vocab: Vocabulary, dim: int, rng: "np.random.Generator",
-               trainable: bool = True) -> EmbeddingTable:
-    """Read a GloVe text file and build the table for vocab.
-
-    Rows for vocabulary words present in the file are copied verbatim;
-    everything else (including UNK) gets a random uniform(-0.25, 0.25)
-    row; the pad row is zeroed. A file with no vocabulary word in it is
-    an error.
-    """
-    table = random_embeddings(len(vocab), dim, rng, trainable=trainable)
-    matched = False
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip()
-            if not line:
-                continue
-            # the last dim fields are the vector; a word may hold spaces
-            parts = line.rsplit(" ", dim)
-            if len(parts) != dim + 1:
-                raise GloveParseError(
-                    f"line {lineno}: expected a word and {dim} values, "
-                    f"got {len(parts)} fields")
-            word = parts[0]
-            idx = vocab.token_to_index.get(word)
-            if idx is None or idx in (PAD_INDEX, UNK_INDEX):
-                continue
-            try:
-                table.matrix[idx, :] = [float(v) for v in parts[1:]]
-            except ValueError:
-                raise GloveParseError(
-                    f"line {lineno}: non-numeric embedding value") from None
-            if not np.isfinite(table.matrix[idx]).all():
-                raise GloveParseError(
-                    f"line {lineno}: non-finite embedding value")
-            matched = True
-    if not matched:
+def load_glove(path, vocab: Vocabulary, dim: int) -> dict:
+    """Read a GloVe text file: {index: vector} for each vocabulary word
+    the file lists, PAD and UNK aside; a word listed twice keeps its last
+    vector. A file with no vocabulary word in it is an error."""
+    rows = {}
+    for lineno, line in text_lines(path):
+        line = line.rstrip()
+        if not line:
+            continue
+        # the last dim fields are the vector; a word may hold spaces
+        parts = line.rsplit(" ", dim)
+        if len(parts) != dim + 1:
+            raise GloveParseError(
+                f"line {lineno}: expected a word and {dim} values, "
+                f"got {len(parts)} fields")
+        idx = vocab.token_to_index.get(parts[0])
+        if idx is None or idx in (PAD_INDEX, UNK_INDEX):
+            continue
+        try:
+            vector = np.array([float(v) for v in parts[1:]])
+        except ValueError:
+            raise GloveParseError(
+                f"line {lineno}: non-numeric embedding value") from None
+        if not np.isfinite(vector).all():
+            raise GloveParseError(
+                f"line {lineno}: non-finite embedding value")
+        rows[idx] = vector
+    if not rows:
         raise GloveParseError(f"{path}: no word of the training vocabulary "
-                              f"has a vector in this file")
-    return table
+                              f"has a vector in this file of embedding_dim "
+                              f"{dim} values")
+    return rows
 
 
 def encode_tokens(tokens, vocab: Vocabulary) -> list:
-    return [vocab.index_of(t) for t in tokens]
+    return [vocab.token_to_index.get(t, UNK_INDEX) for t in tokens]

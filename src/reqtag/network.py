@@ -43,8 +43,8 @@ from itertools import groupby
 import numpy as np
 
 from . import crf
-from .embeddings import (EmbeddingTable, PAD_INDEX, PAD_TOKEN, UNK_TOKEN,
-                         Vocabulary, random_embeddings)
+from .embeddings import (PAD_INDEX, PAD_TOKEN, UNK_TOKEN, Vocabulary,
+                         random_embeddings)
 from .lstm import LstmCellParams, lstm_backward, lstm_forward, lstm_step
 from .tensor import softmax_rows
 
@@ -99,14 +99,15 @@ class ModelParams:
 
 
 def init_model(vocab_size: int, dims: ModelDims, rng: "np.random.Generator",
-               embedding: EmbeddingTable | None = None) -> ModelParams:
-    """A new model: the embedding given or random_embeddings', the
+               embedding: np.ndarray | None = None,
+               trainable: bool = True) -> ModelParams:
+    """A new model: the embedding matrix given or random_embeddings', the
     transitions of crf.init_transitions(), and each other block drawn
     uniform(-k, k), k = 1/sqrt(fan), group by group in the order below (not
     BLOCKS', so that a seed keeps its model); forget-gate biases then 1.0."""
     if embedding is None:
         embedding = random_embeddings(vocab_size, dims.embedding_dim, rng)
-    blocks = {"embedding": embedding.matrix,
+    blocks = {"embedding": embedding,
               "transitions": crf.init_transitions()}
     two_h = 2 * dims.h_enc
     for group, fan in (("enc_fwd", dims.h_enc), ("enc_bwd", dims.h_enc),
@@ -119,8 +120,7 @@ def init_model(vocab_size: int, dims: ModelDims, rng: "np.random.Generator",
                 blocks[name] = rng.uniform(-k, k, size=shape(dims, vocab_size))
                 if name.endswith(".b"):  # fan is the cell's hidden size
                     blocks[name][fan:2 * fan] = 1.0
-    return ModelParams({name: blocks[name] for name in BLOCKS}, dims,
-                       embedding.trainable)
+    return ModelParams({name: blocks[name] for name in BLOCKS}, dims, trainable)
 
 
 def param_blocks(params: ModelParams) -> dict:

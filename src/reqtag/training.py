@@ -166,13 +166,14 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
         raise DataError("empty training set")
     rng = np.random.default_rng(config.seed)
     vocab = build_vocabulary(s.tokens for s in sentences)
+    # GloVe rows overwrite the seeded draw: the draws never depend on the file
+    table = random_embeddings(len(vocab), config.embedding_dim, rng)
     if config.glove_path:
-        table = load_glove(config.glove_path, vocab, config.embedding_dim, rng,
-                           trainable=not config.freeze_embeddings)
-    else:
-        table = random_embeddings(len(vocab), config.embedding_dim, rng,
-                                  trainable=not config.freeze_embeddings)
-    params = network.init_model(len(vocab), config.dims(), rng, embedding=table)
+        for idx, vector in load_glove(config.glove_path, vocab,
+                                      config.embedding_dim).items():
+            table[idx] = vector
+    params = network.init_model(len(vocab), config.dims(), rng, embedding=table,
+                                trainable=not config.freeze_embeddings)
     state = AdamState.for_params(params)
 
     loss_curve = []

@@ -45,7 +45,7 @@ import per_sentence
 import reqtag
 import row_loops
 from reqtag import crf, lstm, network
-from reqtag.embeddings import UNK_INDEX, EmbeddingTable
+from reqtag.embeddings import UNK_INDEX
 from reqtag.network import (DECODE_CHUNK, ModelDims, _attend, _attend_backward,
                             _pack, batch_loss_and_grads, init_model,
                             predict_batch, predict_tags, zero_grad_blocks)
@@ -76,10 +76,9 @@ def _model(seed, trainable):
     rng = np.random.default_rng(seed)
     embedding = None
     if not trainable:
-        embedding = EmbeddingTable(
-            matrix=rng.uniform(-1, 1, size=(VOCAB, TINY.embedding_dim)),
-            trainable=False)
-    return init_model(VOCAB, TINY, rng, embedding=embedding)
+        embedding = rng.uniform(-1, 1, size=(VOCAB, TINY.embedding_dim))
+    return init_model(VOCAB, TINY, rng, embedding=embedding,
+                      trainable=trainable)
 
 
 def _pad(sentences, extra):

@@ -435,6 +435,41 @@ class TestTrain:
         assert err.count("error:") == 1 and "Warning" not in err
         assert not (tmp_path / "model.npz").exists()
 
+    def test_glove_byte_that_is_not_utf8_names_its_line(self, corpus_path,
+                                                        tmp_path, capsys):
+        glove = tmp_path / "glove.txt"
+        glove.write_bytes(b"add " + b" 0.5" * 16 + b"\n"
+                          + b"caf\xff" + b" 0.5" * 16 + b"\n")
+        cfg = tmp_path / "glove.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "glove_path": str(glove)}),
+                       encoding="utf-8")
+        assert run(["train", "--corpus", corpus_path, "--config", cfg,
+                    "--output", tmp_path / "model.npz"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\nerror: line 2: not UTF-8\n")
+        assert err.count("error:") == 1
+        assert not (tmp_path / "model.npz").exists()
+
+    def test_glove_vectors_of_another_dim_name_embedding_dim(
+            self, corpus_path, tmp_path, capsys):
+        # split from the right, a 20-value line's "word" holds 4 values,
+        # so no line matches a word
+        glove = tmp_path / "glove.txt"
+        glove.write_text("".join(f"{w} " + " ".join(["0.5"] * 20) + "\n"
+                                 for w in ("add", "dark", "mode")),
+                         encoding="utf-8")
+        cfg = tmp_path / "glove.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "glove_path": str(glove)}),
+                       encoding="utf-8")
+        assert run(["train", "--corpus", corpus_path, "--config", cfg,
+                    "--output", tmp_path / "model.npz"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"\nerror: {glove}: no word of the training vocabulary has a "
+            f"vector in this file of embedding_dim 16 values\n")
+        assert err.count("error:") == 1
+        assert not (tmp_path / "model.npz").exists()
+
     def test_byte_order_marks_train_like_plain_files(self, corpus_path,
                                                      config_path, tmp_path):
         curves = []

@@ -1,0 +1,195 @@
+"""Generated input files through `main`, in process at tiny dims.
+
+Each input kind the tagger reads line by line or as JSON (corpus JSONL,
+CoNLL-U, a training config, a GloVe file) is written from structured
+lines mixed with random bytes. Whatever the file holds:
+- `main` returns 0, 1 or 2 and raises nothing (a warning would raise:
+  pyproject.toml turns RuntimeWarning and the like into errors);
+- on 1, the last stderr line is the only one that starts with `error:`,
+  and any line before it is the log line `train` writes before its work;
+- no input file has changed.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reqtag.cli import main
+from reqtag.data import Corpus, TaggedSentence, save_corpus
+
+TINY = {"embedding_dim": 4, "h_enc": 2, "d_att": 2, "h_dec": 2, "d_tag": 2,
+        "epochs": 1, "batch_size": 4}
+WORDS = ["add", "dark", "mode", "app", "crash", "<pad>", "<unk>", "café"]
+TAGS = ["O", "B", "I", "B-feature", "I-feature", "X", ""]
+SETTINGS = settings(max_examples=60, deadline=None)
+
+# one line of text: a few characters the parsers split on, words, numbers
+_TEXT = st.text(st.sampled_from("aeo19.-e+ \t#=_'\"{}[]:,éΔ"),
+                max_size=12)
+_FIELD = st.one_of(st.sampled_from(WORDS + TAGS), _TEXT)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0.5", "-1", "1e308", "1e999", "nan", "x", ""]))
+
+
+def _file(good, bad):
+    """File bytes: lines drawn from good, with a few lines drawn from bad
+    or of random bytes put among them, and a BOM or none."""
+    noise = st.one_of(bad.map(str.encode), st.binary(max_size=24))
+
+    def build(bom, lines, inserts, end):
+        for pos, line in inserts:
+            lines.insert(pos % (len(lines) + 1), line)
+        return bom + b"\n".join(lines) + end
+
+    return st.builds(build, st.sampled_from([b"", b"\xef\xbb\xbf"]),
+                     st.lists(good.map(str.encode), max_size=6),
+                     st.lists(st.tuples(st.integers(0, 6), noise), max_size=2),
+                     st.sampled_from([b"", b"\n", b"\r\n"]))
+
+
+def _sentence():
+    """A valid corpus line: clean tokens, BIO tags."""
+    spans = st.lists(st.sampled_from([["O"], ["B"], ["B", "I"]]),
+                     min_size=1, max_size=4)
+    return st.builds(
+        lambda app, spans, words: json.dumps({
+            "app": app, "category": None,
+            "tokens": [words[k % len(words)] for k in
+                       range(sum(map(len, spans)))],
+            "tags": [tag for span in spans for tag in span]}),
+        st.sampled_from(["app0", "app1"]), spans,
+        st.lists(st.sampled_from(WORDS[:5]), min_size=1, max_size=3))
+
+
+def _record():
+    """A corpus line that may lack a key or hold a value of a wrong type."""
+    pairs = st.lists(st.tuples(_FIELD, _FIELD), max_size=5)
+    value = st.one_of(st.none(), st.integers(-2, 2), _FIELD,
+                      st.lists(_FIELD, max_size=3))
+    return st.builds(
+        lambda pairs, app, category, drop, extra: json.dumps(
+            {k: v for k, v in {
+                "app": app, "category": category,
+                "tokens": [t for t, _ in pairs], "tags": [g for _, g in pairs],
+                **extra}.items() if k != drop}),
+        pairs, st.one_of(st.sampled_from(["app0", "app1"]), value),
+        value, st.sampled_from([None, "app", "tokens", "tags", "category"]),
+        st.dictionaries(_TEXT, value, max_size=1))
+
+
+_CORPUS = _file(_sentence(), st.one_of(_record(), _TEXT))
+_CONLLU = _file(
+    st.one_of(st.builds(lambda key, value: f"# {key} = {value}",
+                        st.sampled_from(["app_name", "google_play_category"]),
+                        st.sampled_from(WORDS[:3])),
+              st.builds(lambda k, word, tag: "\t".join(
+                  [str(k), word, word, "NOUN", "NN", "_", "0", "root", "_",
+                   tag]), st.integers(1, 9), st.sampled_from(WORDS),
+                  st.sampled_from(TAGS)),
+              st.just("")),
+    st.one_of(st.lists(_FIELD, min_size=9, max_size=11).map("\t".join),
+              _TEXT))
+# settings over the tiny ones; integers stay small, since a large dim
+# would be allocated for real
+_SETTING = {
+    "learning_rate": st.floats(1e-4, 1e308), "seed": st.integers(0, 2 ** 64),
+    "grad_clip_norm": st.floats(0.0, 10.0),
+    "freeze_embeddings": st.booleans(), "span_overlap_mode": st.booleans(),
+    "epochs": st.integers(1, 3), "batch_size": st.integers(1, 5)}
+_CONFIG = st.one_of(
+    st.one_of(st.fixed_dictionaries({}, optional=_SETTING), st.dictionaries(
+        st.sampled_from([*TINY, *_SETTING, "glove_path", "unknown_key"]),
+        st.one_of(st.none(), st.booleans(), st.integers(-1, 3), _NUMBER,
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from(["", "x", [], {}])))).map(
+        lambda doc: json.dumps({**TINY, **doc}).encode()),
+    st.lists(st.integers(0, 3), max_size=2).map(
+        lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=24))
+_GLOVE = _file(
+    st.builds(lambda word, values: " ".join([word, *map(repr, values)]),
+              st.sampled_from(WORDS), st.lists(
+                  st.floats(-2, 2), min_size=TINY["embedding_dim"],
+                  max_size=TINY["embedding_dim"])),
+    st.builds(lambda word, values: " ".join([word, *values]), _FIELD,
+              st.lists(_NUMBER, min_size=TINY["embedding_dim"] - 1,
+                       max_size=TINY["embedding_dim"] + 1)))
+
+
+def _corpus():
+    return Corpus(sentences=[
+        TaggedSentence(app_id=f"app{k % 2}", tokens=["add", "dark", "mode"],
+                       tags=["O", "B", "I"]) for k in range(4)])
+
+
+def _run(argv, inputs):
+    before = {path: path.read_bytes() for path in inputs}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert lines and lines[-1].startswith("error:"), lines
+        assert all(line.startswith("training on domains: ")
+                   for line in lines[:-1]), lines
+    assert {path: path.read_bytes() for path in inputs} == before
+
+
+def _train(corpus=None, config=None, glove=None):
+    """Run `train` on the given file bytes, a small corpus and the tiny
+    config where none are given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus_path, config_path = tmp / "corpus.jsonl", tmp / "config.json"
+        inputs = [corpus_path, config_path]
+        if corpus is None:
+            save_corpus(corpus_path, _corpus())
+        else:
+            corpus_path.write_bytes(corpus)
+        doc = TINY
+        if glove is not None:
+            inputs.append(tmp / "glove.txt")
+            inputs[-1].write_bytes(glove)
+            doc = {**TINY, "glove_path": str(inputs[-1])}
+        config_path.write_bytes(config or json.dumps(doc).encode())
+        _run(["train", "--corpus", corpus_path, "--config", config_path,
+              "--output", tmp / "model.npz"], inputs)
+
+
+@SETTINGS
+@given(_CORPUS)
+def test_corpus_file(data):
+    _train(data)
+
+
+@SETTINGS
+@given(_CONFIG)
+def test_config_file(data):
+    _train(config=data)
+
+
+@SETTINGS
+@given(_GLOVE)
+def test_glove_file(data):
+    _train(glove=data)
+
+
+@SETTINGS
+@given(_CONLLU, st.integers(-1, 11))
+def test_conllu_file(data, tag_column):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.conllu"
+        path.write_bytes(data)
+        _run(["preprocess", "--format", "conllu", "--input", path,
+              "--tag-column", tag_column, "--output", Path(tmp) / "out.jsonl"],
+             [path])

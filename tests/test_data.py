@@ -307,6 +307,16 @@ class TestParseConllu:
         assert parse_conllu(bom) == parse_conllu(plain)
 
 
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        doc = conllu_doc([token_line(1, "dark", "dark", "B-feature"),
+                          token_line(2, "mode", "mod\udcffe", "I-feature")])
+        path = tmp_path / "d2.conllu"
+        path.write_bytes(doc.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(path)
+        assert str(exc.value) == "line 4: not UTF-8"
+
+
 def test_corpus_round_trip(tmp_path):
     sentences = [
         TaggedSentence(app_id="a", tokens=["add", "dark", "mode"],
@@ -353,6 +363,15 @@ def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
         load_corpus(path)
     assert str(exc.value).startswith("line 2: ")
     assert fragment in str(exc.value)
+
+
+def test_load_corpus_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes((GOOD_LINE + "\n" + GOOD_LINE + "\n").encode()
+                     + b'{"app": "a\xff", "tokens": ["x"], "tags": ["O"]}\n')
+    with pytest.raises(ParseError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == "line 3: not UTF-8"
 
 
 @pytest.mark.parametrize("line, message", [

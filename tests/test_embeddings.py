@@ -42,45 +42,60 @@ class TestEncodeTokens:
         assert PAD_INDEX not in encode_tokens(["a", "b", "weird"], vocab)
 
 
+def _overlay(table, rows):
+    """The table with the parsed rows written over it, as train does."""
+    for idx, vector in rows.items():
+        table[idx] = vector
+    return table
+
+
 class TestLoadGlove:
     def _write(self, tmp_path, lines):
         path = tmp_path / "glove.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
-    def _assert_other_rows_drawn(self, table, vocab, in_file):
-        """Every row the file does not give, pad and unk included, is the
-        same-seed random_embeddings row."""
-        drawn = random_embeddings(len(vocab), 3, np.random.default_rng(0))
-        others = [i for i in range(len(vocab)) if i not in in_file]
-        np.testing.assert_array_equal(table.matrix[others],
-                                      drawn.matrix[others])
+    def _assert_rows(self, rows, expected):
+        """rows holds exactly the expected {index: vector}, as float64."""
+        assert sorted(rows) == sorted(expected)
+        for idx, vector in expected.items():
+            assert rows[idx].dtype == np.float64
+            np.testing.assert_array_equal(rows[idx], vector)
 
     def test_matched_rows_copied_exactly(self, tmp_path):
         vocab = build_vocabulary([["cat", "dog"]])
         path = self._write(tmp_path, ["cat 0.25 -1.5 3.0"])
-        table = load_glove(path, vocab, 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(table.matrix[2], [0.25, -1.5, 3.0])
-        self._assert_other_rows_drawn(table, vocab, {2})
+        self._assert_rows(load_glove(path, vocab, 3), {2: [0.25, -1.5, 3.0]})
 
     def test_oov_rows_within_bound(self, tmp_path):
+        # a word the file does not list, and one the vocabulary lacks, get
+        # no row: a table keeps its random_embeddings row for them
         vocab = build_vocabulary([["cat", "dog"]])
-        path = self._write(tmp_path, ["cat 0.1 0.2 0.3"])
-        table = load_glove(path, vocab, 3, np.random.default_rng(0))
-        dog_row = table.matrix[vocab.token_to_index["dog"]]
-        assert np.all(np.abs(dog_row) < 0.25)
+        path = self._write(tmp_path, ["cat 0.1 0.2 0.3", "zebra 1.0 1.0 1.0"])
+        rows = load_glove(path, vocab, 3)
+        self._assert_rows(rows, {2: [0.1, 0.2, 0.3]})
+        table = _overlay(random_embeddings(len(vocab), 3,
+                                           np.random.default_rng(0)), rows)
+        assert np.all(np.abs(table[vocab.token_to_index["dog"]]) < 0.25)
+
+    def test_last_listing_of_a_word_wins(self, tmp_path):
+        vocab = build_vocabulary([["cat", "dog"]])
+        path = self._write(tmp_path, ["cat 0.1 0.2 0.3", "dog 1.0 2.0 3.0",
+                                      "cat 0.4 0.5 0.6"])
+        self._assert_rows(load_glove(path, vocab, 3),
+                          {2: [0.4, 0.5, 0.6], 3: [1.0, 2.0, 3.0]})
 
     def test_field_count_error_reports_line(self, tmp_path):
         vocab = build_vocabulary([["cat"]])
         path = self._write(tmp_path, ["dog 0.1 0.2 0.3", "cat 0.1 0.2"])
         with pytest.raises(GloveParseError, match="line 2"):
-            load_glove(path, vocab, 3, np.random.default_rng(0))
+            load_glove(path, vocab, 3)
 
     def test_non_numeric_value_reports_line(self, tmp_path):
         vocab = build_vocabulary([["cat"]])
         path = self._write(tmp_path, ["cat 0.1 x 0.3"])
         with pytest.raises(GloveParseError, match="line 1: non-numeric"):
-            load_glove(path, vocab, 3, np.random.default_rng(0))
+            load_glove(path, vocab, 3)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, value):
@@ -88,7 +103,7 @@ class TestLoadGlove:
         path = self._write(tmp_path, ["cat 0.1 0.2 0.3",
                                       f"dog 0.1 {value} 0.3"])
         with pytest.raises(GloveParseError, match="line 2: non-finite"):
-            load_glove(path, vocab, 3, np.random.default_rng(0))
+            load_glove(path, vocab, 3)
 
     def test_parses_vector_from_the_right(self, tmp_path):
         # trailing whitespace is dropped; a space inside the word stays
@@ -96,29 +111,30 @@ class TestLoadGlove:
         vocab = build_vocabulary([["ok", "new york"]])
         path = self._write(tmp_path, ["ok 0.1 0.2 0.3 ",
                                       "new york 0.4 0.5 0.6"])
-        table = load_glove(path, vocab, 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(table.matrix[2], [0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(table.matrix[3], [0.4, 0.5, 0.6])
-        self._assert_other_rows_drawn(table, vocab, {2, 3})
+        self._assert_rows(load_glove(path, vocab, 3),
+                          {2: [0.1, 0.2, 0.3], 3: [0.4, 0.5, 0.6]})
 
     def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
         vocab = build_vocabulary([["cat"]])
         path = tmp_path / "glove.txt"
         path.write_text("cat 0.1 0.2 0.3\n", encoding="utf-8-sig")
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-        table = load_glove(path, vocab, 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(table.matrix[2], [0.1, 0.2, 0.3])
-        self._assert_other_rows_drawn(table, vocab, {2})
+        self._assert_rows(load_glove(path, vocab, 3), {2: [0.1, 0.2, 0.3]})
 
     def test_pad_row_zero(self, tmp_path):
+        # the file's <pad> and <unk> rows are never read
         vocab = build_vocabulary([["cat"]])
-        path = self._write(tmp_path, ["cat 1.0 1.0 1.0"])
-        table = load_glove(path, vocab, 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(table.matrix[PAD_INDEX], 0.0)
+        path = self._write(tmp_path, ["<pad> 1.0 1.0 1.0", "<unk> 2.0 2.0 2.0",
+                                      "cat 1.0 1.0 1.0"])
+        rows = load_glove(path, vocab, 3)
+        self._assert_rows(rows, {2: [1.0, 1.0, 1.0]})
+        table = _overlay(random_embeddings(len(vocab), 3,
+                                           np.random.default_rng(0)), rows)
+        np.testing.assert_array_equal(table[PAD_INDEX], 0.0)
 
 
 def test_random_embeddings_pad_zero_and_bounds():
     table = random_embeddings(5, 8, np.random.default_rng(5))
-    assert table.matrix.shape == (5, 8)
-    np.testing.assert_array_equal(table.matrix[PAD_INDEX], 0.0)
-    assert np.all(np.abs(table.matrix[1:]) < 0.25)
+    assert table.shape == (5, 8)
+    np.testing.assert_array_equal(table[PAD_INDEX], 0.0)
+    assert np.all(np.abs(table[1:]) < 0.25)

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reqtag import crf
-from reqtag.embeddings import (EmbeddingTable, PAD_TOKEN, UNK_TOKEN,
-                               Vocabulary)
+from reqtag.embeddings import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from reqtag.lstm import lstm_step
 from reqtag.network import (_FEED_MASK, ModelDims, _attend, _cell,
                             _decode_inference, _decode_training, _encode,
@@ -261,9 +260,7 @@ class TestCheckpoint:
     def test_frozen_embedding_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         matrix = rng.uniform(-1, 1, size=(12, TINY.embedding_dim))
-        params = init_model(12, TINY, rng,
-                            embedding=EmbeddingTable(matrix=matrix,
-                                                     trainable=False))
+        params = init_model(12, TINY, rng, embedding=matrix, trainable=False)
         path = tmp_path / "frozen.model"
         save_checkpoint(path, params, _vocab(12))
         loaded, _, config = load_checkpoint(path)
@@ -470,8 +467,7 @@ class TestBlockTable:
     def test_given_embedding_is_not_drawn(self):
         matrix = np.arange(12.0 * TINY.embedding_dim).reshape(12, -1)
         rng = np.random.default_rng(9)
-        params = init_model(12, TINY, rng, embedding=EmbeddingTable(
-            matrix=matrix, trainable=False))
+        params = init_model(12, TINY, rng, embedding=matrix, trainable=False)
         blocks = param_blocks(params)
         expected, hand_rng = _drawn_by_hand(12, TINY, 9, embedding=False)
         assert list(blocks) == list(expected)
@@ -483,8 +479,8 @@ class TestBlockTable:
     def test_checkpoint_entries_in_block_order(self, tmp_path, trainable):
         rng = np.random.default_rng(4)
         matrix = rng.uniform(-1, 1, size=(12, TINY.embedding_dim))
-        params = init_model(12, TINY, rng, embedding=EmbeddingTable(
-            matrix=matrix, trainable=trainable))
+        params = init_model(12, TINY, rng, embedding=matrix,
+                            trainable=trainable)
         path = tmp_path / "model.npz"
         save_checkpoint(path, params, _vocab(12))
         with zipfile.ZipFile(path) as archive:

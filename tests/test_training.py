@@ -279,10 +279,8 @@ class TestTrain:
         # rebuild the exact initial table from the same seed: training
         # must not have touched a single bit of it
         rng = np.random.default_rng(cfg.seed)
-        initial = random_embeddings(len(vocab), cfg.embedding_dim, rng,
-                                    trainable=False)
-        np.testing.assert_array_equal(params.blocks["embedding"],
-                                      initial.matrix)
+        initial = random_embeddings(len(vocab), cfg.embedding_dim, rng)
+        np.testing.assert_array_equal(params.blocks["embedding"], initial)
 
     def test_glove_file_without_vocabulary_words(self, synthetic_corpus,
                                                 tmp_path):
@@ -296,6 +294,30 @@ class TestTrain:
                 f"in this file")):
             train(tiny_config(epochs=1, glove_path=str(glove)),
                   synthetic_corpus, ["dom0"])
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_glove_rows_overwrite_the_seeded_draw(self, synthetic_corpus,
+                                                  tmp_path, seed):
+        """A frozen table is the same-seed random_embeddings draw with the
+        file's rows written over it: a repeated word keeps its last
+        vector, and every word the file does not list, pad and unk
+        included, keeps its drawn row."""
+        from reqtag.embeddings import random_embeddings
+        dim = TINY_CFG["embedding_dim"]
+        listing = [("add", 0.5), ("dark", -0.25), ("zz", 1.0), ("add", 2.0)]
+        glove = tmp_path / "glove.txt"
+        glove.write_text("".join(f"{w} " + " ".join([repr(v)] * dim) + "\n"
+                                 for w, v in listing), encoding="utf-8")
+        cfg = tiny_config(epochs=1, seed=seed, batch_size=8,
+                          glove_path=str(glove), freeze_embeddings=True)
+        params, vocab, _ = train(cfg, synthetic_corpus, ["dom0"])
+        expected = random_embeddings(len(vocab), dim,
+                                     np.random.default_rng(seed))
+        for word, value in listing:
+            if word in vocab.token_to_index:
+                expected[vocab.token_to_index[word]] = value
+        assert expected[vocab.token_to_index["add"]][0] == 2.0
+        np.testing.assert_array_equal(params.blocks["embedding"], expected)
 
     def test_overfit_single_sentence(self):
         corpus = make_synthetic_corpus(8, 1, seed=4)
