@@ -18,13 +18,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .data import (_NOT_UTF8, DataError, ParseError, SchemaError,
-                   clean_tokens, load_corpus, parse_conllu, parse_rebert_csv,
-                   save_corpus)
+from .data import (_NOT_UTF8, DataError, clean_tokens, load_corpus,
+                   parse_conllu, parse_rebert_csv, save_corpus, text_lines)
 from .embeddings import encode_tokens
-from .evaluation import (BaselineMismatchError, evaluate_tag_pairs,
-                         extract_spans, load_baselines, mean_scores,
-                         render_report)
+from .evaluation import (evaluate_tag_pairs, extract_spans, load_baselines,
+                         mean_scores, render_report)
 from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
                       predict_tags, save_checkpoint)
 from .tensor import NumericError
@@ -76,8 +74,7 @@ def _load_config(path) -> "TrainConfig":
     from .training import TrainConfig
     if path is None:
         return TrainConfig()
-    with open(path, encoding="utf-8-sig") as fh:
-        doc = json.load(fh)
+    doc = json.loads("".join(line for _, line in text_lines(path)))
     if not isinstance(doc, dict):
         raise DataError(f"config must be a JSON object, "
                         f"got {type(doc).__name__}")
@@ -115,15 +112,16 @@ def cmd_train(args):
                  [("--corpus", args.corpus), ("--config", args.config)])
     config = _load_config(args.config)
     corpus = load_corpus(args.corpus)
-    domains = sorted(corpus.domains)
-    train_domains = args.domains.split(",") if args.domains else domains
-    _log(f"training on domains: {train_domains}")
+    train_domains = (args.domains.split(",") if args.domains
+                     else sorted(corpus.domains))
     params, vocab, curve = train(config, corpus, train_domains)
     save_checkpoint(args.output, params, vocab,
                     extra_config=dataclasses.asdict(config))
-    _log(f"final epoch mean loss: {curve[-1]:.6f}")
     if args.loss_curve:
         Path(args.loss_curve).write_text(json.dumps(curve), encoding="utf-8")
+    # logged once every output is written: a failed run prints one line
+    _log(f"trained on domains: {train_domains}; "
+         f"final epoch mean loss: {curve[-1]:.6f}")
     return 0
 
 
@@ -316,8 +314,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ParseError, SchemaError, BaselineMismatchError,
-            OSError, ValueError, NumericError, MemoryError) as exc:
+    except (OSError, ValueError, NumericError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 1
 

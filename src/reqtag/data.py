@@ -3,7 +3,9 @@
 Both pipelines end in the same canonical shape: a TaggedSentence with
 lowercase lemmatized tokens, a valid BIO tag sequence, and a domain
 label (app id for the CSV dataset, category for the CoNLL-U one).
-Corpora serialize to JSON Lines, one sentence per line.
+Corpora serialize to JSON Lines, one sentence per line. Every text input
+file is read through text_lines. Every refusal of input raises DataError,
+except the config's setting checks and the checkpoint's (ValueError).
 """
 
 import csv
@@ -22,14 +24,6 @@ _STRIP_RE = re.compile(r"[^a-z0-9'\s]")
 _TOKEN_RE = re.compile(r"^[a-z0-9']+$")
 # what surrogateescape decodes each byte that is not UTF-8 to
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
-
-
-class SchemaError(ValueError):
-    pass
-
-
-class ParseError(ValueError):
-    pass
 
 
 class DataError(ValueError):
@@ -91,14 +85,15 @@ class IngestSummary:
     alignment_misses: int = 0
 
 
-def text_lines(path):
+def text_lines(path, newline=None):
     """(line number, line) for each line of a text file read as utf-8-sig,
-    line end kept; a line that is not UTF-8 raises ParseError naming it."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+    line end kept; a line that is not UTF-8 raises DataError naming it."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape",
+              newline=newline) as fh:
         for lineno, line in enumerate(fh, start=1):
             # isascii() reads a flag; the scan costs as much as a float parse
             if not line.isascii() and _NOT_UTF8.search(line):
-                raise ParseError(f"line {lineno}: not UTF-8")
+                raise DataError(f"line {lineno}: not UTF-8")
             yield lineno, line
 
 
@@ -146,34 +141,33 @@ def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
     """CSV with App Id / Sentence Content / Feature (All Annotated) columns."""
     summary = IngestSummary()
     sentences = []
-    # utf-8-sig drops the byte-order mark spreadsheet exports put first
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
-            header = reader.fieldnames or []
-            for col in required:
-                if col not in header:
-                    raise SchemaError(f"missing required column {col!r}")
-            for rownum, row in enumerate(reader, start=2):
-                tokens = clean_tokens(row["Sentence Content"] or "")
-                if not tokens:
-                    summary.dropped_empty += 1
-                    continue
-                feature_cell = row["Feature (All Annotated)"] or ""
-                phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
-                phrases = [p for p in phrases if p]
-                tags, misses = align_bio(tokens, phrases)
-                summary.alignment_misses += misses
-                try:
-                    sentences.append(TaggedSentence(app_id=row["App Id"],
-                                                    tokens=tokens, tags=tags))
-                except DataError as exc:
-                    raise DataError(f"row {rownum}: {exc}") from None
-                summary.kept += 1
-        except csv.Error as exc:  # e.g. a cell over the field size limit
-            # the inner reader's count: DictReader's lags behind on an error
-            raise ParseError(f"line {reader.reader.line_num}: {exc}") from None
+    # newline="": a quoted cell keeps the line ends the file gives it
+    reader = csv.DictReader(line for _, line in text_lines(path, newline=""))
+    try:
+        required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
+        header = reader.fieldnames or []
+        for col in required:
+            if col not in header:
+                raise DataError(f"missing required column {col!r}")
+        for rownum, row in enumerate(reader, start=2):
+            tokens = clean_tokens(row["Sentence Content"] or "")
+            if not tokens:
+                summary.dropped_empty += 1
+                continue
+            feature_cell = row["Feature (All Annotated)"] or ""
+            phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
+            phrases = [p for p in phrases if p]
+            tags, misses = align_bio(tokens, phrases)
+            summary.alignment_misses += misses
+            try:
+                sentences.append(TaggedSentence(app_id=row["App Id"],
+                                                tokens=tokens, tags=tags))
+            except DataError as exc:
+                raise DataError(f"row {rownum}: {exc}") from None
+            summary.kept += 1
+    except csv.Error as exc:  # e.g. a cell over the field size limit
+        # the inner reader's count: DictReader's lags behind on an error
+        raise DataError(f"line {reader.reader.line_num}: {exc}") from None
     return Corpus(sentences=sentences), summary
 
 
@@ -242,11 +236,11 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
             continue
         cols = line.split("\t")
         if len(cols) != CONLLU_COLUMNS and len(cols) != CONLLU_COLUMNS + 1:
-            raise ParseError(
+            raise DataError(
                 f"line {lineno}: expected {CONLLU_COLUMNS} tab-separated "
                 f"columns, got {len(cols)}")
         if not 0 <= tag_column < len(cols):
-            raise ParseError(f"line {lineno}: no column {tag_column}")
+            raise DataError(f"line {lineno}: no column {tag_column}")
         first_line = first_line or lineno
         token_id = cols[0]
         if "-" in token_id or "." in token_id:
@@ -297,10 +291,10 @@ def load_corpus(path) -> Corpus:
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+            raise DataError(f"line {lineno}: {exc}") from None
         problem = _corpus_line_problem(doc)
         if problem:
-            raise ParseError(f"line {lineno}: {problem}")
+            raise DataError(f"line {lineno}: {problem}")
         try:
             sentences.append(TaggedSentence(
                 app_id=doc["app"], category=doc.get("category"),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import text_lines
+from .data import DataError, text_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -18,10 +18,6 @@ UNK_INDEX = 1
 
 # out-of-vocabulary rows are drawn uniform in this range
 OOV_INIT_BOUND = 0.25
-
-
-class GloveParseError(ValueError):
-    pass
 
 
 @dataclass
@@ -65,7 +61,7 @@ def load_glove(path, vocab: Vocabulary, dim: int) -> dict:
         # the last dim fields are the vector; a word may hold spaces
         parts = line.rsplit(" ", dim)
         if len(parts) != dim + 1:
-            raise GloveParseError(
+            raise DataError(
                 f"line {lineno}: expected a word and {dim} values, "
                 f"got {len(parts)} fields")
         idx = vocab.token_to_index.get(parts[0])
@@ -74,16 +70,14 @@ def load_glove(path, vocab: Vocabulary, dim: int) -> dict:
         try:
             vector = np.array([float(v) for v in parts[1:]])
         except ValueError:
-            raise GloveParseError(
+            raise DataError(
                 f"line {lineno}: non-numeric embedding value") from None
         if not np.isfinite(vector).all():
-            raise GloveParseError(
-                f"line {lineno}: non-finite embedding value")
+            raise DataError(f"line {lineno}: non-finite embedding value")
         rows[idx] = vector
     if not rows:
-        raise GloveParseError(f"{path}: no word of the training vocabulary "
-                              f"has a vector in this file of embedding_dim "
-                              f"{dim} values")
+        raise DataError(f"{path}: no word of the training vocabulary has a "
+                        f"vector in this file of embedding_dim {dim} values")
     return rows
 
 

@@ -12,6 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from .data import DataError, text_lines
 from .embeddings import encode_tokens
 from .network import predict_batch
 
@@ -105,20 +106,15 @@ def evaluate_domain(params, vocab, sentences,
         overlap=overlap)
 
 
-class BaselineMismatchError(ValueError):
-    pass
-
-
 def load_baselines(path, fold_labels):
     """Baseline score file: JSON map domain -> {precision?, recall?, f1}."""
-    with open(path, encoding="utf-8-sig") as fh:
-        table = json.load(fh)
+    table = json.loads("".join(line for _, line in text_lines(path)))
     if not isinstance(table, dict):
-        raise BaselineMismatchError(f"baselines must be a JSON object of "
-                                    f"domains, got {type(table).__name__}")
+        raise DataError(f"baselines must be a JSON object of domains, "
+                        f"got {type(table).__name__}")
     for domain, scores in table.items():
         if not isinstance(scores, dict) or "f1" not in scores:
-            raise BaselineMismatchError(
+            raise DataError(
                 f"baseline {domain!r} must be an object with an f1, "
                 f"got {scores!r}")
         for key in ("precision", "recall", "f1"):
@@ -126,12 +122,12 @@ def load_baselines(path, fold_labels):
             # JSON has no NaN or Infinity, though Python's json reads them
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not -math.inf < value < math.inf):
-                raise BaselineMismatchError(
+                raise DataError(
                     f"baseline {domain!r}: {key} must be a number, "
                     f"got {value!r}")
     missing = sorted(set(table) - set(fold_labels))
     if missing:
-        raise BaselineMismatchError(
+        raise DataError(
             f"baseline domains not present in fold reports: {missing}")
     return table
 

@@ -16,9 +16,10 @@ import reqtag
 from reqtag import cli, network, training
 from reqtag.cli import main
 from reqtag.data import Corpus, TaggedSentence, clean_tokens, save_corpus
-from reqtag.embeddings import encode_tokens
+from reqtag.embeddings import build_vocabulary, encode_tokens
 from reqtag.evaluation import evaluate_tag_pairs, extract_spans
-from reqtag.network import DECODE_CHUNK, load_checkpoint, predict_tags
+from reqtag.network import (DECODE_CHUNK, ModelDims, init_model,
+                            load_checkpoint, predict_tags, save_checkpoint)
 from conftest import make_synthetic_corpus
 
 TINY_CONFIG = {
@@ -397,8 +398,8 @@ class TestTrain:
                     "--domains", "dom0,dom1,dom0",
                     "--output", tmp_path / "model.npz"]) == 1
         err = capsys.readouterr().err
-        assert err.endswith(
-            "\nerror: training domains listed more than once: ['dom0']\n")
+        assert err == (
+            "error: training domains listed more than once: ['dom0']\n")
         assert err.count("error:") == 1
         assert not (tmp_path / "model.npz").exists()
 
@@ -431,7 +432,7 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", cfg,
                     "--output", tmp_path / "model.npz"]) == 1
         err = capsys.readouterr().err
-        assert err.endswith("\nerror: line 2: non-finite embedding value\n")
+        assert err == "error: line 2: non-finite embedding value\n"
         assert err.count("error:") == 1 and "Warning" not in err
         assert not (tmp_path / "model.npz").exists()
 
@@ -446,7 +447,7 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", cfg,
                     "--output", tmp_path / "model.npz"]) == 1
         err = capsys.readouterr().err
-        assert err.endswith("\nerror: line 2: not UTF-8\n")
+        assert err == "error: line 2: not UTF-8\n"
         assert err.count("error:") == 1
         assert not (tmp_path / "model.npz").exists()
 
@@ -464,8 +465,8 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", cfg,
                     "--output", tmp_path / "model.npz"]) == 1
         err = capsys.readouterr().err
-        assert err.endswith(
-            f"\nerror: {glove}: no word of the training vocabulary has a "
+        assert err == (
+            f"error: {glove}: no word of the training vocabulary has a "
             f"vector in this file of embedding_dim 16 values\n")
         assert err.count("error:") == 1
         assert not (tmp_path / "model.npz").exists()
@@ -564,7 +565,6 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", cfg,
                     "--output", tmp_path / "model.npz"]) == 1
         assert capsys.readouterr().err == (
-            "training on domains: ['dom0', 'dom1']\n"
             "error: non-finite gradient in block 'embedding'\n")
 
     def test_config_too_large_to_allocate(self, corpus_path, tmp_path,
@@ -576,8 +576,7 @@ class TestTrain:
         model = tmp_path / "model.npz"
         assert run(["train", "--corpus", corpus_path, "--config", cfg,
                     "--output", model]) == 1
-        logged, error = capsys.readouterr().err.splitlines()
-        assert logged == "training on domains: ['dom0', 'dom1']"
+        (error,) = capsys.readouterr().err.splitlines()
         assert error.startswith("error: Unable to allocate ")
         assert "1000000000000000" in error
         assert not model.exists()
@@ -986,6 +985,50 @@ class TestUnreadablePath:
         assert run(["crossval", "--corpus", corpus_path, "--config",
                     config_path, "--out", out]) == 1
         self._one_error_line(capsys)
+
+
+# each text input with byte 0xff on line 3, as the command reading it sees it
+_BAD_BYTE_FILES = {
+    "corpus": b'{"app": "a", "tokens": ["x"], "tags": ["O"]}\n' * 2
+              + b'{"app": "caf\xff", "tokens": ["x"], "tags": ["O"]}\n',
+    "conllu": b"# app_name = X\n# google_play_category = Y\n"
+              + b"1\tcaf\xff\tcaf\xff" + b"\t_" * 7 + b"\n\n",
+    "rebert-csv": b"App Id,Sentence Content,Feature (All Annotated)\n"
+                  b"ebay,Add dark mode,dark mode\nebay,Caf\xff is slow,\n",
+    "config": b'{\n  "epochs": 1,\n  "caf\xff": 1\n}\n',
+    "glove": b"add" + b" 0.5" * 16 + b"\n" + b"dark" + b" 0.5" * 16 + b"\n"
+             + b"caf\xff" + b" 0.5" * 16 + b"\n",
+    "baselines": b'{\n  "dom0": {"f1": 0.5},\n  "caf\xff": {"f1": 0.5}\n}\n',
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_BYTE_FILES))
+def test_byte_that_is_not_utf8_is_one_error_line(corpus_path, config_path,
+                                                 tmp_path, capsys, kind):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(_BAD_BYTE_FILES[kind])
+    glove_config = tmp_path / "glove.json"
+    glove_config.write_text(json.dumps({**TINY_CONFIG, "glove_path": str(bad)}),
+                            encoding="utf-8")
+    model = tmp_path / "model.npz"
+    train = ["train", "--output", model, "--corpus"]
+    if kind == "baselines":
+        vocab = build_vocabulary([["add"]])
+        save_checkpoint(model, init_model(len(vocab), ModelDims(4, 2, 2, 2, 2),
+                                          np.random.default_rng(0)), vocab)
+    argv = {
+        "corpus": [*train, bad, "--config", config_path],
+        "conllu": ["preprocess", "--format", "conllu", "--input", bad,
+                   "--output", tmp_path / "out.jsonl"],
+        "rebert-csv": ["preprocess", "--format", "rebert-csv", "--input", bad,
+                       "--output", tmp_path / "out.jsonl"],
+        "config": [*train, corpus_path, "--config", bad],
+        "glove": [*train, corpus_path, "--config", glove_config],
+        "baselines": ["evaluate", "--model", model, "--corpus", corpus_path,
+                      "--domain", "dom0", "--baselines", bad],
+    }[kind]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", "error: line 3: not UTF-8\n")
 
 
 class TestMalformedCheckpoint:

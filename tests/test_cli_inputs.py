@@ -1,26 +1,31 @@
 """Generated input files through `main`, in process at tiny dims.
 
 Each input kind the tagger reads line by line or as JSON (corpus JSONL,
-CoNLL-U, a training config, a GloVe file) is written from structured
-lines mixed with random bytes. Whatever the file holds:
+CoNLL-U, a review CSV, a training config, a GloVe file, a baselines
+file) is written from structured lines mixed with random bytes.
+Whatever the file holds:
 - `main` returns 0, 1 or 2 and raises nothing (a warning would raise:
   pyproject.toml turns RuntimeWarning and the like into errors);
-- on 1, the last stderr line is the only one that starts with `error:`,
-  and any line before it is the log line `train` writes before its work;
+- on 1, stderr is exactly one line, and it starts with `error:`;
 - no input file has changed.
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reqtag.cli import main
 from reqtag.data import Corpus, TaggedSentence, save_corpus
+from reqtag.embeddings import build_vocabulary
+from reqtag.network import ModelDims, init_model, save_checkpoint
 
 TINY = {"embedding_dim": 4, "h_enc": 2, "d_att": 2, "h_dec": 2, "d_tag": 2,
         "epochs": 1, "batch_size": 4}
@@ -37,17 +42,18 @@ _NUMBER = st.one_of(
     st.sampled_from(["0.5", "-1", "1e308", "1e999", "nan", "x", ""]))
 
 
-def _file(good, bad):
-    """File bytes: lines drawn from good, with a few lines drawn from bad
-    or of random bytes put among them, and a BOM or none."""
+def _file(good, bad, head=st.just("")):
+    """File bytes: a head line drawn from head, then lines drawn from good,
+    with a few lines drawn from bad or of random bytes put among them, and
+    a BOM or none."""
     noise = st.one_of(bad.map(str.encode), st.binary(max_size=24))
 
-    def build(bom, lines, inserts, end):
+    def build(bom, head, lines, inserts, end):
         for pos, line in inserts:
             lines.insert(pos % (len(lines) + 1), line)
-        return bom + b"\n".join(lines) + end
+        return bom + head.encode() + b"\n".join(lines) + end
 
-    return st.builds(build, st.sampled_from([b"", b"\xef\xbb\xbf"]),
+    return st.builds(build, st.sampled_from([b"", b"\xef\xbb\xbf"]), head,
                      st.lists(good.map(str.encode), max_size=6),
                      st.lists(st.tuples(st.integers(0, 6), noise), max_size=2),
                      st.sampled_from([b"", b"\n", b"\r\n"]))
@@ -95,6 +101,23 @@ _CONLLU = _file(
               st.just("")),
     st.one_of(st.lists(_FIELD, min_size=9, max_size=11).map("\t".join),
               _TEXT))
+
+
+def _csv_row(cells):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(cells)
+    return out.getvalue()
+
+
+# rows whose cells may hold quotes, commas and line ends, under a header
+# that in two files of five lacks a column
+_HEADER = "App Id,Sentence Content,Feature (All Annotated)\n"
+_CSV = _file(
+    st.lists(st.one_of(st.sampled_from(["app0", "app1", "", "add dark mode",
+                                        "dark mode", "a\r\nb", "x\ny"]),
+                       _TEXT), min_size=3, max_size=3).map(_csv_row),
+    st.one_of(st.lists(_FIELD, max_size=4).map(",".join), _TEXT),
+    st.sampled_from([_HEADER] * 3 + ["App Id,Sentence Content\n", ""]))
 # settings over the tiny ones; integers stay small, since a large dim
 # would be allocated for real
 _SETTING = {
@@ -112,6 +135,18 @@ _CONFIG = st.one_of(
     st.lists(st.integers(0, 3), max_size=2).map(
         lambda doc: json.dumps(doc).encode()),
     st.binary(max_size=24))
+_SCORE = st.one_of(st.none(), st.booleans(), st.integers(-1, 2), st.floats(),
+                   st.sampled_from(["0.5", [], {}]))
+_BASELINES = st.builds(
+    lambda bom, doc, end: bom + doc + end,
+    st.sampled_from([b"", b"\xef\xbb\xbf"]),
+    st.one_of(st.dictionaries(
+        st.sampled_from(["app0", "app1", "bogus", "", "café"]),
+        st.one_of(st.fixed_dictionaries({}, optional=dict.fromkeys(
+            ["precision", "recall", "f1"], _SCORE)), _SCORE),
+        max_size=3), st.lists(st.integers(0, 3), max_size=2)).map(
+        lambda doc: json.dumps(doc, indent=1).encode()),
+    st.one_of(st.sampled_from([b"", b"\n", b"\r\n"]), st.binary(max_size=8)))
 _GLOVE = _file(
     st.builds(lambda word, values: " ".join([word, *map(repr, values)]),
               st.sampled_from(WORDS), st.lists(
@@ -139,9 +174,7 @@ def _run(argv, inputs):
     assert code in (0, 1, 2), err.getvalue()
     if code == 1:
         lines = err.getvalue().splitlines()
-        assert lines and lines[-1].startswith("error:"), lines
-        assert all(line.startswith("training on domains: ")
-                   for line in lines[:-1]), lines
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert {path: path.read_bytes() for path in inputs} == before
 
 
@@ -182,6 +215,40 @@ def test_config_file(data):
 @given(_GLOVE)
 def test_glove_file(data):
     _train(glove=data)
+
+
+@pytest.fixture(scope="module")
+def model(tmp_path_factory):
+    """A checkpoint at the tiny dims, drawn and never trained."""
+    path = tmp_path_factory.mktemp("model") / "model.npz"
+    vocab = build_vocabulary([["add", "dark", "mode"]])
+    dims = ModelDims(**{k: TINY[k] for k in (
+        "embedding_dim", "h_enc", "d_att", "h_dec", "d_tag")})
+    save_checkpoint(path, init_model(len(vocab), dims,
+                                     np.random.default_rng(0)), vocab)
+    return path
+
+
+@SETTINGS
+@given(_BASELINES)
+def test_baselines_file(model, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, path = Path(tmp) / "corpus.jsonl", Path(tmp) / "base.json"
+        save_corpus(corpus, _corpus())
+        path.write_bytes(data)
+        _run(["evaluate", "--model", model, "--corpus", corpus,
+              "--domain", "app0", "--baselines", path], [model, corpus, path])
+
+
+@SETTINGS
+@given(_CSV, st.sampled_from([",", ";", "|"]))
+def test_csv_file(data, feature_delim):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(data)
+        _run(["preprocess", "--format", "rebert-csv", "--input", path,
+              "--feature-delim", feature_delim,
+              "--output", Path(tmp) / "out.jsonl"], [path])
 
 
 @SETTINGS

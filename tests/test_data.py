@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from reqtag.crf import crf_nll_backward, init_transitions
 from reqtag.data import (MAX_SENTENCE_TOKENS, TAG_INDEX, Corpus, DataError,
-                         ParseError, SchemaError, TaggedSentence, align_bio,
-                         clean_tokens, load_corpus, parse_conllu,
-                         parse_rebert_csv, save_corpus)
+                         TaggedSentence, align_bio, clean_tokens, load_corpus,
+                         parse_conllu, parse_rebert_csv, save_corpus)
 from reqtag.lemmatizer import lemmatize
 from reqtag.network import _pack
 from crf_oracles import is_valid_bio
@@ -161,7 +160,7 @@ class TestParseRebertCsv:
         path = tmp_path / "bad.csv"
         path.write_text("Sentence Content,Feature (All Annotated)\nhi,x\n",
                         encoding="utf-8")
-        with pytest.raises(SchemaError, match="App Id"):
+        with pytest.raises(DataError, match="App Id"):
             parse_rebert_csv(path)
 
     def test_byte_order_mark_parses_like_plain_file(self, tmp_path):
@@ -171,6 +170,18 @@ class TestParseRebertCsv:
         bom.write_text(REBERT_CSV, encoding="utf-8-sig")
         assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
         assert parse_rebert_csv(bom) == parse_rebert_csv(plain)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_quoted_cell_keeps_its_line_ends(self, tmp_path, end):
+        # read as the csv module asks (newline=""), not translated to "\n"
+        path = tmp_path / "d1.csv"
+        path.write_bytes(end.join([
+            "App Id,Sentence Content,Feature (All Annotated)",
+            '"eb\r\nay","Add dark\rmode","dark\r\nmode"', ""]).encode())
+        corpus, _ = parse_rebert_csv(path, feature_delim="\r\n")
+        assert corpus.sentences == [TaggedSentence(
+            app_id="eb\r\nay", tokens=["add", "dark", "mode"],
+            tags=["O", "B", "B"])]
 
 
 def conllu_doc(lines, app="CoolApp", category="PRODUCTIVITY"):
@@ -252,7 +263,7 @@ class TestParseConllu:
         path = tmp_path / "d2.conllu"
         path.write_text("# app_name = X\n# google_play_category = Y\n"
                         "1\tonly\tthree\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(DataError, match="line 3"):
             parse_conllu(path)
 
     @pytest.mark.parametrize("column", [-1, 10])
@@ -261,7 +272,7 @@ class TestParseConllu:
         path = tmp_path / "d2.conllu"
         path.write_text(conllu_doc([token_line(1, "app", "app", "O")]),
                         encoding="utf-8")
-        with pytest.raises(ParseError, match=f"line 3: no column {column}"):
+        with pytest.raises(DataError, match=f"line 3: no column {column}"):
             parse_conllu(path, tag_column=column)
 
     def test_missing_metadata(self, tmp_path):
@@ -312,7 +323,7 @@ class TestParseConllu:
                           token_line(2, "mode", "mod\udcffe", "I-feature")])
         path = tmp_path / "d2.conllu"
         path.write_bytes(doc.encode("utf-8", "surrogateescape"))
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(DataError) as exc:
             parse_conllu(path)
         assert str(exc.value) == "line 4: not UTF-8"
 
@@ -359,7 +370,7 @@ GOOD_LINE = '{"app": "a", "tokens": ["x"], "tags": ["O"]}'
 def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
     path = tmp_path / "corpus.jsonl"
     path.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(DataError) as exc:
         load_corpus(path)
     assert str(exc.value).startswith("line 2: ")
     assert fragment in str(exc.value)
@@ -369,7 +380,7 @@ def test_load_corpus_byte_that_is_not_utf8_names_its_line(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes((GOOD_LINE + "\n" + GOOD_LINE + "\n").encode()
                      + b'{"app": "a\xff", "tokens": ["x"], "tags": ["O"]}\n')
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(DataError) as exc:
         load_corpus(path)
     assert str(exc.value) == "line 3: not UTF-8"
 
@@ -448,7 +459,7 @@ def test_any_corpus_line_loads_or_raises_data_error(doc):
         path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         try:
             corpus = load_corpus(path)
-        except (ParseError, DataError):
+        except DataError:
             return
     for s in corpus.sentences:
         assert all(isinstance(t, str) for t in s.tokens + s.tags)

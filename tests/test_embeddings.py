@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from reqtag.embeddings import (GloveParseError, PAD_INDEX, UNK_INDEX,
-                               build_vocabulary, encode_tokens, load_glove,
-                               random_embeddings)
+from reqtag.data import DataError
+from reqtag.embeddings import (PAD_INDEX, UNK_INDEX, build_vocabulary,
+                               encode_tokens, load_glove, random_embeddings)
 
 
 class TestBuildVocabulary:
@@ -88,13 +88,13 @@ class TestLoadGlove:
     def test_field_count_error_reports_line(self, tmp_path):
         vocab = build_vocabulary([["cat"]])
         path = self._write(tmp_path, ["dog 0.1 0.2 0.3", "cat 0.1 0.2"])
-        with pytest.raises(GloveParseError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             load_glove(path, vocab, 3)
 
     def test_non_numeric_value_reports_line(self, tmp_path):
         vocab = build_vocabulary([["cat"]])
         path = self._write(tmp_path, ["cat 0.1 x 0.3"])
-        with pytest.raises(GloveParseError, match="line 1: non-numeric"):
+        with pytest.raises(DataError, match="line 1: non-numeric"):
             load_glove(path, vocab, 3)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -102,7 +102,7 @@ class TestLoadGlove:
         vocab = build_vocabulary([["cat", "dog"]])
         path = self._write(tmp_path, ["cat 0.1 0.2 0.3",
                                       f"dog 0.1 {value} 0.3"])
-        with pytest.raises(GloveParseError, match="line 2: non-finite"):
+        with pytest.raises(DataError, match="line 2: non-finite"):
             load_glove(path, vocab, 3)
 
     def test_parses_vector_from_the_right(self, tmp_path):

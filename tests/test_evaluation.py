@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from reqtag import evaluation
-from reqtag.data import TaggedSentence
+from reqtag.data import DataError, TaggedSentence
 from reqtag.embeddings import build_vocabulary, encode_tokens
-from reqtag.evaluation import (BaselineMismatchError, RequirementSpan,
-                               compute_metrics, evaluate_domain,
-                               evaluate_tag_pairs, extract_spans,
-                               load_baselines, match_spans, render_report)
+from reqtag.evaluation import (RequirementSpan, compute_metrics,
+                               evaluate_domain, evaluate_tag_pairs,
+                               extract_spans, load_baselines, match_spans,
+                               render_report)
 from reqtag.network import DECODE_CHUNK, ModelDims, init_model, predict_tags
 
 
@@ -169,7 +169,7 @@ def test_load_baselines_mismatch(tmp_path):
     path = tmp_path / "base.json"
     path.write_text(json.dumps({"ebay": {"f1": 0.4}, "bogus": {"f1": 0.1}}),
                     encoding="utf-8")
-    with pytest.raises(BaselineMismatchError, match="bogus"):
+    with pytest.raises(DataError, match="bogus"):
         load_baselines(path, ["ebay", "spotify"])
     path2 = tmp_path / "ok.json"
     path2.write_text(json.dumps({"ebay": {"f1": 0.4}}), encoding="utf-8")
@@ -196,7 +196,7 @@ def test_load_baselines_mismatch(tmp_path):
 def test_load_baselines_shape(tmp_path, table, problem):
     path = tmp_path / "base.json"
     path.write_text(json.dumps(table), encoding="utf-8")
-    with pytest.raises(BaselineMismatchError, match=problem):
+    with pytest.raises(DataError, match=problem):
         load_baselines(path, ["ebay"])
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from reqtag import crf
 from reqtag.data import Corpus, DataError, TaggedSentence
-from reqtag.embeddings import (GloveParseError, PAD_INDEX, build_vocabulary,
-                               encode_tokens)
+from reqtag.embeddings import PAD_INDEX, build_vocabulary, encode_tokens
 from reqtag.evaluation import mean_scores
 from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
                             param_blocks, predict_tags, zero_grad_blocks)
@@ -289,7 +288,7 @@ class TestTrain:
         glove = tmp_path / "glove.txt"
         glove.write_text("".join(f"zz{k} " + " ".join(["0.5"] * 16) + "\n"
                                  for k in range(5)), encoding="utf-8")
-        with pytest.raises(GloveParseError, match=re.escape(
+        with pytest.raises(DataError, match=re.escape(
                 f"{glove}: no word of the training vocabulary has a vector "
                 f"in this file")):
             train(tiny_config(epochs=1, glove_path=str(glove)),
