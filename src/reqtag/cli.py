@@ -28,6 +28,7 @@ from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
 from .tensor import NumericError
 
 EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_batch call
+NAME_MAX = 255  # bytes in a file name on common file systems
 
 
 def _log(msg):
@@ -48,7 +49,8 @@ def _check_paths(outputs, inputs):
     anything; each argument is a list of (flag, path) pairs, and a None
     path names nothing. An output must name a file in an existing
     directory, and not the file of a later output or of an input (which
-    need not exist yet); an input must not be a directory."""
+    need not exist yet), and its file name must fit in 255 bytes; an
+    input must not be a directory."""
     pairs = [*outputs, *inputs]
     for i, (flag, path) in enumerate(outputs):
         for other, other_path in pairs[i + 1:]:
@@ -64,6 +66,10 @@ def _check_paths(outputs, inputs):
                 or not os.path.isdir(os.path.dirname(path) or ".")):
             raise DataError(f"{flag} {path!r} does not name a file in an "
                             f"existing directory")
+        if (path is not None
+                and len(os.fsencode(os.path.basename(path))) > NAME_MAX):
+            raise DataError(f"{flag} {path!r} names a file of more than "
+                            f"{NAME_MAX} bytes")
     for _flag, path in inputs:  # os.read of a directory fails unnamed
         if path is not None and os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
@@ -90,16 +96,16 @@ def cmd_preprocess(args):
     if not args.feature_delim:
         raise DataError("--feature-delim must not be empty")
     if args.format == "rebert-csv":
-        corpus, summary = parse_rebert_csv(args.input,
-                                           feature_delim=args.feature_delim)
+        corpus, counts = parse_rebert_csv(args.input,
+                                          feature_delim=args.feature_delim)
     else:
-        corpus, summary = parse_conllu(args.input, tag_column=args.tag_column)
+        corpus, counts = parse_conllu(args.input, tag_column=args.tag_column)
     save_corpus(args.output, corpus)
     domains = corpus.domains
     report = {
-        "sentences_kept": summary.kept,
-        "sentences_dropped_empty": summary.dropped_empty,
-        "alignment_misses": summary.alignment_misses,
+        "sentences_kept": len(corpus.sentences),
+        "sentences_dropped_empty": counts["dropped_empty"],
+        "alignment_misses": counts["alignment_misses"],
         "domains": {d: len(ix) for d, ix in sorted(domains.items())},
     }
     _log(json.dumps(report, indent=2))
@@ -149,12 +155,12 @@ def cmd_crossval(args):
                             f"cannot name a fold file")
         try:
             domain.encode("utf-8")  # as report.txt holds it
-            fits = len(os.fsencode(f"fold_{domain}.json")) <= 255
+            fits = len(os.fsencode(f"fold_{domain}.json")) <= NAME_MAX
         except UnicodeEncodeError:
             fits = False
         if not fits:
             raise DataError(f"domain {domain!r} cannot name a fold file of "
-                            f"at most 255 UTF-8 bytes")
+                            f"at most {NAME_MAX} UTF-8 bytes")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _check_paths([("--out", os.path.join(args.out, name)) for name in (
@@ -227,9 +233,8 @@ def cmd_extract(args):
             for text, toks in zip(lines, tokens):
                 spans = extract_spans(next(paths)) if toks else []
                 replies.append(json.dumps({"text": text, "requirements": [
-                    {"span": [s.start, s.end],
-                     "text": " ".join(toks[s.start:s.end + 1])}
-                    for s in spans]}) + "\n")
+                    {"span": [s, e], "text": " ".join(toks[s:e + 1])}
+                    for s, e in spans]}) + "\n")
             sys.stdout.write("".join(replies))
             sys.stdout.flush()
     finally:
@@ -255,7 +260,7 @@ def cmd_evaluate(args):
     blocks = {"exact": evaluate_tag_pairs(zip(preds, golds))}
     if args.overlap:
         blocks["overlap"] = evaluate_tag_pairs(zip(preds, golds), overlap=True)
-    doc["metrics"] = {k: dataclasses.asdict(v) for k, v in blocks.items()}
+    doc["metrics"] = blocks
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

@@ -78,13 +78,6 @@ class Corpus:
         return out
 
 
-@dataclass
-class IngestSummary:
-    kept: int = 0
-    dropped_empty: int = 0
-    alignment_misses: int = 0
-
-
 def text_lines(path, newline=None):
     """(line number, line) for each line of a text file read as utf-8-sig,
     line end kept; a line that is not UTF-8 raises DataError naming it."""
@@ -138,37 +131,41 @@ def align_bio(sentence_tokens, requirement_phrases):
 
 
 def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
-    """CSV with App Id / Sentence Content / Feature (All Annotated) columns."""
-    summary = IngestSummary()
+    """CSV with App Id / Sentence Content / Feature (All Annotated) columns;
+    returns (corpus, counts)."""
+    counts = {"dropped_empty": 0, "alignment_misses": 0}
     sentences = []
-    # newline="": a quoted cell keeps the line ends the file gives it
-    reader = csv.DictReader(line for _, line in text_lines(path, newline=""))
+    # newline="": a quoted cell keeps the line ends the file gives it;
+    # strict: a quote left open or followed by text is an error
+    reader = csv.DictReader(
+        (line for _, line in text_lines(path, newline="")), strict=True)
     try:
         required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
         header = reader.fieldnames or []
         for col in required:
             if col not in header:
                 raise DataError(f"missing required column {col!r}")
+            if header.count(col) > 1:  # DictReader keeps the last one
+                raise DataError(f"column {col!r} appears more than once")
         for rownum, row in enumerate(reader, start=2):
             tokens = clean_tokens(row["Sentence Content"] or "")
             if not tokens:
-                summary.dropped_empty += 1
+                counts["dropped_empty"] += 1
                 continue
             feature_cell = row["Feature (All Annotated)"] or ""
             phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
             phrases = [p for p in phrases if p]
             tags, misses = align_bio(tokens, phrases)
-            summary.alignment_misses += misses
+            counts["alignment_misses"] += misses
             try:
                 sentences.append(TaggedSentence(app_id=row["App Id"],
                                                 tokens=tokens, tags=tags))
             except DataError as exc:
                 raise DataError(f"row {rownum}: {exc}") from None
-            summary.kept += 1
     except csv.Error as exc:  # e.g. a cell over the field size limit
         # the inner reader's count: DictReader's lags behind on an error
         raise DataError(f"line {reader.reader.line_num}: {exc}") from None
-    return Corpus(sentences=sentences), summary
+    return Corpus(sentences=sentences), counts
 
 
 _PUNCT_ONLY_RE = re.compile(r"^[^\w]+$", re.UNICODE)
@@ -194,10 +191,11 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
 
     tag_column is the zero-based column holding the BIO tag (default:
     MISC, column 9). Tokens that are pure punctuation are dropped; BIO
-    runs broken by a drop are repaired. A sentence's errors name the
-    line of its first token.
+    runs broken by a drop are repaired, and a sentence left with no
+    token is counted as dropped. A sentence's errors name the line of its
+    first token. Returns (corpus, counts).
     """
-    summary = IngestSummary()
+    counts = {"dropped_empty": 0, "alignment_misses": 0}
     sentences = []
     app_name = None
     category = None
@@ -216,7 +214,8 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
                     tokens=tokens, tags=_repair_bio(tags)))
             except DataError as exc:
                 raise DataError(f"line {first_line}: {exc}") from None
-            summary.kept += 1
+        elif first_line:  # token lines, every one of them dropped
+            counts["dropped_empty"] += 1
         tokens, tags, first_line = [], [], None
 
     for lineno, line in text_lines(path):
@@ -254,7 +253,7 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
         tokens.append(lemma)
         tags.append(_CONLLU_TAGS.get(cols[tag_column], "O"))
     flush()
-    return Corpus(sentences=sentences), summary
+    return Corpus(sentences=sentences), counts
 
 
 def save_corpus(path, corpus: Corpus):

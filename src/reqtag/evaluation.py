@@ -10,36 +10,15 @@ across all sentences of a domain; mean_scores averages runs and folds.
 import json
 import math
 import numbers
-from dataclasses import dataclass
 
 from .data import DataError, text_lines
 from .embeddings import encode_tokens
 from .network import predict_batch
 
 
-@dataclass
-class RequirementSpan:
-    start: int  # inclusive
-    end: int    # inclusive
-
-    def overlaps(self, other: "RequirementSpan") -> bool:
-        return self.start <= other.end and other.start <= self.end
-
-
-@dataclass
-class MetricsTriple:
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    fn: int
-
-
 def extract_spans(tags):
-    """Maximal runs of non-O tag indices, as sorted disjoint spans.
-
-    The input need not be valid BIO.
+    """Maximal runs of non-O tag indices, as sorted disjoint (start, end)
+    pairs, both ends inclusive. The input need not be valid BIO.
     """
     spans = []
     start = None
@@ -47,10 +26,10 @@ def extract_spans(tags):
         if t != 0 and start is None:
             start = pos
         elif t == 0 and start is not None:
-            spans.append(RequirementSpan(start, pos - 1))
+            spans.append((start, pos - 1))
             start = None
     if start is not None:
-        spans.append(RequirementSpan(start, len(tags) - 1))
+        spans.append((start, len(tags) - 1))
     return spans
 
 
@@ -62,30 +41,30 @@ def match_spans(predicted, gold, overlap: bool = False):
     greedily in start order.
     """
     if not overlap:
-        gold_keys = {(g.start, g.end) for g in gold}
-        pred_keys = {(p.start, p.end) for p in predicted}
-        tp = len(gold_keys & pred_keys)
-        return tp, len(pred_keys) - tp, len(gold_keys) - tp
+        gold, predicted = set(gold), set(predicted)
+        tp = len(gold & predicted)
+        return tp, len(predicted) - tp, len(gold) - tp
+    gold = sorted(gold, key=lambda g: g[0])
     used = [False] * len(gold)
     tp = 0
-    for p in sorted(predicted, key=lambda s: s.start):
-        for j, g in enumerate(sorted(gold, key=lambda s: s.start)):
-            if not used[j] and p.overlaps(g):
+    for p in sorted(predicted, key=lambda p: p[0]):
+        for j, g in enumerate(gold):
+            if not used[j] and p[0] <= g[1] and g[0] <= p[1]:
                 used[j] = True
                 tp += 1
                 break
     return tp, len(predicted) - tp, len(gold) - tp
 
 
-def compute_metrics(tp: int, fp: int, fn: int) -> MetricsTriple:
+def compute_metrics(tp: int, fp: int, fn: int) -> dict:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MetricsTriple(precision=precision, recall=recall, f1=f1,
-                         tp=tp, fp=fp, fn=fn)
+    return {"precision": precision, "recall": recall, "f1": f1,
+            "tp": tp, "fp": fp, "fn": fn}
 
 
-def evaluate_tag_pairs(pairs, overlap: bool = False) -> MetricsTriple:
+def evaluate_tag_pairs(pairs, overlap: bool = False) -> dict:
     """Micro-averaged metrics over (predicted_tags, gold_tags) pairs."""
     tp = fp = fn = 0
     for pred_tags, gold_tags in pairs:
@@ -98,7 +77,7 @@ def evaluate_tag_pairs(pairs, overlap: bool = False) -> MetricsTriple:
 
 
 def evaluate_domain(params, vocab, sentences,
-                    overlap: bool = False) -> MetricsTriple:
+                    overlap: bool = False) -> dict:
     """Decode a held-out domain's sentences and score them."""
     rows = [encode_tokens(s.tokens, vocab) for s in sentences]
     return evaluate_tag_pairs(

@@ -205,8 +205,8 @@ def run_fold(config: TrainConfig, corpus: Corpus, held_out: str, seed: int):
     test_sentences = [corpus.sentences[i] for i in domains[held_out]]
     metrics = evaluate_domain(params, vocab, test_sentences,
                               overlap=config.span_overlap_mode)
-    return {"seed": seed, "precision": metrics.precision,
-            "recall": metrics.recall, "f1": metrics.f1}
+    return {"seed": seed, "precision": metrics["precision"],
+            "recall": metrics["recall"], "f1": metrics["f1"]}
 
 
 def fold_domains(corpus: Corpus) -> dict:

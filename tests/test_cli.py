@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import hashlib
 import json
@@ -15,7 +14,8 @@ import pytest
 import reqtag
 from reqtag import cli, network, training
 from reqtag.cli import main
-from reqtag.data import Corpus, TaggedSentence, clean_tokens, save_corpus
+from reqtag.data import (Corpus, TaggedSentence, clean_tokens, load_corpus,
+                         save_corpus)
 from reqtag.embeddings import build_vocabulary, encode_tokens
 from reqtag.evaluation import evaluate_tag_pairs, extract_spans
 from reqtag.network import (DECODE_CHUNK, ModelDims, init_model,
@@ -155,6 +155,34 @@ class TestPreprocess:
         assert capsys.readouterr().err == (
             f"error: line {line}: field larger than field limit (131072)\n")
         assert not out.exists()
+
+    def test_quote_left_open_is_one_error_line(self, tmp_path, capsys):
+        src = tmp_path / "d1.csv"
+        src.write_text(
+            "App Id,Sentence Content,Feature (All Annotated)\n"
+            "ebay,Please add a dark mode,dark mode\n"
+            'ebay,"The search filter is slow,search filter\n'
+            "spotify,I want offline playlists,offline playlists\n"
+            "spotify,Add a sleep timer please,sleep timer\n",
+            encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run(["preprocess", "--format", "rebert-csv",
+                    "--input", src, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 5: unexpected end of data\n")
+        assert not out.exists()
+
+    def test_conllu_report_counts_dropped_sentence(self, tmp_path, capsys):
+        src = tmp_path / "d2.conllu"
+        token = "1\t{0}\t{0}\tNOUN\tNN\t_\t0\troot\t_\tO\n"
+        src.write_text("# app_name = X\n# google_play_category = TOOLS\n"
+                       + token.format("dark") + "\n" + token.format("!!!")
+                       + "\n", encoding="utf-8")
+        assert run(["preprocess", "--format", "conllu", "--input", src,
+                    "--output", tmp_path / "out.jsonl"]) == 0
+        assert json.loads(capsys.readouterr().err) == {
+            "sentences_kept": 1, "sentences_dropped_empty": 1,
+            "alignment_misses": 0, "domains": {"TOOLS": 1}}
 
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert run(["preprocess", "--format", "rebert-csv",
@@ -623,7 +651,7 @@ class TestExtract:
         src.write_text(" ".join(target.tokens) + "\n", encoding="utf-8")
         assert run(["extract", "--model", model, "--input", src]) == 0
         doc = json.loads(capsys.readouterr().out.strip())
-        gold = [(s.start, s.end) for s in extract_spans(target.tag_indices())]
+        gold = extract_spans(target.tag_indices())
         assert [tuple(r["span"]) for r in doc["requirements"]] == gold
         assert [r["text"] for r in doc["requirements"]] == [
             " ".join(target.tokens[s:e + 1]) for s, e in gold]
@@ -778,9 +806,8 @@ def _per_line_replies(model, src):
             spans = extract_spans(predict_tags(
                 params, encode_tokens(tokens, vocab))) if tokens else []
             want.append(json.dumps({"text": text, "requirements": [
-                {"span": [s.start, s.end],
-                 "text": " ".join(tokens[s.start:s.end + 1])}
-                for s in spans]}) + "\n")
+                {"span": [s, e], "text": " ".join(tokens[s:e + 1])}
+                for s, e in spans]}) + "\n")
     return want
 
 
@@ -848,8 +875,7 @@ class TestEvaluate:
                  for s in corpus.sentences]
         golds = [s.tag_indices() for s in corpus.sentences]
         assert doc["metrics"] == {
-            k: dataclasses.asdict(evaluate_tag_pairs(zip(preds, golds),
-                                                     overlap=overlap))
+            k: evaluate_tag_pairs(zip(preds, golds), overlap=overlap)
             for k, overlap in (("exact", False), ("overlap", True))}
         assert run(argv) == 0
         exact = json.loads(capsys.readouterr().out)["metrics"]
@@ -957,6 +983,41 @@ def test_unwritable_output_stops_before_any_work(
                             f"file in an existing directory\n")
     assert _tree(tmp_path) == before
 
+
+@pytest.mark.parametrize("command, flag", [
+    ("preprocess", "--output"), ("train", "--output"),
+    ("train", "--loss-curve")])
+def test_output_name_over_255_bytes_stops_before_any_work(
+        corpus_path, config_path, tmp_path, capsys, monkeypatch, command,
+        flag):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{command} read its input")
+    for name in ("parse_rebert_csv", "load_corpus", "_load_config"):
+        monkeypatch.setattr(cli, name, fail)
+    # 128 characters, 256 bytes in UTF-8
+    path = tmp_path / ("\u00e9" * 128)
+    argv = {"preprocess": ["--format", "rebert-csv", "--input",
+                           tmp_path / "r.csv", "--output", path],
+            "train": ["--corpus", corpus_path, "--config", config_path,
+                      "--output", tmp_path / "model.npz",
+                      "--loss-curve", tmp_path / "curve.json", flag, path]}
+    before = _tree(tmp_path)
+    assert run([command, *argv[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} {str(path)!r} names a file of "
+                            f"more than 255 bytes\n")
+    assert _tree(tmp_path) == before
+
+
+def test_output_name_of_255_bytes_is_written(tmp_path):
+    src = tmp_path / "r.csv"
+    src.write_text("App Id,Sentence Content,Feature (All Annotated)\n"
+                   "ebay,Add dark mode,dark mode\n", encoding="utf-8")
+    out = tmp_path / ("\u00e9" * 127 + "x")
+    assert run(["preprocess", "--format", "rebert-csv", "--input", src,
+                "--output", out]) == 0
+    assert len(load_corpus(out).sentences) == 1
 
 class TestUnreadablePath:
     """An OS error on a path given by a flag is one error line, exit 1."""

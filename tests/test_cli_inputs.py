@@ -2,18 +2,22 @@
 
 Each input kind the tagger reads line by line or as JSON (corpus JSONL,
 CoNLL-U, a review CSV, a training config, a GloVe file, a baselines
-file) is written from structured lines mixed with random bytes.
-Whatever the file holds:
+file, extract's review lines, a checkpoint's header) is written from
+structured lines mixed with random bytes. Whatever the file holds:
 - `main` returns 0, 1 or 2 and raises nothing (a warning would raise:
   pyproject.toml turns RuntimeWarning and the like into errors);
 - on 1, stderr is exactly one line, and it starts with `error:`;
 - no input file has changed.
+Extract also replies with one JSON line for each input line before the
+first line that is not UTF-8.
 """
 
+import codecs
 import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -25,7 +29,8 @@ from hypothesis import strategies as st
 from reqtag.cli import main
 from reqtag.data import Corpus, TaggedSentence, save_corpus
 from reqtag.embeddings import build_vocabulary
-from reqtag.network import ModelDims, init_model, save_checkpoint
+from reqtag.network import (CHECKPOINT_VERSION, ModelDims, init_model,
+                            save_checkpoint)
 
 TINY = {"embedding_dim": 4, "h_enc": 2, "d_att": 2, "h_dec": 2, "d_tag": 2,
         "epochs": 1, "batch_size": 4}
@@ -164,9 +169,10 @@ def _corpus():
 
 
 def _run(argv, inputs):
+    """(exit code, stdout) of `main` on argv, after the three checks."""
     before = {path: path.read_bytes() for path in inputs}
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main([str(a) for a in argv])
         except SystemExit as exc:
@@ -176,6 +182,7 @@ def _run(argv, inputs):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert {path: path.read_bytes() for path in inputs} == before
+    return code, out.getvalue()
 
 
 def _train(corpus=None, config=None, glove=None):
@@ -217,15 +224,17 @@ def test_glove_file(data):
     _train(glove=data)
 
 
+VOCAB = build_vocabulary([["add", "dark", "mode"]])
+DIMS = {k: TINY[k] for k in ("embedding_dim", "h_enc", "d_att", "h_dec",
+                             "d_tag")}
+
+
 @pytest.fixture(scope="module")
 def model(tmp_path_factory):
     """A checkpoint at the tiny dims, drawn and never trained."""
     path = tmp_path_factory.mktemp("model") / "model.npz"
-    vocab = build_vocabulary([["add", "dark", "mode"]])
-    dims = ModelDims(**{k: TINY[k] for k in (
-        "embedding_dim", "h_enc", "d_att", "h_dec", "d_tag")})
-    save_checkpoint(path, init_model(len(vocab), dims,
-                                     np.random.default_rng(0)), vocab)
+    save_checkpoint(path, init_model(len(VOCAB), ModelDims(**DIMS),
+                                     np.random.default_rng(0)), VOCAB)
     return path
 
 
@@ -260,3 +269,79 @@ def test_conllu_file(data, tag_column):
         _run(["preprocess", "--format", "conllu", "--input", path,
               "--tag-column", tag_column, "--output", Path(tmp) / "out.jsonl"],
              [path])
+
+
+# review lines: words the model knows and does not, punctuation, blanks
+_REVIEWS = _file(
+    st.lists(st.sampled_from(WORDS + ["!!!", "", "Add", "dark-mode"]),
+             max_size=5).map(" ".join),
+    st.one_of(_TEXT, st.sampled_from(["\x00", "\u2028", "\x1c", "\x85"])))
+
+
+def _lines(data):
+    """data's lines as extract reads them: a leading BOM dropped, split at
+    \\n, \\r\\n or \\r, a last line without its line end kept."""
+    data = data.removeprefix(codecs.BOM_UTF8)
+    lines = re.split(rb"\r\n|\r|\n", data)
+    return lines[:-1] if lines[-1] == b"" else lines
+
+
+@SETTINGS
+@given(_REVIEWS)
+def test_extract_input_file(model, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "reviews.txt"
+        path.write_bytes(data)
+        code, out = _run(["extract", "--model", model, "--input", path],
+                         [model, path])
+    texts = []
+    for line in _lines(data):
+        try:
+            texts.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            break
+    assert code == (0 if len(texts) == len(_lines(data)) else 1)
+    assert out == "" or out.endswith("\n")
+    replies = [json.loads(line) for line in out.splitlines()]
+    assert [r["text"] for r in replies] == texts
+    assert all(isinstance(r["requirements"], list) for r in replies)
+
+
+# values for a header field: some of the right type, most not
+_HEADER_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3),
+    st.sampled_from([CHECKPOINT_VERSION, 2 ** 40, 2.0, "2", "", [], {}]),
+    st.fixed_dictionaries({}, optional=dict.fromkeys(
+        DIMS, st.sampled_from([*DIMS.values(), 0, 3, 2 ** 40, 2.0, True]))),
+    st.lists(st.sampled_from([*VOCAB.index_to_token, "caf\u00e9", "", 3]),
+             max_size=6),
+    st.permutations(VOCAB.index_to_token),
+    # the reserved pair first: a vocabulary that loads
+    st.permutations(VOCAB.index_to_token[2:]).map(
+        lambda words: VOCAB.index_to_token[:2] + words))
+_HEADER = st.tuples(
+    # fields set, fields dropped, and the JSON text kept whole, cut at a
+    # length or replaced
+    st.dictionaries(st.sampled_from(["version", "dims", "vocab", "config",
+                                     "embedding_trainable", "extra"]),
+                    _HEADER_VALUE, max_size=2),
+    st.sets(st.sampled_from(["version", "dims", "vocab", "config",
+                             "embedding_trainable"]), max_size=1),
+    st.one_of(st.none(), st.integers(0, 120), _TEXT))
+
+
+@SETTINGS
+@given(_HEADER)
+def test_checkpoint_header(model, header):
+    edits, dropped, damage = header
+    with np.load(model) as npz:
+        entries = dict(npz)
+    doc = {k: v for k, v in {**json.loads(entries["header"].item()),
+                             **edits}.items() if k not in dropped}
+    text = damage if isinstance(damage, str) else json.dumps(doc)[:damage]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, src = Path(tmp) / "model.npz", Path(tmp) / "reviews.txt"
+        with open(path, "wb") as fh:
+            np.savez(fh, **{**entries, "header": np.array(text)})
+        src.write_text("please add a dark mode\n!!!\n", encoding="utf-8")
+        _run(["extract", "--model", path, "--input", src], [path, src])

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -143,9 +144,9 @@ class TestParseRebertCsv:
     def test_parses_rows(self, tmp_path):
         path = tmp_path / "d1.csv"
         path.write_text(REBERT_CSV, encoding="utf-8")
-        corpus, summary = parse_rebert_csv(path)
-        assert summary.kept == 3
-        assert summary.dropped_empty == 1  # the "!!!" row
+        corpus, counts = parse_rebert_csv(path)
+        assert len(corpus.sentences) == 3
+        assert counts["dropped_empty"] == 1  # the "!!!" row
         assert sorted(corpus.domains) == ["ebay", "spotify"]
         first = corpus.sentences[0]
         assert first.tags == ["O", "O", "O", "B", "I", "O", "B", "I", "I"]
@@ -183,6 +184,46 @@ class TestParseRebertCsv:
             app_id="eb\r\nay", tokens=["add", "dark", "mode"],
             tags=["O", "B", "B"])]
 
+    @pytest.mark.parametrize("rows, message", [
+        # line 3 opens a quote that no later line closes; read loosely,
+        # the two spotify rows would fold into one ebay sentence
+        pytest.param(["ebay,Please add a dark mode,dark mode",
+                      'ebay,"The search filter is slow,search filter',
+                      "spotify,I want offline playlists,offline playlists",
+                      "spotify,Add a sleep timer please,sleep timer"],
+                     "line 5: unexpected end of data", id="left-open"),
+        pytest.param(['ebay,"Add dark" mode,dark'],
+                     "line 2: ',' expected after '\"'", id="text-after"),
+    ])
+    def test_quote_not_closed_cleanly(self, tmp_path, rows, message):
+        path = tmp_path / "d1.csv"
+        path.write_text("\n".join(
+            ["App Id,Sentence Content,Feature (All Annotated)", *rows, ""]),
+            encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            parse_rebert_csv(path)
+
+    @pytest.mark.parametrize("col", ["App Id", "Sentence Content",
+                                     "Feature (All Annotated)"])
+    def test_required_column_named_twice(self, tmp_path, col):
+        path = tmp_path / "d1.csv"
+        path.write_text(
+            f"App Id,Sentence Content,Feature (All Annotated),{col}\n"
+            "ebay,Add dark mode,dark mode,x\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"column {col!r} appears more than once")):
+            parse_rebert_csv(path)
+
+    def test_other_repeated_columns_are_accepted(self, tmp_path):
+        # spreadsheet exports may end every row with blank columns
+        path = tmp_path / "d1.csv"
+        path.write_text("App Id,Sentence Content,Feature (All Annotated),,\n"
+                        "ebay,Add dark mode,dark mode,,\n", encoding="utf-8")
+        corpus, _ = parse_rebert_csv(path)
+        assert corpus.sentences == [TaggedSentence(
+            app_id="ebay", tokens=["add", "dark", "mode"],
+            tags=["O", "B", "I"])]
+
 
 def conllu_doc(lines, app="CoolApp", category="PRODUCTIVITY"):
     header = [f"# app_name = {app}", f"# google_play_category = {category}"]
@@ -203,8 +244,8 @@ class TestParseConllu:
         ])
         path = tmp_path / "d2.conllu"
         path.write_text(doc, encoding="utf-8")
-        corpus, summary = parse_conllu(path)
-        assert summary.kept == 1
+        corpus, counts = parse_conllu(path)
+        assert len(corpus.sentences) == 1
         s = corpus.sentences[0]
         assert s.tokens == ["dark", "mode", "rock"]
         assert s.tags == ["B", "I", "O"]
@@ -214,8 +255,19 @@ class TestParseConllu:
         path = tmp_path / "d2.conllu"
         path.write_text("# app_name = X\n# google_play_category = Y\n\n",
                         encoding="utf-8")
-        corpus, _ = parse_conllu(path)
+        corpus, counts = parse_conllu(path)
         assert len(corpus.sentences) == 0
+        assert counts["dropped_empty"] == 0
+
+    def test_punctuation_only_sentence_is_counted_as_dropped(self, tmp_path):
+        doc = conllu_doc([token_line(1, "dark", "dark", "B-feature")])
+        doc += conllu_doc([token_line(1, "!!!", "!!!", "O"),
+                           token_line(2, "...", "...", "O")])
+        path = tmp_path / "d2.conllu"
+        path.write_text(doc, encoding="utf-8")
+        corpus, counts = parse_conllu(path)
+        assert len(corpus.sentences) == 1
+        assert counts == {"dropped_empty": 1, "alignment_misses": 0}
 
     def test_punctuation_drop_keeps_run(self, tmp_path):
         # punctuation between B and I: the I still follows its B after

@@ -6,32 +6,27 @@ import pytest
 from reqtag import evaluation
 from reqtag.data import DataError, TaggedSentence
 from reqtag.embeddings import build_vocabulary, encode_tokens
-from reqtag.evaluation import (RequirementSpan, compute_metrics,
-                               evaluate_domain, evaluate_tag_pairs,
-                               extract_spans, load_baselines, match_spans,
-                               render_report)
+from reqtag.evaluation import (compute_metrics, evaluate_domain,
+                               evaluate_tag_pairs, extract_spans,
+                               load_baselines, match_spans, render_report)
 from reqtag.network import DECODE_CHUNK, ModelDims, init_model, predict_tags
-
-
-def spans(*pairs):
-    return [RequirementSpan(start=s, end=e) for s, e in pairs]
 
 
 class TestExtractSpans:
     def test_two_runs(self):
         got = extract_spans([0, 1, 2, 0, 1])
-        assert [(s.start, s.end) for s in got] == [(1, 2), (4, 4)]
+        assert got == [(1, 2), (4, 4)]
 
     def test_all_o(self):
         assert extract_spans([0, 0, 0]) == []
 
     def test_consecutive_non_o_unify(self):
         got = extract_spans([1, 1, 2])
-        assert [(s.start, s.end) for s in got] == [(0, 2)]
+        assert got == [(0, 2)]
 
     def test_accepts_indices(self):
         got = extract_spans([0, 1, 2, 0])
-        assert [(s.start, s.end) for s in got] == [(1, 2)]
+        assert got == [(1, 2)]
 
     def test_run_count_invariant(self):
         rng = np.random.default_rng(21)
@@ -42,20 +37,20 @@ class TestExtractSpans:
                 1 for i, t in enumerate(tags)
                 if t != 0 and (i == 0 or tags[i - 1] == 0))
             assert len(got) == transitions
-            covered = sorted(i for s in got for i in range(s.start, s.end + 1))
+            covered = sorted(i for s, e in got for i in range(s, e + 1))
             assert covered == [i for i, t in enumerate(tags) if t != 0]
 
 
 class TestMatchSpans:
     def test_identical(self):
-        g = spans((0, 1), (3, 3))
+        g = [(0, 1), (3, 3)]
         assert match_spans(g, g) == (2, 0, 0)
 
     def test_disjoint(self):
-        assert match_spans(spans((0, 0)), spans((2, 3))) == (0, 1, 1)
+        assert match_spans([(0, 0)], [(2, 3)]) == (0, 1, 1)
 
     def test_partial_overlap_both_modes(self):
-        pred, gold = spans((1, 3)), spans((2, 3))
+        pred, gold = [(1, 3)], [(2, 3)]
         assert match_spans(pred, gold) == (0, 1, 1)
         assert match_spans(pred, gold, overlap=True) == (1, 0, 0)
 
@@ -67,15 +62,15 @@ class TestMatchSpans:
                 while pos < 10 and rng.random() < 0.6:
                     start = pos + int(rng.integers(0, 3))
                     end = start + int(rng.integers(0, 3))
-                    out.append(RequirementSpan(start=start, end=end))
+                    out.append((start, end))
                     pos = end + 2
                 return out
             a, b = rand_spans(), rand_spans()
             assert match_spans(a, b)[0] == match_spans(b, a)[0]
 
     def test_overlap_matches_each_gold_once(self):
-        pred = spans((0, 1), (1, 2))
-        gold = spans((1, 1))
+        pred = [(0, 1), (1, 2)]
+        gold = [(1, 1)]
         tp, fp, fn = match_spans(pred, gold, overlap=True)
         assert (tp, fp, fn) == (1, 1, 0)
 
@@ -83,28 +78,28 @@ class TestMatchSpans:
 class TestComputeMetrics:
     def test_half_precision_full_recall(self):
         m = compute_metrics(1, 1, 0)
-        assert (m.precision, m.recall) == (0.5, 1.0)
-        assert m.f1 == pytest.approx(2 / 3)
+        assert (m["precision"], m["recall"]) == (0.5, 1.0)
+        assert m["f1"] == pytest.approx(2 / 3)
 
     def test_zero_denominators(self):
         m = compute_metrics(0, 0, 0)
-        assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
+        assert (m["precision"], m["recall"], m["f1"]) == (0.0, 0.0, 0.0)
 
     def test_golden_four_sevenths(self):
         m = compute_metrics(2, 1, 2)
-        assert m.precision == pytest.approx(2 / 3)
-        assert m.recall == pytest.approx(0.5)
-        assert m.f1 == pytest.approx(4 / 7)
+        assert m["precision"] == pytest.approx(2 / 3)
+        assert m["recall"] == pytest.approx(0.5)
+        assert m["f1"] == pytest.approx(4 / 7)
 
     def test_f1_between_p_and_r(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
             tp, fp, fn = (int(x) for x in rng.integers(0, 20, size=3))
             m = compute_metrics(tp, fp, fn)
-            assert 0.0 <= m.f1 <= 1.0
-            if m.precision > 0 and m.recall > 0:
-                assert min(m.precision, m.recall) - 1e-12 <= m.f1
-                assert m.f1 <= max(m.precision, m.recall) + 1e-12
+            assert 0.0 <= m["f1"] <= 1.0
+            if m["precision"] > 0 and m["recall"] > 0:
+                assert min(m["precision"], m["recall"]) - 1e-12 <= m["f1"]
+                assert m["f1"] <= max(m["precision"], m["recall"]) + 1e-12
 
 
 def test_evaluate_tag_pairs_micro_averages():
@@ -113,7 +108,7 @@ def test_evaluate_tag_pairs_micro_averages():
         ([1, 0, 0], [0, 0, 1]),   # fp 1, fn 1
     ]
     m = evaluate_tag_pairs(pairs)
-    assert (m.tp, m.fp, m.fn) == (1, 1, 1)
+    assert (m["tp"], m["fp"], m["fn"]) == (1, 1, 1)
 
 
 def test_evaluate_domain_batches_equal_per_sentence_predictions(monkeypatch):
