@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import (_NOT_UTF8, DataError, clean_tokens, load_corpus,
-                   parse_conllu, parse_rebert_csv, save_corpus, text_lines)
+                   parse_conllu, parse_rebert_csv, read_json, save_corpus)
 from .embeddings import encode_tokens
 from .evaluation import (evaluate_tag_pairs, extract_spans, load_baselines,
                          mean_scores, render_report)
@@ -80,7 +80,7 @@ def _load_config(path) -> "TrainConfig":
     from .training import TrainConfig
     if path is None:
         return TrainConfig()
-    doc = json.loads("".join(line for _, line in text_lines(path)))
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise DataError(f"config must be a JSON object, "
                         f"got {type(doc).__name__}")
@@ -145,8 +145,6 @@ def _manifest(config: "TrainConfig", digests: dict, folds):
 def cmd_crossval(args):
     from .training import cross_validate, fold_domains
     config = _load_config(args.config)
-    if args.runs is not None:
-        config = dataclasses.replace(config, runs_per_fold=args.runs)
     corpus = load_corpus(args.corpus)
     domains = fold_domains(corpus)
     for domain in domains:  # each names fold_<domain>.json
@@ -254,9 +252,8 @@ def cmd_evaluate(args):
         doc["baselines"] = load_baselines(args.baselines, [args.domain])
     sentences = [corpus.sentences[i] for i in domains[args.domain]]
     golds = [s.tag_indices() for s in sentences]
-    # --oracle feeds the gold tags back as predictions (sanity mode)
-    preds = golds if args.oracle else predict_batch(
-        params, [encode_tokens(s.tokens, vocab) for s in sentences])
+    preds = predict_batch(params, [encode_tokens(s.tokens, vocab)
+                                   for s in sentences])
     blocks = {"exact": evaluate_tag_pairs(zip(preds, golds))}
     if args.overlap:
         blocks["overlap"] = evaluate_tag_pairs(zip(preds, golds), overlap=True)
@@ -293,7 +290,6 @@ def build_parser():
     p = sub.add_parser("crossval", help="leave-one-domain-out cross-validation")
     p.add_argument("--corpus", required=True)
     p.add_argument("--config")
-    p.add_argument("--runs", type=int, help="override runs per fold")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_crossval)
 
@@ -308,8 +304,6 @@ def build_parser():
     p.add_argument("--domain", required=True)
     p.add_argument("--baselines")
     p.add_argument("--overlap", action="store_true")
-    p.add_argument("--oracle", action="store_true",
-                   help="feed gold tags as predictions (sanity check)")
     p.set_defaults(func=cmd_evaluate)
     return parser
 

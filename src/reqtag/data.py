@@ -90,6 +90,22 @@ def text_lines(path, newline=None):
             yield lineno, line
 
 
+def _unique_keys(pairs):
+    """json's object_pairs_hook: the object, refusing a key named twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DataError(f"key {key!r} appears more than once")
+        doc[key] = value
+    return doc
+
+
+def read_json(path):
+    """The JSON document that a text file holds (see _unique_keys)."""
+    return json.loads("".join(line for _, line in text_lines(path)),
+                      object_pairs_hook=_unique_keys)
+
+
 def clean_tokens(text: str) -> list:
     """Strip special characters, lowercase, tokenize, lemmatize."""
     stripped = _STRIP_RE.sub(" ", text.lower())
@@ -288,8 +304,8 @@ def load_corpus(path) -> Corpus:
         if not line:
             continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(line, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, DataError) as exc:
             raise DataError(f"line {lineno}: {exc}") from None
         problem = _corpus_line_problem(doc)
         if problem:

@@ -7,11 +7,10 @@ is available for comparability. Counts are pooled (micro-averaged)
 across all sentences of a domain; mean_scores averages runs and folds.
 """
 
-import json
 import math
 import numbers
 
-from .data import DataError, text_lines
+from .data import DataError, read_json
 from .embeddings import encode_tokens
 from .network import predict_batch
 
@@ -87,7 +86,7 @@ def evaluate_domain(params, vocab, sentences,
 
 def load_baselines(path, fold_labels):
     """Baseline score file: JSON map domain -> {precision?, recall?, f1}."""
-    table = json.loads("".join(line for _, line in text_lines(path)))
+    table = read_json(path)
     if not isinstance(table, dict):
         raise DataError(f"baselines must be a JSON object of domains, "
                         f"got {type(table).__name__}")

@@ -2,7 +2,7 @@
 
 Gate order in the stacked weight matrices is [input, forget, candidate,
 output]. A cell's three arrays are blocks of the model (network.BLOCKS),
-which also draws them.
+which names and draws them; the steps and lstm_forward take only w_h.
 
 A sequence batch runs packed, from a zero state, in the layout that
 ``network.Packing`` describes: step t advances only the sizes[t] rows
@@ -14,37 +14,24 @@ function: it keeps each step's cache, which lstm_backward reads, only when
 a backward pass follows, so inference holds one step's cache at a time.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import ShapeError, sigmoid
 
 
-@dataclass
-class LstmCellParams:
-    w_in: np.ndarray   # (4*hidden, input_dim)
-    w_h: np.ndarray    # (4*hidden, hidden)
-    b: np.ndarray      # (4*hidden,)
-
-    @property
-    def hidden(self) -> int:
-        return self.w_h.shape[1]
-
-
-def lstm_step(params: LstmCellParams, a_in, h_prev, c_prev):
+def lstm_step(w_h, a_in, h_prev, c_prev):
     """One step on B rows; a_in is the step's (B, 4H) input projection.
 
     Returns (h, c, cache).
     """
-    hid = params.hidden
+    hid = w_h.shape[1]
     if h_prev.ndim != 2 or h_prev.shape[1] != hid or c_prev.shape != h_prev.shape:
         raise ShapeError(f"state shapes {h_prev.shape}/{c_prev.shape}, "
                          f"expected (B, {hid})")
     if a_in.shape != (h_prev.shape[0], 4 * hid):
         raise ShapeError(f"input projection shape {a_in.shape}, "
                          f"expected ({h_prev.shape[0]}, {4 * hid})")
-    a = a_in + h_prev @ params.w_h.T
+    a = a_in + h_prev @ w_h.T
     i_f = sigmoid(a[:, :2 * hid])  # the adjacent input and forget gates
     i = i_f[:, :hid]
     f = i_f[:, hid:]
@@ -54,7 +41,7 @@ def lstm_step(params: LstmCellParams, a_in, h_prev, c_prev):
     return o * np.tanh(c), c, (c_prev, i, f, g, o, c)
 
 
-def lstm_step_backward(params: LstmCellParams, cache, dh, dc):
+def lstm_step_backward(w_h, cache, dh, dc):
     """Backprop one step of B rows; returns (da, dh_prev, dc_prev).
 
     da is the (B, 4H) gradient of the step's gate pre-activations; the
@@ -69,36 +56,39 @@ def lstm_step_backward(params: LstmCellParams, cache, dh, dc):
         dc_total * i * (1.0 - g * g),
         dh * tc * o * (1.0 - o),
     ], axis=1)
-    return da, da @ params.w_h, dc_total * f
+    return da, da @ w_h, dc_total * f
 
 
-def lstm_forward(params: LstmCellParams, pre, packing, caches=None):
+def lstm_forward(w_h, pre, packing, caches=None):
     """Run from a zero state over the (N, 4H) input projections of a
     packed batch (a network.Packing); returns hs (N, H). Each step's
     cache is appended to caches if a list is given, else dropped."""
     sizes, starts = packing.sizes, packing.starts
     if starts[-1] != len(pre):
         raise ShapeError(f"{len(pre)} input rows for {starts[-1]} positions")
-    hs = np.empty((len(pre), params.hidden))
-    h = np.zeros((sizes[0], params.hidden))
-    c = np.zeros((sizes[0], params.hidden))
+    hid = w_h.shape[1]
+    hs = np.empty((len(pre), hid))
+    h = np.zeros((sizes[0], hid))
+    c = np.zeros((sizes[0], hid))
     for n, lo, hi in zip(sizes, starts, starts[1:]):
-        h, c, cache = lstm_step(params, pre[lo:hi], h[:n], c[:n])
+        h, c, cache = lstm_step(w_h, pre[lo:hi], h[:n], c[:n])
         hs[lo:hi] = h
         if caches is not None:
             caches.append(cache)
     return hs
 
 
-def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, packing,
-                  grads: LstmCellParams):
-    """BPTT over a packed sequence batch (a network.Packing) that ran on
-    inputs x (N, input_dim).
+def lstm_backward(blocks, grads, cell, x, hs, caches, d_hs, packing):
+    """BPTT of the cell in blocks, named as network.BLOCKS names one, over
+    a packed sequence batch (a network.Packing) that ran on inputs x
+    (N, input_dim).
 
     d_hs is the (N, H) gradient reaching each step's output. Adds the
-    weight gradients into grads and returns dx (N, input_dim).
+    weight gradients into the cell's entries of grads and returns dx
+    (N, input_dim).
     """
-    hid = params.hidden
+    w_h = blocks[f"{cell}.w_h"]
+    hid = w_h.shape[1]
     sizes, starts = packing.sizes, packing.starts
     d_a = np.empty((len(hs), 4 * hid))
     # a row that ends at step t gets no gradient from later steps
@@ -107,9 +97,9 @@ def lstm_backward(params: LstmCellParams, x, hs, caches, d_hs, packing,
     for t in range(len(sizes) - 1, -1, -1):
         n, step = sizes[t], slice(starts[t], starts[t + 1])
         d_a[step], dh[:n], dc[:n] = lstm_step_backward(
-            params, caches[t], dh[:n] + d_hs[step], dc[:n])
+            w_h, caches[t], dh[:n] + d_hs[step], dc[:n])
     # step 0 starts from h = 0, so only later steps feed w_h
-    grads.w_in += d_a.T @ x
-    grads.w_h += d_a[sizes[0]:].T @ hs[packing.prev]
-    grads.b += d_a.sum(axis=0)
-    return d_a @ params.w_in
+    grads[f"{cell}.w_in"] += d_a.T @ x
+    grads[f"{cell}.w_h"] += d_a[sizes[0]:].T @ hs[packing.prev]
+    grads[f"{cell}.b"] += d_a.sum(axis=0)
+    return d_a @ blocks[f"{cell}.w_in"]

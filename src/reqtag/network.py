@@ -45,7 +45,7 @@ import numpy as np
 from . import crf
 from .embeddings import (PAD_INDEX, PAD_TOKEN, UNK_TOKEN, Vocabulary,
                          random_embeddings)
-from .lstm import LstmCellParams, lstm_backward, lstm_forward, lstm_step
+from .lstm import lstm_backward, lstm_forward, lstm_step
 from .tensor import softmax_rows
 
 CHECKPOINT_VERSION = 2
@@ -134,12 +134,6 @@ def zero_grad_blocks(params: ModelParams) -> dict:
             for name, arr in param_blocks(params).items()}
 
 
-def _cell(blocks: dict, name: str) -> LstmCellParams:
-    """The LSTM cell in blocks name.w_in, .w_h and .b (weights or grads)."""
-    return LstmCellParams(*(blocks[f"{name}.{f.name}"]
-                            for f in fields(LstmCellParams)))
-
-
 # ---------------------------------------------------------------- packing
 
 @dataclass(frozen=True)
@@ -192,15 +186,14 @@ def _encode(params: ModelParams, tokens, packing: Packing, keep):
     Each distinct token is projected once per direction and gathered to
     its positions. The backward direction reads each row mirrored,
     through packing.rev, an index that is its own inverse."""
+    p = params.blocks
     uniq, inv = np.unique(tokens, return_inverse=True)
-    xu = params.blocks["embedding"][uniq]
+    xu = p["embedding"][uniq]
     fwd, bwd = ([], []) if keep else (None, None)
-    cell = _cell(params.blocks, "enc_fwd")
-    pre = xu @ cell.w_in.T + cell.b
-    hs_fwd = lstm_forward(cell, pre[inv], packing, fwd)
-    cell = _cell(params.blocks, "enc_bwd")
-    pre = xu @ cell.w_in.T + cell.b
-    hs_bwd = lstm_forward(cell, pre[inv[packing.rev]], packing, bwd)
+    pre = xu @ p["enc_fwd.w_in"].T + p["enc_fwd.b"]
+    hs_fwd = lstm_forward(p["enc_fwd.w_h"], pre[inv], packing, fwd)
+    pre = xu @ p["enc_bwd.w_in"].T + p["enc_bwd.b"]
+    hs_bwd = lstm_forward(p["enc_bwd.w_h"], pre[inv[packing.rev]], packing, bwd)
     enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
     return enc, (tokens, packing, xu, inv, (hs_fwd, fwd), (hs_bwd, bwd))
 
@@ -211,11 +204,10 @@ def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
     x = xu[inv]
     x_rev = x[packing.rev]
     h_enc = params.dims.h_enc
-    d_x = lstm_backward(_cell(params.blocks, "enc_fwd"), x, *fwd,
-                        d_enc[:, :h_enc], packing, _cell(grads, "enc_fwd"))
-    d_x_rev = lstm_backward(_cell(params.blocks, "enc_bwd"), x_rev, *bwd,
-                            d_enc[packing.rev, h_enc:], packing,
-                            _cell(grads, "enc_bwd"))
+    d_x = lstm_backward(params.blocks, grads, "enc_fwd", x, *fwd,
+                        d_enc[:, :h_enc], packing)
+    d_x_rev = lstm_backward(params.blocks, grads, "enc_bwd", x_rev, *bwd,
+                            d_enc[packing.rev, h_enc:], packing)
     if params.embedding_trainable:
         real = tokens != PAD_INDEX
         np.add.at(grads["embedding"], tokens[real],
@@ -304,7 +296,7 @@ def _decode_training(params: ModelParams, attended, gold, packing: Packing):
                            gold[packing.prev]])
     from_att, from_tag = _decoder_inputs(params, attended)
     caches = []
-    hs = lstm_forward(_cell(params.blocks, "dec"), from_att + from_tag[prev],
+    hs = lstm_forward(params.blocks["dec.w_h"], from_att + from_tag[prev],
                       packing, caches)
     x = np.concatenate([attended, params.blocks["tag_embedding"][prev]], axis=1)
     return _emissions(params, hs), (x, hs, caches, prev, packing)
@@ -318,7 +310,6 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
     """
     sizes, starts = packing.sizes, packing.starts
     p = params.blocks
-    dec = _cell(p, "dec")
     from_att, from_tag = _decoder_inputs(params, attended)
     h = np.zeros((sizes[0], params.dims.h_dec))
     c = np.zeros((sizes[0], params.dims.h_dec))
@@ -327,8 +318,8 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
     prev = np.full(sizes[0], crf.START)
     for n, lo, hi in zip(sizes, starts, starts[1:]):
         prev = prev[:n]
-        h, c, _ = lstm_step(dec, from_att[lo:hi] + from_tag[prev], h[:n],
-                            c[:n])
+        h, c, _ = lstm_step(p["dec.w_h"], from_att[lo:hi] + from_tag[prev],
+                            h[:n], c[:n])
         hs[lo:hi] = h
         prev = np.argmax(h @ p["emission_w"].T + feed_bias[prev], axis=1)
     return _emissions(params, hs)
@@ -339,9 +330,8 @@ def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
     d_att = params.dims.d_att
     grads["emission_w"] += d_emissions.T @ hs
     grads["emission_b"] += d_emissions.sum(axis=0)
-    d_x = lstm_backward(_cell(params.blocks, "dec"), x, hs, caches,
-                        d_emissions @ params.blocks["emission_w"], packing,
-                        _cell(grads, "dec"))
+    d_x = lstm_backward(params.blocks, grads, "dec", x, hs, caches,
+                        d_emissions @ params.blocks["emission_w"], packing)
     np.add.at(grads["tag_embedding"], prev, d_x[:, d_att:])
     return d_x[:, :d_att]
 

@@ -75,19 +75,6 @@ class TrainConfig:
                          d_att=self.d_att, h_dec=self.h_dec, d_tag=self.d_tag)
 
 
-@dataclass
-class AdamState:
-    m: dict
-    v: dict
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "AdamState":
-        blocks = param_blocks(params)
-        return cls(m={k: np.zeros_like(a) for k, a in blocks.items()},
-                   v={k: np.zeros_like(a) for k, a in blocks.items()})
-
-
 def pad_batch(sentences, vocab: Vocabulary):
     """Right-pad index/tag matrices to the longest sentence; tags pad
     with O and are inert."""
@@ -113,18 +100,18 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     return norm
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
-    """One Adam update, in place on the moments and the parameters. An
-    entry whose gradient is exactly 0.0 at every step never moves, so the
-    clamped CRF transitions and the pad row, which get 0.0, stay fixed."""
-    state.t += 1
+def adam_step(params: ModelParams, grads: dict, moments: dict, t: int, lr: float):
+    """Adam update number t (from 1), in place on the moments, a block
+    name -> (m, v) dict, and on the parameters. An entry whose gradient
+    is exactly 0.0 at every step never moves, so the clamped CRF
+    transitions and the pad row, which get 0.0, stay fixed."""
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
     for name, theta in param_blocks(params).items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in block {name!r}")
-        m, v = state.m[name], state.v[name]
+        m, v = moments[name]
         # the textbook expressions, evaluated in the same order
         step = np.multiply(1 - b1, g)
         m *= b1
@@ -174,8 +161,9 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
             table[idx] = vector
     params = network.init_model(len(vocab), config.dims(), rng, embedding=table,
                                 trainable=not config.freeze_embeddings)
-    state = AdamState.for_params(params)
-
+    moments = {name: (np.zeros_like(a), np.zeros_like(a))
+               for name, a in param_blocks(params).items()}
+    steps = 0
     loss_curve = []
     order = np.arange(len(sentences))
     for _epoch in range(config.epochs):
@@ -190,7 +178,8 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
             for k in grads:
                 grads[k] *= inv
             clip_gradients(grads, config.grad_clip_norm)
-            adam_step(params, grads, state, config.learning_rate)
+            steps += 1
+            adam_step(params, grads, moments, steps, config.learning_rate)
             epoch_loss += batch_loss
         loss_curve.append(epoch_loss / len(sentences))
     return params, vocab, loss_curve

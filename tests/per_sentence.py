@@ -9,11 +9,12 @@ names and the CRF loss with the package; it decodes with the frozen
 one-sentence Viterbi of ``crf_oracles``.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from reqtag import crf
 from reqtag.embeddings import PAD_INDEX
-from reqtag.lstm import LstmCellParams
 from reqtag.network import ModelParams, _pack, param_blocks
 from reqtag.tensor import sigmoid, softmax_rows
 from crf_oracles import sentence_viterbi
@@ -26,9 +27,13 @@ def zero_grad_blocks(params: ModelParams) -> dict:
 
 # ------------------------------------------------------------------- cell
 
-def lstm_step(params: LstmCellParams, x, h_prev, c_prev):
+# one cell's three blocks: parameters or their gradients
+Cell = namedtuple("Cell", "w_in w_h b")
+
+
+def lstm_step(params: Cell, x, h_prev, c_prev):
     """One LSTM step on vectors; returns (h, c, cache)."""
-    h = params.hidden
+    h = params.w_h.shape[1]
     a = params.w_in @ x + params.w_h @ h_prev + params.b
     i = sigmoid(a[:h])
     f = sigmoid(a[h:2 * h])
@@ -38,8 +43,7 @@ def lstm_step(params: LstmCellParams, x, h_prev, c_prev):
     return o * np.tanh(c), c, (x, h_prev, c_prev, i, f, g, o, c)
 
 
-def lstm_step_backward(params: LstmCellParams, cache, dh, dc,
-                       grads: LstmCellParams):
+def lstm_step_backward(params: Cell, cache, dh, dc, grads: Cell):
     """Backprop one step; accumulates into grads, returns (dx, dh_prev, dc_prev)."""
     x, h_prev, c_prev, i, f, g, o, c = cache
     tc = np.tanh(c)
@@ -51,16 +55,16 @@ def lstm_step_backward(params: LstmCellParams, cache, dh, dc,
         dc_total * i * (1.0 - g * g),
         do * o * (1.0 - o),
     ])
-    grads.w_in += np.outer(da, x)
-    grads.w_h += np.outer(da, h_prev)
-    grads.b += da
+    grads.w_in[...] += np.outer(da, x)
+    grads.w_h[...] += np.outer(da, h_prev)
+    grads.b[...] += da
     return params.w_in.T @ da, params.w_h.T @ da, dc_total * f
 
 
 def _cell(blocks, prefix):
     """The cell of blocks prefix.w_in, .w_h and .b: parameters or grads."""
-    return LstmCellParams(w_in=blocks[f"{prefix}.w_in"], w_h=blocks[f"{prefix}.w_h"],
-                          b=blocks[f"{prefix}.b"])
+    return Cell(w_in=blocks[f"{prefix}.w_in"], w_h=blocks[f"{prefix}.w_h"],
+                b=blocks[f"{prefix}.b"])
 
 
 # ---------------------------------------------------------------- encoder

@@ -13,19 +13,20 @@ import numpy as np
 
 from reqtag.embeddings import PAD_INDEX
 from reqtag.lstm import lstm_backward, lstm_forward
-from reqtag.network import _cell
 from reqtag.tensor import softmax_rows
 
 
 def encode(params, tokens, packing, keep):
     """BiLSTM over a batch's (N,) packed token indices, one projection
     row per position; returns (enc (N, 2H), cache)."""
-    x = params.blocks["embedding"][tokens]
+    p = params.blocks
+    x = p["embedding"][tokens]
     x_rev = x[packing.rev]
     fwd, bwd = ([], []) if keep else (None, None)
-    enc_fwd, enc_bwd = _cell(params.blocks, "enc_fwd"), _cell(params.blocks, "enc_bwd")
-    hs_fwd = lstm_forward(enc_fwd, x @ enc_fwd.w_in.T + enc_fwd.b, packing, fwd)
-    hs_bwd = lstm_forward(enc_bwd, x_rev @ enc_bwd.w_in.T + enc_bwd.b,
+    hs_fwd = lstm_forward(p["enc_fwd.w_h"],
+                          x @ p["enc_fwd.w_in"].T + p["enc_fwd.b"], packing, fwd)
+    hs_bwd = lstm_forward(p["enc_bwd.w_h"],
+                          x_rev @ p["enc_bwd.w_in"].T + p["enc_bwd.b"],
                           packing, bwd)
     enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
     return enc, (tokens, packing, x, x_rev, (hs_fwd, fwd), (hs_bwd, bwd))
@@ -34,11 +35,10 @@ def encode(params, tokens, packing, keep):
 def encode_backward(params, enc_cache, d_enc, grads):
     tokens, packing, x, x_rev, fwd, bwd = enc_cache
     h_enc = params.dims.h_enc
-    d_x = lstm_backward(_cell(params.blocks, "enc_fwd"), x, *fwd,
-                        d_enc[:, :h_enc], packing, _cell(grads, "enc_fwd"))
-    d_x_rev = lstm_backward(_cell(params.blocks, "enc_bwd"), x_rev, *bwd,
-                            d_enc[packing.rev, h_enc:], packing,
-                            _cell(grads, "enc_bwd"))
+    d_x = lstm_backward(params.blocks, grads, "enc_fwd", x, *fwd,
+                        d_enc[:, :h_enc], packing)
+    d_x_rev = lstm_backward(params.blocks, grads, "enc_bwd", x_rev, *bwd,
+                            d_enc[packing.rev, h_enc:], packing)
     if params.embedding_trainable:
         real = tokens != PAD_INDEX
         np.add.at(grads["embedding"], tokens[real],

@@ -360,10 +360,14 @@ class TestCrossval:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["input_digests"] == {"corpus": read}
 
-    def test_runs_override(self, corpus_path, config_path, tmp_path):
+    def test_runs_override(self, corpus_path, tmp_path):
+        # the config's runs_per_fold overrides the default of 15
+        config = tmp_path / "runs.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "runs_per_fold": 1}),
+                          encoding="utf-8")
         out = tmp_path / "r"
         assert run(["crossval", "--corpus", corpus_path,
-                    "--config", config_path, "--runs", 1, "--out", out]) == 0
+                    "--config", config, "--out", out]) == 0
         fold = json.loads((out / "fold_dom0.json").read_text())
         assert len(fold["runs"]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
@@ -828,13 +832,6 @@ def _read_line(fd, deadline):
 
 
 class TestEvaluate:
-    def test_oracle_mode_perfect(self, trained_model, capsys):
-        model, cpath, target = trained_model
-        assert run(["evaluate", "--model", model, "--corpus", cpath,
-                    "--domain", target.domain, "--oracle"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["metrics"]["exact"]["f1"] == 1.0
-
     def test_overlap_flag_adds_block(self, trained_model, capsys):
         model, cpath, target = trained_model
         assert run(["evaluate", "--model", model, "--corpus", cpath,
@@ -1090,6 +1087,42 @@ def test_byte_that_is_not_utf8_is_one_error_line(corpus_path, config_path,
     }[kind]
     assert run(argv) == 1
     assert capsys.readouterr() == ("", "error: line 3: not UTF-8\n")
+
+
+# each JSON input with a key named twice, which json.loads alone would
+# read as its last value, and the one line the command reading it prints
+_KEY_TWICE_FILES = {
+    "corpus": ('{"app": "a", "tokens": ["x"], "tags": ["O"]}\n'
+               '{"app": "x", "app": "y", "tokens": ["x"], "tags": ["O"]}\n',
+               "error: line 2: key 'app' appears more than once\n"),
+    "config": ('{"epochs": 1, ' + json.dumps(TINY_CONFIG)[1:],
+               "error: key 'epochs' appears more than once\n"),
+    "baselines": ('{"dom0": {"f1": 0.5, "f1": 0.6}}\n',
+                  "error: key 'f1' appears more than once\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KEY_TWICE_FILES))
+def test_key_named_twice_is_one_error_line(corpus_path, config_path, tmp_path,
+                                           capsys, kind):
+    text, message = _KEY_TWICE_FILES[kind]
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text, encoding="utf-8")
+    model = tmp_path / "model.npz"
+    if kind == "baselines":
+        vocab = build_vocabulary([["add"]])
+        save_checkpoint(model, init_model(len(vocab), ModelDims(4, 2, 2, 2, 2),
+                                          np.random.default_rng(0)), vocab)
+    argv = {
+        "corpus": ["train", "--corpus", bad, "--config", config_path,
+                   "--output", model],
+        "config": ["train", "--corpus", corpus_path, "--config", bad,
+                   "--output", model],
+        "baselines": ["evaluate", "--model", model, "--corpus", corpus_path,
+                      "--domain", "dom0", "--baselines", bad],
+    }[kind]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", message)
 
 
 class TestMalformedCheckpoint:

@@ -64,6 +64,12 @@ def _file(good, bad, head=st.just("")):
                      st.sampled_from([b"", b"\n", b"\r\n"]))
 
 
+def _key_twice(doc):
+    """A JSON object's text with its first key named once more, first."""
+    first = doc[1:doc.index(":")]
+    return "{" + first + ": 0, " + doc[1:]
+
+
 def _sentence():
     """A valid corpus line: clean tokens, BIO tags."""
     spans = st.lists(st.sampled_from([["O"], ["B"], ["B", "I"]]),
@@ -94,7 +100,8 @@ def _record():
         st.dictionaries(_TEXT, value, max_size=1))
 
 
-_CORPUS = _file(_sentence(), st.one_of(_record(), _TEXT))
+_CORPUS = _file(_sentence(), st.one_of(_record(), _TEXT,
+                                       _sentence().map(_key_twice)))
 _CONLLU = _file(
     st.one_of(st.builds(lambda key, value: f"# {key} = {value}",
                         st.sampled_from(["app_name", "google_play_category"]),
@@ -139,18 +146,24 @@ _CONFIG = st.one_of(
         lambda doc: json.dumps({**TINY, **doc}).encode()),
     st.lists(st.integers(0, 3), max_size=2).map(
         lambda doc: json.dumps(doc).encode()),
+    st.fixed_dictionaries({}, optional=_SETTING).map(
+        lambda doc: _key_twice(json.dumps({**TINY, **doc})).encode()),
     st.binary(max_size=24))
 _SCORE = st.one_of(st.none(), st.booleans(), st.integers(-1, 2), st.floats(),
                    st.sampled_from(["0.5", [], {}]))
+_TABLE = st.dictionaries(
+    st.sampled_from(["app0", "app1", "bogus", "", "café"]),
+    st.one_of(st.fixed_dictionaries({}, optional=dict.fromkeys(
+        ["precision", "recall", "f1"], _SCORE)), _SCORE),
+    max_size=3)
 _BASELINES = st.builds(
     lambda bom, doc, end: bom + doc + end,
     st.sampled_from([b"", b"\xef\xbb\xbf"]),
-    st.one_of(st.dictionaries(
-        st.sampled_from(["app0", "app1", "bogus", "", "café"]),
-        st.one_of(st.fixed_dictionaries({}, optional=dict.fromkeys(
-            ["precision", "recall", "f1"], _SCORE)), _SCORE),
-        max_size=3), st.lists(st.integers(0, 3), max_size=2)).map(
-        lambda doc: json.dumps(doc, indent=1).encode()),
+    st.one_of(
+        st.one_of(_TABLE, st.lists(st.integers(0, 3), max_size=2)).map(
+            lambda doc: json.dumps(doc, indent=1).encode()),
+        _TABLE.filter(bool).map(
+            lambda doc: _key_twice(json.dumps(doc, indent=1)).encode())),
     st.one_of(st.sampled_from([b"", b"\n", b"\r\n"]), st.binary(max_size=8)))
 _GLOVE = _file(
     st.builds(lambda word, values: " ".join([word, *map(repr, values)]),

@@ -418,6 +418,8 @@ GOOD_LINE = '{"app": "a", "tokens": ["x"], "tags": ["O"]}'
     ('{"app": "a", "tokens": ["x"], "tags": [0]}',
      "'tags' must be a list of strings"),
     ('{"app": "a",', "line 2: "),
+    ('{"app": "x", "app": "y", "tokens": ["x"], "tags": ["O"]}',
+     "line 2: key 'app' appears more than once"),
 ])
 def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
     path = tmp_path / "corpus.jsonl"

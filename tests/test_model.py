@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from reqtag import crf
 from reqtag.embeddings import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from reqtag.lstm import lstm_step
-from reqtag.network import (_FEED_MASK, ModelDims, _attend, _cell,
+from reqtag.network import (_FEED_MASK, ModelDims, _attend,
                             _decode_inference, _decode_training, _encode,
                             _pack, init_model, load_checkpoint, param_blocks,
                             predict_tags, save_checkpoint)
@@ -86,10 +86,11 @@ class TestEncoder:
         enc = _enc(tiny_model, [[5]])[0]
         x = tiny_model.blocks["embedding"][5][None, :]
         z = np.zeros((1, TINY.h_enc))
-        fwd = _cell(tiny_model.blocks, "enc_fwd")
-        bwd = _cell(tiny_model.blocks, "enc_bwd")
-        hf, _, _ = lstm_step(fwd, x @ fwd.w_in.T + fwd.b, z, z)
-        hb, _, _ = lstm_step(bwd, x @ bwd.w_in.T + bwd.b, z, z)
+        p = tiny_model.blocks
+        hf, _, _ = lstm_step(p["enc_fwd.w_h"],
+                             x @ p["enc_fwd.w_in"].T + p["enc_fwd.b"], z, z)
+        hb, _, _ = lstm_step(p["enc_bwd.w_h"],
+                             x @ p["enc_bwd.w_in"].T + p["enc_bwd.b"], z, z)
         np.testing.assert_array_equal(enc[0], np.concatenate([hf[0], hb[0]]))
 
     def test_padded_batch_packs_real_positions_only(self, tiny_model):

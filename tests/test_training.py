@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reqtag import crf
+from reqtag import crf, training
 from reqtag.data import Corpus, DataError, TaggedSentence
 from reqtag.embeddings import PAD_INDEX, build_vocabulary, encode_tokens
 from reqtag.evaluation import mean_scores
 from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
                             param_blocks, predict_tags, zero_grad_blocks)
 from reqtag.tensor import NumericError
-from reqtag.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
-                             TrainConfig, adam_step, clip_gradients,
-                             cross_validate, pad_batch, train)
+from reqtag.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig,
+                             adam_step, clip_gradients, cross_validate,
+                             pad_batch, train)
 from conftest import make_synthetic_corpus
 from crf_oracles import as_bio
 
@@ -125,24 +125,29 @@ class TestAdam:
                                        h_dec=3, d_tag=2),
                           np.random.default_rng(1))
 
+    @staticmethod
+    def _moments(params):
+        return {name: (np.zeros_like(a), np.zeros_like(a))
+                for name, a in param_blocks(params).items()}
+
     def test_zero_gradient_is_identity(self):
         params = self._model()
         before = {k: v.copy() for k, v in param_blocks(params).items()}
-        state = AdamState.for_params(params)
-        adam_step(params, zero_grad_blocks(params), state, lr=0.1)
+        moments = self._moments(params)
+        adam_step(params, zero_grad_blocks(params), moments, 1, lr=0.1)
         for name, arr in param_blocks(params).items():
             np.testing.assert_array_equal(arr, before[name], err_msg=name)
-        assert state.t == 1
+            for moment in moments[name]:
+                np.testing.assert_array_equal(moment, 0.0, err_msg=name)
 
     def test_first_step_magnitude(self):
         # at t=1 with g=1: m_hat=1, v_hat=1, so the step is lr/(1+eps)
         params = self._model()
-        state = AdamState.for_params(params)
         grads = zero_grad_blocks(params)
         grads["emission_b"][:] = 1.0
         before = params.blocks["emission_b"].copy()
         lr = 0.001
-        adam_step(params, grads, state, lr=lr)
+        adam_step(params, grads, self._moments(params), 1, lr=lr)
         expected = before - lr * 1.0 / (1.0 + ADAM_EPS)
         np.testing.assert_allclose(params.blocks["emission_b"], expected,
                                    atol=1e-12)
@@ -177,16 +182,17 @@ class TestAdam:
         np.testing.assert_array_equal(params.blocks["embedding"][PAD_INDEX], 0.0)
 
     @staticmethod
-    def _reference_step(params, grads, state, lr):
+    def _reference_step(params, grads, moments, t, lr):
         """Adam as it was written before the in-place update."""
-        state.t += 1
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         for name, theta in param_blocks(params).items():
             g = grads[name]
-            state.m[name] = b1 * state.m[name] + (1 - b1) * g
-            state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-            m_hat = state.m[name] / (1 - b1 ** state.t)
-            v_hat = state.v[name] / (1 - b2 ** state.t)
+            m, v = moments[name]
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            moments[name] = m, v
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
             theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     @pytest.mark.parametrize("trainable", [True, False])
@@ -195,36 +201,49 @@ class TestAdam:
         params.embedding_trainable = trainable
         ref = self._model()
         ref.embedding_trainable = trainable
-        state = AdamState.for_params(params)
-        ref_state = AdamState.for_params(ref)
+        moments = self._moments(params)
+        ref_moments = self._moments(ref)
         rng = np.random.default_rng(9)
-        for _ in range(6):
+        for t in range(1, 7):
             # every entry moves, forbidden transitions and the pad row
             # too: adam_step, like this reference, clamps nothing
             grads = {k: rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]),
                                    size=a.shape)
                      for k, a in param_blocks(params).items()}
-            adam_step(params, grads, state, lr=0.01)
-            self._reference_step(ref, grads, ref_state, lr=0.01)
-            assert state.t == ref_state.t
+            adam_step(params, grads, moments, t, lr=0.01)
+            self._reference_step(ref, grads, ref_moments, t, lr=0.01)
             for name, arr in param_blocks(ref).items():
                 np.testing.assert_array_equal(param_blocks(params)[name], arr,
                                               err_msg=name)
-                np.testing.assert_array_equal(state.m[name],
-                                              ref_state.m[name], err_msg=name)
-                np.testing.assert_array_equal(state.v[name],
-                                              ref_state.v[name], err_msg=name)
+                for got, want in zip(moments[name], ref_moments[name]):
+                    np.testing.assert_array_equal(got, want, err_msg=name)
         np.testing.assert_array_equal(params.blocks["embedding"],
                                       ref.blocks["embedding"])
-        assert ("embedding" in state.m) == trainable
+        assert ("embedding" in moments) == trainable
+
+    def test_step_number_counts_batches_over_epochs(self, synthetic_corpus,
+                                                   monkeypatch):
+        # bias correction needs t = 1, 2, ..., k over every batch of every
+        # epoch: a count restarted each epoch would redo the large early
+        # corrections, and one from 0 would divide by 1 - b1 ** 0 = 0
+        steps = []
+
+        def spy(params, grads, moments, t, lr):
+            steps.append(t)
+            return adam_step(params, grads, moments, t, lr)
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        train(tiny_config(epochs=2, batch_size=8), synthetic_corpus,
+              ["dom0", "dom1"])
+        n = sum(s.domain in ("dom0", "dom1") for s in synthetic_corpus.sentences)
+        assert steps == list(range(1, 2 * -(-n // 8) + 1))
 
     def test_non_finite_gradient_names_block(self):
         params = self._model()
-        state = AdamState.for_params(params)
         grads = zero_grad_blocks(params)
         grads["attn_q"][0, 0] = np.nan
         with pytest.raises(NumericError, match="attn_q"):
-            adam_step(params, grads, state, lr=0.1)
+            adam_step(params, grads, self._moments(params), 1, lr=0.1)
 
 
 def test_clip_gradients_scales_to_max_norm():
