@@ -21,7 +21,7 @@ from . import __version__
 from .data import (_NOT_UTF8, DataError, clean_tokens, load_corpus,
                    parse_conllu, parse_rebert_csv, read_json, save_corpus)
 from .embeddings import encode_tokens
-from .evaluation import (evaluate_tag_pairs, extract_spans, load_baselines,
+from .evaluation import (evaluate_domain, extract_spans, load_baselines,
                          mean_scores, render_report)
 from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
                       predict_tags, save_checkpoint)
@@ -250,14 +250,10 @@ def cmd_evaluate(args):
     doc = {"domain": args.domain}
     if args.baselines:  # read before the decode, the slow part
         doc["baselines"] = load_baselines(args.baselines, [args.domain])
-    sentences = [corpus.sentences[i] for i in domains[args.domain]]
-    golds = [s.tag_indices() for s in sentences]
-    preds = predict_batch(params, [encode_tokens(s.tokens, vocab)
-                                   for s in sentences])
-    blocks = {"exact": evaluate_tag_pairs(zip(preds, golds))}
-    if args.overlap:
-        blocks["overlap"] = evaluate_tag_pairs(zip(preds, golds), overlap=True)
-    doc["metrics"] = blocks
+    doc["metrics"] = evaluate_domain(
+        params, vocab, [corpus.sentences[i] for i in domains[args.domain]])
+    if not args.overlap:
+        del doc["metrics"]["overlap"]
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

@@ -75,13 +75,14 @@ def evaluate_tag_pairs(pairs, overlap: bool = False) -> dict:
     return compute_metrics(tp, fp, fn)
 
 
-def evaluate_domain(params, vocab, sentences,
-                    overlap: bool = False) -> dict:
-    """Decode a held-out domain's sentences and score them."""
+def evaluate_domain(params, vocab, sentences) -> dict:
+    """Decode a domain's sentences once and score them both ways:
+    {"exact": metrics, "overlap": metrics}."""
     rows = [encode_tokens(s.tokens, vocab) for s in sentences]
-    return evaluate_tag_pairs(
-        zip(predict_batch(params, rows), [s.tag_indices() for s in sentences]),
-        overlap=overlap)
+    pairs = list(zip(predict_batch(params, rows),
+                     [s.tag_indices() for s in sentences]))
+    return {"exact": evaluate_tag_pairs(pairs),
+            "overlap": evaluate_tag_pairs(pairs, overlap=True)}
 
 
 def load_baselines(path, fold_labels):

@@ -14,11 +14,11 @@ gathers the projections to its positions; its backward direction reads
 each row mirrored through a gather index. Attention confines each row to
 its own positions, and the rows of one length, adjacent in rank order,
 attend as one stacked product. Training calls batch_loss_and_grads once
-per right-padded batch, packed through Packing.src, which skips the
-pads. predict_batch ranks any number of rows by length and runs the same
-layers, keeping no backward caches, and one packed Viterbi per
-DECODE_CHUNK ranked rows; paths come back in input order, and
-predict_tags is its B = 1 case.
+per batch, with the token and tag indices of its rows laid end to end,
+the layout that Packing.src indexes; nothing is padded. predict_batch
+ranks any number of rows by length and runs the same layers, keeping no
+backward caches, and one packed Viterbi per DECODE_CHUNK ranked rows;
+paths come back in input order, and predict_tags is its B = 1 case.
 
 A call of two or more chunks decodes them on up to one thread per CPU,
 started by that call and joined before it returns or raises, so memory
@@ -338,17 +338,14 @@ def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
 
 # ------------------------------------------------------------ entry points
 
-def batch_loss_and_grads(params: ModelParams, indices, tags, lengths):
-    """Summed CRF NLL of a right-padded (B, T) batch, and its gradient for
-    every trainable block as one name -> array dict."""
-    indices = np.asarray(indices)
-    lengths = np.asarray(lengths)
+def batch_loss_and_grads(params: ModelParams, tokens, tags, lengths):
+    """Summed CRF NLL of a batch of rows, given as their (N,) token and
+    tag index arrays laid end to end and the row lengths, and its
+    gradient for every trainable block as one name -> array dict."""
     packing = _pack(lengths)
-    real = np.arange(indices.shape[1]) < lengths[:, None]
-    gold = np.asarray(tags)[real][packing.src]
+    gold = tags[packing.src]
     grads = zero_grad_blocks(params)
-    enc, enc_cache = _encode(params, indices[real][packing.src], packing,
-                             keep=True)
+    enc, enc_cache = _encode(params, tokens[packing.src], packing, keep=True)
     attended, att_cache = _attend(params, enc, packing)
     emissions, dec_cache = _decode_training(params, attended, gold, packing)
     loss, d_emissions, d_t = crf.crf_nll_backward(

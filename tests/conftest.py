@@ -48,6 +48,40 @@ def make_synthetic_corpus(n_sentences=200, n_domains=3, seed=0) -> Corpus:
     return Corpus(sentences=sentences)
 
 
+TRIGGERS = ["add", "need", "want", "please", "wish"]
+
+
+def make_review_corpus(n_sentences=150, n_domains=2, seed=0) -> Corpus:
+    """Reviews of 5-40 tokens over a Zipf-ranked lexicon of 400 fillers;
+    three in four carry a requirement: one of the trigger words, then two
+    of 60 Zipf-ranked feature words tagged B I, at a random position."""
+    rng = np.random.default_rng(seed)
+    fillers = [f"filler{k}" for k in range(400)]
+    features = [f"feature{k}" for k in range(60)]
+
+    def zipf(n):
+        p = 1.0 / np.arange(1, n + 1)
+        return p / p.sum()
+
+    p_fillers, p_features = zipf(len(fillers)), zipf(len(features))
+    sentences = []
+    for k in range(n_sentences):
+        n = int(rng.integers(5, 41))
+        tokens = [fillers[i] for i in rng.choice(len(fillers), size=n,
+                                                 p=p_fillers)]
+        tags = ["O"] * n
+        if rng.random() < 0.75:
+            at = int(rng.integers(0, n - 2))
+            a, b = rng.choice(len(features), size=2, replace=False,
+                              p=p_features)
+            tokens[at:at + 3] = [str(rng.choice(TRIGGERS)), features[a],
+                                 features[b]]
+            tags[at:at + 3] = ["O", "B", "I"]
+        sentences.append(TaggedSentence(app_id=f"dom{k % n_domains}",
+                                        tokens=tokens, tags=tags))
+    return Corpus(sentences=sentences)
+
+
 @pytest.fixture(scope="session")
 def synthetic_corpus():
     return make_synthetic_corpus()

@@ -13,12 +13,13 @@ from reqtag import crf
 from reqtag.cli import main as cli_main
 from reqtag.data import Corpus, align_bio, clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
-from reqtag.evaluation import compute_metrics, extract_spans, mean_scores
-from reqtag.network import (ModelDims, _pack, batch_loss_and_grads,
-                            init_model, param_blocks, predict_batch,
-                            predict_tags)
+from reqtag.evaluation import (compute_metrics, evaluate_tag_pairs,
+                               extract_spans, mean_scores)
+from reqtag.network import (ModelDims, _attend, _decode_training, _encode,
+                            _pack, batch_loss_and_grads, init_model,
+                            param_blocks, predict_batch, predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
-from conftest import grad_check, make_synthetic_corpus
+from conftest import grad_check, make_review_corpus, make_synthetic_corpus
 from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
                          is_valid_bio, log_partition, path_score,
                          random_bio)
@@ -59,7 +60,7 @@ def test_criterion_1_crf_oracle_suite():
     report("1 crf-oracle-suite", elapsed < 10.0, f"{elapsed:.1f}s")
 
 
-def _worst_gradient_error(params, indices, tags, lengths):
+def _worst_gradient_error(params, tokens, tags, lengths):
     """Largest relative error of the batch's analytic gradient against
     central differences over every trainable block (clamped transitions
     unprobed), for the loss averaged over rows; fails on any block
@@ -67,9 +68,9 @@ def _worst_gradient_error(params, indices, tags, lengths):
     rows = len(lengths)
 
     def batch_loss(_=None):
-        return batch_loss_and_grads(params, indices, tags, lengths)[0] / rows
+        return batch_loss_and_grads(params, tokens, tags, lengths)[0] / rows
 
-    _, grads = batch_loss_and_grads(params, indices, tags, lengths)
+    _, grads = batch_loss_and_grads(params, tokens, tags, lengths)
     worst = 0.0
     for name, arr in param_blocks(params).items():
         skip = crf.forbidden_mask() if name == "transitions" else None
@@ -85,23 +86,23 @@ def test_criterion_2_gradient_suite():
     start = time.monotonic()
     dims = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
     params = init_model(10, dims, np.random.default_rng(6))
-    # lengths 5 and 3: the second row is right-padded
+    # rows of lengths 5 and 3, laid end to end
     worst = _worst_gradient_error(
-        params, np.array([[2, 3, 4, 5, 2], [6, 7, 8, 0, 0]]),
-        np.array([[0, 1, 2, 2, 0], [0, 1, 0, 0, 0]]), [5, 3])
+        params, np.array([2, 3, 4, 5, 2, 6, 7, 8]),
+        np.array([0, 1, 2, 2, 0, 0, 1, 0]), [5, 3])
     # lengths 9, 4 and 4: the two rows of length 4 attend as one stacked
-    # run, the long row runs 9 steps alone after step 4, token 3 repeats
-    # within and across rows, and columns 4-8 are pads in two rows
-    indices = np.array([[3, 4, 3, 5, 6, 7, 3, 8, 9],
-                        [1, 3, 6, 3, 0, 0, 0, 0, 0],
-                        [2, 9, 3, 4, 0, 0, 0, 0, 0]])
-    tags = np.array([[0, 1, 2, 0, 1, 1, 2, 2, 0],
-                     [1, 2, 0, 1, 0, 0, 0, 0, 0],
-                     [0, 0, 1, 2, 0, 0, 0, 0, 0]])
+    # run, the long row runs 9 steps alone after step 4, and token 3
+    # repeats within and across rows
+    tokens = np.array([3, 4, 3, 5, 6, 7, 3, 8, 9,
+                       1, 3, 6, 3,
+                       2, 9, 3, 4])
+    tags = np.array([0, 1, 2, 0, 1, 1, 2, 2, 0,
+                     1, 2, 0, 1,
+                     0, 0, 1, 2])
     for trainable in (True, False):
         params = init_model(10, dims, np.random.default_rng(16))
         params.embedding_trainable = trainable
-        worst = max(worst, _worst_gradient_error(params, indices, tags,
+        worst = max(worst, _worst_gradient_error(params, tokens, tags,
                                                  [9, 4, 4]))
     elapsed = time.monotonic() - start
     report("2 gradient-suite", elapsed < 60.0,
@@ -128,24 +129,25 @@ def test_criterion_3_constraint_guarantee():
            f"{violations} violations in 1000 decodes")
 
 
-def _padded_run(params, indices, gold, pad_to):
-    """Teacher-forced loss of the batched core on one row right-padded
-    to width pad_to."""
-    n = len(indices)
-    mat = np.full((1, pad_to), 0, dtype=np.int64)
-    mat[0, :n] = indices
-    tags = np.zeros((1, pad_to), dtype=np.int64)
-    tags[0, :n] = gold
-    loss, _ = batch_loss_and_grads(params, mat, tags, [n])
+def _batch_loss(params, rows):
+    """Teacher-forced loss of the batched core on (indices, gold) rows."""
+    tokens = np.concatenate([indices for indices, _ in rows])
+    tags = np.concatenate([gold for _, gold in rows])
+    loss, _ = batch_loss_and_grads(params, tokens, tags,
+                                   [len(gold) for _, gold in rows])
     return loss
 
 
 def test_criterion_4_padding_invariance():
+    # a row's loss does not depend on the rows that share its batch, and
+    # a batch's total is the sum of its rows run alone
     rng = np.random.default_rng(104)
     dims = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
     params = init_model(15, dims, rng)
-    # a separate stream, so the longer rows leave the cases above unchanged
+    # separate streams, so the longer rows and their gold leave the cases
+    # above unchanged
     longer_rng = np.random.default_rng(204)
+    longer_gold_rng = np.random.default_rng(304)
     for _ in range(100):
         n = int(rng.integers(1, 7))
         extra = int(rng.integers(1, 5))
@@ -159,14 +161,21 @@ def test_criterion_4_padding_invariance():
             elif runs[i]:
                 gold[i] = crf.B
             prev = gold[i]
-        loss1 = _padded_run(params, indices, gold, n)
-        loss2 = _padded_run(params, indices, gold, n + extra)
-        assert abs(loss1 - loss2) <= 1e-9
-        # a row decodes alike alone and beside a longer row
         longer = longer_rng.integers(2, 15, size=n + extra)
-        alone = predict_batch(params, [indices])[0]
-        assert predict_batch(params, [indices, longer])[0] == alone
-    report("4 masking-padding", True, "100 random cases")
+        row = (indices, gold)
+        other = (longer, random_bio(longer_gold_rng, n + extra))
+        alone = _batch_loss(params, [row])
+        other_alone = _batch_loss(params, [other])
+        first = _batch_loss(params, [row, other])
+        second = _batch_loss(params, [other, row])
+        # the row's share after a longer row is its loss alone
+        assert abs((second - other_alone) - alone) <= 1e-9
+        # a batch's total is the sum of its rows run alone
+        assert abs(first - (alone + other_alone)) <= 1e-9
+        # a row decodes alike alone and beside a longer row
+        decoded = predict_batch(params, [indices])[0]
+        assert predict_batch(params, [indices, longer])[0] == decoded
+    report("4 batch-invariance", True, "100 random cases")
 
 
 def test_criterion_5_learnability():
@@ -249,3 +258,36 @@ def test_criterion_9_crossval_determinism(tmp_path):
     identical = identical and manifests[0] == manifests[1]
     report("9 crossval-determinism", identical,
            "fold reports byte-identical, manifests equal but for timestamp")
+
+
+def _gold_fed_path(params, row, gold):
+    """Viterbi path of one row's emissions with the decoder fed the gold
+    tag of the step before, as in training."""
+    packing = _pack([len(row)])
+    enc = _encode(params, np.asarray(row), packing, keep=False)[0]
+    attended = _attend(params, enc, packing)[0]
+    emissions = _decode_training(params, attended, gold, packing)[0]
+    return crf.crf_viterbi(emissions, params.blocks["transitions"], packing)[0]
+
+
+def test_criterion_10_decoder_feed_gap():
+    # the decoder trains on the gold tag of the step before and decodes
+    # fed its own greedy tag: F1 on the training sentences both ways
+    # shows how much of the model's skill that gap hides
+    start = time.monotonic()
+    corpus = make_review_corpus(150, seed=0)
+    cfg = TrainConfig(learning_rate=0.003, batch_size=16, embedding_dim=32,
+                      h_enc=32, d_att=32, h_dec=32, d_tag=8, epochs=15,
+                      seed=0)
+    params, vocab, _ = train(cfg, corpus, sorted(corpus.domains))
+    rows = [encode_tokens(s.tokens, vocab) for s in corpus.sentences]
+    golds = [s.tag_indices() for s in corpus.sentences]
+    greedy = evaluate_tag_pairs(zip(predict_batch(params, rows), golds))["f1"]
+    gold_fed = evaluate_tag_pairs(
+        (_gold_fed_path(params, row, gold), gold)
+        for row, gold in zip(rows, golds))["f1"]
+    elapsed = time.monotonic() - start
+    ok = 0.0 <= greedy <= 1.0 and 0.0 <= gold_fed <= 1.0
+    report("10 decoder-feed-gap", ok,
+           f"training-set F1 greedy feed {greedy:.3f}, gold feed "
+           f"{gold_fed:.3f}, {len(rows)} sentences, {elapsed:.1f}s")

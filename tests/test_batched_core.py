@@ -1,19 +1,18 @@
 """The batched core against the frozen per-sentence reference.
 
-A right-padded batch through ``batch_loss_and_grads`` must give the sum
-of the reference's per-sentence losses and gradients, and the same
-sentences as a ragged list of rows through ``predict_batch`` the
-reference's Viterbi tags row by row in input order, for any batch size,
-row order, lengths (one row may be up to three times longer than the
-rest) and padding, with trainable or frozen embeddings. More rows than
+A batch's rows laid end to end through ``batch_loss_and_grads`` must
+give the sum of the reference's per-sentence losses and gradients, and
+the same sentences as a ragged list of rows through ``predict_batch``
+the reference's Viterbi tags row by row in input order, for any batch
+size, row order and lengths (one row may be up to three times longer
+than the rest), with trainable or frozen embeddings. More rows than
 one decode chunk are ranked by length and decoded in chunks of at most
 DECODE_CHUNK rows, and still come back in input order. Two or more
 chunks are decoded on the thread pool with OpenBLAS at one thread, and
 the count is restored after the call, also when a chunk raises; one
 chunk or none runs in the calling thread, and so does every chunk when
-no OpenBLAS thread setter is found. The packed core computes real
-positions only: every LSTM step row is one real token of one of the
-three sequences.
+no OpenBLAS thread setter is found. The packed core steps each token
+once: every LSTM step row is one token of one of the three sequences.
 
 Work is done once per batch where rows share it: the encoder projects
 each distinct token once per direction, and attention runs each run of
@@ -81,14 +80,12 @@ def _model(seed, trainable):
                       trainable=trainable)
 
 
-def _pad(sentences, extra):
-    width = max(len(i) for i, _ in sentences) + extra
-    indices = np.zeros((len(sentences), width), dtype=np.int64)
-    tags = np.zeros((len(sentences), width), dtype=np.int64)
-    for row, (idx, tg) in enumerate(sentences):
-        indices[row, :len(idx)] = idx
-        tags[row, :len(tg)] = tg
-    return indices, tags, [len(i) for i, _ in sentences]
+def _laid_out(sentences):
+    """(tokens, tags, lengths) of (indices, tags) rows: the rows laid end
+    to end, as batch_loss_and_grads takes them."""
+    return (np.concatenate([idx for idx, _ in sentences]),
+            np.concatenate([tg for _, tg in sentences]),
+            [len(idx) for idx, _ in sentences])
 
 
 def _assert_close(got, ref, what):
@@ -99,16 +96,14 @@ def _assert_close(got, ref, what):
 
 @settings(max_examples=150, deadline=None)
 @given(sentences=st.lists(SENTENCE, min_size=1, max_size=5),
-       outlier=OUTLIER, extra=st.integers(0, 2),
-       seed=st.integers(0, 2 ** 16), trainable=st.booleans())
-def test_batch_equals_per_sentence_sum(sentences, outlier, extra, seed,
-                                       trainable):
+       outlier=OUTLIER, seed=st.integers(0, 2 ** 16),
+       trainable=st.booleans())
+def test_batch_equals_per_sentence_sum(sentences, outlier, seed, trainable):
     if outlier is not None:
         at, long = outlier
         sentences = sentences[:at] + [long] + sentences[at:]
     params = _model(seed, trainable)
-    indices, tags, lengths = _pad(sentences, extra)
-    loss, grads = batch_loss_and_grads(params, indices, tags, lengths)
+    loss, grads = batch_loss_and_grads(params, *_laid_out(sentences))
 
     ref_loss = 0.0
     ref_grads = per_sentence.zero_grad_blocks(params)
@@ -304,8 +299,8 @@ def test_without_blas_setter_chunks_run_inline():
 
 def test_lstm_steps_cover_real_tokens_only(monkeypatch):
     # encoder forward, encoder backward and decoder each step once per
-    # real token, in training and in inference; computing any pad
-    # position would raise the count
+    # token, in training and in inference; stepping any row past its
+    # length would raise the count
     rows = []
 
     def counting(step):
@@ -320,9 +315,8 @@ def test_lstm_steps_cover_real_tokens_only(monkeypatch):
     lengths = [3, 7, 1, 21, 5, 7]  # unsorted, one row 3x the next longest
     sentences = [(rng.integers(0, VOCAB, size=n).tolist(), [crf.O] * n)
                  for n in lengths]
-    indices, tags, _ = _pad(sentences, 2)
     params = _model(0, True)
-    batch_loss_and_grads(params, indices, tags, lengths)
+    batch_loss_and_grads(params, *_laid_out(sentences))
     assert sum(rows) == 3 * sum(lengths)
     rows.clear()
     predict_batch(params, [idx for idx, _ in sentences])
@@ -383,10 +377,10 @@ def test_grouped_attention_equals_row_loop(lengths, dims, seed):
                                       err_msg=name)
 
 
-def _assert_frozen_core_equal(pairs, params, indices, tags, lengths):
-    loss, grads = batch_loss_and_grads(params, indices, tags, lengths)
+def _assert_frozen_core_equal(pairs, params, tokens, tags, lengths):
+    loss, grads = batch_loss_and_grads(params, tokens, tags, lengths)
     ref_loss, ref_grads = _run_frozen(pairs, batch_loss_and_grads, params,
-                                      indices, tags, lengths)
+                                      tokens, tags, lengths)
     assert loss == ref_loss
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
@@ -398,9 +392,9 @@ def _assert_frozen_core_equal(pairs, params, indices, tags, lengths):
 def test_criterion_2_batch_bit_identical_to_frozen_core(pairs):
     # the gradient suite's batch: token 2 appears twice
     params = init_model(10, TINY, np.random.default_rng(6))
-    indices = np.array([[2, 3, 4, 5, 2], [6, 7, 8, 0, 0]])
-    tags = np.array([[0, 1, 2, 2, 0], [0, 1, 0, 0, 0]])
-    _assert_frozen_core_equal(pairs, params, indices, tags, [5, 3])
+    tokens = np.array([2, 3, 4, 5, 2, 6, 7, 8])
+    tags = np.array([0, 1, 2, 2, 0, 0, 1, 0])
+    _assert_frozen_core_equal(pairs, params, tokens, tags, [5, 3])
 
 
 def _emissions(params, rows, pairs=()):
@@ -433,8 +427,8 @@ def test_batches_bit_identical_to_frozen_core(lengths, tokens, dims, seed):
     # one-row product, which may round differently from a matrix product
     assume(len(set(np.concatenate(rows).tolist())) > 1 or sum(lengths) == 1)
     pairs = ("encode", "attend")
-    indices, tags, _ = _pad(_sentences_of(rows, rng), 0)
-    _assert_frozen_core_equal(pairs, params, indices, tags, lengths)
+    _assert_frozen_core_equal(pairs, params,
+                              *_laid_out(_sentences_of(rows, rng)))
     paths, emissions = _emissions(params, rows)
     ref_paths, ref_emissions = _emissions(params, rows, pairs)
     assert paths == ref_paths
@@ -463,7 +457,7 @@ def test_rows_of_few_distinct_tokens(others, lengths, seed):
     sentences = _sentences_of(rows, rng)
     assert predict_batch(params, rows) == [
         per_sentence.predict_tags(params, row) for row in rows]
-    loss, grads = batch_loss_and_grads(params, *_pad(sentences, 0))
+    loss, grads = batch_loss_and_grads(params, *_laid_out(sentences))
     ref_loss = 0.0
     ref_grads = per_sentence.zero_grad_blocks(params)
     for row, tags in sentences:

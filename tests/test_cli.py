@@ -889,8 +889,8 @@ class TestEvaluate:
     def test_baselines_read_before_decoding(self, trained_model, tmp_path,
                                             capsys, monkeypatch):
         def fail(*args):
-            raise AssertionError("predict_batch called")
-        monkeypatch.setattr(cli, "predict_batch", fail)
+            raise AssertionError("evaluate_domain called")
+        monkeypatch.setattr(cli, "evaluate_domain", fail)
         model, cpath, target = trained_model
         base = tmp_path / "base.json"
         base.write_text(json.dumps({"bogus": {"f1": 0.5}}), encoding="utf-8")

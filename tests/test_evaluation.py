@@ -128,15 +128,19 @@ def test_evaluate_domain_batches_equal_per_sentence_predictions(monkeypatch):
 
     def capture(pairs, overlap=False):
         pairs = list(pairs)
-        seen.extend(pairs)
-        return compute_metrics(0, 0, 0)
+        seen.append(pairs)
+        return evaluate_tag_pairs(pairs, overlap=overlap)
 
     monkeypatch.setattr(evaluation, "evaluate_tag_pairs", capture)
-    evaluate_domain(params, vocab, sentences)
-    assert [pred for pred, _ in seen] == [
-        predict_tags(params, encode_tokens(s.tokens, vocab))
-        for s in sentences]
-    assert [gold for _, gold in seen] == [s.tag_indices() for s in sentences]
+    blocks = evaluate_domain(params, vocab, sentences)
+    preds = [predict_tags(params, encode_tokens(s.tokens, vocab))
+             for s in sentences]
+    golds = [s.tag_indices() for s in sentences]
+    # one decode, scored exact and by overlap
+    assert seen == [list(zip(preds, golds))] * 2
+    assert blocks == {"exact": evaluate_tag_pairs(zip(preds, golds)),
+                      "overlap": evaluate_tag_pairs(zip(preds, golds),
+                                                    overlap=True)}
 
 
 def _reports():

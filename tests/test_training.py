@@ -77,38 +77,40 @@ class TestPadBatch:
         ]
 
     def test_shapes_and_lengths(self):
+        # the rows' encode_tokens and tag_indices, laid end to end in
+        # input order
         sents = self._sentences()
         vocab = build_vocabulary(s.tokens for s in sents)
-        indices, tags, lengths = pad_batch(sents, vocab)
-        assert indices.shape == (2, 5) and tags.shape == (2, 5)
+        tokens, tags, lengths = pad_batch(sents, vocab)
+        assert tokens.shape == tags.shape == (8,)
         assert lengths == [3, 5]
-        assert list(indices[0, 3:]) == [PAD_INDEX, PAD_INDEX]
-        assert list(tags[0, 3:]) == [0, 0]
+        assert tokens.tolist() == [i for s in sents
+                                   for i in encode_tokens(s.tokens, vocab)]
+        assert tags.tolist() == [t for s in sents for t in s.tag_indices()]
 
     def test_exact_fit_adds_no_padding(self):
-        sents = self._sentences()[1:]
+        # rows of unequal lengths, either order: no position beyond the
+        # rows' own tokens
+        sents = self._sentences()
         vocab = build_vocabulary(s.tokens for s in sents)
-        indices, _, lengths = pad_batch(sents, vocab)
-        assert PAD_INDEX not in indices[0]
+        for batch in (sents, sents[::-1], sents[1:]):
+            tokens, tags, lengths = pad_batch(batch, vocab)
+            assert len(tokens) == len(tags) == sum(lengths)
+            assert PAD_INDEX not in tokens
 
     def test_padded_loss_equals_unpadded(self):
-        # pad positions are masked, so the padded batch loss must equal
-        # the sum of the losses of each sentence run alone, unpadded
+        # the batch's loss must equal the sum of the losses of each
+        # sentence run alone
         sents = self._sentences()
         vocab = build_vocabulary(s.tokens for s in sents)
         params = init_model(len(vocab), ModelDims(
             embedding_dim=16, h_enc=8, d_att=8, h_dec=8, d_tag=4),
             np.random.default_rng(0))
-        indices, tags, lengths = pad_batch(sents, vocab)
-        wider = ((0, 0), (0, 4))  # four more pad columns than the batch needs
-        padded_total, _ = batch_loss_and_grads(
-            params, np.pad(indices, wider, constant_values=PAD_INDEX),
-            np.pad(tags, wider), lengths)
-        unpadded_total = sum(
-            batch_loss_and_grads(params, [encode_tokens(s.tokens, vocab)],
-                                 [s.tag_indices()], [len(s.tokens)])[0]
+        batch_total, _ = batch_loss_and_grads(params, *pad_batch(sents, vocab))
+        alone_total = sum(
+            batch_loss_and_grads(params, *pad_batch([s], vocab))[0]
             for s in sents)
-        assert padded_total == pytest.approx(unpadded_total, abs=1e-9)
+        assert batch_total == pytest.approx(alone_total, abs=1e-9)
 
 
 # rows of (token, tag) pairs over the 8-word vocabulary of TestAdam's
@@ -162,13 +164,11 @@ class TestAdam:
         free = ~crf.forbidden_mask()
         params.blocks["transitions"][free] = np.random.default_rng(seed).normal(
             size=free.sum())
-        lengths = [len(row) for row in rows]
-        indices = np.full((len(rows), max(lengths)), PAD_INDEX)
-        tags = np.zeros_like(indices)
-        for r, row in enumerate(rows):
-            indices[r, :len(row)] = [token for token, _ in row]
-            tags[r, :len(row)] = as_bio([tag for _, tag in row])
-        _, grads = batch_loss_and_grads(params, indices, tags, lengths)
+        tokens = np.array([token for row in rows for token, _ in row])
+        tags = np.array([tag for row in rows
+                         for tag in as_bio([tag for _, tag in row])])
+        _, grads = batch_loss_and_grads(params, tokens, tags,
+                                        [len(row) for row in rows])
         np.testing.assert_array_equal(
             grads["transitions"][crf.forbidden_mask()], 0.0)
         np.testing.assert_array_equal(grads["embedding"][PAD_INDEX], 0.0)
