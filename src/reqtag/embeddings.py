@@ -2,7 +2,7 @@
 
 Indices 0 and 1 are reserved for padding and unknown tokens. An embedding
 table is a plain (vocabulary size, dim) matrix; its padding row is all
-zeros and never receives gradient.
+zeros, and no input position holds PAD, so it never receives gradient.
 """
 
 from dataclasses import dataclass
@@ -52,29 +52,33 @@ def random_embeddings(n_rows: int, dim: int,
 def load_glove(path, vocab: Vocabulary, dim: int) -> dict:
     """Read a GloVe text file: {index: vector} for each vocabulary word
     the file lists, PAD and UNK aside; a word listed twice keeps its last
-    vector. A file with no vocabulary word in it is an error."""
+    vector. A file with no vocabulary word in it is an error; every error
+    names the file."""
     rows = {}
-    for lineno, line in text_lines(path):
-        line = line.rstrip()
-        if not line:
-            continue
-        # the last dim fields are the vector; a word may hold spaces
-        parts = line.rsplit(" ", dim)
-        if len(parts) != dim + 1:
-            raise DataError(
-                f"line {lineno}: expected a word and {dim} values, "
-                f"got {len(parts)} fields")
-        idx = vocab.token_to_index.get(parts[0])
-        if idx is None or idx in (PAD_INDEX, UNK_INDEX):
-            continue
-        try:
-            vector = np.array([float(v) for v in parts[1:]])
-        except ValueError:
-            raise DataError(
-                f"line {lineno}: non-numeric embedding value") from None
-        if not np.isfinite(vector).all():
-            raise DataError(f"line {lineno}: non-finite embedding value")
-        rows[idx] = vector
+    try:
+        for lineno, line in text_lines(path):
+            line = line.rstrip()
+            if not line:
+                continue
+            # the last dim fields are the vector; a word may hold spaces
+            parts = line.rsplit(" ", dim)
+            if len(parts) != dim + 1:
+                raise DataError(
+                    f"line {lineno}: expected a word and {dim} values, "
+                    f"got {len(parts)} fields")
+            idx = vocab.token_to_index.get(parts[0])
+            if idx is None or idx in (PAD_INDEX, UNK_INDEX):
+                continue
+            try:
+                vector = np.array([float(v) for v in parts[1:]])
+            except ValueError:
+                raise DataError(
+                    f"line {lineno}: non-numeric embedding value") from None
+            if not np.isfinite(vector).all():
+                raise DataError(f"line {lineno}: non-finite embedding value")
+            rows[idx] = vector
+    except DataError as exc:  # a corpus or config error reads the same
+        raise DataError(f"{path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no word of the training vocabulary has a "
                         f"vector in this file of embedding_dim {dim} values")

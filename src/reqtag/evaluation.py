@@ -85,8 +85,9 @@ def evaluate_domain(params, vocab, sentences) -> dict:
             "overlap": evaluate_tag_pairs(pairs, overlap=True)}
 
 
-def load_baselines(path, fold_labels):
-    """Baseline score file: JSON map domain -> {precision?, recall?, f1}."""
+def load_baselines(path, domains):
+    """Baseline score file: JSON map domain -> {precision?, recall?, f1},
+    naming no domain but the evaluated domains."""
     table = read_json(path)
     if not isinstance(table, dict):
         raise DataError(f"baselines must be a JSON object of domains, "
@@ -104,10 +105,10 @@ def load_baselines(path, fold_labels):
                 raise DataError(
                     f"baseline {domain!r}: {key} must be a number, "
                     f"got {value!r}")
-    missing = sorted(set(table) - set(fold_labels))
+    missing = sorted(set(table) - set(domains))
     if missing:
-        raise DataError(
-            f"baseline domains not present in fold reports: {missing}")
+        raise DataError(f"baseline domains other than the evaluated domain "
+                        f"{', '.join(map(repr, domains))}: {missing}")
     return table
 
 

@@ -43,7 +43,7 @@ from itertools import groupby
 import numpy as np
 
 from . import crf
-from .embeddings import (PAD_INDEX, PAD_TOKEN, UNK_TOKEN, Vocabulary,
+from .embeddings import (PAD_TOKEN, UNK_TOKEN, Vocabulary, build_vocabulary,
                          random_embeddings)
 from .lstm import lstm_backward, lstm_forward, lstm_step
 from .tensor import softmax_rows
@@ -99,16 +99,13 @@ class ModelParams:
 
 
 def init_model(vocab_size: int, dims: ModelDims, rng: "np.random.Generator",
-               embedding: np.ndarray | None = None,
                trainable: bool = True) -> ModelParams:
-    """A new model: the embedding matrix given or random_embeddings', the
-    transitions of crf.init_transitions(), and each other block drawn
-    uniform(-k, k), k = 1/sqrt(fan), group by group in the order below (not
-    BLOCKS', so that a seed keeps its model); forget-gate biases then 1.0."""
-    if embedding is None:
-        embedding = random_embeddings(vocab_size, dims.embedding_dim, rng)
-    blocks = {"embedding": embedding,
-              "transitions": crf.init_transitions()}
+    """A new model: random_embeddings' table, drawn first, the transitions
+    of crf.init_transitions(), and each other block drawn uniform(-k, k),
+    k = 1/sqrt(fan), group by group in the order below (not BLOCKS', so
+    that a seed keeps its model); forget-gate biases then 1.0."""
+    embedding = random_embeddings(vocab_size, dims.embedding_dim, rng)
+    blocks = {"embedding": embedding, "transitions": crf.init_transitions()}
     two_h = 2 * dims.h_enc
     for group, fan in (("enc_fwd", dims.h_enc), ("enc_bwd", dims.h_enc),
                        ("attn_q", two_h), ("attn_k", two_h), ("attn_v", two_h),
@@ -199,7 +196,9 @@ def _encode(params: ModelParams, tokens, packing: Packing, keep):
 
 
 def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
-    """BPTT through both encoder directions; fills embedding grads."""
+    """BPTT through both encoder directions; adds each position's input
+    gradient to its token's embedding row. No position holds PAD (see
+    batch_loss_and_grads), so the pad row gets no gradient."""
     tokens, packing, xu, inv, fwd, bwd = enc_cache
     x = xu[inv]
     x_rev = x[packing.rev]
@@ -209,9 +208,7 @@ def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
     d_x_rev = lstm_backward(params.blocks, grads, "enc_bwd", x_rev, *bwd,
                             d_enc[packing.rev, h_enc:], packing)
     if params.embedding_trainable:
-        real = tokens != PAD_INDEX
-        np.add.at(grads["embedding"], tokens[real],
-                  (d_x + d_x_rev[packing.rev])[real])
+        np.add.at(grads["embedding"], tokens, d_x + d_x_rev[packing.rev])
 
 
 # -------------------------------------------------------------- attention
@@ -341,7 +338,8 @@ def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
 def batch_loss_and_grads(params: ModelParams, tokens, tags, lengths):
     """Summed CRF NLL of a batch of rows, given as their (N,) token and
     tag index arrays laid end to end and the row lengths, and its
-    gradient for every trainable block as one name -> array dict."""
+    gradient for every trainable block as one name -> array dict. Every
+    token index is a vocabulary word or UNK, never PAD."""
     packing = _pack(lengths)
     gold = tags[packing.src]
     grads = zero_grad_blocks(params)
@@ -415,10 +413,11 @@ def _decode_on_pool(decode, chunks, get, set_):
 
 def predict_batch(params: ModelParams, rows):
     """Viterbi-decoded BIO tag indices for each of a list of non-empty
-    1-D token index rows, in input order. Rows are ranked longest first
-    and decoded DECODE_CHUNK ranked rows per pass; two or more passes run
-    on up to one thread per CPU that lives for this call only (memory:
-    that many passes), one runs in the calling thread."""
+    1-D token index rows, in input order; every index is a vocabulary
+    word or UNK, never PAD. Rows are ranked longest first and decoded
+    DECODE_CHUNK ranked rows per pass; two or more passes run on up to
+    one thread per CPU that lives for this call only (memory: that many
+    passes), one runs in the calling thread."""
     ranked = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
     chunks = [ranked[lo:lo + DECODE_CHUNK]
               for lo in range(0, len(ranked), DECODE_CHUNK)]
@@ -533,8 +532,5 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: block {name!r} holds a non-finite value")
             # the model keeps np.load's array: each block is copied once
             blocks[name] = np.ascontiguousarray(arr)
-    vocab = Vocabulary(
-        token_to_index={t: i for i, t in enumerate(index_to_token)},
-        index_to_token=list(index_to_token))
-    return (ModelParams(blocks, dims, header["embedding_trainable"]), vocab,
-            header["config"])
+    return (ModelParams(blocks, dims, header["embedding_trainable"]),
+            build_vocabulary([index_to_token]), header["config"])

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import network
 from .data import Corpus, DataError
-from .embeddings import (Vocabulary, build_vocabulary, encode_tokens,
-                         load_glove, random_embeddings)
+from .embeddings import Vocabulary, build_vocabulary, encode_tokens, load_glove
 from .evaluation import evaluate_domain
 from .network import ModelDims, ModelParams, param_blocks
 from .tensor import NumericError
@@ -102,8 +101,8 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 def adam_step(params: ModelParams, grads: dict, moments: dict, t: int, lr: float):
     """Adam update number t (from 1), in place on the moments, a block
     name -> (m, v) dict, and on the parameters. An entry whose gradient
-    is exactly 0.0 at every step never moves, so the clamped CRF
-    transitions and the pad row, which get 0.0, stay fixed."""
+    is exactly 0.0 at every step never moves: the clamped CRF transitions,
+    and the pad row, which no input position holds."""
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
     for name, theta in param_blocks(params).items():
@@ -152,14 +151,13 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
         raise DataError("empty training set")
     rng = np.random.default_rng(config.seed)
     vocab = build_vocabulary(s.tokens for s in sentences)
+    params = network.init_model(len(vocab), config.dims(), rng,
+                                trainable=not config.freeze_embeddings)
     # GloVe rows overwrite the seeded draw: the draws never depend on the file
-    table = random_embeddings(len(vocab), config.embedding_dim, rng)
     if config.glove_path:
         for idx, vector in load_glove(config.glove_path, vocab,
                                       config.embedding_dim).items():
-            table[idx] = vector
-    params = network.init_model(len(vocab), config.dims(), rng, embedding=table,
-                                trainable=not config.freeze_embeddings)
+            params.blocks["embedding"][idx] = vector
     moments = {name: (np.zeros_like(a), np.zeros_like(a))
                for name, a in param_blocks(params).items()}
     steps = 0

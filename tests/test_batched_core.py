@@ -57,10 +57,11 @@ TOL = 1e-10
 
 
 def _sentences(lo, hi):
-    """(token indices, tags) of one length lo..hi; index 0 is the pad
-    token and 1 the unknown token, both allowed at real positions."""
+    """(token indices, tags) of one length lo..hi; the indices are 1 (the
+    unknown token) to VOCAB - 1, never 0 (the pad token), which the core
+    is never given."""
     return st.integers(lo, hi).flatmap(lambda n: st.tuples(
-        st.lists(st.integers(0, VOCAB - 1), min_size=n, max_size=n),
+        st.lists(st.integers(1, VOCAB - 1), min_size=n, max_size=n),
         st.lists(st.sampled_from([crf.O, crf.B, crf.I]), min_size=n,
                  max_size=n).map(as_bio)))
 
@@ -72,12 +73,13 @@ OUTLIER = st.one_of(st.none(), st.tuples(st.integers(0, 5),
 
 
 def _model(seed, trainable):
+    """A tiny model; a frozen one gets a table drawn uniform(-1, 1)."""
     rng = np.random.default_rng(seed)
-    embedding = None
+    params = init_model(VOCAB, TINY, rng, trainable=trainable)
     if not trainable:
-        embedding = rng.uniform(-1, 1, size=(VOCAB, TINY.embedding_dim))
-    return init_model(VOCAB, TINY, rng, embedding=embedding,
-                      trainable=trainable)
+        params.blocks["embedding"] = rng.uniform(
+            -1, 1, size=(VOCAB, TINY.embedding_dim))
+    return params
 
 
 def _laid_out(sentences):
@@ -125,7 +127,7 @@ def test_batch_equals_per_sentence_sum(sentences, outlier, seed, trainable):
 
 def _rows(lengths, seed):
     rng = np.random.default_rng(seed)
-    return [rng.integers(0, VOCAB, size=n) for n in lengths]
+    return [rng.integers(1, VOCAB, size=n) for n in lengths]
 
 
 @settings(max_examples=12, deadline=None)
@@ -187,7 +189,8 @@ def test_no_threads_start_for_import_or_one_chunk():
         "assert threading.active_count() == before\n"
         "params = network.init_model(12, network.ModelDims(4, 3, 4, 3, 2),\n"
         "                            np.random.default_rng(0))\n"
-        "rows = [np.arange(1 + i % 7) for i in range(network.DECODE_CHUNK)]\n"
+        "rows = [np.arange(1, 2 + i % 7)\n"
+        "        for i in range(network.DECODE_CHUNK)]\n"
         "network.predict_batch(params, rows)\n"
         "network.predict_tags(params, rows[3])\n"
         "assert threading.active_count() == before\n"
@@ -313,7 +316,7 @@ def test_lstm_steps_cover_real_tokens_only(monkeypatch):
     monkeypatch.setattr(network, "lstm_step", counting(network.lstm_step))
     rng = np.random.default_rng(8)
     lengths = [3, 7, 1, 21, 5, 7]  # unsorted, one row 3x the next longest
-    sentences = [(rng.integers(0, VOCAB, size=n).tolist(), [crf.O] * n)
+    sentences = [(rng.integers(1, VOCAB, size=n).tolist(), [crf.O] * n)
                  for n in lengths]
     params = _model(0, True)
     batch_loss_and_grads(params, *_laid_out(sentences))
@@ -415,13 +418,13 @@ def _sentences_of(rows, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(lengths=LENGTHS, tokens=st.integers(2, VOCAB), dims=st.sampled_from(
-    [TINY, WIDE]), seed=st.integers(0, 2 ** 16))
+@given(lengths=LENGTHS, tokens=st.integers(2, VOCAB - 1),
+       dims=st.sampled_from([TINY, WIDE]), seed=st.integers(0, 2 ** 16))
 def test_batches_bit_identical_to_frozen_core(lengths, tokens, dims, seed):
-    # tokens: how many distinct indices the batch draws from
+    # tokens: how many distinct indices, pad aside, the batch draws from
     rng = np.random.default_rng(seed)
     params = init_model(VOCAB, dims, rng)
-    pool = rng.choice(VOCAB, size=tokens, replace=False)
+    pool = rng.choice(np.arange(1, VOCAB), size=tokens, replace=False)
     rows = [rng.choice(pool, size=n) for n in lengths]
     # one distinct token at several positions is projected by numpy's
     # one-row product, which may round differently from a matrix product

@@ -464,7 +464,7 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", cfg,
                     "--output", tmp_path / "model.npz"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: line 2: non-finite embedding value\n"
+        assert err == f"error: {glove}: line 2: non-finite embedding value\n"
         assert err.count("error:") == 1 and "Warning" not in err
         assert not (tmp_path / "model.npz").exists()
 
@@ -479,7 +479,7 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", cfg,
                     "--output", tmp_path / "model.npz"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: line 2: not UTF-8\n"
+        assert err == f"error: {glove}: line 2: not UTF-8\n"
         assert err.count("error:") == 1
         assert not (tmp_path / "model.npz").exists()
 
@@ -898,8 +898,9 @@ class TestEvaluate:
                     "--domain", target.domain, "--baselines", base]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: baseline domains not present in "
-                                "fold reports: ['bogus']\n")
+        assert captured.err == ("error: baseline domains other than the "
+                                f"evaluated domain {target.domain!r}: "
+                                "['bogus']\n")
 
     @pytest.mark.parametrize("table", [5, None, ["app0"], {"app0": 3},
                                        {"app0": {"recall": 0.5}},
@@ -1086,7 +1087,10 @@ def test_byte_that_is_not_utf8_is_one_error_line(corpus_path, config_path,
                       "--domain", "dom0", "--baselines", bad],
     }[kind]
     assert run(argv) == 1
-    assert capsys.readouterr() == ("", "error: line 3: not UTF-8\n")
+    # the GloVe file is read beside the corpus and the config: its error
+    # names it
+    where = f"{bad}: " if kind == "glove" else ""
+    assert capsys.readouterr() == ("", f"error: {where}line 3: not UTF-8\n")
 
 
 # each JSON input with a key named twice, which json.loads alone would

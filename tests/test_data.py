@@ -442,6 +442,9 @@ def test_load_corpus_byte_that_is_not_utf8_names_its_line(tmp_path):
 @pytest.mark.parametrize("line, message", [
     ('{"app": "a", "tokens": ["Dark"], "tags": ["O"]}',
      "line 2: app 'a' position 0: unclean token 'Dark'"),
+    # the pad token never reaches the core as a word
+    ('{"app": "a", "tokens": ["add", "<pad>"], "tags": ["O", "O"]}',
+     "line 2: app 'a' position 1: unclean token '<pad>'"),
     ('{"app": "a", "tokens": ["x"], "tags": ["X"]}',
      "line 2: app 'a' position 0: bad tag 'X'"),
     ('{"app": "a", "tokens": ["x", "y"], "tags": ["O"]}',

@@ -1,9 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reqtag.data import DataError
+from reqtag.data import DataError, clean_tokens
 from reqtag.embeddings import (PAD_INDEX, UNK_INDEX, build_vocabulary,
                                encode_tokens, load_glove, random_embeddings)
+from reqtag.network import (ModelDims, init_model, load_checkpoint,
+                            save_checkpoint)
 
 
 class TestBuildVocabulary:
@@ -40,6 +47,35 @@ class TestEncodeTokens:
     def test_never_pad_index(self):
         vocab = build_vocabulary([["a", "b"]])
         assert PAD_INDEX not in encode_tokens(["a", "b", "weird"], vocab)
+
+
+# any text, the reserved tokens' spellings often among it
+TEXT = st.one_of(st.text(), st.lists(st.sampled_from(
+    ["<pad>", "<PAD>", "<unk>", "pad", "add", "dark", "mode", "'", "<", ">"]),
+    max_size=6).map(" ".join))
+
+
+@settings(max_examples=100, deadline=None)
+@example(texts=["<pad> add", "<PAD>"], text="<pad>", saved=False)
+@example(texts=["<pad> add", "<PAD>"], text="<PAD>", saved=True)
+@example(texts=["<unk> <pad>"], text="<unk> <pad> <PAD>", saved=True)
+@given(texts=st.lists(TEXT, max_size=4), text=TEXT, saved=st.booleans())
+def test_no_text_encodes_to_pad(texts, text, saved):
+    # the core's input contract: a review's tokens are vocabulary words
+    # or UNK, never PAD, for a vocabulary built from cleaned texts (as
+    # train builds one) or read back from a checkpoint; a corpus line
+    # holding the token <pad> is refused (tests/test_data.py)
+    vocab = build_vocabulary(clean_tokens(t) for t in texts)
+    if saved:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.npz"
+            params = init_model(len(vocab), ModelDims(2, 1, 1, 1, 1),
+                                np.random.default_rng(0))
+            save_checkpoint(path, params, vocab)
+            _, loaded, _ = load_checkpoint(path)
+        assert loaded == vocab
+        vocab = loaded
+    assert PAD_INDEX not in encode_tokens(clean_tokens(text), vocab)
 
 
 def _overlay(table, rows):

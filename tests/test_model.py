@@ -260,8 +260,9 @@ def _rejected(path, *fragments):
 class TestCheckpoint:
     def test_frozen_embedding_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
+        params = init_model(12, TINY, rng, trainable=False)
         matrix = rng.uniform(-1, 1, size=(12, TINY.embedding_dim))
-        params = init_model(12, TINY, rng, embedding=matrix, trainable=False)
+        params.blocks["embedding"] = matrix
         path = tmp_path / "frozen.model"
         save_checkpoint(path, params, _vocab(12))
         loaded, _, config = load_checkpoint(path)
@@ -402,12 +403,12 @@ class TestCheckpoint:
             _rejected(path, repr(name), str(shape))
 
 
-def _drawn_by_hand(vocab_size, dims, seed, embedding=True):
+def _drawn_by_hand(vocab_size, dims, seed):
     """The blocks init_model makes from default_rng(seed), written out:
     name -> array in param_blocks order, with the draws taken in the
-    order embedding (unless given), enc_fwd, enc_bwd, attn_q/k/v,
-    tag_embedding, dec, emission_w, emission_b. Returns the blocks and
-    the generator after the last draw."""
+    order embedding, enc_fwd, enc_bwd, attn_q/k/v, tag_embedding, dec,
+    emission_w, emission_b. Returns the blocks and the generator after
+    the last draw."""
     rng = np.random.default_rng(seed)
 
     def uniform(k, *shape):
@@ -420,10 +421,8 @@ def _drawn_by_hand(vocab_size, dims, seed, embedding=True):
         b[hidden:2 * hidden] = 1.0  # the forget gate's bias
         return {"w_in": w_in, "w_h": w_h, "b": b}
 
-    drawn = {}
-    if embedding:
-        drawn["embedding"] = uniform(0.25, vocab_size, dims.embedding_dim)
-        drawn["embedding"][0] = 0.0  # the pad row
+    drawn = {"embedding": uniform(0.25, vocab_size, dims.embedding_dim)}
+    drawn["embedding"][0] = 0.0  # the pad row
     cells = {"enc_fwd": cell(dims.embedding_dim, dims.h_enc),
              "enc_bwd": cell(dims.embedding_dim, dims.h_enc)}
     ka = 1.0 / np.sqrt(2 * dims.h_enc)
@@ -437,7 +436,7 @@ def _drawn_by_hand(vocab_size, dims, seed, embedding=True):
     drawn["emission_b"] = uniform(ke, 3)
     transitions = np.zeros((crf.N_STATES, crf.N_STATES))
     transitions[crf.forbidden_mask()] = crf.FORBIDDEN_SCORE
-    blocks = {"embedding": drawn["embedding"]} if embedding else {}
+    blocks = {"embedding": drawn["embedding"]}
     for prefix in ("enc_fwd", "enc_bwd", "dec"):
         blocks.update({f"{prefix}.{k}": a for k, a in cells[prefix].items()})
     for name in ("attn_q", "attn_k", "attn_v", "tag_embedding", "emission_w",
@@ -465,23 +464,12 @@ class TestBlockTable:
             np.testing.assert_array_equal(blocks[name], arr, err_msg=name)
         assert rng.random() == hand_rng.random()  # and nothing more drawn
 
-    def test_given_embedding_is_not_drawn(self):
-        matrix = np.arange(12.0 * TINY.embedding_dim).reshape(12, -1)
-        rng = np.random.default_rng(9)
-        params = init_model(12, TINY, rng, embedding=matrix, trainable=False)
-        blocks = param_blocks(params)
-        expected, hand_rng = _drawn_by_hand(12, TINY, 9, embedding=False)
-        assert list(blocks) == list(expected)
-        for name, arr in expected.items():
-            np.testing.assert_array_equal(blocks[name], arr, err_msg=name)
-        assert rng.random() == hand_rng.random()
-
     @pytest.mark.parametrize("trainable", [True, False])
     def test_checkpoint_entries_in_block_order(self, tmp_path, trainable):
         rng = np.random.default_rng(4)
-        matrix = rng.uniform(-1, 1, size=(12, TINY.embedding_dim))
-        params = init_model(12, TINY, rng, embedding=matrix,
-                            trainable=trainable)
+        params = init_model(12, TINY, rng, trainable=trainable)
+        params.blocks["embedding"] = rng.uniform(
+            -1, 1, size=(12, TINY.embedding_dim))
         path = tmp_path / "model.npz"
         save_checkpoint(path, params, _vocab(12))
         with zipfile.ZipFile(path) as archive:

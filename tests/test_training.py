@@ -114,9 +114,10 @@ class TestPadBatch:
 
 
 # rows of (token, tag) pairs over the 8-word vocabulary of TestAdam's
-# model; PAD (0) and UNK (1) are drawn at real positions too
+# model; UNK (1) is drawn at real positions too, PAD (0) never: no input
+# path gives the core PAD
 TAGGED_ROWS = st.lists(
-    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2)),
+    st.lists(st.tuples(st.integers(1, 7), st.integers(0, 2)),
              min_size=1, max_size=7),
     min_size=1, max_size=4)
 
@@ -159,7 +160,9 @@ class TestAdam:
     def test_clamped_transitions_and_pad_row_get_zero_gradient(self, rows,
                                                                seed):
         # adam_step moves no entry whose gradient is always 0.0; these
-        # are the entries that must stay fixed
+        # are the entries that must stay fixed: the forbidden transitions
+        # and every embedding row that no input position holds, the pad
+        # row among them
         params = self._model()
         free = ~crf.forbidden_mask()
         params.blocks["transitions"][free] = np.random.default_rng(seed).normal(
@@ -171,7 +174,10 @@ class TestAdam:
                                         [len(row) for row in rows])
         np.testing.assert_array_equal(
             grads["transitions"][crf.forbidden_mask()], 0.0)
-        np.testing.assert_array_equal(grads["embedding"][PAD_INDEX], 0.0)
+        unheld = np.ones(len(grads["embedding"]), dtype=bool)
+        unheld[tokens] = False
+        assert unheld[PAD_INDEX]
+        np.testing.assert_array_equal(grads["embedding"][unheld], 0.0)
 
     def test_training_keeps_clamped_transitions_and_pad_row(
             self, synthetic_corpus):
@@ -312,6 +318,34 @@ class TestTrain:
                 f"in this file")):
             train(tiny_config(epochs=1, glove_path=str(glove)),
                   synthetic_corpus, ["dom0"])
+
+    def test_glove_file_changes_only_its_rows(self, synthetic_corpus,
+                                              tmp_path, monkeypatch):
+        # with adam_step a no-op train returns the model it drew: a GloVe
+        # file changes no block but the embedding, and in the embedding
+        # only the rows of the vocabulary words it lists
+        monkeypatch.setattr(training, "adam_step", lambda *args: None)
+        dim = TINY_CFG["embedding_dim"]
+        glove = tmp_path / "glove.txt"
+        glove.write_text("".join(f"{w} " + " ".join(["0.5"] * dim) + "\n"
+                                 for w in ("add", "dark", "zz")),
+                         encoding="utf-8")
+        cfg = dict(epochs=1, seed=9, batch_size=8)
+        plain, vocab, _ = train(tiny_config(**cfg), synthetic_corpus, ["dom0"])
+        read, read_vocab, _ = train(tiny_config(**cfg, glove_path=str(glove)),
+                                    synthetic_corpus, ["dom0"])
+        assert read_vocab == vocab
+        assert list(read.blocks) == list(plain.blocks)
+        for name, arr in plain.blocks.items():
+            if name != "embedding":
+                np.testing.assert_array_equal(read.blocks[name], arr,
+                                              err_msg=name)
+        listed = [vocab.token_to_index[w] for w in ("add", "dark")]
+        others = np.setdiff1d(np.arange(len(vocab)), listed)
+        np.testing.assert_array_equal(read.blocks["embedding"][listed], 0.5)
+        assert not np.any(plain.blocks["embedding"][listed] == 0.5)
+        np.testing.assert_array_equal(read.blocks["embedding"][others],
+                                      plain.blocks["embedding"][others])
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_glove_rows_overwrite_the_seeded_draw(self, synthetic_corpus,
