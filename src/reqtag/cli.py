@@ -25,7 +25,6 @@ from .evaluation import (evaluate_domain, extract_spans, load_baselines,
                          mean_scores, render_report)
 from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
                       predict_tags, save_checkpoint)
-from .tensor import NumericError
 
 EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_batch call
 NAME_MAX = 255  # bytes in a file name on common file systems
@@ -114,9 +113,10 @@ def cmd_preprocess(args):
 
 def cmd_train(args):
     from .training import train
-    _check_paths([("--output", args.output), ("--loss-curve", args.loss_curve)],
-                 [("--corpus", args.corpus), ("--config", args.config)])
+    outputs = [("--output", args.output), ("--loss-curve", args.loss_curve)]
+    _check_paths(outputs, [("--corpus", args.corpus), ("--config", args.config)])
     config = _load_config(args.config)
+    _check_paths(outputs, [("glove_path", config.glove_path)])
     corpus = load_corpus(args.corpus)
     train_domains = (args.domains.split(",") if args.domains
                      else sorted(corpus.domains))
@@ -164,7 +164,8 @@ def cmd_crossval(args):
     _check_paths([("--out", os.path.join(args.out, name)) for name in (
         "report.json", "report.txt", "manifest.json",
         *(f"fold_{domain}.json" for domain in sorted(domains)))],
-        [("--corpus", args.corpus), ("--config", args.config)])
+        [("--corpus", args.corpus), ("--config", args.config),
+         ("glove_path", config.glove_path)])
     digests = {"corpus": _sha256(args.corpus)}  # what the runs read
 
     def progress(domain, run_index, seed):
@@ -241,6 +242,8 @@ def cmd_extract(args):
 
 
 def cmd_evaluate(args):
+    _check_paths([], [("--model", args.model), ("--corpus", args.corpus),
+                      ("--baselines", args.baselines)])
     params, vocab, _config = load_checkpoint(args.model)
     corpus = load_corpus(args.corpus)
     domains = corpus.domains
@@ -309,7 +312,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, NumericError, MemoryError) as exc:
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 1
 

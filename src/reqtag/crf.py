@@ -9,14 +9,18 @@ score and never updated.
 
 import numpy as np
 
-from .tensor import logsumexp
-
 O, B, I = 0, 1, 2
 N_TAGS = 3
 START, STOP = 3, 4
 N_STATES = 5
 
 FORBIDDEN_SCORE = -1e4
+
+
+def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along axis of a finite array."""
+    m = np.max(x, axis=axis, keepdims=True)
+    return np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def forbidden_mask() -> np.ndarray:

@@ -101,9 +101,13 @@ def _unique_keys(pairs):
 
 
 def read_json(path):
-    """The JSON document that a text file holds (see _unique_keys)."""
-    return json.loads("".join(line for _, line in text_lines(path)),
-                      object_pairs_hook=_unique_keys)
+    """The JSON document that a text file holds (see _unique_keys); an
+    error names the file."""
+    try:
+        return json.loads("".join(line for _, line in text_lines(path)),
+                          object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def clean_tokens(text: str) -> list:
@@ -298,22 +302,24 @@ def _corpus_line_problem(doc):
 
 
 def load_corpus(path) -> Corpus:
+    """The corpus a JSON Lines file holds; an error names the file and
+    the line."""
     sentences = []
-    for lineno, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line, object_pairs_hook=_unique_keys)
-        except (json.JSONDecodeError, DataError) as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        problem = _corpus_line_problem(doc)
-        if problem:
-            raise DataError(f"line {lineno}: {problem}")
-        try:
-            sentences.append(TaggedSentence(
-                app_id=doc["app"], category=doc.get("category"),
-                tokens=doc["tokens"], tags=doc["tags"]))
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
+    try:
+        for lineno, line in text_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line, object_pairs_hook=_unique_keys)
+                problem = _corpus_line_problem(doc)
+                if problem:
+                    raise DataError(problem)
+                sentences.append(TaggedSentence(
+                    app_id=doc["app"], category=doc.get("category"),
+                    tokens=doc["tokens"], tags=doc["tags"]))
+            except (json.JSONDecodeError, DataError) as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return Corpus(sentences=sentences)

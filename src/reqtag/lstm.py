@@ -16,7 +16,10 @@ a backward pass follows, so inference holds one step's cache at a time.
 
 import numpy as np
 
-from .tensor import ShapeError, sigmoid
+
+def sigmoid(x):
+    # the lower clip keeps exp() finite; above 500, 1 + exp(-x) is 1.0 anyway
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -500.0)))
 
 
 def lstm_step(w_h, a_in, h_prev, c_prev):
@@ -26,10 +29,10 @@ def lstm_step(w_h, a_in, h_prev, c_prev):
     """
     hid = w_h.shape[1]
     if h_prev.ndim != 2 or h_prev.shape[1] != hid or c_prev.shape != h_prev.shape:
-        raise ShapeError(f"state shapes {h_prev.shape}/{c_prev.shape}, "
+        raise ValueError(f"state shapes {h_prev.shape}/{c_prev.shape}, "
                          f"expected (B, {hid})")
     if a_in.shape != (h_prev.shape[0], 4 * hid):
-        raise ShapeError(f"input projection shape {a_in.shape}, "
+        raise ValueError(f"input projection shape {a_in.shape}, "
                          f"expected ({h_prev.shape[0]}, {4 * hid})")
     a = a_in + h_prev @ w_h.T
     i_f = sigmoid(a[:, :2 * hid])  # the adjacent input and forget gates
@@ -65,7 +68,7 @@ def lstm_forward(w_h, pre, packing, caches=None):
     cache is appended to caches if a list is given, else dropped."""
     sizes, starts = packing.sizes, packing.starts
     if starts[-1] != len(pre):
-        raise ShapeError(f"{len(pre)} input rows for {starts[-1]} positions")
+        raise ValueError(f"{len(pre)} input rows for {starts[-1]} positions")
     hid = w_h.shape[1]
     hs = np.empty((len(pre), hid))
     h = np.zeros((sizes[0], hid))

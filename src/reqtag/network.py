@@ -46,7 +46,6 @@ from . import crf
 from .embeddings import (PAD_TOKEN, UNK_TOKEN, Vocabulary, build_vocabulary,
                          random_embeddings)
 from .lstm import lstm_backward, lstm_forward, lstm_step
-from .tensor import softmax_rows
 
 CHECKPOINT_VERSION = 2
 DECODE_CHUNK = 64
@@ -221,6 +220,12 @@ def _length_runs(lengths, *arrays):
         stop = start + len(list(run)) * n
         yield [a[start:stop].reshape(-1, n, a.shape[1]) for a in arrays]
         start = stop
+
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _attend(params: ModelParams, enc, packing: Packing):

@@ -16,10 +16,9 @@ import numpy as np
 
 from . import network
 from .data import Corpus, DataError
-from .embeddings import Vocabulary, build_vocabulary, encode_tokens, load_glove
+from .embeddings import build_vocabulary, encode_tokens, load_glove
 from .evaluation import evaluate_domain
 from .network import ModelDims, ModelParams, param_blocks
-from .tensor import NumericError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -75,14 +74,14 @@ class TrainConfig:
                          d_att=self.d_att, h_dec=self.h_dec, d_tag=self.d_tag)
 
 
-def pad_batch(sentences, vocab: Vocabulary):
-    """(tokens (N,), tags (N,), lengths) of a batch: its rows' token and
-    tag indices laid end to end in input order, and each row's length.
-    Nothing is padded; the name stays because perfbench traces this
-    boundary by it."""
-    tokens = np.concatenate([encode_tokens(s.tokens, vocab) for s in sentences])
-    tags = np.concatenate([s.tag_indices() for s in sentences])
-    return tokens, tags, [len(s.tokens) for s in sentences]
+def pad_batch(rows):
+    """(tokens (N,), tags (N,), lengths) of a batch of (token indices,
+    tag indices) rows: their indices laid end to end in input order, and
+    each row's length. Nothing is padded; the name stays because
+    perfbench traces this boundary by it."""
+    tokens = np.concatenate([row_tokens for row_tokens, _ in rows])
+    tags = np.concatenate([row_tags for _, row_tags in rows])
+    return tokens, tags, [len(row_tokens) for row_tokens, _ in rows]
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
@@ -108,7 +107,7 @@ def adam_step(params: ModelParams, grads: dict, moments: dict, t: int, lr: float
     for name, theta in param_blocks(params).items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in block {name!r}")
+            raise FloatingPointError(f"non-finite gradient in block {name!r}")
         m, v = moments[name]
         # the textbook expressions, evaluated in the same order
         step = np.multiply(1 - b1, g)
@@ -160,6 +159,8 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
             params.blocks["embedding"][idx] = vector
     moments = {name: (np.zeros_like(a), np.zeros_like(a))
                for name, a in param_blocks(params).items()}
+    rows = [(encode_tokens(s.tokens, vocab), s.tag_indices())
+            for s in sentences]  # encoded once, not once per epoch
     steps = 0
     loss_curve = []
     order = np.arange(len(sentences))
@@ -167,8 +168,8 @@ def train(config: TrainConfig, corpus: Corpus, train_domains):
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [sentences[i] for i in order[start:start + config.batch_size]]
-            tokens, tags, lengths = pad_batch(batch, vocab)
+            batch = [rows[i] for i in order[start:start + config.batch_size]]
+            tokens, tags, lengths = pad_batch(batch)
             batch_loss, grads = network.batch_loss_and_grads(
                 params, tokens, tags, lengths)
             inv = 1.0 / len(batch)

@@ -21,7 +21,6 @@ with warnings.catch_warnings():
         pass
 
 from reqtag.data import Corpus, TaggedSentence
-from reqtag.tensor import NumericError, ShapeError
 
 FILLERS = ["i", "really", "love", "this", "app", "but", "it", "crash",
            "often", "please", "very", "nice"]
@@ -106,10 +105,10 @@ def grad_check(loss_fn, param: np.ndarray, analytic_grad: np.ndarray,
     if h <= 0:
         raise ValueError("h must be positive")
     if param.shape != analytic_grad.shape:
-        raise ShapeError(
+        raise ValueError(
             f"grad shape {analytic_grad.shape} != param shape {param.shape}")
     if skip is not None and skip.shape != param.shape:
-        raise ShapeError(f"skip shape {skip.shape} != param shape {param.shape}")
+        raise ValueError(f"skip shape {skip.shape} != param shape {param.shape}")
     worst = (0,) * param.ndim
     max_err = 0.0
     it = np.nditer(param, flags=["multi_index"])
@@ -124,7 +123,8 @@ def grad_check(loss_fn, param: np.ndarray, analytic_grad: np.ndarray,
         lo_minus = loss_fn(param)
         param[idx] = orig
         if not (np.isfinite(lo_plus) and np.isfinite(lo_minus)):
-            raise NumericError(f"non-finite loss while probing coordinate {idx}")
+            raise FloatingPointError(
+                f"non-finite loss while probing coordinate {idx}")
         fd = (lo_plus - lo_minus) / (2.0 * h)
         an = analytic_grad[idx]
         err = abs(fd - an) / max(abs(fd), abs(an), 1e-8)

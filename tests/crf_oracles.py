@@ -10,9 +10,9 @@ from itertools import product
 
 import numpy as np
 
-from reqtag.crf import B, I, N_TAGS, O, START, STOP, crf_nll_backward
+from reqtag.crf import (B, I, N_TAGS, O, START, STOP, crf_nll_backward,
+                        logsumexp)
 from reqtag.network import _pack
-from reqtag.tensor import logsumexp
 
 
 def is_valid_bio(tags) -> bool:

@@ -15,8 +15,8 @@ import numpy as np
 
 from reqtag import crf
 from reqtag.embeddings import PAD_INDEX
-from reqtag.network import ModelParams, _pack, param_blocks
-from reqtag.tensor import sigmoid, softmax_rows
+from reqtag.lstm import sigmoid
+from reqtag.network import ModelParams, _pack, param_blocks, softmax_rows
 from crf_oracles import sentence_viterbi
 
 

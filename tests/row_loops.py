@@ -13,7 +13,7 @@ import numpy as np
 
 from reqtag.embeddings import PAD_INDEX
 from reqtag.lstm import lstm_backward, lstm_forward
-from reqtag.tensor import softmax_rows
+from reqtag.network import softmax_rows
 
 
 def encode(params, tokens, packing, keep):

@@ -11,8 +11,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from reqtag.crf import N_STATES, N_TAGS, START, STOP, forbidden_mask
-from reqtag.tensor import logsumexp
+from reqtag.crf import (N_STATES, N_TAGS, START, STOP, forbidden_mask,
+                        logsumexp)
 
 
 def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, sizes):

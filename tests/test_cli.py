@@ -343,6 +343,27 @@ class TestCrossval:
         assert os.listdir(out) == [name]
         assert kept.read_bytes() == before
 
+    def test_out_file_naming_the_glove_file_stops_before_first_run(
+            self, corpus_path, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("run_fold called")
+        monkeypatch.setattr(training, "run_fold", fail)
+        out = tmp_path / "res"
+        out.mkdir()
+        glove = out / "fold_dom1.json"  # where crossval writes a fold file
+        glove.write_text("add" + " 0.5" * 16 + "\n", encoding="utf-8")
+        before = glove.read_bytes()
+        config = tmp_path / "glove.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "glove_path": str(glove)}),
+                          encoding="utf-8")
+        assert run(["crossval", "--corpus", corpus_path, "--config", config,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {str(glove)!r} and glove_path {str(glove)!r} name "
+            f"the same file\n")
+        assert os.listdir(out) == [glove.name]
+        assert glove.read_bytes() == before
+
     def test_manifest_digests_the_corpus_the_runs_read(
             self, corpus_path, config_path, tmp_path, monkeypatch):
         # a corpus rewritten while the folds run keeps the digest of the
@@ -412,7 +433,8 @@ class TestTrain:
             fh.write(line + "\n")
         assert run(["train", "--corpus", corpus_path, "--config", config_path,
                     "--output", tmp_path / "model.npz"]) == 1
-        assert capsys.readouterr().err.startswith("error: line 31: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {corpus_path}: line 31: ")
 
     def test_sentence_over_token_cap(self, corpus_path, config_path,
                                      tmp_path, capsys):
@@ -422,7 +444,8 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", config_path,
                     "--output", tmp_path / "model.npz"]) == 1
         assert capsys.readouterr().err == (
-            "error: line 31: app 'a': 1001 tokens, more than 1000\n")
+            f"error: {corpus_path}: line 31: app 'a': 1001 tokens, "
+            f"more than 1000\n")
 
     def test_domain_listed_twice(self, corpus_path, config_path, tmp_path,
                                  capsys):
@@ -564,6 +587,30 @@ class TestTrain:
         # the other path spelled another way
         paths[flag] = tmp_path / ".." / tmp_path.name / paths[other].name
         self._refused(paths, flag, other, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("flag", ["--output", "--loss-curve"])
+    def test_output_naming_the_glove_file_stops_before_training(
+            self, corpus_path, tmp_path, capsys, monkeypatch, flag):
+        def fail(*args):
+            raise AssertionError("train called")
+        monkeypatch.setattr(training, "train", fail)
+        monkeypatch.chdir(tmp_path)
+        glove = tmp_path / "glove.txt"
+        glove.write_text("add" + " 0.5" * 16 + "\n", encoding="utf-8")
+        before = glove.read_bytes()
+        config = tmp_path / "glove.json"  # the GloVe path relative to cwd
+        config.write_text(json.dumps({**TINY_CONFIG, "glove_path": "glove.txt"}),
+                          encoding="utf-8")
+        paths = {"--output": tmp_path / "model.npz",
+                 "--loss-curve": tmp_path / "curve.json", flag: glove}
+        assert run(["train", "--corpus", corpus_path, "--config", config,
+                    *[a for kv in paths.items() for a in kv]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} {str(glove)!r} and glove_path 'glove.txt' name "
+            f"the same file\n")
+        assert glove.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == sorted([config, corpus_path,
+                                                     glove])
 
     @pytest.mark.parametrize("link", [os.symlink, os.link])
     def test_output_linked_to_corpus_stops_before_reading(
@@ -1037,6 +1084,20 @@ class TestUnreadablePath:
                     "--domain", "dom0"]) == 1
         self._one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag", ["--corpus", "--baselines"])
+    def test_evaluate_input_is_a_directory_before_the_model_loads(
+            self, corpus_path, tmp_path, capsys, monkeypatch, flag):
+        def fail(*args):
+            raise AssertionError("load_checkpoint called")
+        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        paths = {"--model": tmp_path / "model.npz", "--corpus": corpus_path,
+                 flag: tmp_path}
+        assert run(["evaluate", "--domain", "dom0",
+                    *[a for kv in paths.items() for a in kv]]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                f"{str(tmp_path)!r}\n")
+
     def test_crossval_out_is_an_existing_file(self, corpus_path, config_path,
                                               tmp_path, capsys):
         out = tmp_path / "taken"
@@ -1087,22 +1148,23 @@ def test_byte_that_is_not_utf8_is_one_error_line(corpus_path, config_path,
                       "--domain", "dom0", "--baselines", bad],
     }[kind]
     assert run(argv) == 1
-    # the GloVe file is read beside the corpus and the config: its error
-    # names it
-    where = f"{bad}: " if kind == "glove" else ""
+    # a file read beside another names itself; a preprocess input is the
+    # command's one input
+    where = "" if kind in ("conllu", "rebert-csv") else f"{bad}: "
     assert capsys.readouterr() == ("", f"error: {where}line 3: not UTF-8\n")
 
 
 # each JSON input with a key named twice, which json.loads alone would
-# read as its last value, and the one line the command reading it prints
+# read as its last value, and the one line, after the file's name, that
+# the command reading it prints
 _KEY_TWICE_FILES = {
     "corpus": ('{"app": "a", "tokens": ["x"], "tags": ["O"]}\n'
                '{"app": "x", "app": "y", "tokens": ["x"], "tags": ["O"]}\n',
-               "error: line 2: key 'app' appears more than once\n"),
+               "line 2: key 'app' appears more than once\n"),
     "config": ('{"epochs": 1, ' + json.dumps(TINY_CONFIG)[1:],
-               "error: key 'epochs' appears more than once\n"),
+               "key 'epochs' appears more than once\n"),
     "baselines": ('{"dom0": {"f1": 0.5, "f1": 0.6}}\n',
-                  "error: key 'f1' appears more than once\n"),
+                  "key 'f1' appears more than once\n"),
 }
 
 
@@ -1126,7 +1188,30 @@ def test_key_named_twice_is_one_error_line(corpus_path, config_path, tmp_path,
                       "--domain", "dom0", "--baselines", bad],
     }[kind]
     assert run(argv) == 1
-    assert capsys.readouterr() == ("", message)
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}")
+
+
+@pytest.mark.parametrize("kind", ["config", "baselines"])
+def test_file_that_is_not_json_is_one_error_line(corpus_path, tmp_path,
+                                                 capsys, kind):
+    text = '{"epochs": 1, }'
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text, encoding="utf-8")
+    model = tmp_path / "model.npz"
+    if kind == "baselines":
+        vocab = build_vocabulary([["add"]])
+        save_checkpoint(model, init_model(len(vocab), ModelDims(4, 2, 2, 2, 2),
+                                          np.random.default_rng(0)), vocab)
+    argv = {
+        "config": ["train", "--corpus", corpus_path, "--config", bad,
+                   "--output", model],
+        "baselines": ["evaluate", "--model", model, "--corpus", corpus_path,
+                      "--domain", "dom0", "--baselines", bad],
+    }[kind]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: {exc.value}\n")
 
 
 class TestMalformedCheckpoint:

@@ -426,7 +426,7 @@ def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
     path.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(DataError) as exc:
         load_corpus(path)
-    assert str(exc.value).startswith("line 2: ")
+    assert str(exc.value).startswith(f"{path}: line 2: ")
     assert fragment in str(exc.value)
 
 
@@ -436,7 +436,7 @@ def test_load_corpus_byte_that_is_not_utf8_names_its_line(tmp_path):
                      + b'{"app": "a\xff", "tokens": ["x"], "tags": ["O"]}\n')
     with pytest.raises(DataError) as exc:
         load_corpus(path)
-    assert str(exc.value) == "line 3: not UTF-8"
+    assert str(exc.value) == f"{path}: line 3: not UTF-8"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -463,7 +463,7 @@ def test_load_corpus_invalid_sentence_names_line(tmp_path, line, message):
     path.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(DataError) as exc:
         load_corpus(path)
-    assert str(exc.value) == message
+    assert str(exc.value) == f"{path}: {message}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,7 +493,8 @@ def test_load_corpus_token_cap_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError) as exc:
         load_corpus(path)
-    assert str(exc.value) == "line 2: app 'a': 1001 tokens, more than 1000"
+    assert str(exc.value) == (
+        f"{path}: line 2: app 'a': 1001 tokens, more than 1000")
 
 
 _JSON = st.recursive(

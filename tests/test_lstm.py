@@ -6,7 +6,6 @@ import pytest
 from reqtag.lstm import (lstm_backward, lstm_forward, lstm_step,
                          lstm_step_backward)
 from reqtag.network import ModelDims, _pack, init_model
-from reqtag.tensor import ShapeError
 from conftest import grad_check
 
 
@@ -90,13 +89,19 @@ def test_rows_are_independent():
 
 def test_shape_errors():
     w_h = init_lstm(3, 2, np.random.default_rng(0))["c.w_h"]
-    with pytest.raises(ShapeError):
+    # each match names the check's own message: a numpy broadcasting
+    # ValueError from the step's arithmetic cannot pass for it
+    with pytest.raises(ValueError, match=r"^input projection shape \(1, 9\), "
+                                         r"expected \(1, 8\)$"):
         lstm_step(w_h, np.zeros((1, 9)), np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"^state shapes \(1, 3\)/\(1, 2\), "
+                                         r"expected \(B, 2\)$"):
         lstm_step(w_h, np.zeros((1, 8)), np.zeros((1, 3)), np.zeros((1, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"^input projection shape \(2, 8\), "
+                                         r"expected \(1, 8\)$"):
         lstm_step(w_h, np.zeros((2, 8)), np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"^state shapes \(2,\)/\(2,\), "
+                                         r"expected \(B, 2\)$"):
         lstm_step(w_h, np.zeros(8), np.zeros(2), np.zeros(2))
 
 
@@ -211,7 +216,7 @@ def test_states_equal_forward_without_caches():
     states = lstm_forward(p["c.w_h"], pre, _pack([4, 3, 1]))
     np.testing.assert_array_equal(states, hs)
     assert len(caches) == 4  # one per step, kept only for a list
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"^8 input rows for 7 positions$"):
         lstm_forward(p["c.w_h"], pre, _pack([3, 3, 1]))  # sizes [3, 2, 2]
 
 
@@ -235,5 +240,5 @@ def test_states_keep_no_step_caches():
 
 def test_step_sizes_must_cover_every_row():
     w_h = init_lstm(3, 2, np.random.default_rng(7))["c.w_h"]
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"^5 input rows for 4 positions$"):
         lstm_forward(w_h, np.zeros((5, 8)), _pack([2, 2]))

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reqtag.tensor import logsumexp, sigmoid, softmax_rows
+from reqtag.crf import logsumexp
+from reqtag.lstm import sigmoid
+from reqtag.network import softmax_rows
 from conftest import grad_check
 
 

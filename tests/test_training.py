@@ -11,7 +11,6 @@ from reqtag.embeddings import PAD_INDEX, build_vocabulary, encode_tokens
 from reqtag.evaluation import mean_scores
 from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
                             param_blocks, predict_tags, zero_grad_blocks)
-from reqtag.tensor import NumericError
 from reqtag.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig,
                              adam_step, clip_gradients, cross_validate,
                              pad_batch, train)
@@ -76,12 +75,17 @@ class TestPadBatch:
                            tags=["O", "O", "O", "B", "O"]),
         ]
 
+    @staticmethod
+    def _rows(sents, vocab):
+        return [(encode_tokens(s.tokens, vocab), s.tag_indices())
+                for s in sents]
+
     def test_shapes_and_lengths(self):
         # the rows' encode_tokens and tag_indices, laid end to end in
         # input order
         sents = self._sentences()
         vocab = build_vocabulary(s.tokens for s in sents)
-        tokens, tags, lengths = pad_batch(sents, vocab)
+        tokens, tags, lengths = pad_batch(self._rows(sents, vocab))
         assert tokens.shape == tags.shape == (8,)
         assert lengths == [3, 5]
         assert tokens.tolist() == [i for s in sents
@@ -94,7 +98,7 @@ class TestPadBatch:
         sents = self._sentences()
         vocab = build_vocabulary(s.tokens for s in sents)
         for batch in (sents, sents[::-1], sents[1:]):
-            tokens, tags, lengths = pad_batch(batch, vocab)
+            tokens, tags, lengths = pad_batch(self._rows(batch, vocab))
             assert len(tokens) == len(tags) == sum(lengths)
             assert PAD_INDEX not in tokens
 
@@ -106,10 +110,10 @@ class TestPadBatch:
         params = init_model(len(vocab), ModelDims(
             embedding_dim=16, h_enc=8, d_att=8, h_dec=8, d_tag=4),
             np.random.default_rng(0))
-        batch_total, _ = batch_loss_and_grads(params, *pad_batch(sents, vocab))
-        alone_total = sum(
-            batch_loss_and_grads(params, *pad_batch([s], vocab))[0]
-            for s in sents)
+        rows = self._rows(sents, vocab)
+        batch_total, _ = batch_loss_and_grads(params, *pad_batch(rows))
+        alone_total = sum(batch_loss_and_grads(params, *pad_batch([row]))[0]
+                          for row in rows)
         assert batch_total == pytest.approx(alone_total, abs=1e-9)
 
 
@@ -248,7 +252,7 @@ class TestAdam:
         params = self._model()
         grads = zero_grad_blocks(params)
         grads["attn_q"][0, 0] = np.nan
-        with pytest.raises(NumericError, match="attn_q"):
+        with pytest.raises(FloatingPointError, match="attn_q"):
             adam_step(params, grads, self._moments(params), 1, lr=0.1)
 
 
@@ -275,6 +279,55 @@ class TestTrain:
         drops = sum(b <= a for a, b in zip(curve, curve[1:]))
         assert drops >= len(curve) - 2
         assert curve[-1] < curve[0]
+
+    def test_sentences_are_encoded_once_per_run(self, synthetic_corpus,
+                                                monkeypatch):
+        cfg = tiny_config(epochs=3, seed=4, batch_size=8)
+        domains = synthetic_corpus.domains
+        sentences = [synthetic_corpus.sentences[i]
+                     for d in ("dom0", "dom1") for i in domains[d]]
+        # the epoch loop as it ran when each batch's sentences were
+        # encoded again every epoch
+        rng = np.random.default_rng(cfg.seed)
+        vocab = build_vocabulary(s.tokens for s in sentences)
+        ref = init_model(len(vocab), cfg.dims(), rng)
+        moments = {name: (np.zeros_like(a), np.zeros_like(a))
+                   for name, a in param_blocks(ref).items()}
+        order = np.arange(len(sentences))
+        ref_curve, steps = [], 0
+        for _epoch in range(cfg.epochs):
+            rng.shuffle(order)
+            epoch_loss = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [sentences[i]
+                         for i in order[start:start + cfg.batch_size]]
+                loss, grads = batch_loss_and_grads(
+                    ref,
+                    np.concatenate([encode_tokens(s.tokens, vocab)
+                                    for s in batch]),
+                    np.concatenate([s.tag_indices() for s in batch]),
+                    [len(s.tokens) for s in batch])
+                for g in grads.values():
+                    g *= 1.0 / len(batch)
+                clip_gradients(grads, cfg.grad_clip_norm)
+                steps += 1
+                adam_step(ref, grads, moments, steps, cfg.learning_rate)
+                epoch_loss += loss
+            ref_curve.append(epoch_loss / len(sentences))
+
+        calls = []
+
+        def spy(tokens, vocab):
+            calls.append(tokens)
+            return encode_tokens(tokens, vocab)
+
+        monkeypatch.setattr(training, "encode_tokens", spy)
+        params, _, curve = train(cfg, synthetic_corpus, ["dom0", "dom1"])
+        assert len(calls) == len(sentences)  # not once per epoch as well
+        assert curve == ref_curve
+        for name, arr in param_blocks(ref).items():
+            np.testing.assert_array_equal(param_blocks(params)[name], arr,
+                                          err_msg=name)
 
     def test_empty_training_set(self, synthetic_corpus):
         with pytest.raises(DataError):
