@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .data import (_NOT_UTF8, DataError, clean_tokens, load_corpus,
+from .data import (_NOT_UTF8, DataError, clean_tokens, load_corpus, naming,
                    parse_conllu, parse_rebert_csv, read_json, save_corpus)
 from .embeddings import encode_tokens
 from .evaluation import (evaluate_domain, extract_spans, load_baselines,
@@ -79,15 +79,16 @@ def _load_config(path) -> "TrainConfig":
     from .training import TrainConfig
     if path is None:
         return TrainConfig()
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise DataError(f"config must be a JSON object, "
-                        f"got {type(doc).__name__}")
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise DataError(f"unknown config keys: {unknown}")
-    return TrainConfig(**doc)
+    with naming(path):
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise DataError(f"config must be a JSON object, "
+                            f"got {type(doc).__name__}")
+        known = {f.name for f in dataclasses.fields(TrainConfig)}
+        unknown = sorted(set(doc) - known)
+        if unknown:
+            raise DataError(f"unknown config keys: {unknown}")
+        return TrainConfig(**doc)
 
 
 def cmd_preprocess(args):
@@ -118,7 +119,7 @@ def cmd_train(args):
     config = _load_config(args.config)
     _check_paths(outputs, [("glove_path", config.glove_path)])
     corpus = load_corpus(args.corpus)
-    train_domains = (args.domains.split(",") if args.domains
+    train_domains = (args.domains.split(",") if args.domains is not None
                      else sorted(corpus.domains))
     params, vocab, curve = train(config, corpus, train_domains)
     save_checkpoint(args.output, params, vocab,
@@ -188,7 +189,7 @@ def cmd_crossval(args):
     return 0
 
 
-def _ready_lines(fd):
+def _ready_lines(path):
     """Windows of the complete lines buffered or readable at once, at most
     EXTRACT_WINDOW, newline stripped and decoded as a text-mode open() with
     utf-8-sig does; the read blocks only when none is buffered. A line that
@@ -197,47 +198,42 @@ def _ready_lines(fd):
         codecs.getincrementaldecoder("utf-8-sig")("surrogateescape"),
         translate=True)
     text, eof, done = "", False, 0
-    while True:
-        ready = text.count("\n")
-        if not eof and (not ready or ready < EXTRACT_WINDOW
-                        and select.select([fd], [], [], 0)[0]):
-            chunk = os.read(fd, 1 << 16)
-            eof = not chunk
-            text += decoder.decode(chunk, final=eof)
-        elif ready or text:  # at end of input a last line may lack its newline
-            *lines, text = text.split("\n", EXTRACT_WINDOW) if ready else [text, ""]
-            good = next((k for k, line in enumerate(lines)
-                         if _NOT_UTF8.search(line)), len(lines))
-            if good:
-                yield lines[:good]
-            if good < len(lines):
-                raise DataError(f"line {done + good + 1}: not UTF-8")
-            done += good
-        else:
-            return
+    with open(path, "rb", buffering=0) as fh, naming(path):
+        while not eof or text:
+            ready = text.count("\n")
+            if not eof and (not ready or ready < EXTRACT_WINDOW
+                            and select.select([fh], [], [], 0)[0]):
+                chunk = fh.read(1 << 16)
+                eof = not chunk
+                text += decoder.decode(chunk, final=eof)
+            else:  # at end of input a last line may lack its newline
+                *lines, text = text.split("\n", EXTRACT_WINDOW) if ready else [text, ""]
+                good = next((k for k, line in enumerate(lines)
+                             if _NOT_UTF8.search(line)), len(lines))
+                if good:
+                    yield lines[:good]
+                if good < len(lines):
+                    raise DataError(f"line {done + good + 1}: not UTF-8")
+                done += good
 
 
 def cmd_extract(args):
     _check_paths([], [("--model", args.model), ("--input", args.input)])
     params, vocab, _config = load_checkpoint(args.model)
-    fd = os.open(args.input, os.O_RDONLY)
-    try:
-        for lines in _ready_lines(fd):
-            tokens = [clean_tokens(line) for line in lines]
-            rows = [encode_tokens(t, vocab) for t in tokens if t]
-            # a closed-loop client's line comes alone
-            paths = iter([predict_tags(params, rows[0])] if len(rows) == 1
-                         else predict_batch(params, rows))
-            replies = []
-            for text, toks in zip(lines, tokens):
-                spans = extract_spans(next(paths)) if toks else []
-                replies.append(json.dumps({"text": text, "requirements": [
-                    {"span": [s, e], "text": " ".join(toks[s:e + 1])}
-                    for s, e in spans]}) + "\n")
-            sys.stdout.write("".join(replies))
-            sys.stdout.flush()
-    finally:
-        os.close(fd)
+    for lines in _ready_lines(args.input):
+        tokens = [clean_tokens(line) for line in lines]
+        rows = [encode_tokens(t, vocab) for t in tokens if t]
+        # a closed-loop client's line comes alone
+        paths = iter([predict_tags(params, rows[0])] if len(rows) == 1
+                     else predict_batch(params, rows))
+        replies = []
+        for text, toks in zip(lines, tokens):
+            spans = extract_spans(next(paths)) if toks else []
+            replies.append(json.dumps({"text": text, "requirements": [
+                {"span": [s, e], "text": " ".join(toks[s:e + 1])}
+                for s, e in spans]}) + "\n")
+        sys.stdout.write("".join(replies))
+        sys.stdout.flush()
     return 0
 
 

@@ -4,10 +4,11 @@ Both pipelines end in the same canonical shape: a TaggedSentence with
 lowercase lemmatized tokens, a valid BIO tag sequence, and a domain
 label (app id for the CSV dataset, category for the CoNLL-U one).
 Corpora serialize to JSON Lines, one sentence per line. Every text input
-file is read through text_lines. Every refusal of input raises DataError,
-except the config's setting checks and the checkpoint's (ValueError).
+file is read through text_lines. Every refusal of an input file raises a
+DataError that starts with the file's path, as naming puts it there.
 """
 
+import contextlib
 import csv
 import json
 import re
@@ -28,6 +29,16 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 class DataError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def naming(where):
+    """Re-raise a ValueError from inside as DataError(f"{where}: {exc}").
+    Enter it once per file: it costs far more than a try block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -101,13 +112,9 @@ def _unique_keys(pairs):
 
 
 def read_json(path):
-    """The JSON document that a text file holds (see _unique_keys); an
-    error names the file."""
-    try:
-        return json.loads("".join(line for _, line in text_lines(path)),
-                          object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, DataError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+    """The JSON document that a text file holds (see _unique_keys)."""
+    return json.loads("".join(line for _, line in text_lines(path)),
+                      object_pairs_hook=_unique_keys)
 
 
 def clean_tokens(text: str) -> list:
@@ -155,36 +162,37 @@ def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
     returns (corpus, counts)."""
     counts = {"dropped_empty": 0, "alignment_misses": 0}
     sentences = []
-    # newline="": a quoted cell keeps the line ends the file gives it;
-    # strict: a quote left open or followed by text is an error
-    reader = csv.DictReader(
-        (line for _, line in text_lines(path, newline="")), strict=True)
-    try:
-        required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
-        header = reader.fieldnames or []
-        for col in required:
-            if col not in header:
-                raise DataError(f"missing required column {col!r}")
-            if header.count(col) > 1:  # DictReader keeps the last one
-                raise DataError(f"column {col!r} appears more than once")
-        for rownum, row in enumerate(reader, start=2):
-            tokens = clean_tokens(row["Sentence Content"] or "")
-            if not tokens:
-                counts["dropped_empty"] += 1
-                continue
-            feature_cell = row["Feature (All Annotated)"] or ""
-            phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
-            phrases = [p for p in phrases if p]
-            tags, misses = align_bio(tokens, phrases)
-            counts["alignment_misses"] += misses
-            try:
-                sentences.append(TaggedSentence(app_id=row["App Id"],
-                                                tokens=tokens, tags=tags))
-            except DataError as exc:
-                raise DataError(f"row {rownum}: {exc}") from None
-    except csv.Error as exc:  # e.g. a cell over the field size limit
-        # the inner reader's count: DictReader's lags behind on an error
-        raise DataError(f"line {reader.reader.line_num}: {exc}") from None
+    with naming(path):
+        # newline="": a quoted cell keeps the line ends the file gives it;
+        # strict: a quote left open or followed by text is an error
+        reader = csv.DictReader(
+            (line for _, line in text_lines(path, newline="")), strict=True)
+        try:
+            required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
+            header = reader.fieldnames or []
+            for col in required:
+                if col not in header:
+                    raise DataError(f"missing required column {col!r}")
+                if header.count(col) > 1:  # DictReader keeps the last one
+                    raise DataError(f"column {col!r} appears more than once")
+            for rownum, row in enumerate(reader, start=2):
+                tokens = clean_tokens(row["Sentence Content"] or "")
+                if not tokens:
+                    counts["dropped_empty"] += 1
+                    continue
+                feature_cell = row["Feature (All Annotated)"] or ""
+                phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
+                phrases = [p for p in phrases if p]
+                tags, misses = align_bio(tokens, phrases)
+                counts["alignment_misses"] += misses
+                try:
+                    sentences.append(TaggedSentence(app_id=row["App Id"],
+                                                    tokens=tokens, tags=tags))
+                except DataError as exc:
+                    raise DataError(f"row {rownum}: {exc}") from None
+        except csv.Error as exc:  # e.g. a cell over the field size limit
+            # the inner reader's count: DictReader's lags behind on an error
+            raise DataError(f"line {reader.reader.line_num}: {exc}") from None
     return Corpus(sentences=sentences), counts
 
 
@@ -238,41 +246,42 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
             counts["dropped_empty"] += 1
         tokens, tags, first_line = [], [], None
 
-    for lineno, line in text_lines(path):
-        line = line.rstrip("\n")
-        if not line:
-            flush()
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                key = key.strip()
-                if key == "app_name":
-                    app_name = value.strip()
-                elif key.endswith("category"):
-                    category = value.strip()
-            continue
-        cols = line.split("\t")
-        if len(cols) != CONLLU_COLUMNS and len(cols) != CONLLU_COLUMNS + 1:
-            raise DataError(
-                f"line {lineno}: expected {CONLLU_COLUMNS} tab-separated "
-                f"columns, got {len(cols)}")
-        if not 0 <= tag_column < len(cols):
-            raise DataError(f"line {lineno}: no column {tag_column}")
-        first_line = first_line or lineno
-        token_id = cols[0]
-        if "-" in token_id or "." in token_id:
-            continue  # multiword/empty nodes carry no tag of their own
-        lemma = cols[2].lower()
-        if _PUNCT_ONLY_RE.match(lemma) or not lemma:
-            continue
-        lemma = _STRIP_RE.sub("", lemma).strip("'")
-        if not lemma:
-            continue
-        tokens.append(lemma)
-        tags.append(_CONLLU_TAGS.get(cols[tag_column], "O"))
-    flush()
+    with naming(path):
+        for lineno, line in text_lines(path):
+            line = line.rstrip("\n")
+            if not line:
+                flush()
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    key = key.strip()
+                    if key == "app_name":
+                        app_name = value.strip()
+                    elif key.endswith("category"):
+                        category = value.strip()
+                continue
+            cols = line.split("\t")
+            if len(cols) != CONLLU_COLUMNS and len(cols) != CONLLU_COLUMNS + 1:
+                raise DataError(
+                    f"line {lineno}: expected {CONLLU_COLUMNS} tab-separated "
+                    f"columns, got {len(cols)}")
+            if not 0 <= tag_column < len(cols):
+                raise DataError(f"line {lineno}: no column {tag_column}")
+            first_line = first_line or lineno
+            token_id = cols[0]
+            if "-" in token_id or "." in token_id:
+                continue  # multiword/empty nodes carry no tag of their own
+            lemma = cols[2].lower()
+            if _PUNCT_ONLY_RE.match(lemma) or not lemma:
+                continue
+            lemma = _STRIP_RE.sub("", lemma).strip("'")
+            if not lemma:
+                continue
+            tokens.append(lemma)
+            tags.append(_CONLLU_TAGS.get(cols[tag_column], "O"))
+        flush()
     return Corpus(sentences=sentences), counts
 
 
@@ -283,43 +292,37 @@ def save_corpus(path, corpus: Corpus):
                                  "tokens": s.tokens, "tags": s.tags}) + "\n")
 
 
-def _corpus_line_problem(doc):
-    """Why one decoded corpus line is not a sentence object, or None."""
+def _check_corpus_line(doc):
+    """Refuse a decoded corpus line that is not a sentence object."""
     if not isinstance(doc, dict):
-        return f"expected a JSON object, got {type(doc).__name__}"
+        raise DataError(f"expected a JSON object, got {type(doc).__name__}")
     for key in ("app", "tokens", "tags"):
         if key not in doc:
-            return f"missing key {key!r}"
+            raise DataError(f"missing key {key!r}")
     if not isinstance(doc["app"], str):
-        return "'app' must be a string"
+        raise DataError("'app' must be a string")
     if not isinstance(doc.get("category"), (str, type(None))):
-        return "'category' must be a string or null"
+        raise DataError("'category' must be a string or null")
     for key in ("tokens", "tags"):
         if not (isinstance(doc[key], list)
                 and all(isinstance(x, str) for x in doc[key])):
-            return f"{key!r} must be a list of strings"
-    return None
+            raise DataError(f"{key!r} must be a list of strings")
 
 
 def load_corpus(path) -> Corpus:
-    """The corpus a JSON Lines file holds; an error names the file and
-    the line."""
+    """The corpus a JSON Lines file holds; an error names its line."""
     sentences = []
-    try:
+    with naming(path):
         for lineno, line in text_lines(path):
             line = line.strip()
             if not line:
                 continue
             try:
                 doc = json.loads(line, object_pairs_hook=_unique_keys)
-                problem = _corpus_line_problem(doc)
-                if problem:
-                    raise DataError(problem)
+                _check_corpus_line(doc)
                 sentences.append(TaggedSentence(
                     app_id=doc["app"], category=doc.get("category"),
                     tokens=doc["tokens"], tags=doc["tags"]))
-            except (json.JSONDecodeError, DataError) as exc:
+            except ValueError as exc:  # JSONDecodeError or DataError
                 raise DataError(f"line {lineno}: {exc}") from None
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
     return Corpus(sentences=sentences)

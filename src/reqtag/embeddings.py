@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, text_lines
+from .data import DataError, naming, text_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -55,7 +55,7 @@ def load_glove(path, vocab: Vocabulary, dim: int) -> dict:
     vector. A file with no vocabulary word in it is an error; every error
     names the file."""
     rows = {}
-    try:
+    with naming(path):
         for lineno, line in text_lines(path):
             line = line.rstrip()
             if not line:
@@ -77,11 +77,9 @@ def load_glove(path, vocab: Vocabulary, dim: int) -> dict:
             if not np.isfinite(vector).all():
                 raise DataError(f"line {lineno}: non-finite embedding value")
             rows[idx] = vector
-    except DataError as exc:  # a corpus or config error reads the same
-        raise DataError(f"{path}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no word of the training vocabulary has a "
-                        f"vector in this file of embedding_dim {dim} values")
+        if not rows:
+            raise DataError(f"no word of the training vocabulary has a "
+                            f"vector in this file of embedding_dim {dim} values")
     return rows
 
 

@@ -10,7 +10,7 @@ across all sentences of a domain; mean_scores averages runs and folds.
 import math
 import numbers
 
-from .data import DataError, read_json
+from .data import DataError, naming, read_json
 from .embeddings import encode_tokens
 from .network import predict_batch
 
@@ -88,27 +88,32 @@ def evaluate_domain(params, vocab, sentences) -> dict:
 def load_baselines(path, domains):
     """Baseline score file: JSON map domain -> {precision?, recall?, f1},
     naming no domain but the evaluated domains."""
-    table = read_json(path)
-    if not isinstance(table, dict):
-        raise DataError(f"baselines must be a JSON object of domains, "
-                        f"got {type(table).__name__}")
-    for domain, scores in table.items():
-        if not isinstance(scores, dict) or "f1" not in scores:
-            raise DataError(
-                f"baseline {domain!r} must be an object with an f1, "
-                f"got {scores!r}")
-        for key in ("precision", "recall", "f1"):
-            value = scores.get(key, 0.0)
-            # JSON has no NaN or Infinity, though Python's json reads them
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not -math.inf < value < math.inf):
+    with naming(path):
+        table = read_json(path)
+        if not isinstance(table, dict):
+            raise DataError(f"baselines must be a JSON object of domains, "
+                            f"got {type(table).__name__}")
+        for domain, scores in table.items():
+            if not isinstance(scores, dict) or "f1" not in scores:
                 raise DataError(
-                    f"baseline {domain!r}: {key} must be a number, "
-                    f"got {value!r}")
-    missing = sorted(set(table) - set(domains))
-    if missing:
-        raise DataError(f"baseline domains other than the evaluated domain "
-                        f"{', '.join(map(repr, domains))}: {missing}")
+                    f"baseline {domain!r} must be an object with an f1, "
+                    f"got {scores!r}")
+            unknown = sorted(set(scores) - {"precision", "recall", "f1"})
+            if unknown:
+                raise DataError(f"baseline {domain!r}: unknown score keys: "
+                                f"{unknown}")
+            for key in ("precision", "recall", "f1"):
+                value = scores.get(key, 0.0)
+                # JSON has no NaN or Infinity, though Python's json reads them
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not -math.inf < value < math.inf):
+                    raise DataError(
+                        f"baseline {domain!r}: {key} must be a number, "
+                        f"got {value!r}")
+        missing = sorted(set(table) - set(domains))
+        if missing:
+            raise DataError(f"baseline domains other than the evaluated domain "
+                            f"{', '.join(map(repr, domains))}: {missing}")
     return table
 
 

@@ -43,6 +43,7 @@ from itertools import groupby
 import numpy as np
 
 from . import crf
+from .data import DataError, naming
 from .embeddings import (PAD_TOKEN, UNK_TOKEN, Vocabulary, build_vocabulary,
                          random_embeddings)
 from .lstm import lstm_backward, lstm_forward, lstm_step
@@ -450,7 +451,7 @@ def predict_tags(params: ModelParams, indices):
 def save_checkpoint(path, params: ModelParams, vocab: Vocabulary,
                     extra_config: dict | None = None):
     """Uncompressed .npz: a JSON header, then one entry per block in
-    param_blocks order, and a frozen embedding last."""
+    BLOCKS order, the embedding first whether or not it is trainable."""
     header = json.dumps({
         "version": CHECKPOINT_VERSION,
         "dims": vars(params.dims),
@@ -460,17 +461,16 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary,
     })
     # a file object, because np.savez appends ".npz" to a path without it
     with open(path, "wb") as fh:
-        np.savez(fh, header=np.array(header), **{
-            **param_blocks(params), "embedding": params.blocks["embedding"]})
+        np.savez(fh, header=np.array(header), **params.blocks)
 
 
-def _entry(npz, path, name):
+def _entry(npz, name):
     try:
         return npz[name]
     except KeyError:
-        raise ValueError(f"{path}: checkpoint has no {name!r} entry") from None
+        raise DataError(f"checkpoint has no {name!r} entry") from None
     except _DAMAGED + (OSError,) as exc:  # OSError: a bad member offset
-        raise ValueError(f"{path}: entry {name!r} is unreadable: {exc}") from None
+        raise DataError(f"entry {name!r} is unreadable: {exc}") from None
 
 
 _HEADER_CHECKS = {
@@ -486,55 +486,55 @@ _HEADER_CHECKS = {
 }
 
 
-def _read_header(npz, path) -> dict:
-    raw = _entry(npz, path, "header")
+def _read_header(npz) -> dict:
+    raw = _entry(npz, "header")
     if raw.ndim != 0 or raw.dtype.kind != "U":
-        raise ValueError(f"{path}: header is not a string")
+        raise DataError("header is not a string")
     try:
         header = json.loads(raw.item())
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: header is not valid JSON: {exc}") from None
+        raise DataError(f"header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
+        raise DataError("header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version "
-                         f"{header.get('version')!r}, expected {CHECKPOINT_VERSION}")
+        raise DataError(f"unsupported checkpoint version "
+                        f"{header.get('version')!r}, expected {CHECKPOINT_VERSION}")
     for key, ok in _HEADER_CHECKS.items():
         if not ok(header.get(key)):
-            raise ValueError(f"{path}: bad header field {key!r}")
+            raise DataError(f"bad header field {key!r}")
     return header
 
 
-def _archive(fh, path):
-    """The .npz archive in an open binary file; ValueError if it is none."""
+def _archive(fh):
+    """The .npz archive in an open binary file; DataError if it is none."""
     try:
         npz = np.load(fh, allow_pickle=False)
     except _DAMAGED:
         npz = None  # not a zip: pickle refused, empty or truncated file
     if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not an .npz archive; checkpoints are version "
-                         f"{CHECKPOINT_VERSION} .npz files (JSON checkpoints "
-                         f"from version 1 no longer load)")
+        raise DataError(f"not an .npz archive; checkpoints are version "
+                        f"{CHECKPOINT_VERSION} .npz files (JSON checkpoints "
+                        f"from version 1 no longer load)")
     return npz
 
 
 def load_checkpoint(path):
-    """Returns (params, vocab, config); a malformed file raises ValueError.
+    """Returns (params, vocab, config); a malformed file raises DataError.
     Each block's entry must be float64 in the shape BLOCKS gives it."""
     # np.load is given a file object so that the file is closed also when
     # the archive turns out to be damaged
-    with open(path, "rb") as fh, _archive(fh, path) as npz:
-        header = _read_header(npz, path)
+    with naming(path), open(path, "rb") as fh, _archive(fh) as npz:
+        header = _read_header(npz)
         index_to_token = header["vocab"]
         dims = ModelDims(**header["dims"])
         blocks = {}
         for name, shape in BLOCKS.items():
-            arr, shape = _entry(npz, path, name), shape(dims, len(index_to_token))
+            arr, shape = _entry(npz, name), shape(dims, len(index_to_token))
             if arr.shape != shape or arr.dtype != np.float64:
-                raise ValueError(f"{path}: block {name!r} is {arr.dtype} "
-                                 f"{arr.shape}, expected float64 {shape}")
+                raise DataError(f"block {name!r} is {arr.dtype} "
+                                f"{arr.shape}, expected float64 {shape}")
             if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: block {name!r} holds a non-finite value")
+                raise DataError(f"block {name!r} holds a non-finite value")
             # the model keeps np.load's array: each block is copied once
             blocks[name] = np.ascontiguousarray(arr)
     return (ModelParams(blocks, dims, header["embedding_trainable"]),

@@ -103,7 +103,8 @@ class TestPreprocess:
         out = tmp_path / "out.jsonl"
         assert run(["preprocess", "--format", "conllu", "--tag-column", -1,
                     "--input", src, "--output", out]) == 1
-        assert capsys.readouterr().err == "error: line 3: no column -1\n"
+        assert capsys.readouterr().err == (
+            f"error: {src}: line 3: no column -1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("name, text, message", [
@@ -122,7 +123,7 @@ class TestPreprocess:
         fmt = "rebert-csv" if name.endswith(".csv") else "conllu"
         assert run(["preprocess", "--format", fmt,
                     "--input", src, "--output", out]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("n, code", [(1000, 0), (1001, 1)])
@@ -134,7 +135,7 @@ class TestPreprocess:
                     "--input", src, "--output", tmp_path / "out.jsonl"]) == code
         err = capsys.readouterr().err
         if code:
-            assert err == ("error: row 2: app 'ebay': 1001 tokens, "
+            assert err == (f"error: {src}: row 2: app 'ebay': 1001 tokens, "
                            "more than 1000\n")
         else:
             assert json.loads(err)["sentences_kept"] == 1
@@ -153,7 +154,8 @@ class TestPreprocess:
         assert run(["preprocess", "--format", "rebert-csv",
                     "--input", src, "--output", out]) == 1
         assert capsys.readouterr().err == (
-            f"error: line {line}: field larger than field limit (131072)\n")
+            f"error: {src}: line {line}: field larger than field limit "
+            f"(131072)\n")
         assert not out.exists()
 
     def test_quote_left_open_is_one_error_line(self, tmp_path, capsys):
@@ -169,7 +171,7 @@ class TestPreprocess:
         assert run(["preprocess", "--format", "rebert-csv",
                     "--input", src, "--output", out]) == 1
         assert capsys.readouterr().err == (
-            "error: line 5: unexpected end of data\n")
+            f"error: {src}: line 5: unexpected end of data\n")
         assert not out.exists()
 
     def test_conllu_report_counts_dropped_sentence(self, tmp_path, capsys):
@@ -458,6 +460,16 @@ class TestTrain:
         assert err.count("error:") == 1
         assert not (tmp_path / "model.npz").exists()
 
+    def test_empty_domains_flag_names_no_domain(self, corpus_path,
+                                                config_path, tmp_path, capsys):
+        # "" names one domain, the empty one, and not every domain
+        model = tmp_path / "model.npz"
+        assert run(["train", "--corpus", corpus_path, "--config", config_path,
+                    "--domains", "", "--output", model]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown training domains: ['']\n")
+        assert not model.exists()
+
     @pytest.mark.parametrize("key,value", [
         ("h_enc", 0), ("h_dec", 0), ("d_tag", 0), ("d_att", 0),
         ("learning_rate", float("nan")), ("grad_clip_norm", -1.0),
@@ -470,7 +482,7 @@ class TestTrain:
         assert run(["train", "--corpus", corpus_path, "--config", cfg,
                     "--output", tmp_path / "model.npz"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be ")
+        assert err.startswith(f"error: {cfg}: {key} must be ")
         assert err.count("\n") == 1
         assert not (tmp_path / "model.npz").exists()
 
@@ -821,7 +833,7 @@ class TestExtract:
         answered = tmp_path / "good.txt"
         answered.write_bytes(prefix)
         assert out == "".join(_per_line_replies(model, answered))
-        assert err == f"error: line {len(good) + 1}: not UTF-8\n"
+        assert err == f"error: {src}: line {len(good) + 1}: not UTF-8\n"
         return prefix
 
     def test_invalid_utf8_is_one_error_line(self, trained_model, tmp_path,
@@ -945,14 +957,15 @@ class TestEvaluate:
                     "--domain", target.domain, "--baselines", base]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: baseline domains other than the "
-                                f"evaluated domain {target.domain!r}: "
-                                "['bogus']\n")
+        assert captured.err == (f"error: {base}: baseline domains other "
+                                f"than the evaluated domain "
+                                f"{target.domain!r}: ['bogus']\n")
 
     @pytest.mark.parametrize("table", [5, None, ["app0"], {"app0": 3},
                                        {"app0": {"recall": 0.5}},
                                        {"app0": {"f1": "0.5"}},
-                                       {"app0": {"f1": 0.5, "precision": []}}])
+                                       {"app0": {"f1": 0.5, "precision": []}},
+                                       {"app0": {"f1": 0.5, "recal": 0.9}}])
     def test_baseline_shape(self, trained_model, tmp_path, capsys, table):
         model, cpath, target = trained_model
         base = tmp_path / "base.json"
@@ -961,7 +974,7 @@ class TestEvaluate:
                     "--domain", target.domain, "--baselines", base]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: baseline")
+        assert captured.err.startswith(f"error: {base}: baseline")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -976,7 +989,7 @@ class TestEvaluate:
                     "--domain", target.domain, "--baselines", base]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: baseline {target.domain!r}: "
+        assert captured.err == (f"error: {base}: baseline {target.domain!r}: "
                                 f"f1 must be a number, got {value!r}\n")
 
 
@@ -1107,6 +1120,14 @@ class TestUnreadablePath:
         self._one_error_line(capsys)
 
 
+def _tiny_model(path):
+    """A checkpoint at dims (4, 2, 2, 2, 2) whose vocabulary is `add`."""
+    vocab = build_vocabulary([["add"]])
+    save_checkpoint(path, init_model(len(vocab), ModelDims(4, 2, 2, 2, 2),
+                                     np.random.default_rng(0)), vocab)
+    return path
+
+
 # each text input with byte 0xff on line 3, as the command reading it sees it
 _BAD_BYTE_FILES = {
     "corpus": b'{"app": "a", "tokens": ["x"], "tags": ["O"]}\n' * 2
@@ -1133,9 +1154,7 @@ def test_byte_that_is_not_utf8_is_one_error_line(corpus_path, config_path,
     model = tmp_path / "model.npz"
     train = ["train", "--output", model, "--corpus"]
     if kind == "baselines":
-        vocab = build_vocabulary([["add"]])
-        save_checkpoint(model, init_model(len(vocab), ModelDims(4, 2, 2, 2, 2),
-                                          np.random.default_rng(0)), vocab)
+        _tiny_model(model)
     argv = {
         "corpus": [*train, bad, "--config", config_path],
         "conllu": ["preprocess", "--format", "conllu", "--input", bad,
@@ -1148,10 +1167,7 @@ def test_byte_that_is_not_utf8_is_one_error_line(corpus_path, config_path,
                       "--domain", "dom0", "--baselines", bad],
     }[kind]
     assert run(argv) == 1
-    # a file read beside another names itself; a preprocess input is the
-    # command's one input
-    where = "" if kind in ("conllu", "rebert-csv") else f"{bad}: "
-    assert capsys.readouterr() == ("", f"error: {where}line 3: not UTF-8\n")
+    assert capsys.readouterr() == ("", f"error: {bad}: line 3: not UTF-8\n")
 
 
 # each JSON input with a key named twice, which json.loads alone would
@@ -1176,9 +1192,7 @@ def test_key_named_twice_is_one_error_line(corpus_path, config_path, tmp_path,
     bad.write_text(text, encoding="utf-8")
     model = tmp_path / "model.npz"
     if kind == "baselines":
-        vocab = build_vocabulary([["add"]])
-        save_checkpoint(model, init_model(len(vocab), ModelDims(4, 2, 2, 2, 2),
-                                          np.random.default_rng(0)), vocab)
+        _tiny_model(model)
     argv = {
         "corpus": ["train", "--corpus", bad, "--config", config_path,
                    "--output", model],
@@ -1201,9 +1215,7 @@ def test_file_that_is_not_json_is_one_error_line(corpus_path, tmp_path,
     bad.write_text(text, encoding="utf-8")
     model = tmp_path / "model.npz"
     if kind == "baselines":
-        vocab = build_vocabulary([["add"]])
-        save_checkpoint(model, init_model(len(vocab), ModelDims(4, 2, 2, 2, 2),
-                                          np.random.default_rng(0)), vocab)
+        _tiny_model(model)
     argv = {
         "config": ["train", "--corpus", corpus_path, "--config", bad,
                    "--output", model],
@@ -1212,6 +1224,84 @@ def test_file_that_is_not_json_is_one_error_line(corpus_path, tmp_path,
     }[kind]
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"error: {bad}: {exc.value}\n")
+
+
+# one content error in each input file a command reads: the file's name
+# and bytes (None: the first half of a checkpoint), the command that reads
+# it, and the message after the file's path on the one error line
+_BAD_CONTENT = {
+    "corpus-line": (
+        "bad.jsonl", b'{"app": "a", "tokens": ["x"], "tags": ["O"]}\n[1]\n',
+        "train --corpus {bad} --config {config} --output {out}",
+        "line 2: expected a JSON object, got list"),
+    "csv-row": (
+        "bad.csv", b"App Id,Sentence Content,Feature (All Annotated)\n"
+                   b"ebay,Add dark mode,dark mode\n,Nice app,\n",
+        "preprocess --format rebert-csv --input {bad} --output {out}",
+        "row 3: app '': empty domain label"),
+    "conllu-sentence": (
+        "bad.conllu", b"# app_name = X\n1\tdark\tdark" + b"\t_" * 7 + b"\n\n",
+        "preprocess --format conllu --input {bad} --output {out}",
+        "line 2: sentence without a non-empty app_name and category"),
+    "glove-line": (
+        "bad.txt", b"add 0.5\n",
+        "train --corpus {corpus} --config {glove_config} --output {out}",
+        "line 1: expected a word and 16 values, got 2 fields"),
+    "config-list": (
+        "bad.json", b"[1]",
+        "train --corpus {corpus} --config {bad} --output {out}",
+        "config must be a JSON object, got list"),
+    "config-unknown-key": (
+        "bad.json", b'{"epochs": 1, "padding_mode": "bucket"}',
+        "train --corpus {corpus} --config {bad} --output {out}",
+        "unknown config keys: ['padding_mode']"),
+    "config-setting": (
+        "bad.json", b'{"epochs": 0}',
+        "train --corpus {corpus} --config {bad} --output {out}",
+        "epochs must be an integer >= 1, got 0"),
+    "baselines-not-an-object": (
+        "bad.json", b"[1]",
+        "evaluate --model {model} --corpus {corpus} --domain dom0 "
+        "--baselines {bad}",
+        "baselines must be a JSON object of domains, got list"),
+    "baselines-unknown-domain": (
+        "bad.json", b'{"bogus": {"f1": 0.5}}',
+        "evaluate --model {model} --corpus {corpus} --domain dom0 "
+        "--baselines {bad}",
+        "baseline domains other than the evaluated domain 'dom0': ['bogus']"),
+    "baselines-unknown-score": (
+        "bad.json", b'{"dom0": {"f1": 0.5, "recal": 0.9, "F1": 7}}',
+        "evaluate --model {model} --corpus {corpus} --domain dom0 "
+        "--baselines {bad}",
+        "baseline 'dom0': unknown score keys: ['F1', 'recal']"),
+    "checkpoint-truncated": (
+        "bad.npz", None, "extract --model {bad} --input {reviews}",
+        "not an .npz archive; checkpoints are version 2 .npz files (JSON "
+        "checkpoints from version 1 no longer load)"),
+    "extract-input-line": (
+        "bad.txt", b"add dark mode\ncaf\xff\n",
+        "extract --model {model} --input {bad}", "line 2: not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_CONTENT))
+def test_content_error_names_its_file(corpus_path, tmp_path, capsys, kind):
+    name, content, command, message = _BAD_CONTENT[kind]
+    model = _tiny_model(tmp_path / "model.npz")
+    bad = tmp_path / name
+    bad.write_bytes(content if content is not None
+                    else model.read_bytes()[:model.stat().st_size // 2])
+    paths = {"bad": bad, "corpus": corpus_path, "model": model,
+             "out": tmp_path / "out", "reviews": tmp_path / "reviews.txt",
+             "config": tmp_path / "config.json",
+             "glove_config": tmp_path / "glove.json"}
+    paths["reviews"].write_text("add dark mode\n", encoding="utf-8")
+    paths["config"].write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    paths["glove_config"].write_text(json.dumps(
+        {**TINY_CONFIG, "glove_path": str(bad)}), encoding="utf-8")
+    assert run([arg.format(**paths) for arg in command.split()]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not paths["out"].exists()
 
 
 class TestMalformedCheckpoint:

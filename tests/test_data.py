@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from reqtag.crf import crf_nll_backward, init_transitions
 from reqtag.data import (MAX_SENTENCE_TOKENS, TAG_INDEX, Corpus, DataError,
                          TaggedSentence, align_bio, clean_tokens, load_corpus,
-                         parse_conllu, parse_rebert_csv, save_corpus)
+                         naming, parse_conllu, parse_rebert_csv, save_corpus)
 from reqtag.lemmatizer import lemmatize
 from reqtag.network import _pack
 from crf_oracles import is_valid_bio
@@ -200,7 +200,8 @@ class TestParseRebertCsv:
         path.write_text("\n".join(
             ["App Id,Sentence Content,Feature (All Annotated)", *rows, ""]),
             encoding="utf-8")
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(f'{path}: {message}')}$"):
             parse_rebert_csv(path)
 
     @pytest.mark.parametrize("col", ["App Id", "Sentence Content",
@@ -359,7 +360,7 @@ class TestParseConllu:
         path.write_text(ok + "\n".join(bad) + "\n\n", encoding="utf-8")
         with pytest.raises(DataError) as exc:
             parse_conllu(path)
-        assert str(exc.value) == f"line 6: {message}"
+        assert str(exc.value) == f"{path}: line 6: {message}"
 
     def test_byte_order_mark_parses_like_plain_file(self, tmp_path):
         doc = conllu_doc([token_line(1, "dark", "dark", "B-feature")])
@@ -377,7 +378,7 @@ class TestParseConllu:
         path.write_bytes(doc.encode("utf-8", "surrogateescape"))
         with pytest.raises(DataError) as exc:
             parse_conllu(path)
-        assert str(exc.value) == "line 4: not UTF-8"
+        assert str(exc.value) == f"{path}: line 4: not UTF-8"
 
 
 def test_corpus_round_trip(tmp_path):
@@ -428,6 +429,16 @@ def test_load_corpus_rejects_malformed_line(tmp_path, line, fragment):
         load_corpus(path)
     assert str(exc.value).startswith(f"{path}: line 2: ")
     assert fragment in str(exc.value)
+
+
+def test_naming_prefixes_value_errors_only():
+    with pytest.raises(DataError, match=r"^in\.txt: line 2: bad$"):
+        with naming("in.txt"):
+            raise ValueError("line 2: bad")
+    # an OSError names its path itself, and other errors pass unchanged
+    with pytest.raises(FileNotFoundError, match=r"^\[Errno 2\] gone$"):
+        with naming("in.txt"):
+            raise FileNotFoundError(2, "gone")
 
 
 def test_load_corpus_byte_that_is_not_utf8_names_its_line(tmp_path):

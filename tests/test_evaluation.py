@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,8 @@ def test_load_baselines_mismatch(tmp_path):
      "'ebay': precision must be a number, got inf"),
     ({"ebay": {"f1": 0.4, "recall": -float("inf")}},
      "'ebay': recall must be a number, got -inf"),
+    ({"ebay": {"f1": 0.4, "recal": 0.9, "F1": 7}},
+     re.escape("'ebay': unknown score keys: ['F1', 'recal']")),
 ])
 def test_load_baselines_shape(tmp_path, table, problem):
     path = tmp_path / "base.json"
