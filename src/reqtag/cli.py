@@ -106,6 +106,12 @@ def cmd_preprocess(args):
         "sentences_kept": len(corpus.sentences),
         "sentences_dropped_empty": counts["dropped_empty"],
         "alignment_misses": counts["alignment_misses"],
+        # sentences whose token sequence an earlier sentence has
+        "sentences_duplicated": len(corpus.sentences) - len(
+            {tuple(s.tokens) for s in corpus.sentences}),
+        # B tags right after a B or an I: spans that abut the one before
+        "abutting_spans": sum(a != "O" and b == "B" for s in corpus.sentences
+                              for a, b in zip(s.tags, s.tags[1:])),
         "domains": {d: len(ix) for d, ix in sorted(domains.items())},
     }
     _log(json.dumps(report, indent=2))
@@ -132,7 +138,7 @@ def cmd_train(args):
     return 0
 
 
-def _manifest(config: "TrainConfig", digests: dict, folds):
+def _manifest(config: "TrainConfig", digests: dict, folds, held_out):
     return {
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -140,11 +146,12 @@ def _manifest(config: "TrainConfig", digests: dict, folds):
         "input_digests": digests,
         "fold_seeds": {domain: [r["seed"] for r in runs]
                        for domain, runs in folds.items()},
+        "held_out": held_out,
     }
 
 
 def cmd_crossval(args):
-    from .training import cross_validate, fold_domains
+    from .training import cross_validate, fold_domains, held_out_counts
     config = _load_config(args.config)
     corpus = load_corpus(args.corpus)
     domains = fold_domains(corpus)
@@ -182,7 +189,7 @@ def cmd_crossval(args):
     (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
     (out / "report.txt").write_text(table + "\n", encoding="utf-8")
-    manifest = _manifest(config, digests, folds)
+    manifest = _manifest(config, digests, folds, held_out_counts(corpus))
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _log(table)

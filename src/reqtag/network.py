@@ -291,25 +291,27 @@ def _emissions(params: ModelParams, hs):
     return hs @ params.blocks["emission_w"].T + params.blocks["emission_b"]
 
 
-def _decode_training(params: ModelParams, attended, gold, packing: Packing):
-    """Teacher-forced decoder over packed (N,) gold tags: step t is fed
-    gold tag t-1 (START at t=0)."""
-    gold = np.asarray(gold)
-    prev = np.concatenate([np.full(packing.sizes[0], crf.START),
+def _gold_feed(gold, packing: Packing):
+    """Training's feed: START, then each row's gold tag a step back."""
+    return np.concatenate([np.full(packing.sizes[0], crf.START),
                            gold[packing.prev]])
+
+
+def _decode_training(params: ModelParams, attended, fed, packing: Packing):
+    """Decoder fed fed[p], a crf state, at each packed position p."""
     from_att, from_tag = _decoder_inputs(params, attended)
     caches = []
-    hs = lstm_forward(params.blocks["dec.w_h"], from_att + from_tag[prev],
+    hs = lstm_forward(params.blocks["dec.w_h"], from_att + from_tag[fed],
                       packing, caches)
-    x = np.concatenate([attended, params.blocks["tag_embedding"][prev]], axis=1)
-    return _emissions(params, hs), (x, hs, caches, prev, packing)
+    x = np.concatenate([attended, params.blocks["tag_embedding"][fed]], axis=1)
+    return _emissions(params, hs), (x, hs, caches, fed, packing)
 
 
 def _decode_inference(params: ModelParams, attended, packing: Packing):
     """Decoder fed its own greedy tag: the best legal tag of the step before.
 
     I is legal only after B or I. argmax takes the first maximum, so ties
-    go to the lower tag. Returns the emissions (N, 3).
+    go to the lower tag. Returns the emissions (N, 3) and the (N,) tags fed.
     """
     sizes, starts = packing.sizes, packing.starts
     p = params.blocks
@@ -317,25 +319,26 @@ def _decode_inference(params: ModelParams, attended, packing: Packing):
     h = np.zeros((sizes[0], params.dims.h_dec))
     c = np.zeros((sizes[0], params.dims.h_dec))
     hs = np.empty((len(attended), params.dims.h_dec))
+    fed = np.empty(len(attended), dtype=np.int64)
     feed_bias = p["emission_b"] + _FEED_MASK
     prev = np.full(sizes[0], crf.START)
     for n, lo, hi in zip(sizes, starts, starts[1:]):
-        prev = prev[:n]
+        prev = fed[lo:hi] = prev[:n]
         h, c, _ = lstm_step(p["dec.w_h"], from_att[lo:hi] + from_tag[prev],
                             h[:n], c[:n])
         hs[lo:hi] = h
         prev = np.argmax(h @ p["emission_w"].T + feed_bias[prev], axis=1)
-    return _emissions(params, hs)
+    return _emissions(params, hs), fed
 
 
 def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
-    x, hs, caches, prev, packing = dec_cache
+    x, hs, caches, fed, packing = dec_cache
     d_att = params.dims.d_att
     grads["emission_w"] += d_emissions.T @ hs
     grads["emission_b"] += d_emissions.sum(axis=0)
     d_x = lstm_backward(params.blocks, grads, "dec", x, hs, caches,
                         d_emissions @ params.blocks["emission_w"], packing)
-    np.add.at(grads["tag_embedding"], prev, d_x[:, d_att:])
+    np.add.at(grads["tag_embedding"], fed, d_x[:, d_att:])
     return d_x[:, :d_att]
 
 
@@ -351,7 +354,8 @@ def batch_loss_and_grads(params: ModelParams, tokens, tags, lengths):
     grads = zero_grad_blocks(params)
     enc, enc_cache = _encode(params, tokens[packing.src], packing, keep=True)
     attended, att_cache = _attend(params, enc, packing)
-    emissions, dec_cache = _decode_training(params, attended, gold, packing)
+    emissions, dec_cache = _decode_training(params, attended,
+                                            _gold_feed(gold, packing), packing)
     loss, d_emissions, d_t = crf.crf_nll_backward(
         emissions, params.blocks["transitions"], gold, packing)
     grads["transitions"] += d_t
@@ -368,7 +372,7 @@ def _decode_chunk(params: ModelParams, rows):
     enc = _encode(params, np.concatenate(rows)[packing.src], packing,
                   keep=False)[0]
     attended = _attend(params, enc, packing)[0]
-    emissions = _decode_inference(params, attended, packing)
+    emissions = _decode_inference(params, attended, packing)[0]
     return crf.crf_viterbi(emissions, params.blocks["transitions"], packing)
 
 

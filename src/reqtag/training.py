@@ -16,8 +16,8 @@ import numpy as np
 
 from . import network
 from .data import Corpus, DataError
-from .embeddings import build_vocabulary, encode_tokens, load_glove
-from .evaluation import evaluate_domain
+from .embeddings import UNK_INDEX, build_vocabulary, encode_tokens, load_glove
+from .evaluation import evaluate_domain, extract_spans
 from .network import ModelDims, ModelParams, param_blocks
 
 ADAM_BETA1 = 0.9
@@ -202,6 +202,35 @@ def fold_domains(corpus: Corpus) -> dict:
     if len(domains) < 2:
         raise DataError(f"need at least 2 domains, have {len(domains)}")
     return domains
+
+
+def held_out_counts(corpus: Corpus) -> dict:
+    """For each held-out domain, from the corpus alone: its sentences
+    whose token sequence a sentence of the fold's training domains has,
+    with the gold spans they hold, and its tokens and gold-span tokens,
+    with those that are <unk> under the fold's training vocabulary."""
+    domains = fold_domains(corpus)
+    out = {}
+    for held_out in sorted(domains):
+        train_sentences = _training_sentences(
+            corpus, [d for d in domains if d != held_out])
+        seen = {tuple(s.tokens) for s in train_sentences}
+        vocab = build_vocabulary(s.tokens for s in train_sentences)
+        held = [corpus.sentences[i] for i in domains[held_out]]
+        seen_held = [s for s in held if tuple(s.tokens) in seen]
+        spans = [t != "O" for s in held for t in s.tags]
+        unk = [i == UNK_INDEX
+               for s in held for i in encode_tokens(s.tokens, vocab)]
+        out[held_out] = {
+            "sentences": len(held),
+            "sentences_seen_in_training": len(seen_held),
+            "spans_in_seen": sum(len(extract_spans(s.tag_indices()))
+                                 for s in seen_held),
+            "tokens": len(unk), "unk_tokens": sum(unk),
+            "span_tokens": sum(spans),
+            "unk_span_tokens": sum(u and t for u, t in zip(unk, spans)),
+        }
+    return out
 
 
 def cross_validate(config: TrainConfig, corpus: Corpus,

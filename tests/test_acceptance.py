@@ -16,8 +16,9 @@ from reqtag.embeddings import encode_tokens
 from reqtag.evaluation import (compute_metrics, evaluate_tag_pairs,
                                extract_spans, mean_scores)
 from reqtag.network import (ModelDims, _attend, _decode_training, _encode,
-                            _pack, batch_loss_and_grads, init_model,
-                            param_blocks, predict_batch, predict_tags)
+                            _gold_feed, _pack, batch_loss_and_grads,
+                            init_model, param_blocks, predict_batch,
+                            predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
 from conftest import grad_check, make_review_corpus, make_synthetic_corpus
 from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
@@ -266,7 +267,8 @@ def _gold_fed_path(params, row, gold):
     packing = _pack([len(row)])
     enc = _encode(params, np.asarray(row), packing, keep=False)[0]
     attended = _attend(params, enc, packing)[0]
-    emissions = _decode_training(params, attended, gold, packing)[0]
+    fed = _gold_feed(np.asarray(gold), packing)
+    emissions = _decode_training(params, attended, fed, packing)[0]
     return crf.crf_viterbi(emissions, params.blocks["transitions"], packing)[0]
 
 

@@ -184,7 +184,36 @@ class TestPreprocess:
                     "--output", tmp_path / "out.jsonl"]) == 0
         assert json.loads(capsys.readouterr().err) == {
             "sentences_kept": 1, "sentences_dropped_empty": 1,
-            "alignment_misses": 0, "domains": {"TOOLS": 1}}
+            "alignment_misses": 0, "sentences_duplicated": 0,
+            "abutting_spans": 0, "domains": {"TOOLS": 1}}
+
+    def test_report_counts_repeats_and_abutting_spans(self, tmp_path, capsys):
+        # a sentence counts as a repeat when an earlier one, of any domain
+        # and tagging, has its tokens; a B right after a B or an I abuts
+        def sentence(category, rows):
+            lines = [f"# app_name = X\n# google_play_category = {category}\n"]
+            for k, (word, tag) in enumerate(rows, start=1):
+                lines.append(f"{k}\t{word}\t{word}\tNOUN\tNN\t_\t0\troot\t_\t"
+                             f"{tag}\n")
+            return "".join(lines) + "\n"
+        o, b, i = "O", "B-feature", "I-feature"
+        src = tmp_path / "d.conllu"
+        src.write_text("".join([
+            sentence("T", [("add", o), ("dark", b), ("mode", i)]),
+            sentence("T", [("add", o), ("dark", b), ("mode", i)]),
+            sentence("T", [("dark", b), ("mode", i), ("sleep", b),
+                           ("timer", i)]),
+            sentence("T", [("mode", b), ("timer", b)]),
+            sentence("U", [("add", o), ("dark", o), ("mode", o)]),
+            sentence("U", [("dark", b), ("mode", i), ("sleep", i),
+                           ("timer", i)]),
+        ]), encoding="utf-8")
+        assert run(["preprocess", "--format", "conllu", "--input", src,
+                    "--output", tmp_path / "out.jsonl"]) == 0
+        report = json.loads(capsys.readouterr().err)
+        assert report["sentences_kept"] == 6
+        assert report["sentences_duplicated"] == 3
+        assert report["abutting_spans"] == 2
 
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert run(["preprocess", "--format", "rebert-csv",
@@ -382,6 +411,37 @@ class TestCrossval:
                     "--config", config_path, "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["input_digests"] == {"corpus": read}
+
+    def test_manifest_counts_what_training_saw_of_each_held_out_domain(
+            self, tmp_path, config_path, monkeypatch):
+        def fake_run_fold(config, corpus, held_out, seed):
+            return {"seed": seed, "precision": 0.0, "recall": 0.0, "f1": 0.0}
+        monkeypatch.setattr(training, "run_fold", fake_run_fold)
+
+        def sentence(app, text, tags):
+            return TaggedSentence(app_id=app, tokens=text.split(),
+                                  tags=tags.split())
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, Corpus(sentences=[
+            sentence("a", "add dark mode", "O B I"),
+            sentence("a", "sleep timer", "B I"),
+            sentence("b", "add dark mode", "O B I"),  # a has it
+            sentence("b", "add dark mode", "O O O"),  # a has it, no span
+            sentence("b", "new dark theme", "O B I"),
+        ]))
+        out = tmp_path / "res"
+        assert run(["crossval", "--corpus", corpus, "--config", config_path,
+                    "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["held_out"] == {
+            # trained on b: "sleep" and "timer" are <unk>
+            "a": {"sentences": 2, "sentences_seen_in_training": 1,
+                  "spans_in_seen": 1, "tokens": 5, "unk_tokens": 2,
+                  "span_tokens": 4, "unk_span_tokens": 2},
+            # trained on a: "new" and "theme" are <unk>
+            "b": {"sentences": 3, "sentences_seen_in_training": 2,
+                  "spans_in_seen": 1, "tokens": 9, "unk_tokens": 2,
+                  "span_tokens": 4, "unk_span_tokens": 1}}
 
     def test_runs_override(self, corpus_path, tmp_path):
         # the config's runs_per_fold overrides the default of 15

@@ -15,9 +15,10 @@ from reqtag.embeddings import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from reqtag.lstm import lstm_step
 from reqtag.network import (_FEED_MASK, BLOCKS, ModelDims, _attend,
                             _decode_inference, _decode_training, _encode,
-                            _pack, init_model, load_checkpoint, param_blocks,
-                            predict_tags, save_checkpoint)
-from crf_oracles import is_valid_bio
+                            _gold_feed, _pack, init_model, load_checkpoint,
+                            param_blocks, predict_tags, save_checkpoint)
+import per_sentence
+from crf_oracles import is_valid_bio, random_bio
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
 
@@ -46,8 +47,9 @@ def _unpack(packing, lengths, packed, width):
 
 
 def _fed(emissions, packing):
-    """The tag the greedy decoder fed at each packed position: START at
-    step 0, then the best legal tag of the row's step before."""
+    """The tag the greedy decoder fed at each packed position, rebuilt
+    from its emissions: START at step 0, then the best legal tag of the
+    row's step before. The reference for _decode_inference's own tags."""
     fed = np.full(len(emissions), crf.START)
     for p, q in enumerate(packing.prev, start=packing.sizes[0]):
         fed[p] = np.argmax(emissions[q] + _FEED_MASK[fed[q]])
@@ -153,43 +155,74 @@ class TestAttention:
 class TestDecoder:
     def test_emissions_shape(self, tiny_model):
         attended = np.random.default_rng(0).normal(size=(5, TINY.d_att))
-        out, _ = _decode_training(tiny_model, attended,
-                                  np.array([0, 1, 2, 0, 1]), _full(5))
+        fed = _gold_feed(np.array([0, 1, 2, 0, 1]), _full(5))
+        out, _ = _decode_training(tiny_model, attended, fed, _full(5))
         assert out.shape == (5, 3)
 
     def test_teacher_forcing_is_causal(self, tiny_model):
         attended = np.random.default_rng(1).normal(size=(5, TINY.d_att))
-        e1, _ = _decode_training(tiny_model, attended, [0, 1, 2, 0, 1], _full(5))
-        e2, _ = _decode_training(tiny_model, attended, [0, 1, 0, 0, 1], _full(5))
+        packing = _full(5)
+        e1, _ = _decode_training(tiny_model, attended, _gold_feed(
+            np.array([0, 1, 2, 0, 1]), packing), packing)
+        e2, _ = _decode_training(tiny_model, attended, _gold_feed(
+            np.array([0, 1, 0, 0, 1]), packing), packing)
         np.testing.assert_array_equal(e1[:3], e2[:3])
         assert not np.array_equal(e1[3:], e2[3:])
 
     def test_inference_matches_training_on_greedy_path(self, tiny_model):
         attended = np.random.default_rng(2).normal(size=(4, TINY.d_att))
-        e_inf = _decode_inference(tiny_model, attended, _full(4))
-        gold = np.append(_fed(e_inf, _full(4))[1:], 0)  # fed tags shifted back one
-        e_train, _ = _decode_training(tiny_model, attended, gold, _full(4))
+        e_inf, fed = _decode_inference(tiny_model, attended, _full(4))
+        e_train, _ = _decode_training(tiny_model, attended, fed, _full(4))
         np.testing.assert_array_equal(e_inf, e_train)
+        np.testing.assert_array_equal(fed, _fed(e_inf, _full(4)))
 
     def test_inference_deterministic(self, tiny_model):
         attended = np.random.default_rng(3).normal(size=(6, TINY.d_att))
-        e1 = _decode_inference(tiny_model, attended, _full(6))
-        e2 = _decode_inference(tiny_model, attended, _full(6))
+        e1, fed1 = _decode_inference(tiny_model, attended, _full(6))
+        e2, fed2 = _decode_inference(tiny_model, attended, _full(6))
         np.testing.assert_array_equal(e1, e2)
+        np.testing.assert_array_equal(fed1, fed2)
 
     def test_batch_inference_rows_match_each_row_alone(self, tiny_model):
         rng = np.random.default_rng(4)
         rows = [rng.normal(size=(n, TINY.d_att)) for n in (2, 3)]
         packing = _pack([2, 3])
-        out = _decode_inference(
+        out, fed = _decode_inference(
             tiny_model, np.concatenate(rows)[packing.src], packing)
         assert out.shape == (5, 3)
-        fed = _fed(out, packing)
+        np.testing.assert_array_equal(fed, _fed(out, packing))
         for r, x in enumerate(rows):
-            alone = _decode_inference(tiny_model, x, _full(len(x)))
+            alone, fed_alone = _decode_inference(tiny_model, x, _full(len(x)))
             at = _input_rows(packing, [2, 3]) == r
             np.testing.assert_allclose(out[at], alone, rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(fed[at], _fed(alone, _full(len(x))))
+            np.testing.assert_array_equal(fed[at], fed_alone)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_feed_seam_on_packed_batches(self, lengths, seed):
+        # the tags _decode_inference returns are the ones it fed: fed back
+        # to _decode_training they give its emissions bit for bit, they
+        # follow from those emissions and _FEED_MASK, and each row's are
+        # the per-sentence reference's greedy feed; _gold_feed is that
+        # reference's feed of the gold tags
+        tiny_model = init_model(12, TINY, np.random.default_rng(42))
+        rng = np.random.default_rng(seed)
+        rows = [rng.normal(size=(n, TINY.d_att)) for n in lengths]
+        golds = [random_bio(rng, n) for n in lengths]
+        packing = _pack(lengths)
+        attended = np.concatenate(rows)[packing.src]
+        emissions, fed = _decode_inference(tiny_model, attended, packing)
+        again, _ = _decode_training(tiny_model, attended, fed, packing)
+        np.testing.assert_array_equal(again, emissions)
+        np.testing.assert_array_equal(fed, _fed(emissions, packing))
+        gold_fed = _gold_feed(np.concatenate(golds)[packing.src], packing)
+        at = _input_rows(packing, lengths)
+        for r, (x, gold) in enumerate(zip(rows, golds)):
+            greedy = per_sentence.decode(tiny_model, x)[1][2]
+            assert fed[at == r].tolist() == greedy
+            teacher = per_sentence.decode(tiny_model, x, gold)[1][2]
+            assert gold_fed[at == r].tolist() == teacher
 
 
 class TestEndToEnd:
