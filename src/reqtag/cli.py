@@ -23,8 +23,9 @@ from .data import (_NOT_UTF8, DataError, clean_tokens, load_corpus, naming,
 from .embeddings import encode_tokens
 from .evaluation import (evaluate_domain, extract_spans, load_baselines,
                          mean_scores, render_report)
-from .network import (DECODE_CHUNK, load_checkpoint, predict_batch,
-                      predict_tags, save_checkpoint)
+from .network import (DECODE_CHUNK, blas_threads, load_checkpoint,
+                      predict_batch, predict_tags, save_checkpoint,
+                      usable_cpus)
 
 EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_batch call
 NAME_MAX = 255  # bytes in a file name on common file systems
@@ -139,6 +140,8 @@ def cmd_train(args):
 
 
 def _manifest(config: "TrainConfig", digests: dict, folds, held_out):
+    import numpy as np
+    blas = blas_threads()
     return {
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -147,6 +150,11 @@ def _manifest(config: "TrainConfig", digests: dict, folds, held_out):
         "fold_seeds": {domain: [r["seed"] for r in runs]
                        for domain, runs in folds.items()},
         "held_out": held_out,
+        # what sets the rounding: the BLAS thread count is null without
+        # OpenBLAS, cpus bounds a decode pool
+        "environment": {"numpy": np.__version__,
+                        "blas_threads": None if blas is None else blas[0](),
+                        "cpus": usable_cpus()},
     }
 
 

@@ -20,11 +20,11 @@ ranks any number of rows by length and runs the same layers, keeping no
 backward caches, and one packed Viterbi per DECODE_CHUNK ranked rows;
 paths come back in input order, and predict_tags is its B = 1 case.
 
-A call of two or more chunks decodes them on up to one thread per CPU,
-started by that call and joined before it returns or raises, so memory
-is bounded by that many chunks and no decode thread outlives a call.
-OpenBLAS is held to one thread meanwhile: numpy releases the GIL inside
-BLAS calls, and one BLAS thread per chunk keeps the threads from
+_thread_map decodes a call's two or more chunks on up to one thread per
+CPU, started by that call and joined before it returns or raises, so
+memory is bounded by that many chunks and no decode thread outlives a
+call. OpenBLAS is held to one thread meanwhile: numpy releases the GIL
+inside BLAS calls, and one BLAS thread per chunk keeps the threads from
 contending. Scores in such a call therefore round as at one BLAS thread
 and may differ from a one-chunk call in the last bits; each chunk runs
 whole on one thread, so the result does not depend on scheduling.
@@ -378,45 +378,47 @@ def _decode_chunk(params: ModelParams, rows):
 
 _BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
                         "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-_blas_lock = threading.Lock()  # one multi-chunk call at a time holds BLAS
+_blas_lock = threading.Lock()  # one multi-item _thread_map holds BLAS at a time
 
 
 @functools.cache
-def _blas_thread_setter():
-    """(get, set) of the loaded OpenBLAS's thread count, found once through
-    ctypes in the libraries mapped into this process; None without one."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh
-                    if "openblas" in line.lower()}
-    except OSError:
-        libs = set()
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for sym in _BLAS_THREAD_SYMBOLS:
-            get = getattr(lib, sym.format("get"), None)
-            set_ = getattr(lib, sym.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+def blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy calls,
+    found once through ctypes: dlsym on numpy's linalg extension, loaded
+    by import numpy, also searches the libraries it links. None without."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for sym in _BLAS_THREAD_SYMBOLS:
+        get = getattr(lib, sym.format("get"), None)
+        set_ = getattr(lib, sym.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
-def _decode_on_pool(decode, chunks, get, set_):
-    """decode(chunk) for each chunk, in order, on threads that live for
-    this call only, with OpenBLAS at one thread (get, set_) until they join."""
+def usable_cpus():
+    """CPUs this process may run on: the most threads _thread_map starts."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else os.cpu_count()
+
+
+def _thread_map(fn, items):
+    """[fn(item) for item in items]. Two or more items run on up to one
+    thread per CPU that lives for this call only, with OpenBLAS at one
+    thread until they join; fewer, or no OpenBLAS, run in this thread."""
+    blas = blas_threads() if len(items) > 1 else None
+    if blas is None:
+        return list(map(fn, items))
     from concurrent.futures import ThreadPoolExecutor
+    get, set_ = blas
     with _blas_lock:
         before = get()
         set_(1)
         try:
-            with ThreadPoolExecutor(min(len(chunks), len(os.sched_getaffinity(0))),
+            with ThreadPoolExecutor(min(len(items), usable_cpus()),
                                     thread_name_prefix="reqtag-decode") as pool:
-                return list(pool.map(decode, chunks))
+                return list(pool.map(fn, items))
         finally:
             set_(before)
 
@@ -425,9 +427,8 @@ def predict_batch(params: ModelParams, rows):
     """Viterbi-decoded BIO tag indices for each of a list of non-empty
     1-D token index rows, in input order; every index is a vocabulary
     word or UNK, never PAD. Rows are ranked longest first and decoded
-    DECODE_CHUNK ranked rows per pass; two or more passes run on up to
-    one thread per CPU that lives for this call only (memory: that many
-    passes), one runs in the calling thread."""
+    DECODE_CHUNK ranked rows per pass, the passes through _thread_map
+    (memory: one pass per CPU)."""
     ranked = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
     chunks = [ranked[lo:lo + DECODE_CHUNK]
               for lo in range(0, len(ranked), DECODE_CHUNK)]
@@ -435,11 +436,8 @@ def predict_batch(params: ModelParams, rows):
     def decode(chunk):
         return _decode_chunk(params, [rows[i] for i in chunk])
 
-    blas = _blas_thread_setter() if len(chunks) > 1 else None
-    decoded = (map(decode, chunks) if blas is None
-               else _decode_on_pool(decode, chunks, *blas))
     paths = [None] * len(rows)
-    for chunk, chunk_paths in zip(chunks, decoded):
+    for chunk, chunk_paths in zip(chunks, _thread_map(decode, chunks)):
         for i, path in zip(chunk, chunk_paths):
             paths[i] = path
     return paths

@@ -11,7 +11,7 @@ DECODE_CHUNK rows, and still come back in input order. Two or more
 chunks are decoded on the thread pool with OpenBLAS at one thread, and
 the count is restored after the call, also when a chunk raises; one
 chunk or none runs in the calling thread, and so does every chunk when
-no OpenBLAS thread setter is found. The packed core steps each token
+blas_threads finds no OpenBLAS. The packed core steps each token
 once: every LSTM step row is one token of one of the three sequences.
 
 Work is done once per batch where rows share it: the encoder projects
@@ -161,20 +161,47 @@ def _recording_attend(threads):
     return recording
 
 
+def _inline_patches(stack, threads, **blas):
+    """Patches for a predict_batch expected to decode in this thread: the
+    thread-recording _attend, blas_threads (**blas its mock's settings),
+    a spy on _thread_map and the thread pool's class; returns the last
+    three mocks."""
+    stack.enter_context(mock.patch.object(network, "_attend",
+                                          _recording_attend(threads)))
+    return (stack.enter_context(mock.patch.object(network, "blas_threads",
+                                                  **blas)),
+            stack.enter_context(mock.patch.object(
+                network, "_thread_map", wraps=network._thread_map)),
+            stack.enter_context(
+                mock.patch("concurrent.futures.ThreadPoolExecutor")))
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, DECODE_CHUNK])
 def test_one_chunk_or_none_runs_inline(n_rows):
     rows = _rows(np.random.default_rng(n_rows).integers(1, 9, size=n_rows),
                  n_rows)
     params = _model(2, True)
     threads = []
-    with mock.patch.object(network, "_attend", _recording_attend(threads)), \
-            mock.patch.object(network, "_blas_thread_setter") as setter, \
-            mock.patch.object(network, "_decode_on_pool") as pool:
+    with ExitStack() as stack:
+        lookup, thread_map, pool = _inline_patches(stack, threads)
         paths = predict_batch(params, rows)
     assert paths == [per_sentence.predict_tags(params, r) for r in rows]
     assert threads == [threading.get_ident()] * (n_rows > 0)
-    setter.assert_not_called()
+    thread_map.assert_called_once()
+    lookup.assert_not_called()
     pool.assert_not_called()
+
+
+def _child(script, **env):
+    """stdout of script in a fresh interpreter that imports this reqtag,
+    under the caller's environment (so that PYTHONDONTWRITEBYTECODE and
+    the BLAS thread settings hold in the child too) updated with env."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": str(Path(reqtag.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_no_threads_start_for_import_or_one_chunk():
@@ -194,25 +221,25 @@ def test_no_threads_start_for_import_or_one_chunk():
         "network.predict_batch(params, rows)\n"
         "network.predict_tags(params, rows[3])\n"
         "assert threading.active_count() == before\n"
-        "assert network._blas_thread_setter.cache_info().currsize == 0\n"
+        "assert network.blas_threads.cache_info().currsize == 0\n"
         "network.predict_batch(params, rows * 3)\n"
         "assert threading.active_count() == before\n")
-    # the caller's environment, so that PYTHONDONTWRITEBYTECODE and the
-    # BLAS thread settings hold in the child too
-    env = {**os.environ, "PYTHONPATH": str(Path(reqtag.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    _child(script)
+
+
+def _openblas():
+    """blas_threads()'s (get, set) pair; skips the test without OpenBLAS."""
+    blas = network.blas_threads()
+    if blas is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    return blas
 
 
 @pytest.fixture
 def blas_at_two():
     """OpenBLAS's thread-count getter, with the count set to 2 for the
     test and put back after it."""
-    blas = network._blas_thread_setter()
-    if blas is None:
-        pytest.skip("numpy is not linked against OpenBLAS")
-    get, set_ = blas
+    get, set_ = _openblas()
     original = get()
     set_(2)
     yield get
@@ -289,15 +316,70 @@ def test_without_blas_setter_chunks_run_inline():
     rows = _rows(np.random.default_rng(6).integers(1, 9, size=150), 6)
     params = _model(6, True)
     threads = []
-    with mock.patch.object(network, "_attend", _recording_attend(threads)), \
-            mock.patch.object(network, "_blas_thread_setter",
-                              return_value=None), \
-            mock.patch.object(network, "_decode_on_pool") as pool:
+    with ExitStack() as stack:
+        lookup, thread_map, pool = _inline_patches(stack, threads,
+                                                   return_value=None)
         paths = predict_batch(params, rows)
     assert paths == predict_batch(params, rows)
     assert paths == [per_sentence.predict_tags(params, r) for r in rows]
     assert threads == [threading.get_ident()] * 3
+    thread_map.assert_called_once()
+    lookup.assert_called_once_with()
     pool.assert_not_called()
+
+
+def test_blas_threads_sets_the_openblas_that_matmul_calls():
+    # a handle on the extension that runs matmul reads back each count set
+    # through the handle that blas_threads opened
+    _openblas()
+    script = (
+        "import ctypes\n"
+        "try:\n"
+        "    from numpy._core import _multiarray_umath as ext  # numpy 2\n"
+        "except ImportError:\n"
+        "    from numpy.core import _multiarray_umath as ext  # numpy 1\n"
+        "from reqtag import network\n"
+        "core = ctypes.CDLL(ext.__file__)\n"
+        "read = next(getattr(core, sym.format('get'))\n"
+        "            for sym in network._BLAS_THREAD_SYMBOLS\n"
+        "            if hasattr(core, sym.format('get')))\n"
+        "read.argtypes, read.restype = [], ctypes.c_int\n"
+        "get, set_ = network.blas_threads()\n"
+        "for n in (1, 2, 1):\n"
+        "    set_(n)\n"
+        "    print(read(), get())\n")
+    assert _child(script).split("\n") == ["1 1", "2 2", "1 1", ""]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_blas_threads_reads_the_environment_setting(n):
+    _openblas()
+    if n > network.usable_cpus():
+        pytest.skip("OpenBLAS starts no more threads than CPUs")
+    script = ("from reqtag import network\n"
+              "print(network.blas_threads()[0]())\n")
+    assert _child(script, OPENBLAS_NUM_THREADS=str(n)) == f"{n}\n"
+
+
+def test_pool_size_falls_back_to_cpu_count(monkeypatch):
+    # where os.sched_getaffinity does not exist (macOS, Windows), the pool
+    # takes one thread per os.cpu_count() CPU
+    _openblas()
+    from concurrent.futures import ThreadPoolExecutor
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recording)
+    assert network.usable_cpus() == 3
+    assert network._thread_map(str, range(5)) == list("01234")
+    assert network._thread_map(str, range(2)) == ["0", "1"]
+    assert sizes == [3, 2]
+    assert not _decode_threads()
 
 
 def test_lstm_steps_cover_real_tokens_only(monkeypatch):

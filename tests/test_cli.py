@@ -443,6 +443,22 @@ class TestCrossval:
                   "spans_in_seen": 1, "tokens": 9, "unk_tokens": 2,
                   "span_tokens": 4, "unk_span_tokens": 1}}
 
+    @pytest.mark.parametrize("lookup", ["found", "patched to None"])
+    def test_manifest_records_the_environment(
+            self, corpus_path, config_path, tmp_path, monkeypatch, lookup):
+        # the BLAS thread count changes how the folds' floats round
+        if lookup != "found":
+            monkeypatch.setattr(cli, "blas_threads", lambda: None)
+        blas = cli.blas_threads()
+        out = tmp_path / "res"
+        assert run(["crossval", "--corpus", corpus_path,
+                    "--config", config_path, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "numpy": np.__version__,
+            "blas_threads": None if blas is None else blas[0](),
+            "cpus": network.usable_cpus()}
+
     def test_runs_override(self, corpus_path, tmp_path):
         # the config's runs_per_fold overrides the default of 15
         config = tmp_path / "runs.json"
