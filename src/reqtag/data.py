@@ -3,13 +3,15 @@
 Both pipelines end in the same canonical shape: a TaggedSentence with
 lowercase lemmatized tokens, a valid BIO tag sequence, and a domain
 label (app id for the CSV dataset, category for the CoNLL-U one).
-Corpora serialize to JSON Lines, one sentence per line. Every text input
-file is read through text_lines. Every refusal of an input file raises a
-DataError that starts with the file's path, as naming puts it there.
+Corpora serialize to JSON Lines, one sentence per line. text_lines reads
+every text input file but extract's, which cli._ready_lines reads. Every
+refusal of an input file raises a DataError that starts with the file's
+path, as naming puts it there.
 """
 
 import contextlib
 import csv
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -129,28 +131,21 @@ def clean_tokens(text: str) -> list:
 
 
 def align_bio(sentence_tokens, requirement_phrases):
-    """Tag every contiguous occurrence of each non-empty phrase; returns
-    (tags, misses).
-
-    Overlaps resolve longest-phrase-first, then leftmost. A phrase with
-    no occurrence counts as an alignment miss, not an error.
+    """Tag each occurrence of each non-empty phrase where every tag is still
+    O, longest phrase first, then leftmost; returns (tags, misses), misses
+    counting the phrases with no occurrence tagged.
     """
     n = len(sentence_tokens)
     tags = ["O"] * n
-    claimed = [False] * n
     misses = 0
     for phrase in sorted(requirement_phrases, key=len, reverse=True):
         m = len(phrase)
         matched_any = False
         for start in range(n - m + 1):
-            if any(claimed[start:start + m]):
-                continue
-            if sentence_tokens[start:start + m] == list(phrase):
+            if (tags[start:start + m] == ["O"] * m
+                    and sentence_tokens[start:start + m] == list(phrase)):
                 tags[start] = "B"
-                for j in range(start + 1, start + m):
-                    tags[j] = "I"
-                for j in range(start, start + m):
-                    claimed[j] = True
+                tags[start + 1:start + m] = ["I"] * (m - 1)
                 matched_any = True
         if not matched_any:
             misses += 1
@@ -202,86 +197,68 @@ CONLLU_COLUMNS = 10
 _CONLLU_TAGS = {"B-feature": "B", "I-feature": "I"}
 
 
-def _repair_bio(tags):
-    """Promote orphaned I (left behind by token drops) to B."""
-    prev = "O"
-    out = []
-    for t in tags:
-        if t == "I" and prev == "O":
-            t = "B"
-        out.append(t)
-        prev = t
-    return out
-
-
 def parse_conllu(path, tag_column: int = 9) -> tuple:
-    """CoNLL-U documents with app_name / *_category metadata comments.
+    """CoNLL-U documents, whose app_name / *_category comments label their
+    sentence and every later one; returns (corpus, counts).
 
-    tag_column is the zero-based column holding the BIO tag (default:
-    MISC, column 9). Tokens that are pure punctuation are dropped; BIO
-    runs broken by a drop are repaired, and a sentence left with no
-    token is counted as dropped. A sentence's errors name the line of its
-    first token. Returns (corpus, counts).
+    A sentence is a run of lines that are not blank. tag_column is the
+    zero-based column holding the BIO tag (default: MISC, column 9).
+    Tokens that are pure punctuation are dropped; an I left first or after
+    an O by a drop becomes B, and a sentence left with no token is counted
+    as dropped. A sentence's errors name the line of its first token.
     """
     counts = {"dropped_empty": 0, "alignment_misses": 0}
     sentences = []
     app_name = None
     category = None
-    tokens, tags = [], []
-    first_line = None
-
-    def flush():
-        nonlocal tokens, tags, first_line
-        if tokens:
-            try:
-                if not app_name or not category:
-                    raise DataError(
-                        "sentence without a non-empty app_name and category")
-                sentences.append(TaggedSentence(
-                    app_id=app_name, category=category,
-                    tokens=tokens, tags=_repair_bio(tags)))
-            except DataError as exc:
-                raise DataError(f"line {first_line}: {exc}") from None
-        elif first_line:  # token lines, every one of them dropped
-            counts["dropped_empty"] += 1
-        tokens, tags, first_line = [], [], None
-
     with naming(path):
-        for lineno, line in text_lines(path):
-            line = line.rstrip("\n")
-            if not line:
-                flush()
+        for blank, lines in itertools.groupby(text_lines(path),
+                                              key=lambda pair: pair[1] == "\n"):
+            if blank:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    key = key.strip()
-                    if key == "app_name":
+            tokens, tags, first_line = [], [], None
+            for lineno, line in lines:
+                line = line.rstrip("\n")
+                if line.startswith("#"):
+                    key, eq, value = line[1:].partition("=")
+                    if eq and key.strip() == "app_name":
                         app_name = value.strip()
-                    elif key.endswith("category"):
+                    elif eq and key.strip().endswith("category"):
                         category = value.strip()
-                continue
-            cols = line.split("\t")
-            if len(cols) != CONLLU_COLUMNS and len(cols) != CONLLU_COLUMNS + 1:
-                raise DataError(
-                    f"line {lineno}: expected {CONLLU_COLUMNS} tab-separated "
-                    f"columns, got {len(cols)}")
-            if not 0 <= tag_column < len(cols):
-                raise DataError(f"line {lineno}: no column {tag_column}")
-            first_line = first_line or lineno
-            token_id = cols[0]
-            if "-" in token_id or "." in token_id:
-                continue  # multiword/empty nodes carry no tag of their own
-            lemma = cols[2].lower()
-            if _PUNCT_ONLY_RE.match(lemma) or not lemma:
-                continue
-            lemma = _STRIP_RE.sub("", lemma).strip("'")
-            if not lemma:
-                continue
-            tokens.append(lemma)
-            tags.append(_CONLLU_TAGS.get(cols[tag_column], "O"))
-        flush()
+                    continue
+                cols = line.split("\t")
+                if len(cols) != CONLLU_COLUMNS and len(cols) != CONLLU_COLUMNS + 1:
+                    raise DataError(
+                        f"line {lineno}: expected {CONLLU_COLUMNS} tab-separated "
+                        f"columns, got {len(cols)}")
+                if not 0 <= tag_column < len(cols):
+                    raise DataError(f"line {lineno}: no column {tag_column}")
+                first_line = first_line or lineno
+                if "-" in cols[0] or "." in cols[0]:
+                    continue  # multiword/empty nodes carry no tag of their own
+                lemma = cols[2].lower()
+                if _PUNCT_ONLY_RE.match(lemma) or not lemma:
+                    continue
+                lemma = _STRIP_RE.sub("", lemma).strip("'")
+                if not lemma:
+                    continue
+                tag = _CONLLU_TAGS.get(cols[tag_column], "O")
+                if tag == "I" and (not tags or tags[-1] == "O"):
+                    tag = "B"  # an orphan: its B was dropped, or never there
+                tokens.append(lemma)
+                tags.append(tag)
+            if tokens:
+                try:
+                    if not app_name or not category:
+                        raise DataError(
+                            "sentence without a non-empty app_name and category")
+                    sentences.append(TaggedSentence(
+                        app_id=app_name, category=category,
+                        tokens=tokens, tags=tags))
+                except DataError as exc:
+                    raise DataError(f"line {first_line}: {exc}") from None
+            elif first_line:  # token lines, every one of them dropped
+                counts["dropped_empty"] += 1
     return Corpus(sentences=sentences), counts
 
 

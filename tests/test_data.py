@@ -53,6 +53,9 @@ class TestLemmatizer:
         ("speech", "speech"),
         ("this", "this"),
         ("stopped", "stop"),
+        ("always", "always"),
+        ("stories", "story"),
+        ("copied", "copy"),
     ])
     def test_goldens(self, word, lemma):
         assert lemmatize(word) == lemma
@@ -74,6 +77,11 @@ class TestAlignBio:
         tags, misses = align_bio(["a", "b", "c"], [["a", "b", "c"], ["b"]])
         assert tags == ["B", "I", "I"]
         assert misses == 1  # ["b"] had nowhere left to match
+
+    def test_phrase_listed_twice_misses_once(self):
+        tags, misses = align_bio(["x", "a", "b"], [["a", "b"], ("a", "b")])
+        assert tags == ["O", "B", "I"]
+        assert misses == 1  # the second listing found its tokens tagged
 
     def test_repeated_occurrences_all_tagged(self):
         tags, _ = align_bio(["x", "a", "b", "y", "a", "b"], [["a", "b"]])
@@ -311,6 +319,52 @@ class TestParseConllu:
         corpus, _ = parse_conllu(path)
         assert corpus.sentences[0].tokens == ["nice", "app"]
         assert corpus.sentences[0].tags == ["O", "O"]
+
+    def test_range_and_empty_node_lines_add_no_token(self, tmp_path):
+        # both carry real lemmas and tags; only the plain ids are words
+        doc = conllu_doc([
+            token_line("1-2", "dont", "dont", "B-feature"),
+            token_line(1, "do", "do", "O"),
+            token_line(2, "not", "not", "O"),
+            token_line(3, "mode", "mode", "O"),
+            token_line("3.1", "add", "add", "B-feature"),
+        ])
+        path = tmp_path / "d2.conllu"
+        path.write_text(doc, encoding="utf-8")
+        corpus, _ = parse_conllu(path)
+        assert corpus.sentences[0].tokens == ["do", "not", "mode"]
+        assert corpus.sentences[0].tags == ["O", "O", "O"]
+
+    @pytest.mark.parametrize("lemma", ["_", "é"])
+    def test_lemma_that_cleans_to_nothing_drops_its_token(self, tmp_path, lemma):
+        doc = conllu_doc([token_line(1, "café", lemma, "O"),
+                          token_line(2, "app", "app", "O")])
+        doc += conllu_doc([token_line(1, "café", lemma, "B-feature")])
+        path = tmp_path / "d2.conllu"
+        path.write_text(doc, encoding="utf-8")
+        corpus, counts = parse_conllu(path)
+        assert [s.tokens for s in corpus.sentences] == [["app"]]
+        assert counts == {"dropped_empty": 1, "alignment_misses": 0}
+
+    def test_sentence_without_comments_keeps_the_labels_before(self, tmp_path):
+        doc = conllu_doc([token_line(1, "dark", "dark", "O")],
+                         app="ebay", category="SHOPPING")
+        doc += token_line(1, "timer", "timer", "O") + "\n\n"
+        path = tmp_path / "d2.conllu"
+        path.write_text(doc, encoding="utf-8")
+        corpus, _ = parse_conllu(path)
+        assert [(s.app_id, s.category, s.tokens) for s in corpus.sentences] == [
+            ("ebay", "SHOPPING", ["dark"]), ("ebay", "SHOPPING", ["timer"])]
+
+    def test_category_comment_after_the_tokens_labels_the_sentence(self,
+                                                                    tmp_path):
+        lines = ["# app_name = ebay", "# google_play_category = SHOPPING",
+                 token_line(1, "dark", "dark", "O"),
+                 "# google_play_category = TOOLS"]
+        path = tmp_path / "d2.conllu"
+        path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+        corpus, _ = parse_conllu(path)
+        assert corpus.sentences[0].category == "TOOLS"
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "d2.conllu"

@@ -361,6 +361,12 @@ class TestCheckpoint:
         _write_entries(tmp_path / "model.json", entries)
         _rejected(tmp_path / "model.json", fragment)
 
+    def test_header_that_is_a_number_array(self, tiny_entries, tmp_path):
+        entries = dict(tiny_entries)
+        entries["header"] = np.array([1.0, 2.0])
+        _write_entries(tmp_path / "model.json", entries)
+        _rejected(tmp_path / "model.json", "header is not a string")
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_every_truncation_raises_value_error(self, tiny_entries, data):
