@@ -159,10 +159,14 @@ def _manifest(config: "TrainConfig", digests: dict, folds, held_out):
 
 
 def cmd_crossval(args):
-    from .training import cross_validate, fold_domains, held_out_counts
+    from .training import cross_validate, held_out_counts
+    _check_paths([], [("--corpus", args.corpus), ("--config", args.config)])
     config = _load_config(args.config)
+    _check_paths([], [("glove_path", config.glove_path)])
     corpus = load_corpus(args.corpus)
-    domains = fold_domains(corpus)
+    domains = corpus.domains
+    if len(domains) < 2:
+        raise DataError(f"need at least 2 domains, have {len(domains)}")
     for domain in domains:  # each names fold_<domain>.json
         if "/" in domain or "\0" in domain:
             raise DataError(f"domain {domain!r} holds '/' or NUL, so it "

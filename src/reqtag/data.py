@@ -133,13 +133,15 @@ def clean_tokens(text: str) -> list:
 def align_bio(sentence_tokens, requirement_phrases):
     """Tag each occurrence of each non-empty phrase where every tag is still
     O, longest phrase first, then leftmost; returns (tags, misses), misses
-    counting the phrases with no occurrence tagged.
+    counting the non-empty phrases with no occurrence tagged.
     """
     n = len(sentence_tokens)
     tags = ["O"] * n
     misses = 0
     for phrase in sorted(requirement_phrases, key=len, reverse=True):
         m = len(phrase)
+        if not m:
+            continue
         matched_any = False
         for start in range(n - m + 1):
             if (tags[start:start + m] == ["O"] * m
@@ -177,7 +179,6 @@ def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
                     continue
                 feature_cell = row["Feature (All Annotated)"] or ""
                 phrases = [clean_tokens(p) for p in feature_cell.split(feature_delim)]
-                phrases = [p for p in phrases if p]
                 tags, misses = align_bio(tokens, phrases)
                 counts["alignment_misses"] += misses
                 try:
@@ -237,7 +238,7 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
                 if "-" in cols[0] or "." in cols[0]:
                     continue  # multiword/empty nodes carry no tag of their own
                 lemma = cols[2].lower()
-                if _PUNCT_ONLY_RE.match(lemma) or not lemma:
+                if _PUNCT_ONLY_RE.match(lemma):
                     continue
                 lemma = _STRIP_RE.sub("", lemma).strip("'")
                 if not lemma:

@@ -1,8 +1,8 @@
 """Small deterministic rule-based English lemmatizer.
 
-Good enough for app-review vocabulary: an irregular-form table plus
-plural and -ing/-ed suffix stripping. Pre-lemmatized inputs (the
-CoNLL-U pipeline) bypass this module entirely.
+Good enough for app-review vocabulary: plural and -ing/-ed suffix
+stripping, plus tables of only the forms those rules get wrong.
+Pre-lemmatized inputs (the CoNLL-U pipeline) bypass this module entirely.
 """
 
 IRREGULAR = {
@@ -11,34 +11,31 @@ IRREGULAR = {
     "has": "have", "had": "have", "having": "have",
     "does": "do", "did": "do", "done": "do", "doing": "do",
     "goes": "go", "went": "go", "gone": "go",
-    "gets": "get", "got": "get", "gotten": "get",
-    "makes": "make", "made": "make", "making": "make",
-    "takes": "take", "took": "take", "taken": "take", "taking": "take",
-    "gives": "give", "gave": "give", "given": "give", "giving": "give",
-    "comes": "come", "came": "come", "coming": "come",
-    "says": "say", "said": "say", "saying": "say",
-    "sees": "see", "saw": "see", "seen": "see", "seeing": "see",
-    "uses": "use", "used": "use", "using": "use",
-    "keeps": "keep", "kept": "keep",
-    "lets": "let", "letting": "let",
-    "puts": "put", "putting": "put",
-    "found": "find", "finds": "find", "finding": "find",
-    "sent": "send", "sends": "send", "sending": "send",
-    "bought": "buy", "buys": "buy", "buying": "buy",
-    "paid": "pay", "pays": "pay", "paying": "pay",
-    "left": "leave", "leaves": "leave", "leaving": "leave",
-    "lost": "lose", "loses": "lose", "losing": "lose",
+    "got": "get", "gotten": "get",
+    "made": "make", "making": "make",
+    "took": "take", "taken": "take", "taking": "take",
+    "gave": "give", "given": "give", "giving": "give",
+    "came": "come", "coming": "come",
+    "said": "say",
+    "saw": "see", "seen": "see",
+    "used": "use", "using": "use",
+    "kept": "keep",
+    "found": "find",
+    "sent": "send",
+    "bought": "buy",
+    "paid": "pay",
+    "left": "leave", "leaving": "leave",
+    "lost": "lose", "losing": "lose",
     "better": "good", "best": "good",
     "worse": "bad", "worst": "bad",
     "children": "child", "people": "person",
     "men": "man", "women": "woman",
     "feet": "foot", "mice": "mouse",
-    "movies": "movie", "ios": "ios", "this": "this", "his": "his",
-    "its": "its", "yes": "yes", "us": "us",
+    "movies": "movie",
 }
 
-# words ending in -s that are not plurals and common in reviews
-_KEEP_S = {"always", "perhaps", "plus", "thus", "as", "ss"}
+# words ending in -s, common in reviews, that the plural rule would strip
+_KEEP_S = {"always", "perhaps"}
 
 VOWELS = set("aeiou")
 

@@ -196,20 +196,12 @@ def run_fold(config: TrainConfig, corpus: Corpus, held_out: str, seed: int):
             "recall": metrics["recall"], "f1": metrics["f1"]}
 
 
-def fold_domains(corpus: Corpus) -> dict:
-    """corpus.domains, if there are the two that cross-validation needs."""
-    domains = corpus.domains
-    if len(domains) < 2:
-        raise DataError(f"need at least 2 domains, have {len(domains)}")
-    return domains
-
-
 def held_out_counts(corpus: Corpus) -> dict:
     """For each held-out domain, from the corpus alone: its sentences
     whose token sequence a sentence of the fold's training domains has,
     with the gold spans they hold, and its tokens and gold-span tokens,
     with those that are <unk> under the fold's training vocabulary."""
-    domains = fold_domains(corpus)
+    domains = corpus.domains
     out = {}
     for held_out in sorted(domains):
         train_sentences = _training_sentences(
@@ -237,7 +229,7 @@ def cross_validate(config: TrainConfig, corpus: Corpus,
                    progress=None) -> dict:
     """Leave-one-domain-out over every domain, runs_per_fold runs each;
     returns {held-out domain: [run_fold dicts]} in sorted domain order."""
-    domains = fold_domains(corpus)
+    domains = corpus.domains
     folds = {}
     for held_out in sorted(domains):
         runs = folds[held_out] = []

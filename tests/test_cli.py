@@ -280,6 +280,22 @@ class TestCrossval:
             "error: need at least 2 domains, have 1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--corpus", "--config", "glove_path"])
+    def test_input_that_is_a_directory_leaves_no_out_directory(
+            self, corpus_path, tmp_path, capsys, flag):
+        glove = {"glove_path": str(tmp_path)} if flag == "glove_path" else {}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, **glove}),
+                          encoding="utf-8")
+        inputs = {"--corpus": corpus_path, "--config": config, flag: tmp_path}
+        out = tmp_path / "new" / "res"
+        assert run(["crossval", "--corpus", inputs["--corpus"], "--config",
+                    inputs["--config"], "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+            f"{str(tmp_path)!r}\n")
+        assert not out.parent.exists()
+
     def test_determinism_byte_identical(self, corpus_path, config_path,
                                         tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

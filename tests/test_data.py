@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reqtag import lemmatizer
 from reqtag.crf import crf_nll_backward, init_transitions
 from reqtag.data import (MAX_SENTENCE_TOKENS, TAG_INDEX, Corpus, DataError,
                          TaggedSentence, align_bio, clean_tokens, load_corpus,
@@ -56,9 +57,31 @@ class TestLemmatizer:
         ("always", "always"),
         ("stories", "story"),
         ("copied", "copy"),
+        # forms the suffix rules give with no table entry
+        ("gets", "get"), ("makes", "make"), ("takes", "take"),
+        ("gives", "give"), ("comes", "come"), ("says", "say"),
+        ("saying", "say"), ("sees", "see"), ("seeing", "see"),
+        ("uses", "use"), ("keeps", "keep"), ("lets", "let"),
+        ("letting", "let"), ("puts", "put"), ("putting", "put"),
+        ("finds", "find"), ("finding", "find"), ("sends", "send"),
+        ("sending", "send"), ("buys", "buy"), ("buying", "buy"),
+        ("pays", "pay"), ("paying", "pay"), ("leaves", "leave"),
+        ("loses", "lose"), ("ios", "ios"), ("his", "his"), ("its", "its"),
+        ("yes", "yes"), ("us", "us"), ("as", "as"), ("plus", "plus"),
+        ("ss", "ss"), ("thus", "thus"),
     ])
     def test_goldens(self, word, lemma):
         assert lemmatize(word) == lemma
+
+    def test_every_table_entry_changes_a_lemma(self, monkeypatch):
+        # an entry that gives what the suffix rules give decides nothing
+        irregular, keep_s = lemmatizer.IRREGULAR, lemmatizer._KEEP_S
+        monkeypatch.setattr(lemmatizer, "IRREGULAR", {})
+        monkeypatch.setattr(lemmatizer, "_KEEP_S", set())
+        same = [word for word, lemma in irregular.items()
+                if lemmatize(word) == lemma]
+        same += sorted(word for word in keep_s if lemmatize(word) == word)
+        assert same == []
 
 
 class TestAlignBio:
@@ -72,6 +95,9 @@ class TestAlignBio:
     def test_no_phrases(self):
         tags, misses = align_bio(["a", "b"], [])
         assert tags == ["O", "O"] and misses == 0
+
+    def test_empty_phrase_tags_nothing_and_misses_nothing(self):
+        assert align_bio(["a", "b"], [[], ["a"]]) == (["B", "O"], 0)
 
     def test_longest_phrase_wins(self):
         tags, misses = align_bio(["a", "b", "c"], [["a", "b", "c"], ["b"]])
@@ -335,7 +361,7 @@ class TestParseConllu:
         assert corpus.sentences[0].tokens == ["do", "not", "mode"]
         assert corpus.sentences[0].tags == ["O", "O", "O"]
 
-    @pytest.mark.parametrize("lemma", ["_", "é"])
+    @pytest.mark.parametrize("lemma", ["_", "é", pytest.param("", id="empty")])
     def test_lemma_that_cleans_to_nothing_drops_its_token(self, tmp_path, lemma):
         doc = conllu_doc([token_line(1, "café", lemma, "O"),
                           token_line(2, "app", "app", "O")])
