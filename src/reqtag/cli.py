@@ -24,24 +24,14 @@ from .embeddings import encode_tokens
 from .evaluation import (evaluate_domain, extract_spans, load_baselines,
                          mean_scores, render_report)
 from .network import (DECODE_CHUNK, blas_threads, load_checkpoint,
-                      predict_batch, predict_tags, save_checkpoint,
-                      usable_cpus)
+                      predict_tags, save_checkpoint, usable_cpus)
 
-EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_batch call
+EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_tags call
 NAME_MAX = 255  # bytes in a file name on common file systems
 
 
 def _log(msg):
     print(msg, file=sys.stderr)
-
-
-def _sha256(path):
-    import hashlib
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _check_paths(outputs, inputs):
@@ -70,7 +60,9 @@ def _check_paths(outputs, inputs):
                 and len(os.fsencode(os.path.basename(path))) > NAME_MAX):
             raise DataError(f"{flag} {path!r} names a file of more than "
                             f"{NAME_MAX} bytes")
-    for _flag, path in inputs:  # os.read of a directory fails unnamed
+    # refused here, before any work starts, so that crossval leaves no
+    # --out behind when glove_path is a directory
+    for _flag, path in inputs:
         if path is not None and os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                     path)
@@ -159,6 +151,7 @@ def _manifest(config: "TrainConfig", digests: dict, folds, held_out):
 
 
 def cmd_crossval(args):
+    import hashlib
     from .training import cross_validate, held_out_counts
     _check_paths([], [("--corpus", args.corpus), ("--config", args.config)])
     config = _load_config(args.config)
@@ -186,7 +179,8 @@ def cmd_crossval(args):
         *(f"fold_{domain}.json" for domain in sorted(domains)))],
         [("--corpus", args.corpus), ("--config", args.config),
          ("glove_path", config.glove_path)])
-    digests = {"corpus": _sha256(args.corpus)}  # what the runs read
+    digests = {"corpus": hashlib.sha256(  # what the runs read
+        Path(args.corpus).read_bytes()).hexdigest()}
 
     def progress(domain, run_index, seed):
         _log(f"[fold={domain} run={run_index}] seed={seed}")
@@ -242,9 +236,7 @@ def cmd_extract(args):
     for lines in _ready_lines(args.input):
         tokens = [clean_tokens(line) for line in lines]
         rows = [encode_tokens(t, vocab) for t in tokens if t]
-        # a closed-loop client's line comes alone
-        paths = iter([predict_tags(params, rows[0])] if len(rows) == 1
-                     else predict_batch(params, rows))
+        paths = iter(predict_tags(params, rows))
         replies = []
         for text, toks in zip(lines, tokens):
             spans = extract_spans(next(paths)) if toks else []

@@ -12,7 +12,7 @@ import numbers
 
 from .data import DataError, naming, read_json
 from .embeddings import encode_tokens
-from .network import predict_batch
+from .network import predict_tags
 
 
 def extract_spans(tags):
@@ -79,7 +79,7 @@ def evaluate_domain(params, vocab, sentences) -> dict:
     """Decode a domain's sentences once and score them both ways:
     {"exact": metrics, "overlap": metrics}."""
     rows = [encode_tokens(s.tokens, vocab) for s in sentences]
-    pairs = list(zip(predict_batch(params, rows),
+    pairs = list(zip(predict_tags(params, rows),
                      [s.tag_indices() for s in sentences]))
     return {"exact": evaluate_tag_pairs(pairs),
             "overlap": evaluate_tag_pairs(pairs, overlap=True)}

@@ -1,7 +1,7 @@
 """Small deterministic rule-based English lemmatizer.
 
 Good enough for app-review vocabulary: plural and -ing/-ed suffix
-stripping, plus tables of only the forms those rules get wrong.
+stripping, plus a table of only the forms those rules get wrong.
 Pre-lemmatized inputs (the CoNLL-U pipeline) bypass this module entirely.
 """
 
@@ -32,10 +32,9 @@ IRREGULAR = {
     "men": "man", "women": "woman",
     "feet": "foot", "mice": "mouse",
     "movies": "movie",
+    # words ending in -s, common in reviews, that the plural rule would strip
+    "always": "always", "perhaps": "perhaps",
 }
-
-# words ending in -s, common in reviews, that the plural rule would strip
-_KEEP_S = {"always", "perhaps"}
 
 VOWELS = set("aeiou")
 
@@ -51,8 +50,6 @@ def lemmatize(word: str) -> str:
     """Lemma of one already-lowercased token."""
     if word in IRREGULAR:
         return IRREGULAR[word]
-    if word in _KEEP_S:
-        return word
 
     # plural nouns / 3rd-person verbs
     if word.endswith("ies") and len(word) > 4:

@@ -15,10 +15,10 @@ each row mirrored through a gather index. Attention confines each row to
 its own positions, and the rows of one length, adjacent in rank order,
 attend as one stacked product. Training calls batch_loss_and_grads once
 per batch, with the token and tag indices of its rows laid end to end,
-the layout that Packing.src indexes; nothing is padded. predict_batch
+the layout that Packing.src indexes; nothing is padded. predict_tags
 ranks any number of rows by length and runs the same layers, keeping no
 backward caches, and one packed Viterbi per DECODE_CHUNK ranked rows;
-paths come back in input order, and predict_tags is its B = 1 case.
+paths come back in input order.
 
 _thread_map decodes a call's two or more chunks on up to one thread per
 CPU, started by that call and joined before it returns or raises, so
@@ -423,12 +423,12 @@ def _thread_map(fn, items):
             set_(before)
 
 
-def predict_batch(params: ModelParams, rows):
-    """Viterbi-decoded BIO tag indices for each of a list of non-empty
-    1-D token index rows, in input order; every index is a vocabulary
-    word or UNK, never PAD. Rows are ranked longest first and decoded
-    DECODE_CHUNK ranked rows per pass, the passes through _thread_map
-    (memory: one pass per CPU)."""
+def predict_tags(params: ModelParams, rows):
+    """The one decode entry point: Viterbi-decoded BIO tag indices for each
+    of a list of non-empty 1-D token index rows, in input order; every
+    index is a vocabulary word or UNK, never PAD. Rows are ranked longest
+    first and decoded DECODE_CHUNK ranked rows per pass, the passes through
+    _thread_map (memory: one pass per CPU); one row decodes inline."""
     ranked = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
     chunks = [ranked[lo:lo + DECODE_CHUNK]
               for lo in range(0, len(ranked), DECODE_CHUNK)]
@@ -441,11 +441,6 @@ def predict_batch(params: ModelParams, rows):
         for i, path in zip(chunk, chunk_paths):
             paths[i] = path
     return paths
-
-
-def predict_tags(params: ModelParams, indices):
-    """Viterbi-decoded BIO tag indices for one non-empty sentence."""
-    return predict_batch(params, [indices])[0]
 
 
 # ------------------------------------------------------------- checkpoint

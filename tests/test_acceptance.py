@@ -17,8 +17,7 @@ from reqtag.evaluation import (compute_metrics, evaluate_tag_pairs,
                                extract_spans, mean_scores)
 from reqtag.network import (ModelDims, _attend, _decode_training, _encode,
                             _gold_feed, _pack, batch_loss_and_grads,
-                            init_model, param_blocks, predict_batch,
-                            predict_tags)
+                            init_model, param_blocks, predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
 from conftest import grad_check, make_review_corpus, make_synthetic_corpus
 from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
@@ -124,7 +123,7 @@ def test_criterion_3_constraint_guarantee():
     for _ in range(500):
         n = int(rng.integers(1, 10))
         idx = list(rng.integers(2, 20, size=n))
-        if not is_valid_bio(predict_tags(params, idx)):
+        if not is_valid_bio(predict_tags(params, [idx])[0]):
             violations += 1
     report("3 constraint-guarantee", violations == 0,
            f"{violations} violations in 1000 decodes")
@@ -174,8 +173,8 @@ def test_criterion_4_padding_invariance():
         # a batch's total is the sum of its rows run alone
         assert abs(first - (alone + other_alone)) <= 1e-9
         # a row decodes alike alone and beside a longer row
-        decoded = predict_batch(params, [indices])[0]
-        assert predict_batch(params, [indices, longer])[0] == decoded
+        decoded = predict_tags(params, [indices])[0]
+        assert predict_tags(params, [indices, longer])[0] == decoded
     report("4 batch-invariance", True, "100 random cases")
 
 
@@ -201,7 +200,7 @@ def test_criterion_6_overfit_oracle():
                       d_att=8, h_dec=8, d_tag=4, epochs=200,
                       runs_per_fold=1, seed=0)
     params, vocab, _ = train(cfg, single, [target.domain])
-    pred = predict_tags(params, encode_tokens(target.tokens, vocab))
+    pred = predict_tags(params, [encode_tokens(target.tokens, vocab)])[0]
     gold_spans = extract_spans(target.tag_indices())
     pred_spans = extract_spans(pred)
     tp = len(set(gold_spans) & set(pred_spans))
@@ -284,7 +283,7 @@ def test_criterion_10_decoder_feed_gap():
     params, vocab, _ = train(cfg, corpus, sorted(corpus.domains))
     rows = [encode_tokens(s.tokens, vocab) for s in corpus.sentences]
     golds = [s.tag_indices() for s in corpus.sentences]
-    greedy = evaluate_tag_pairs(zip(predict_batch(params, rows), golds))["f1"]
+    greedy = evaluate_tag_pairs(zip(predict_tags(params, rows), golds))["f1"]
     gold_fed = evaluate_tag_pairs(
         (_gold_fed_path(params, row, gold), gold)
         for row, gold in zip(rows, golds))["f1"]

@@ -2,7 +2,7 @@
 
 A batch's rows laid end to end through ``batch_loss_and_grads`` must
 give the sum of the reference's per-sentence losses and gradients, and
-the same sentences as a ragged list of rows through ``predict_batch``
+the same sentences as a ragged list of rows through ``predict_tags``
 the reference's Viterbi tags row by row in input order, for any batch
 size, row order and lengths (one row may be up to three times longer
 than the rest), with trainable or frozen embeddings. More rows than
@@ -47,7 +47,7 @@ from reqtag import crf, lstm, network
 from reqtag.embeddings import UNK_INDEX
 from reqtag.network import (DECODE_CHUNK, ModelDims, _attend, _attend_backward,
                             _pack, batch_loss_and_grads, init_model,
-                            predict_batch, predict_tags, zero_grad_blocks)
+                            predict_tags, zero_grad_blocks)
 from crf_oracles import as_bio
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
@@ -121,8 +121,9 @@ def test_batch_equals_per_sentence_sum(sentences, outlier, seed, trainable):
     for name, ref in ref_grads.items():
         _assert_close(grads[name], ref, name)
     ref_paths = [per_sentence.predict_tags(params, idx) for idx, _ in sentences]
-    assert predict_batch(params, [idx for idx, _ in sentences]) == ref_paths
-    assert [predict_tags(params, idx) for idx, _ in sentences] == ref_paths
+    assert predict_tags(params, [idx for idx, _ in sentences]) == ref_paths
+    assert [predict_tags(params, [idx])[0]
+            for idx, _ in sentences] == ref_paths
 
 
 def _rows(lengths, seed):
@@ -144,7 +145,7 @@ def test_ranked_chunks_decode_in_input_order(lengths, outliers, seed):
     rows = _rows(lengths, seed)
     params = _model(seed, True)
     with mock.patch.object(network, "_pack", wraps=network._pack) as pack:
-        paths = predict_batch(params, rows)
+        paths = predict_tags(params, rows)
     packed = [len(call.args[0]) for call in pack.call_args_list]
     assert paths == [per_sentence.predict_tags(params, r) for r in rows]
     assert max(packed) <= DECODE_CHUNK and sum(packed) == len(rows)
@@ -162,10 +163,10 @@ def _recording_attend(threads):
 
 
 def _inline_patches(stack, threads, **blas):
-    """Patches for a predict_batch expected to decode in this thread: the
-    thread-recording _attend, blas_threads (**blas its mock's settings),
-    a spy on _thread_map and the thread pool's class; returns the last
-    three mocks."""
+    """Patches for a predict_tags call expected to decode in this thread:
+    the thread-recording _attend, blas_threads (**blas its mock's
+    settings), a spy on _thread_map and the thread pool's class; returns
+    the last three mocks."""
     stack.enter_context(mock.patch.object(network, "_attend",
                                           _recording_attend(threads)))
     return (stack.enter_context(mock.patch.object(network, "blas_threads",
@@ -184,7 +185,7 @@ def test_one_chunk_or_none_runs_inline(n_rows):
     threads = []
     with ExitStack() as stack:
         lookup, thread_map, pool = _inline_patches(stack, threads)
-        paths = predict_batch(params, rows)
+        paths = predict_tags(params, rows)
     assert paths == [per_sentence.predict_tags(params, r) for r in rows]
     assert threads == [threading.get_ident()] * (n_rows > 0)
     thread_map.assert_called_once()
@@ -218,11 +219,11 @@ def test_no_threads_start_for_import_or_one_chunk():
         "                            np.random.default_rng(0))\n"
         "rows = [np.arange(1, 2 + i % 7)\n"
         "        for i in range(network.DECODE_CHUNK)]\n"
-        "network.predict_batch(params, rows)\n"
-        "network.predict_tags(params, rows[3])\n"
+        "network.predict_tags(params, rows)\n"
+        "network.predict_tags(params, [rows[3]])\n"
         "assert threading.active_count() == before\n"
         "assert network.blas_threads.cache_info().currsize == 0\n"
-        "network.predict_batch(params, rows * 3)\n"
+        "network.predict_tags(params, rows * 3)\n"
         "assert threading.active_count() == before\n")
     _child(script)
 
@@ -270,7 +271,7 @@ def test_chunks_run_on_pool_at_one_blas_thread_and_restore_it(blas_at_two):
         return decode(*args)
 
     with mock.patch.object(network, "_decode_inference", recording):
-        assert predict_batch(params, rows) == ref
+        assert predict_tags(params, rows) == ref
     assert get() == 2
     assert len(seen) == 4
     assert all(ident != threading.get_ident() and threads == 1
@@ -279,7 +280,7 @@ def test_chunks_run_on_pool_at_one_blas_thread_and_restore_it(blas_at_two):
     seen.clear()
     with mock.patch.object(network, "_decode_inference", failing_second):
         with pytest.raises(RuntimeError, match="chunk failed"):
-            predict_batch(params, rows)
+            predict_tags(params, rows)
     assert get() == 2
     assert not _decode_threads()
 
@@ -295,7 +296,7 @@ def test_concurrent_callers_restore_blas_threads(blas_at_two):
     results = []
 
     def call():
-        results.append(predict_batch(params, rows) == ref)
+        results.append(predict_tags(params, rows) == ref)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -319,8 +320,8 @@ def test_without_blas_setter_chunks_run_inline():
     with ExitStack() as stack:
         lookup, thread_map, pool = _inline_patches(stack, threads,
                                                    return_value=None)
-        paths = predict_batch(params, rows)
-    assert paths == predict_batch(params, rows)
+        paths = predict_tags(params, rows)
+    assert paths == predict_tags(params, rows)
     assert paths == [per_sentence.predict_tags(params, r) for r in rows]
     assert threads == [threading.get_ident()] * 3
     thread_map.assert_called_once()
@@ -404,11 +405,11 @@ def test_lstm_steps_cover_real_tokens_only(monkeypatch):
     batch_loss_and_grads(params, *_laid_out(sentences))
     assert sum(rows) == 3 * sum(lengths)
     rows.clear()
-    predict_batch(params, [idx for idx, _ in sentences])
+    predict_tags(params, [idx for idx, _ in sentences])
     assert sum(rows) == 3 * sum(lengths)
     rows.clear()
     for idx, _ in sentences:
-        predict_tags(params, idx)
+        predict_tags(params, [idx])
     assert sum(rows) == 3 * sum(lengths)
 
 
@@ -483,7 +484,7 @@ def test_criterion_2_batch_bit_identical_to_frozen_core(pairs):
 
 
 def _emissions(params, rows, pairs=()):
-    """predict_batch's paths and every emission matrix it decodes."""
+    """predict_tags's paths and every emission matrix it decodes."""
     seen = []
     viterbi = crf.crf_viterbi
 
@@ -491,7 +492,7 @@ def _emissions(params, rows, pairs=()):
         seen.append(emissions)
         return viterbi(emissions, *args)
     with mock.patch.object(crf, "crf_viterbi", recording):
-        paths = _run_frozen(pairs, predict_batch, params, rows)
+        paths = _run_frozen(pairs, predict_tags, params, rows)
     return paths, seen
 
 
@@ -526,7 +527,7 @@ def test_batches_bit_identical_to_frozen_core(lengths, tokens, dims, seed):
 def test_row_of_one_repeated_token(token, n):
     params = _model(n + token, True)
     row = np.full(n, token)
-    assert predict_batch(params, [row]) == [per_sentence.predict_tags(params,
+    assert predict_tags(params, [row]) == [per_sentence.predict_tags(params,
                                                                       row)]
 
 
@@ -540,7 +541,7 @@ def test_rows_of_few_distinct_tokens(others, lengths, seed):
     params = _model(seed, True)
     rows = [rng.choice([UNK_INDEX, *sorted(others)], size=n) for n in lengths]
     sentences = _sentences_of(rows, rng)
-    assert predict_batch(params, rows) == [
+    assert predict_tags(params, rows) == [
         per_sentence.predict_tags(params, row) for row in rows]
     loss, grads = batch_loss_and_grads(params, *_laid_out(sentences))
     ref_loss = 0.0
@@ -564,5 +565,5 @@ def test_window_of_one_word(token):
     lengths = rng.integers(1, 13, size=3 * DECODE_CHUNK + 5).tolist()
     by_length = {n: per_sentence.predict_tags(params, np.full(n, token))
                  for n in set(lengths)}
-    assert (predict_batch(params, [np.full(n, token) for n in lengths])
+    assert (predict_tags(params, [np.full(n, token) for n in lengths])
             == [by_length[n] for n in lengths])

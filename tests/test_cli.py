@@ -879,6 +879,30 @@ class TestExtract:
         assert len(want) == 600
         assert capsys.readouterr().out == "".join(want)
 
+    def test_each_window_is_one_decode_call(self, trained_model, tmp_path,
+                                            capsys, monkeypatch):
+        # a lone line, then a window whose middle line is blank: each
+        # window is one predict_tags call on a list of its non-empty rows
+        model, _, target = trained_model
+        _, vocab, _ = load_checkpoint(model)
+        calls = []
+
+        def recording(params, rows):
+            calls.append(rows)
+            return predict_tags(params, rows)
+        monkeypatch.setattr(cli, "predict_tags", recording)
+        review = " ".join(target.tokens)
+        for lines in ([review], [review, "", "add dark mode"]):
+            src = tmp_path / f"{len(lines)}.txt"
+            src.write_text("".join(line + "\n" for line in lines),
+                           encoding="utf-8")
+            calls.clear()
+            assert run(["extract", "--model", model, "--input", src]) == 0
+            assert calls == [[encode_tokens(clean_tokens(line), vocab)
+                              for line in lines if line]]
+            assert capsys.readouterr().out == "".join(
+                _per_line_replies(model, src))
+
     def test_pipe_replies_before_next_line(self, trained_model):
         # a closed-loop client: each reply must come while the client
         # still holds back its next line
@@ -959,7 +983,7 @@ def _per_line_replies(model, src):
             text = line.rstrip("\n")
             tokens = clean_tokens(text)
             spans = extract_spans(predict_tags(
-                params, encode_tokens(tokens, vocab))) if tokens else []
+                params, [encode_tokens(tokens, vocab)])[0]) if tokens else []
             want.append(json.dumps({"text": text, "requirements": [
                 {"span": [s, e], "text": " ".join(tokens[s:e + 1])}
                 for s, e in spans]}) + "\n")
@@ -1019,7 +1043,7 @@ class TestEvaluate:
         assert len(packs) == -(-n // DECODE_CHUNK) and sum(packs) == n
         # the same blocks as scoring each matching on its own
         params, vocab, _ = load_checkpoint(model)
-        preds = [predict_tags(params, encode_tokens(s.tokens, vocab))
+        preds = [predict_tags(params, [encode_tokens(s.tokens, vocab)])[0]
                  for s in corpus.sentences]
         golds = [s.tag_indices() for s in corpus.sentences]
         assert doc["metrics"] == {

@@ -75,12 +75,10 @@ class TestLemmatizer:
 
     def test_every_table_entry_changes_a_lemma(self, monkeypatch):
         # an entry that gives what the suffix rules give decides nothing
-        irregular, keep_s = lemmatizer.IRREGULAR, lemmatizer._KEEP_S
+        irregular = lemmatizer.IRREGULAR
         monkeypatch.setattr(lemmatizer, "IRREGULAR", {})
-        monkeypatch.setattr(lemmatizer, "_KEEP_S", set())
         same = [word for word, lemma in irregular.items()
                 if lemmatize(word) == lemma]
-        same += sorted(word for word in keep_s if lemmatize(word) == word)
         assert same == []
 
 

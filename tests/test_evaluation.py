@@ -134,7 +134,7 @@ def test_evaluate_domain_batches_equal_per_sentence_predictions(monkeypatch):
 
     monkeypatch.setattr(evaluation, "evaluate_tag_pairs", capture)
     blocks = evaluate_domain(params, vocab, sentences)
-    preds = [predict_tags(params, encode_tokens(s.tokens, vocab))
+    preds = [predict_tags(params, [encode_tokens(s.tokens, vocab)])[0]
              for s in sentences]
     golds = [s.tag_indices() for s in sentences]
     # one decode, scored exact and by overlap

@@ -243,7 +243,7 @@ class TestEndToEnd:
         for _ in range(50):
             n = int(rng.integers(1, 8))
             idx = list(rng.integers(2, 12, size=n))
-            tags = predict_tags(tiny_model, idx)
+            tags = predict_tags(tiny_model, [idx])[0]
             assert is_valid_bio(tags)
 
     def test_checkpoint_round_trip_bit_exact(self, tiny_model, tmp_path):

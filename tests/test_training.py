@@ -430,7 +430,7 @@ class TestTrain:
         single = Corpus(sentences=[target])
         cfg = tiny_config(epochs=200, seed=0, learning_rate=0.005)
         params, vocab, curve = train(cfg, single, [target.domain])
-        pred = predict_tags(params, encode_tokens(target.tokens, vocab))
+        pred = predict_tags(params, [encode_tokens(target.tokens, vocab)])[0]
         assert pred == target.tag_indices()
 
 
