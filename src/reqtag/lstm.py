@@ -9,9 +9,11 @@ A sequence batch runs packed, from a zero state, in the layout that
 still running, at positions starts[t]:starts[t + 1], and a row that has
 ended is never computed. The input projection is one GEMM over the N rows
 before the time loop, and the weight gradients are stacked GEMMs over
-every step's gate gradient after it. lstm_forward is the one sequence
-function: it keeps each step's cache, which lstm_backward reads, only when
-a backward pass follows, so inference holds one step's cache at a time.
+every step's gate gradient after it. lstm_forward runs the encoder: it
+keeps each step's cache, which lstm_backward reads, only when a backward
+pass follows, so inference holds one step's cache at a time. The decoder
+steps lstm_step in its own loop (network._decode_inference), because
+each step's input holds the tag fed to it.
 """
 
 import numpy as np

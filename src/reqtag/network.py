@@ -275,22 +275,6 @@ def _attend_backward(params: ModelParams, att_cache, d_att, grads):
 
 # ---------------------------------------------------------------- decoder
 
-def _decoder_inputs(params: ModelParams, attended):
-    """The decoder's input projection in two parts: one row per position
-    for the attended states, one row per tag (bias included) for the fed
-    tag. Training and inference both sum the same two parts, so they
-    agree bit for bit."""
-    d_att = params.dims.d_att
-    p = params.blocks
-    w = p["dec.w_in"]
-    return (attended @ w[:, :d_att].T,
-            p["tag_embedding"] @ w[:, d_att:].T + p["dec.b"])
-
-
-def _emissions(params: ModelParams, hs):
-    return hs @ params.blocks["emission_w"].T + params.blocks["emission_b"]
-
-
 def _gold_feed(gold, packing: Packing):
     """Training's feed: START, then each row's gold tag a step back."""
     return np.concatenate([np.full(packing.sizes[0], crf.START),
@@ -299,36 +283,48 @@ def _gold_feed(gold, packing: Packing):
 
 def _decode_training(params: ModelParams, attended, fed, packing: Packing):
     """Decoder fed fed[p], a crf state, at each packed position p."""
-    from_att, from_tag = _decoder_inputs(params, attended)
     caches = []
-    hs = lstm_forward(params.blocks["dec.w_h"], from_att + from_tag[fed],
-                      packing, caches)
+    emissions, fed, hs = _decode_inference(params, attended, packing, fed,
+                                           caches)
     x = np.concatenate([attended, params.blocks["tag_embedding"][fed]], axis=1)
-    return _emissions(params, hs), (x, hs, caches, fed, packing)
+    return emissions, (x, hs, caches, fed, packing)
 
 
-def _decode_inference(params: ModelParams, attended, packing: Packing):
-    """Decoder fed its own greedy tag: the best legal tag of the step before.
-
-    I is legal only after B or I. argmax takes the first maximum, so ties
-    go to the lower tag. Returns the emissions (N, 3) and the (N,) tags fed.
-    """
+def _decode_inference(params: ModelParams, attended, packing: Packing,
+                      fed=None, caches=None):
+    """The decoder's one step loop. Given fed, it feeds fed[p], a crf
+    state, at each packed position p; else its own greedy tag: the best
+    legal tag of the step before. I is legal only after B or I. argmax
+    takes the first maximum, so ties go to the lower tag. Each step's
+    cache is appended to caches if a list is given. Returns the emissions
+    (N, 3), the (N,) tags fed and the hidden states (N, H)."""
     sizes, starts = packing.sizes, packing.starts
+    d_att = params.dims.d_att
     p = params.blocks
-    from_att, from_tag = _decoder_inputs(params, attended)
+    # the input projection in two parts: one row per position for the
+    # attended states, one row per tag (bias included) for the fed tag
+    w = p["dec.w_in"]
+    from_att = attended @ w[:, :d_att].T
+    from_tag = p["tag_embedding"] @ w[:, d_att:].T + p["dec.b"]
     h = np.zeros((sizes[0], params.dims.h_dec))
     c = np.zeros((sizes[0], params.dims.h_dec))
     hs = np.empty((len(attended), params.dims.h_dec))
-    fed = np.empty(len(attended), dtype=np.int64)
+    greedy = fed is None
+    fed = np.empty(len(attended), dtype=np.int64) if greedy else fed
     feed_bias = p["emission_b"] + _FEED_MASK
     prev = np.full(sizes[0], crf.START)
     for n, lo, hi in zip(sizes, starts, starts[1:]):
-        prev = fed[lo:hi] = prev[:n]
-        h, c, _ = lstm_step(p["dec.w_h"], from_att[lo:hi] + from_tag[prev],
-                            h[:n], c[:n])
+        if greedy:
+            fed[lo:hi] = prev[:n]
+        a_in = from_att[lo:hi] + from_tag[fed[lo:hi]]
+        h, c, cache = lstm_step(p["dec.w_h"], a_in, h[:n], c[:n])
         hs[lo:hi] = h
-        prev = np.argmax(h @ p["emission_w"].T + feed_bias[prev], axis=1)
-    return _emissions(params, hs), fed
+        if caches is not None:
+            caches.append(cache)
+        if greedy:
+            prev = np.argmax(h @ p["emission_w"].T + feed_bias[fed[lo:hi]],
+                             axis=1)
+    return hs @ p["emission_w"].T + p["emission_b"], fed, hs
 
 
 def _decode_backward(params: ModelParams, dec_cache, d_emissions, grads):
@@ -400,7 +396,7 @@ def blas_threads():
 def usable_cpus():
     """CPUs this process may run on: the most threads _thread_map starts."""
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    return len(affinity(0)) if affinity else os.cpu_count()
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _thread_map(fn, items):

@@ -329,6 +329,27 @@ def test_without_blas_setter_chunks_run_inline():
     pool.assert_not_called()
 
 
+def test_blas_threads_is_none_without_the_setter_symbols():
+    # a numpy whose linalg extension reaches none of the thread-count
+    # symbols gets no (get, set) pair, and its many-chunk calls decode
+    # every chunk in the calling thread
+    rows = _rows(np.random.default_rng(9).integers(1, 9, size=130), 9)
+    params = _model(9, True)
+    threads = []
+    network.blas_threads.cache_clear()
+    try:
+        with mock.patch.object(network.ctypes, "CDLL", return_value=object()):
+            assert network.blas_threads() is None
+            with mock.patch.object(network, "_attend",
+                                   _recording_attend(threads)):
+                paths = predict_tags(params, rows)
+    finally:
+        network.blas_threads.cache_clear()
+    assert paths == [per_sentence.predict_tags(params, r) for r in rows]
+    assert threads == [threading.get_ident()] * 3
+    assert not _decode_threads()
+
+
 def test_blas_threads_sets_the_openblas_that_matmul_calls():
     # a handle on the extension that runs matmul reads back each count set
     # through the handle that blas_threads opened
@@ -364,7 +385,8 @@ def test_blas_threads_reads_the_environment_setting(n):
 
 def test_pool_size_falls_back_to_cpu_count(monkeypatch):
     # where os.sched_getaffinity does not exist (macOS, Windows), the pool
-    # takes one thread per os.cpu_count() CPU
+    # takes one thread per os.cpu_count() CPU, and one thread where that
+    # count is unknown (None)
     _openblas()
     from concurrent.futures import ThreadPoolExecutor
     sizes = []
@@ -380,6 +402,10 @@ def test_pool_size_falls_back_to_cpu_count(monkeypatch):
     assert network._thread_map(str, range(5)) == list("01234")
     assert network._thread_map(str, range(2)) == ["0", "1"]
     assert sizes == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert network.usable_cpus() == 1
+    assert network._thread_map(str, range(5)) == list("01234")
+    assert sizes == [3, 2, 1]
     assert not _decode_threads()
 
 

@@ -515,6 +515,11 @@ class TestCrossval:
         assert run(["crossval", "--corpus", corpus_path,
                     "--config", bad, "--out", tmp_path / "o"]) == 1
 
+    def test_no_config_is_the_default_config(self):
+        # train and crossval without --config run at TrainConfig's
+        # defaults (default dims, too slow to train here)
+        assert cli._load_config(None) == training.TrainConfig()
+
 
 class TestTrain:
     @pytest.mark.parametrize("line", [

@@ -171,15 +171,15 @@ class TestDecoder:
 
     def test_inference_matches_training_on_greedy_path(self, tiny_model):
         attended = np.random.default_rng(2).normal(size=(4, TINY.d_att))
-        e_inf, fed = _decode_inference(tiny_model, attended, _full(4))
+        e_inf, fed, _ = _decode_inference(tiny_model, attended, _full(4))
         e_train, _ = _decode_training(tiny_model, attended, fed, _full(4))
         np.testing.assert_array_equal(e_inf, e_train)
         np.testing.assert_array_equal(fed, _fed(e_inf, _full(4)))
 
     def test_inference_deterministic(self, tiny_model):
         attended = np.random.default_rng(3).normal(size=(6, TINY.d_att))
-        e1, fed1 = _decode_inference(tiny_model, attended, _full(6))
-        e2, fed2 = _decode_inference(tiny_model, attended, _full(6))
+        e1, fed1, _ = _decode_inference(tiny_model, attended, _full(6))
+        e2, fed2, _ = _decode_inference(tiny_model, attended, _full(6))
         np.testing.assert_array_equal(e1, e2)
         np.testing.assert_array_equal(fed1, fed2)
 
@@ -187,12 +187,13 @@ class TestDecoder:
         rng = np.random.default_rng(4)
         rows = [rng.normal(size=(n, TINY.d_att)) for n in (2, 3)]
         packing = _pack([2, 3])
-        out, fed = _decode_inference(
+        out, fed, _ = _decode_inference(
             tiny_model, np.concatenate(rows)[packing.src], packing)
         assert out.shape == (5, 3)
         np.testing.assert_array_equal(fed, _fed(out, packing))
         for r, x in enumerate(rows):
-            alone, fed_alone = _decode_inference(tiny_model, x, _full(len(x)))
+            alone, fed_alone, _ = _decode_inference(tiny_model, x,
+                                                    _full(len(x)))
             at = _input_rows(packing, [2, 3]) == r
             np.testing.assert_allclose(out[at], alone, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(fed[at], fed_alone)
@@ -212,7 +213,7 @@ class TestDecoder:
         golds = [random_bio(rng, n) for n in lengths]
         packing = _pack(lengths)
         attended = np.concatenate(rows)[packing.src]
-        emissions, fed = _decode_inference(tiny_model, attended, packing)
+        emissions, fed, _ = _decode_inference(tiny_model, attended, packing)
         again, _ = _decode_training(tiny_model, attended, fed, packing)
         np.testing.assert_array_equal(again, emissions)
         np.testing.assert_array_equal(fed, _fed(emissions, packing))
@@ -223,6 +224,31 @@ class TestDecoder:
             assert fed[at == r].tolist() == greedy
             teacher = per_sentence.decode(tiny_model, x, gold)[1][2]
             assert gold_fed[at == r].tolist() == teacher
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_greedy_loop_keeps_teacher_forced_caches(self, lengths, seed):
+        # the greedy loop with a cache list keeps what _decode_training
+        # keeps when fed the greedy tags: one pass gives training's
+        # backward inputs for the decoder's own feed
+        tiny_model = init_model(12, TINY, np.random.default_rng(42))
+        rng = np.random.default_rng(seed)
+        rows = [rng.normal(size=(n, TINY.d_att)) for n in lengths]
+        packing = _pack(lengths)
+        attended = np.concatenate(rows)[packing.src]
+        kept = []
+        emissions, fed, hs = _decode_inference(tiny_model, attended, packing,
+                                               caches=kept)
+        again, (_, hs_again, caches, _, _) = _decode_training(
+            tiny_model, attended, fed, packing)
+        np.testing.assert_array_equal(again, emissions)
+        np.testing.assert_array_equal(hs_again, hs)
+        assert len(kept) == len(caches) == len(packing.sizes)
+        for step, step_again in zip(kept, caches):
+            assert len(step) == len(step_again)
+            for arr, arr_again in zip(step, step_again):
+                np.testing.assert_array_equal(arr, arr_again)
 
 
 class TestEndToEnd:
