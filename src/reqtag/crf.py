@@ -54,7 +54,7 @@ def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, packing):
                 + transitions[:N_TAGS, :N_TAGS])  # (row, prev, next)
         step = slice(starts[t], starts[t + 1])
         back[step] = cand.argmax(axis=1)
-        np.add(emissions[step], cand.max(axis=1), out=v[step])
+        v[step] = emissions[step] + cand.max(axis=1)
     final = v[packing.last] + transitions[:N_TAGS, STOP]
     # backtrack over Python ints: a numpy index per step costs more
     back = back.tolist()

@@ -24,7 +24,7 @@ TAG_INDEX = {"O": 0, "B": 1, "I": 2}
 MAX_SENTENCE_TOKENS = 1000
 
 _STRIP_RE = re.compile(r"[^a-z0-9'\s]")
-_TOKEN_RE = re.compile(r"^[a-z0-9']+$")
+_TOKEN_RE = re.compile(r"[a-z0-9']+")
 # what surrogateescape decodes each byte that is not UTF-8 to
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
@@ -66,7 +66,7 @@ class TaggedSentence:
             if tag == "I" and prev == "O":
                 raise DataError(
                     f"app {self.app_id!r} position {pos}: I tag without preceding B/I")
-            if not _TOKEN_RE.match(tok):
+            if not _TOKEN_RE.fullmatch(tok):
                 raise DataError(
                     f"app {self.app_id!r} position {pos}: unclean token {tok!r}")
             prev = tag
@@ -159,11 +159,10 @@ def parse_rebert_csv(path, feature_delim: str = ",") -> tuple:
     returns (corpus, counts)."""
     counts = {"dropped_empty": 0, "alignment_misses": 0}
     sentences = []
-    with naming(path):
-        # newline="": a quoted cell keeps the line ends the file gives it;
-        # strict: a quote left open or followed by text is an error
-        reader = csv.DictReader(
-            (line for _, line in text_lines(path, newline="")), strict=True)
+    # newline="": a quoted cell keeps the line ends the file gives it;
+    # strict: a quote left open or followed by text is an error
+    with naming(path), contextlib.closing(text_lines(path, newline="")) as lines:
+        reader = csv.DictReader((line for _, line in lines), strict=True)
         try:
             required = ["App Id", "Sentence Content", "Feature (All Annotated)"]
             header = reader.fieldnames or []
@@ -212,8 +211,8 @@ def parse_conllu(path, tag_column: int = 9) -> tuple:
     sentences = []
     app_name = None
     category = None
-    with naming(path):
-        for blank, lines in itertools.groupby(text_lines(path),
+    with naming(path), contextlib.closing(text_lines(path)) as numbered:
+        for blank, lines in itertools.groupby(numbered,
                                               key=lambda pair: pair[1] == "\n"):
             if blank:
                 continue

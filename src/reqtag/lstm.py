@@ -37,9 +37,8 @@ def lstm_step(w_h, a_in, h_prev, c_prev):
         raise ValueError(f"input projection shape {a_in.shape}, "
                          f"expected ({h_prev.shape[0]}, {4 * hid})")
     a = a_in + h_prev @ w_h.T
-    i_f = sigmoid(a[:, :2 * hid])  # the adjacent input and forget gates
-    i = i_f[:, :hid]
-    f = i_f[:, hid:]
+    i = sigmoid(a[:, :hid])
+    f = sigmoid(a[:, hid:2 * hid])
     g = np.tanh(a[:, 2 * hid:3 * hid])
     o = sigmoid(a[:, 3 * hid:])
     c = f * c_prev + i * g

@@ -85,8 +85,8 @@ BLOCKS = {
     "attn_k": lambda d, n: (d.d_att, 2 * d.h_enc),
     "attn_v": lambda d, n: (d.d_att, 2 * d.h_enc),
     "tag_embedding": lambda d, n: (crf.N_STATES, d.d_tag),  # rows by crf state
-    "emission_w": lambda d, n: (3, d.h_dec),
-    "emission_b": lambda d, n: (3,),
+    "emission_w": lambda d, n: (crf.N_TAGS, d.h_dec),
+    "emission_b": lambda d, n: (crf.N_TAGS,),
     "transitions": lambda d, n: (crf.N_STATES, crf.N_STATES),
 }
 

@@ -109,21 +109,11 @@ def adam_step(params: ModelParams, grads: dict, moments: dict, t: int, lr: float
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in block {name!r}")
         m, v = moments[name]
-        # the textbook expressions, evaluated in the same order
-        step = np.multiply(1 - b1, g)
         m *= b1
-        m += step                        # b1 * m + (1 - b1) * g
-        np.multiply(1 - b2, g, out=step)
-        step *= g
+        m += (1 - b1) * g
         v *= b2
-        v += step                        # b2 * v + (1 - b2) * g * g
-        denom = np.divide(v, c2)
-        np.sqrt(denom, out=denom)
-        denom += eps                     # sqrt(v_hat) + eps
-        np.divide(m, c1, out=step)
-        step *= lr
-        step /= denom                    # lr * m_hat / (sqrt(v_hat) + eps)
-        theta -= step
+        v += (1 - b2) * g * g
+        theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def _training_sentences(corpus: Corpus, train_domains):

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reqtag import lemmatizer
+from reqtag import data, lemmatizer
 from reqtag.crf import crf_nll_backward, init_transitions
 from reqtag.data import (MAX_SENTENCE_TOKENS, TAG_INDEX, Corpus, DataError,
                          TaggedSentence, align_bio, clean_tokens, load_corpus,
                          naming, parse_conllu, parse_rebert_csv, save_corpus)
+from reqtag.embeddings import build_vocabulary, load_glove
 from reqtag.lemmatizer import lemmatize
 from reqtag.network import _pack
 from crf_oracles import is_valid_bio
@@ -534,6 +535,9 @@ def test_load_corpus_byte_that_is_not_utf8_names_its_line(tmp_path):
     # the pad token never reaches the core as a word
     ('{"app": "a", "tokens": ["add", "<pad>"], "tags": ["O", "O"]}',
      "line 2: app 'a' position 1: unclean token '<pad>'"),
+    # a final line end is no part of a clean token
+    ('{"app": "a", "tokens": ["dark\\n"], "tags": ["O"]}',
+     "line 2: app 'a' position 0: unclean token 'dark\\n'"),
     ('{"app": "a", "tokens": ["x"], "tags": ["X"]}',
      "line 2: app 'a' position 0: bad tag 'X'"),
     ('{"app": "a", "tokens": ["x", "y"], "tags": ["O"]}',
@@ -584,6 +588,37 @@ def test_load_corpus_token_cap_names_line(tmp_path):
         load_corpus(path)
     assert str(exc.value) == (
         f"{path}: line 2: app 'a': 1001 tokens, more than 1000")
+
+
+@pytest.mark.parametrize("name, text, read", [
+    ("corpus.jsonl", f'{GOOD_LINE}\n{{"app": "a",\n{GOOD_LINE}\n', load_corpus),
+    ("glove.txt", "cat 0.1 0.2 0.3\ncat 0.1 x 0.3\ncat 0.4 0.5 0.6\n",
+     lambda path: load_glove(path, build_vocabulary([["cat"]]), 3)),
+    ("d1.csv", "App Id,Sentence Content,Feature (All Annotated)\n"
+               "ebay,Add dark mode,dark mode\n,Add a timer,timer\n"
+               "ebay,Add a timer,timer\n", parse_rebert_csv),
+    ("d2.conllu", conllu_doc([token_line(1, "dark", "dark", "O")])
+     + conllu_doc([token_line(1, "dark", "dark", "O")], app="")
+     + conllu_doc([token_line(1, "mode", "mode", "O")]), parse_conllu),
+], ids=["load_corpus", "load_glove", "parse_rebert_csv", "parse_conllu"])
+def test_reader_closes_its_file_when_it_refuses(tmp_path, monkeypatch, name,
+                                               text, read):
+    # the second of three records is bad; the error's traceback must not
+    # hold the file open, or it closes whenever the garbage collector
+    # breaks the cycle, and ResourceWarning lands on another test
+    opened = []
+
+    def recorder(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(data, "open", recorder, raising=False)
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert len(opened) == 1 and opened[0].closed
 
 
 _JSON = st.recursive(

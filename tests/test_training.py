@@ -193,7 +193,7 @@ class TestAdam:
 
     @staticmethod
     def _reference_step(params, grads, moments, t, lr):
-        """Adam as it was written before the in-place update."""
+        """Adam out of place, with new moment arrays at each step."""
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         for name, theta in param_blocks(params).items():
             g = grads[name]
