@@ -40,7 +40,7 @@ def _check_paths(outputs, inputs):
     path names nothing. An output must name a file in an existing
     directory, and not the file of a later output or of an input (which
     need not exist yet), and its file name must fit in 255 bytes; an
-    input must not be a directory."""
+    input must exist and must not be a directory."""
     pairs = [*outputs, *inputs]
     for i, (flag, path) in enumerate(outputs):
         for other, other_path in pairs[i + 1:]:
@@ -61,11 +61,14 @@ def _check_paths(outputs, inputs):
             raise DataError(f"{flag} {path!r} names a file of more than "
                             f"{NAME_MAX} bytes")
     # refused here, before any work starts, so that crossval leaves no
-    # --out behind when glove_path is a directory
+    # --out behind when glove_path is a directory or names no file
     for _flag, path in inputs:
         if path is not None and os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                     path)
+    for _flag, path in inputs:  # after every directory input is named
+        if path is not None:
+            os.stat(path)  # a missing file raises open()'s [Errno 2]
 
 
 def _load_config(path) -> "TrainConfig":
@@ -85,9 +88,9 @@ def _load_config(path) -> "TrainConfig":
 
 
 def cmd_preprocess(args):
-    _check_paths([("--output", args.output)], [("--input", args.input)])
     if not args.feature_delim:
         raise DataError("--feature-delim must not be empty")
+    _check_paths([("--output", args.output)], [("--input", args.input)])
     if args.format == "rebert-csv":
         corpus, counts = parse_rebert_csv(args.input,
                                           feature_delim=args.feature_delim)

@@ -296,6 +296,23 @@ class TestCrossval:
             f"{str(tmp_path)!r}\n")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("flag", ["--corpus", "--config", "glove_path"])
+    def test_missing_input_leaves_no_out_directory(
+            self, corpus_path, tmp_path, capsys, flag):
+        missing = tmp_path / "missing"
+        glove = {"glove_path": str(missing)} if flag == "glove_path" else {}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, **glove}),
+                          encoding="utf-8")
+        inputs = {"--corpus": corpus_path, "--config": config, flag: missing}
+        out = tmp_path / "new" / "res"
+        assert run(["crossval", "--corpus", inputs["--corpus"], "--config",
+                    inputs["--config"], "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+            f"{str(missing)!r}\n")
+        assert not out.parent.exists()
+
     def test_determinism_byte_identical(self, corpus_path, config_path,
                                         tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -1231,6 +1248,23 @@ class TestUnreadablePath:
         assert capsys.readouterr() == (
             "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
                 f"{str(tmp_path)!r}\n")
+
+    @pytest.mark.parametrize("flag", ["--corpus", "--baselines", "--input"])
+    def test_missing_input_is_refused_before_the_model_loads(
+            self, corpus_path, tmp_path, capsys, monkeypatch, flag):
+        def fail(*args):
+            raise AssertionError("load_checkpoint called")
+        monkeypatch.setattr(cli, "load_checkpoint", fail)
+        model, missing = tmp_path / "model.npz", tmp_path / "missing"
+        model.write_bytes(b"")
+        evaluate = ["evaluate", "--domain", "dom0", "--corpus"]
+        argv = {"--corpus": [*evaluate, missing],
+                "--baselines": [*evaluate, corpus_path, "--baselines", missing],
+                "--input": ["extract", "--input", missing]}[flag]
+        assert run([*argv, "--model", model]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+                f"{str(missing)!r}\n")
 
     def test_crossval_out_is_an_existing_file(self, corpus_path, config_path,
                                               tmp_path, capsys):
