@@ -23,8 +23,9 @@ from .data import (_NOT_UTF8, DataError, clean_tokens, load_corpus, naming,
 from .embeddings import encode_tokens
 from .evaluation import (evaluate_domain, extract_spans, load_baselines,
                          mean_scores, render_report)
-from .network import (DECODE_CHUNK, blas_threads, load_checkpoint,
-                      predict_tags, save_checkpoint, usable_cpus)
+from .network import (DECODE_CHUNK, InputTable, blas_threads,
+                      load_checkpoint, predict_tags, save_checkpoint,
+                      usable_cpus)
 
 EXTRACT_WINDOW = 4 * DECODE_CHUNK  # most lines per extract predict_tags call
 NAME_MAX = 255  # bytes in a file name on common file systems
@@ -236,10 +237,11 @@ def _ready_lines(path):
 def cmd_extract(args):
     _check_paths([], [("--model", args.model), ("--input", args.input)])
     params, vocab, _config = load_checkpoint(args.model)
+    table = InputTable(params)  # each word is projected once per process
     for lines in _ready_lines(args.input):
         tokens = [clean_tokens(line) for line in lines]
         rows = [encode_tokens(t, vocab) for t in tokens if t]
-        paths = iter(predict_tags(params, rows))
+        paths = iter(predict_tags(params, rows, table))
         replies = []
         for text, toks in zip(lines, tokens):
             spans = extract_spans(next(paths)) if toks else []

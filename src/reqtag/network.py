@@ -9,16 +9,18 @@ A batch is packed before any layer runs: its N real positions become
 (N, ...) arrays in the layout that Packing describes, with every index
 the layers read. The LSTMs and the CRF advance only the rows running at
 each step, and every weight-gradient GEMM covers the N rows once. The
-encoder projects each distinct token of the batch once per direction and
-gathers the projections to its positions; its backward direction reads
-each row mirrored through a gather index. Attention confines each row to
-its own positions, and the rows of one length, adjacent in rank order,
-attend as one stacked product. Training calls batch_loss_and_grads once
-per batch, with the token and tag indices of its rows laid end to end,
-the layout that Packing.src indexes; nothing is padded. predict_tags
-ranks any number of rows by length and runs the same layers, keeping no
-backward caches, and one packed Viterbi per DECODE_CHUNK ranked rows;
-paths come back in input order.
+encoder gathers each position's input projections, both directions side
+by side, from an InputTable, which projects each word once; its
+backward direction reads each row mirrored through a gather index.
+Attention confines each row to its own positions, and the rows of one
+length, adjacent in rank order, attend as one stacked product. Training
+calls batch_loss_and_grads once per batch, with the token and tag
+indices of its rows laid end to end, the layout that Packing.src
+indexes; nothing is padded, and each batch fills a new table.
+predict_tags ranks any number of rows by length and runs the same
+layers, keeping no backward caches, and one packed Viterbi per
+DECODE_CHUNK ranked rows; paths come back in input order. A table kept
+across its calls projects only the words no earlier call held.
 
 _thread_map decodes a call's two or more chunks on up to one thread per
 CPU, started by that call and joined before it returns or raises, so
@@ -175,32 +177,60 @@ def _pack(lengths) -> Packing:
 
 # ---------------------------------------------------------------- encoder
 
-def _encode(params: ModelParams, tokens, packing: Packing, keep):
+class InputTable:
+    """The encoder's input projections of a model's words, both directions
+    side by side: rows[w] is embedding[w] @ w_in.T + b for enc_fwd, then
+    for enc_bwd, (V, 8 h_enc) in all. A word's row is projected the first
+    time fill is given it, so only the pages of filled rows are touched.
+    A table is valid only while the model's blocks do not change, and a
+    fill must not run beside another fill or a read of the same table."""
+
+    def __init__(self, params: ModelParams):
+        p = params.blocks
+        self.embedding = p["embedding"]
+        self.w = np.concatenate([p["enc_fwd.w_in"], p["enc_bwd.w_in"]])
+        self.b = np.concatenate([p["enc_fwd.b"], p["enc_bwd.b"]])
+        self.rows = np.empty((len(self.embedding), len(self.b)))
+        self.filled = np.zeros(len(self.embedding), dtype=bool)
+
+    def fill(self, tokens):
+        """Project the words of tokens not yet filled, in one GEMM."""
+        new = np.unique(tokens)
+        new = new[~self.filled[new]]
+        if len(new):
+            self.rows[new] = self.embedding[new] @ self.w.T + self.b
+            self.filled[new] = True
+
+
+def _encode(params: ModelParams, tokens, packing: Packing, keep, table=None):
     """BiLSTM over a batch's (N,) packed token indices; returns
     (enc (N, 2H), cache). keep is true where a backward pass follows:
     only then does the cache hold each direction's step caches.
 
-    Each distinct token is projected once per direction and gathered to
-    its positions. The backward direction reads each row mirrored,
+    Each position's input projections are gathered from table, an
+    InputTable filled with every token; without one, a new table is
+    filled with tokens. The backward direction reads each row mirrored,
     through packing.rev, an index that is its own inverse."""
+    if table is None:
+        table = InputTable(params)
+        table.fill(tokens)
     p = params.blocks
-    uniq, inv = np.unique(tokens, return_inverse=True)
-    xu = p["embedding"][uniq]
+    four_h = 4 * params.dims.h_enc
     fwd, bwd = ([], []) if keep else (None, None)
-    pre = xu @ p["enc_fwd.w_in"].T + p["enc_fwd.b"]
-    hs_fwd = lstm_forward(p["enc_fwd.w_h"], pre[inv], packing, fwd)
-    pre = xu @ p["enc_bwd.w_in"].T + p["enc_bwd.b"]
-    hs_bwd = lstm_forward(p["enc_bwd.w_h"], pre[inv[packing.rev]], packing, bwd)
+    hs_fwd = lstm_forward(p["enc_fwd.w_h"], table.rows[tokens, :four_h],
+                          packing, fwd)
+    hs_bwd = lstm_forward(p["enc_bwd.w_h"],
+                          table.rows[tokens[packing.rev], four_h:], packing, bwd)
     enc = np.concatenate([hs_fwd, hs_bwd[packing.rev]], axis=1)
-    return enc, (tokens, packing, xu, inv, (hs_fwd, fwd), (hs_bwd, bwd))
+    return enc, (tokens, packing, (hs_fwd, fwd), (hs_bwd, bwd))
 
 
 def _encode_backward(params: ModelParams, enc_cache, d_enc, grads):
     """BPTT through both encoder directions; adds each position's input
     gradient to its token's embedding row. No position holds PAD (see
     batch_loss_and_grads), so the pad row gets no gradient."""
-    tokens, packing, xu, inv, fwd, bwd = enc_cache
-    x = xu[inv]
+    tokens, packing, fwd, bwd = enc_cache
+    x = params.blocks["embedding"][tokens]
     x_rev = x[packing.rev]
     h_enc = params.dims.h_enc
     d_x = lstm_backward(params.blocks, grads, "enc_fwd", x, *fwd,
@@ -361,12 +391,12 @@ def batch_loss_and_grads(params: ModelParams, tokens, tags, lengths):
     return loss, grads
 
 
-def _decode_chunk(params: ModelParams, rows):
+def _decode_chunk(params: ModelParams, rows, table):
     """Viterbi paths of rows already ranked longest first, in that order
-    (the stable sort in _pack keeps it)."""
+    (the stable sort in _pack keeps it); table holds their words."""
     packing = _pack([len(row) for row in rows])
     enc = _encode(params, np.concatenate(rows)[packing.src], packing,
-                  keep=False)[0]
+                  keep=False, table=table)[0]
     attended = _attend(params, enc, packing)[0]
     emissions = _decode_inference(params, attended, packing)[0]
     return crf.crf_viterbi(emissions, params.blocks["transitions"], packing)
@@ -419,18 +449,25 @@ def _thread_map(fn, items):
             set_(before)
 
 
-def predict_tags(params: ModelParams, rows):
+def predict_tags(params: ModelParams, rows, table=None):
     """The one decode entry point: Viterbi-decoded BIO tag indices for each
     of a list of non-empty 1-D token index rows, in input order; every
     index is a vocabulary word or UNK, never PAD. Rows are ranked longest
     first and decoded DECODE_CHUNK ranked rows per pass, the passes through
-    _thread_map (memory: one pass per CPU); one row decodes inline."""
+    _thread_map (memory: one pass per CPU); one row decodes inline.
+
+    table, an InputTable of params kept across calls, is filled with the
+    rows' words before any pass starts, so the passes only read it;
+    without one, the call fills a new table."""
+    table = InputTable(params) if table is None else table
+    if rows:
+        table.fill(np.concatenate(rows))
     ranked = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
     chunks = [ranked[lo:lo + DECODE_CHUNK]
               for lo in range(0, len(ranked), DECODE_CHUNK)]
 
     def decode(chunk):
-        return _decode_chunk(params, [rows[i] for i in chunk])
+        return _decode_chunk(params, [rows[i] for i in chunk], table)
 
     paths = [None] * len(rows)
     for chunk, chunk_paths in zip(chunks, _thread_map(decode, chunks)):

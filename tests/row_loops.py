@@ -16,9 +16,10 @@ from reqtag.lstm import lstm_backward, lstm_forward
 from reqtag.network import softmax_rows
 
 
-def encode(params, tokens, packing, keep):
+def encode(params, tokens, packing, keep, table=None):
     """BiLSTM over a batch's (N,) packed token indices, one projection
-    row per position; returns (enc (N, 2H), cache)."""
+    row per position; returns (enc (N, 2H), cache). table is ignored:
+    every position is projected here."""
     p = params.blocks
     x = p["embedding"][tokens]
     x_rev = x[packing.rev]

@@ -15,15 +15,21 @@ blas_threads finds no OpenBLAS. The packed core steps each token
 once: every LSTM step row is one token of one of the three sequences.
 
 Work is done once per batch where rows share it: the encoder projects
-each distinct token once per direction, and attention runs each run of
-equal-length rows as one stacked product. Both compute, bit for bit,
-what the per-position projection and the row-by-row attention frozen in
-``row_loops`` compute: attention outputs and gradients for ranked
-batches full of equal-length runs, and the loss, every gradient block
-and every emission of whole batches (criterion 2's among them) with the
-frozen functions put back in the network's place. Rows that repeat one
-token, or a few, decode to the reference's paths; a batch of one
-distinct token takes numpy's one-row product for its projection.
+each distinct token once for both directions, and attention runs each
+run of equal-length rows as one stacked product. Both compute, bit for
+bit, what the per-position projection and the row-by-row attention
+frozen in ``row_loops`` compute: attention outputs and gradients for
+ranked batches full of equal-length runs, and the loss, every gradient
+block and every emission of whole batches (criterion 2's among them)
+with the frozen functions put back in the network's place. Rows that
+repeat one token, or a few, decode to the reference's paths; a batch of
+one distinct token takes numpy's one-row product for its projection.
+
+An InputTable kept across predict_tags calls projects each word the
+first time a call holds it and never again, and rows decoded through it,
+split over calls in any order, get the paths of a decode without one;
+their emissions may differ in the last bits, since which words were
+projected together can differ.
 """
 
 import os
@@ -45,9 +51,9 @@ import reqtag
 import row_loops
 from reqtag import crf, lstm, network
 from reqtag.embeddings import UNK_INDEX
-from reqtag.network import (DECODE_CHUNK, ModelDims, _attend, _attend_backward,
-                            _pack, batch_loss_and_grads, init_model,
-                            predict_tags, zero_grad_blocks)
+from reqtag.network import (DECODE_CHUNK, InputTable, ModelDims, _attend,
+                            _attend_backward, _pack, batch_loss_and_grads,
+                            init_model, predict_tags, zero_grad_blocks)
 from crf_oracles import as_bio
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
@@ -509,7 +515,7 @@ def test_criterion_2_batch_bit_identical_to_frozen_core(pairs):
     _assert_frozen_core_equal(pairs, params, tokens, tags, [5, 3])
 
 
-def _emissions(params, rows, pairs=()):
+def _emissions(params, rows, pairs=(), table=None):
     """predict_tags's paths and every emission matrix it decodes."""
     seen = []
     viterbi = crf.crf_viterbi
@@ -518,7 +524,7 @@ def _emissions(params, rows, pairs=()):
         seen.append(emissions)
         return viterbi(emissions, *args)
     with mock.patch.object(crf, "crf_viterbi", recording):
-        paths = _run_frozen(pairs, predict_tags, params, rows)
+        paths = _run_frozen(pairs, predict_tags, params, rows, table)
     return paths, seen
 
 
@@ -593,3 +599,78 @@ def test_window_of_one_word(token):
                  for n in set(lengths)}
     assert (predict_tags(params, [np.full(n, token) for n in lengths])
             == [by_length[n] for n in lengths])
+
+
+# ----------------------------------------- one input table across calls
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_shared_table_decodes_as_fresh_tables(lengths, seed, data):
+    # the rows in a random order, split over up to four calls (some may be
+    # empty) that share one table
+    rng = np.random.default_rng(seed)
+    params = _model(seed, True)
+    rows = [rng.integers(1, VOCAB, size=n) for n in lengths]
+    order = data.draw(st.permutations(range(len(rows))))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    table = InputTable(params)
+    paths = [None] * len(rows)
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        call = [rows[i] for i in order[lo:hi]]
+        shared, emissions = _emissions(params, call, table=table)
+        fresh, ref_emissions = _emissions(params, call)
+        assert shared == fresh
+        assert len(emissions) == len(ref_emissions)
+        for got, ref in zip(emissions, ref_emissions):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        for i, path in zip(order[lo:hi], shared):
+            paths[i] = path
+    assert paths == predict_tags(params, rows)
+    assert paths == [per_sentence.predict_tags(params, row) for row in rows]
+    assert table.filled.nonzero()[0].tolist() == sorted(
+        set(np.concatenate(rows).tolist()))
+
+
+def _gemm_rows(table):
+    """The row count of each matrix product table.fill runs from now on."""
+    counts = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                counts.append(len(inputs[0]))
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+    table.embedding = table.embedding.view(Counting)
+    return counts
+
+
+def test_table_projects_only_new_words():
+    params = _model(3, True)
+    table = InputTable(params)
+    counts = _gemm_rows(table)
+    calls = [[np.array([2, 3, 2]), np.array([4])],
+             [np.array([3, 5, 6, 5]), np.array([2])],  # 5 and 6 are new
+             [np.array([6, 4]), np.array([2, 3, 5])]]  # none is new
+    for call, want in zip(calls, [[3], [3, 2], [3, 2]]):
+        assert predict_tags(params, call, table) == predict_tags(params, call)
+        assert counts == want
+    assert table.filled.nonzero()[0].tolist() == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("dims", [TINY, WIDE])
+def test_filled_row_is_each_directions_projection(dims):
+    params = init_model(VOCAB, dims, np.random.default_rng(8))
+    p = params.blocks
+    table = InputTable(params)
+    table.fill(np.array([5, UNK_INDEX, 5, 9]))
+    table.fill(np.array([9, 10]))
+    four_h = 4 * dims.h_enc
+    for word in (UNK_INDEX, 5, 9, 10):
+        x = p["embedding"][word]
+        for cell, cols in (("enc_fwd", slice(None, four_h)),
+                           ("enc_bwd", slice(four_h, None))):
+            np.testing.assert_allclose(
+                table.rows[word, cols], x @ p[f"{cell}.w_in"].T + p[f"{cell}.b"],
+                rtol=0, atol=1e-12, err_msg=cell)
+    assert table.filled.nonzero()[0].tolist() == [UNK_INDEX, 5, 9, 10]

@@ -903,27 +903,50 @@ class TestExtract:
 
     def test_each_window_is_one_decode_call(self, trained_model, tmp_path,
                                             capsys, monkeypatch):
-        # a lone line, then a window whose middle line is blank: each
-        # window is one predict_tags call on a list of its non-empty rows
+        # a lone line, a window whose middle line is blank, then two
+        # windows: each window is one predict_tags call on a list of its
+        # non-empty rows, and every window of a run reads one table
         model, _, target = trained_model
         _, vocab, _ = load_checkpoint(model)
-        calls = []
+        calls, tables = [], []
 
-        def recording(params, rows):
+        def recording(params, rows, table):
             calls.append(rows)
-            return predict_tags(params, rows)
+            tables.append(table)
+            return predict_tags(params, rows, table)
         monkeypatch.setattr(cli, "predict_tags", recording)
         review = " ".join(target.tokens)
-        for lines in ([review], [review, "", "add dark mode"]):
+        two_windows = [review if k % 10 else "" for k in range(300)]
+        for lines in ([review], [review, "", "add dark mode"], two_windows):
             src = tmp_path / f"{len(lines)}.txt"
             src.write_text("".join(line + "\n" for line in lines),
                            encoding="utf-8")
             calls.clear()
+            tables.clear()
             assert run(["extract", "--model", model, "--input", src]) == 0
             assert calls == [[encode_tokens(clean_tokens(line), vocab)
-                              for line in lines if line]]
+                              for line in lines[lo:lo + cli.EXTRACT_WINDOW]
+                              if line]
+                             for lo in range(0, len(lines), cli.EXTRACT_WINDOW)]
+            assert all(table is tables[0] for table in tables)
             assert capsys.readouterr().out == "".join(
                 _per_line_replies(model, src))
+
+    def test_lines_without_tokens_fill_no_table_row(
+            self, trained_model, tmp_path, capsys, monkeypatch):
+        model, _, _ = trained_model
+        tables = []
+
+        def recording(params, rows, table):
+            tables.append(table)
+            return predict_tags(params, rows, table)
+        monkeypatch.setattr(cli, "predict_tags", recording)
+        src = tmp_path / "reviews.txt"
+        src.write_text("\n!!! ...\n\n?\n", encoding="utf-8")
+        assert run(["extract", "--model", model, "--input", src]) == 0
+        assert [json.loads(line)["requirements"]
+                for line in capsys.readouterr().out.splitlines()] == [[]] * 4
+        assert len(tables) == 1 and not tables[0].filled.any()
 
     def test_pipe_replies_before_next_line(self, trained_model):
         # a closed-loop client: each reply must come while the client
