@@ -183,8 +183,9 @@ def cmd_crossval(args):
         *(f"fold_{domain}.json" for domain in sorted(domains)))],
         [("--corpus", args.corpus), ("--config", args.config),
          ("glove_path", config.glove_path)])
-    digests = {"corpus": hashlib.sha256(  # what the runs read
-        Path(args.corpus).read_bytes()).hexdigest()}
+    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for name, path in [("corpus", args.corpus),  # what the runs read
+                                  ("glove", config.glove_path)] if path}
 
     def progress(domain, run_index, seed):
         _log(f"[fold={domain} run={run_index}] seed={seed}")

@@ -445,6 +445,25 @@ class TestCrossval:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["input_digests"] == {"corpus": read}
 
+    def test_manifest_digests_the_glove_file(self, corpus_path, tmp_path,
+                                             monkeypatch):
+        def fake_run_fold(config, corpus, held_out, seed):
+            return {"seed": seed, "precision": 0.0, "recall": 0.0, "f1": 0.0}
+        monkeypatch.setattr(training, "run_fold", fake_run_fold)
+        glove = tmp_path / "glove.txt"
+        glove.write_text("dark " + " ".join(["0.5"] * 16) + "\n",
+                         encoding="utf-8")
+        cfg = tmp_path / "glove.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "glove_path": str(glove)}),
+                       encoding="utf-8")
+        out = tmp_path / "res"
+        assert run(["crossval", "--corpus", corpus_path,
+                    "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in [("corpus", corpus_path), ("glove", glove)]}
+
     def test_manifest_counts_what_training_saw_of_each_held_out_domain(
             self, tmp_path, config_path, monkeypatch):
         def fake_run_fold(config, corpus, held_out, seed):
@@ -916,7 +935,9 @@ class TestExtract:
             return predict_tags(params, rows, table)
         monkeypatch.setattr(cli, "predict_tags", recording)
         review = " ".join(target.tokens)
-        two_windows = [review if k % 10 else "" for k in range(300)]
+        # a full window and 44 lines more
+        two_windows = [review if k % 10 else ""
+                       for k in range(cli.EXTRACT_WINDOW + 44)]
         for lines in ([review], [review, "", "add dark mode"], two_windows):
             src = tmp_path / f"{len(lines)}.txt"
             src.write_text("".join(line + "\n" for line in lines),
