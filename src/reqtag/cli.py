@@ -183,9 +183,14 @@ def cmd_crossval(args):
         *(f"fold_{domain}.json" for domain in sorted(domains)))],
         [("--corpus", args.corpus), ("--config", args.config),
          ("glove_path", config.glove_path)])
-    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-               for name, path in [("corpus", args.corpus),  # what the runs read
-                                  ("glove", config.glove_path)] if path}
+    digests = {}  # of what the runs read
+    for name, path in [("corpus", args.corpus), ("glove", config.glove_path)]:
+        if path:
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:  # in blocks: GloVe files reach GBs
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+            digests[name] = digest.hexdigest()
 
     def progress(domain, run_index, seed):
         _log(f"[fold={domain} run={run_index}] seed={seed}")

@@ -1,4 +1,5 @@
 import importlib
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +21,31 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
+import reqtag
 from reqtag.data import Corpus, TaggedSentence
+
+# the parent directory of the reqtag package this process imported: src
+# under tier-1, site-packages for an installed copy
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(
+    reqtag.__file__)))
+
+# the ACCEPTANCE lines that tests/test_acceptance.py recorded, in the
+# order its criteria ran
+ACCEPTANCE = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE:
+        terminalreporter.section("acceptance")
+        for line in ACCEPTANCE:
+            terminalreporter.write_line(line)
+
+
+def child_env(**extra):
+    """This process's environment updated with extra, for a child
+    interpreter that imports the reqtag package this process imported."""
+    return {**os.environ, **extra, "PYTHONPATH": PACKAGE_PARENT}
+
 
 FILLERS = ["i", "really", "love", "this", "app", "but", "it", "crash",
            "often", "please", "very", "nice"]

@@ -1,7 +1,9 @@
-"""Acceptance gate: one test per criterion, each printing a PASS line.
+"""Acceptance gate: one test per criterion.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.
+Each criterion folds its checks into one verdict and records the line
+`ACCEPTANCE <criterion>: PASS` or `FAIL`. A pytest run that runs any of
+them, tier-1 included, ends its summary with the recorded lines under
+one `acceptance` section (`tests/conftest.py`).
 """
 
 import json
@@ -19,7 +21,8 @@ from reqtag.network import (ModelDims, _attend, _decode_training, _encode,
                             _gold_feed, _pack, batch_loss_and_grads,
                             init_model, param_blocks, predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
-from conftest import grad_check, make_review_corpus, make_synthetic_corpus
+from conftest import (ACCEPTANCE, grad_check, make_review_corpus,
+                      make_synthetic_corpus)
 from crf_oracles import (brute_force_log_partition, brute_force_viterbi,
                          is_valid_bio, log_partition, path_score,
                          random_bio)
@@ -29,7 +32,7 @@ def report(criterion, ok, detail=""):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}"
     if detail:
         line += f"  ({detail})"
-    print(line)
+    ACCEPTANCE.append(line)
     assert ok, line
 
 
@@ -46,39 +49,38 @@ def test_criterion_1_crf_oracle_suite():
     # golds from their own stream, so the 200 instances stay as they were
     gold_rng = np.random.default_rng(1101)
     start = time.monotonic()
+    off = 0
     for _ in range(200):
         n = int(rng.integers(1, 7))
         e, t = random_crf_instance(rng, n)
         # log Z from the training loss crf_nll_backward: NLL + score(gold)
         log_z = log_partition(e, t, random_bio(gold_rng, n))
-        assert abs(log_z - brute_force_log_partition(e, t)) <= 1e-8
         tags = crf.crf_viterbi(e, t, _pack([n]))[0]
         bpath, bscore = brute_force_viterbi(e, t)
-        assert abs(path_score(e, t, tags) - bscore) <= 1e-8
-        assert tags == bpath
+        off += not (abs(log_z - brute_force_log_partition(e, t)) <= 1e-8
+                    and abs(path_score(e, t, tags) - bscore) <= 1e-8
+                    and tags == bpath)
     elapsed = time.monotonic() - start
-    report("1 crf-oracle-suite", elapsed < 10.0, f"{elapsed:.1f}s")
+    report("1 crf-oracle-suite", off == 0 and elapsed < 10.0,
+           f"{off} of 200 instances off the oracles, {elapsed:.1f}s")
 
 
 def _worst_gradient_error(params, tokens, tags, lengths):
-    """Largest relative error of the batch's analytic gradient against
-    central differences over every trainable block (clamped transitions
-    unprobed), for the loss averaged over rows; fails on any block
-    beyond 1e-4."""
+    """(largest relative error, its block) of the batch's analytic
+    gradient against central differences over every trainable block
+    (clamped transitions unprobed), for the loss averaged over rows."""
     rows = len(lengths)
 
     def batch_loss(_=None):
         return batch_loss_and_grads(params, tokens, tags, lengths)[0] / rows
 
     _, grads = batch_loss_and_grads(params, tokens, tags, lengths)
-    worst = 0.0
+    worst = (0.0, "")
     for name, arr in param_blocks(params).items():
         skip = crf.forbidden_mask() if name == "transitions" else None
         res = grad_check(batch_loss, arr, grads[name] / rows, h=1e-4,
                          tol=1e-4, skip=skip)
-        worst = max(worst, res.max_relative_error)
-        assert res.passed, (f"block {name} at {res.worst_index}: "
-                            f"{res.max_relative_error}")
+        worst = max(worst, (res.max_relative_error, name))
     return worst
 
 
@@ -105,8 +107,8 @@ def test_criterion_2_gradient_suite():
         worst = max(worst, _worst_gradient_error(params, tokens, tags,
                                                  [9, 4, 4]))
     elapsed = time.monotonic() - start
-    report("2 gradient-suite", elapsed < 60.0,
-           f"worst rel err {worst:.2e}, {elapsed:.1f}s")
+    report("2 gradient-suite", worst[0] <= 1e-4 and elapsed < 60.0,
+           f"worst rel err {worst[0]:.2e} in {worst[1]}, {elapsed:.1f}s")
 
 
 def test_criterion_3_constraint_guarantee():
@@ -148,6 +150,7 @@ def test_criterion_4_padding_invariance():
     # above unchanged
     longer_rng = np.random.default_rng(204)
     longer_gold_rng = np.random.default_rng(304)
+    off = 0
     for _ in range(100):
         n = int(rng.integers(1, 7))
         extra = int(rng.integers(1, 5))
@@ -168,14 +171,15 @@ def test_criterion_4_padding_invariance():
         other_alone = _batch_loss(params, [other])
         first = _batch_loss(params, [row, other])
         second = _batch_loss(params, [other, row])
-        # the row's share after a longer row is its loss alone
-        assert abs((second - other_alone) - alone) <= 1e-9
-        # a batch's total is the sum of its rows run alone
-        assert abs(first - (alone + other_alone)) <= 1e-9
-        # a row decodes alike alone and beside a longer row
         decoded = predict_tags(params, [indices])[0]
-        assert predict_tags(params, [indices, longer])[0] == decoded
-    report("4 batch-invariance", True, "100 random cases")
+        off += not (
+            # the row's share after a longer row is its loss alone
+            abs((second - other_alone) - alone) <= 1e-9
+            # a batch's total is the sum of its rows run alone
+            and abs(first - (alone + other_alone)) <= 1e-9
+            # a row decodes alike alone and beside a longer row
+            and predict_tags(params, [indices, longer])[0] == decoded)
+    report("4 batch-invariance", off == 0, f"{off} of 100 random cases off")
 
 
 def test_criterion_5_learnability():
@@ -210,18 +214,21 @@ def test_criterion_6_overfit_oracle():
 
 def test_criterion_7_metric_oracles():
     m1 = compute_metrics(1, 1, 0)
-    assert (m1["precision"], m1["recall"]) == (0.5, 1.0)
-    assert m1["f1"] == 2 * 0.5 * 1.0 / (0.5 + 1.0)
     m2 = compute_metrics(2, 1, 2)
-    assert m2["f1"] == 2 * (2 / 3) * 0.5 / ((2 / 3) + 0.5)
+    goldens = ((m1["precision"], m1["recall"]) == (0.5, 1.0)
+               and m1["f1"] == 2 * 0.5 * 1.0 / (0.5 + 1.0)
+               and m2["f1"] == 2 * (2 / 3) * 0.5 / ((2 / 3) + 0.5))
     rng = np.random.default_rng(107)
+    off = 0
     for _ in range(10_000):
         tags = list(rng.integers(0, 3, size=rng.integers(1, 12)))
         spans = extract_spans(tags)
         transitions = sum(1 for i, t in enumerate(tags)
                           if t != 0 and (i == 0 or tags[i - 1] == 0))
-        assert len(spans) == transitions
-    report("7 metric-oracles", True, "goldens + 10000 random sequences")
+        off += len(spans) != transitions
+    report("7 metric-oracles", goldens and off == 0,
+           f"goldens {'met' if goldens else 'missed'}, {off} of 10000 "
+           f"random sequences off")
 
 
 def test_criterion_8_pipeline_fidelity():
@@ -241,23 +248,24 @@ def test_criterion_9_crossval_determinism(tmp_path):
         "embedding_dim": 16, "h_enc": 8, "d_att": 8, "h_dec": 8, "d_tag": 4,
         "epochs": 2, "runs_per_fold": 2, "batch_size": 8, "seed": 0,
     }), encoding="utf-8")
-    outs = []
-    for name in ("run1", "run2"):
-        out = tmp_path / name
-        assert cli_main(["crossval", "--corpus", str(corpus_path),
-                         "--config", str(config_path), "--out", str(out)]) == 0
-        outs.append(out)
-    identical = all(
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    codes = [cli_main(["crossval", "--corpus", str(corpus_path),
+                       "--config", str(config_path), "--out", str(out)])
+             for out in outs]
+    identical = codes == [0, 0] and all(
         (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
         for f in ("fold_dom0.json", "fold_dom1.json", "report.json",
                   "report.txt"))
-    manifests = [json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-                 for out in outs]
-    for manifest in manifests:
-        del manifest["timestamp"]
-    identical = identical and manifests[0] == manifests[1]
+    if identical:
+        manifests = [
+            json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            for out in outs]
+        for manifest in manifests:
+            del manifest["timestamp"]
+        identical = manifests[0] == manifests[1]
     report("9 crossval-determinism", identical,
-           "fold reports byte-identical, manifests equal but for timestamp")
+           f"exit codes {codes}, fold reports byte-identical, manifests "
+           f"equal but for timestamp")
 
 
 def _gold_fed_path(params, row, gold):

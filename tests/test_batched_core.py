@@ -38,7 +38,6 @@ import sys
 import threading
 from contextlib import ExitStack
 from itertools import groupby
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -47,13 +46,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import per_sentence
-import reqtag
 import row_loops
 from reqtag import crf, lstm, network
 from reqtag.embeddings import UNK_INDEX
 from reqtag.network import (DECODE_CHUNK, InputTable, ModelDims, _attend,
                             _attend_backward, _pack, batch_loss_and_grads,
-                            init_model, predict_tags, zero_grad_blocks)
+                            init_model, predict_tags)
+from conftest import child_env
 from crf_oracles import as_bio
 
 TINY = ModelDims(embedding_dim=4, h_enc=3, d_att=4, h_dec=3, d_tag=2)
@@ -203,10 +202,8 @@ def _child(script, **env):
     """stdout of script in a fresh interpreter that imports this reqtag,
     under the caller's environment (so that PYTHONDONTWRITEBYTECODE and
     the BLAS thread settings hold in the child too) updated with env."""
-    env = {**os.environ, **env,
-           "PYTHONPATH": str(Path(reqtag.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=child_env(**env))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -485,8 +482,8 @@ def test_grouped_attention_equals_row_loop(lengths, dims, seed):
     for row, ref_row in zip(rows, ref_cache[-1]):
         np.testing.assert_array_equal(row, ref_row)
 
-    grads = zero_grad_blocks(params)
-    ref_grads = zero_grad_blocks(params)
+    grads = per_sentence.zero_grad_blocks(params)
+    ref_grads = per_sentence.zero_grad_blocks(params)
     np.testing.assert_array_equal(
         _attend_backward(params, cache, d_att, grads),
         row_loops.attend_backward(params, ref_cache, d_att, ref_grads))

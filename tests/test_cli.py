@@ -6,12 +6,11 @@ import select
 import subprocess
 import sys
 import time
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import reqtag
 from reqtag import cli, network, training
 from reqtag.cli import main
 from reqtag.data import (Corpus, TaggedSentence, clean_tokens, load_corpus,
@@ -20,7 +19,7 @@ from reqtag.embeddings import build_vocabulary, encode_tokens
 from reqtag.evaluation import evaluate_tag_pairs, extract_spans
 from reqtag.network import (DECODE_CHUNK, ModelDims, init_model,
                             load_checkpoint, predict_tags, save_checkpoint)
-from conftest import make_synthetic_corpus
+from conftest import child_env, make_synthetic_corpus
 
 TINY_CONFIG = {
     "embedding_dim": 16, "h_enc": 8, "d_att": 8, "h_dec": 8, "d_tag": 4,
@@ -463,6 +462,29 @@ class TestCrossval:
         assert manifest["input_digests"] == {
             name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in [("corpus", corpus_path), ("glove", glove)]}
+
+    def test_glove_digest_reads_the_file_in_blocks(self, corpus_path,
+                                                   tmp_path, monkeypatch):
+        # a GloVe file can hold gigabytes, more than memory may
+        def fake_run_fold(config, corpus, held_out, seed):
+            return {"seed": seed, "precision": 0.0, "recall": 0.0, "f1": 0.0}
+        monkeypatch.setattr(training, "run_fold", fake_run_fold)
+        glove = tmp_path / "glove.txt"
+        glove.write_text(("dark " + " ".join(["0.5"] * 16) + "\n") * 130_000,
+                         encoding="utf-8")
+        size = glove.stat().st_size
+        assert size >= 8 << 20
+        cfg = tmp_path / "glove.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "glove_path": str(glove)}),
+                       encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert run(["crossval", "--corpus", corpus_path,
+                        "--config", cfg, "--out", tmp_path / "res"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 2, (peak, size)
 
     def test_manifest_counts_what_training_saw_of_each_held_out_domain(
             self, tmp_path, config_path, monkeypatch):
@@ -973,8 +995,10 @@ class TestExtract:
         # a closed-loop client: each reply must come while the client
         # still holds back its next line
         model, _, target = trained_model
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(reqtag.__file__).parents[1])
+        env = child_env()
+        # the child must buffer its stdout, so that each reply is seen
+        # only through extract's own flush
+        env.pop("PYTHONUNBUFFERED", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "reqtag.cli", "extract", "--model",
              str(model), "--input", "/dev/stdin"],
@@ -1565,11 +1589,9 @@ class TestMalformedCheckpoint:
 
 def _modules_after(statement):
     """The modules loaded in a fresh interpreter once statement has run."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = str(Path(reqtag.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=child_env(), capture_output=True, text=True, check=True).stdout
     return set(out.split())
 
 

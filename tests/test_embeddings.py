@@ -141,6 +141,23 @@ class TestLoadGlove:
         with pytest.raises(DataError, match="line 2: non-finite"):
             load_glove(path, vocab, 3)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # an empty line, one of spaces, one of a tab, and a \r\n line end
+        vocab = build_vocabulary([["cat", "dog"]])
+        plain = self._write(tmp_path, ["cat 0.1 0.2 0.3", "dog 0.4 0.5 0.6"])
+        blanks = tmp_path / "blanks.txt"
+        blanks.write_bytes(b"\ncat 0.1 0.2 0.3\r\n   \n\t\ndog 0.4 0.5 0.6\n")
+        self._assert_rows(load_glove(blanks, vocab, 3),
+                          load_glove(plain, vocab, 3))
+
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        vocab = build_vocabulary([["cat", "dog"]])
+        path = self._write(tmp_path, ["cat 0.1 0.2 0.3", "", "  ",
+                                      "dog 0.1 nan 0.3"])
+        with pytest.raises(DataError) as info:
+            load_glove(path, vocab, 3)
+        assert str(info.value) == f"{path}: line 4: non-finite embedding value"
+
     def test_parses_vector_from_the_right(self, tmp_path):
         # trailing whitespace is dropped; a space inside the word stays
         # in the word

@@ -7,7 +7,7 @@ refusal, and the files it writes or must not write. New checks of the
 installed script go here.
 
 The children import the `reqtag` package that this process imported:
-`PYTHONPATH` names its parent directory. Under tier-1
+`conftest.child_env` sets `PYTHONPATH` to its parent directory. Under tier-1
 (`PYTHONPATH=src`) that is `src`. Run from a directory outside the
 checkout without `PYTHONPATH=src`, as CI does after `pip install .`, it
 is the installed copy in site-packages, so the same tests check what a
@@ -26,7 +26,6 @@ none of its outputs behind.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -35,10 +34,8 @@ import pytest
 import reqtag
 from reqtag import cli
 from reqtag.network import DECODE_CHUNK
+from conftest import child_env
 
-# the parent directory of the package this process imported
-PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(
-    reqtag.__file__)))
 DIMS = {"embedding_dim": 8, "h_enc": 4, "d_att": 4, "h_dec": 4, "d_tag": 4,
         "epochs": 1, "batch_size": 4}
 WORDS = "please add a dark mode to the search filter".split()
@@ -49,8 +46,7 @@ GLOVE = ("dark 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\n"
 def python(cwd, *argv, stdin=b""):
     """Run this interpreter with argv in cwd, on the reqtag package this
     process imported; return (exit code, stdout bytes, stderr bytes)."""
-    env = {**os.environ, "PYTHONPATH": PACKAGE_PARENT}
-    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=child_env(),
                           input=stdin, capture_output=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -10,12 +10,13 @@ from reqtag.data import Corpus, DataError, TaggedSentence
 from reqtag.embeddings import PAD_INDEX, build_vocabulary, encode_tokens
 from reqtag.evaluation import mean_scores
 from reqtag.network import (ModelDims, batch_loss_and_grads, init_model,
-                            param_blocks, predict_tags, zero_grad_blocks)
+                            param_blocks, predict_tags)
 from reqtag.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig,
                              adam_step, clip_gradients, cross_validate,
                              pad_batch, train)
 from conftest import make_synthetic_corpus
 from crf_oracles import as_bio
+from per_sentence import zero_grad_blocks
 
 TINY_CFG = dict(embedding_dim=16, h_enc=8, d_att=8, h_dec=8, d_tag=4)
 
