@@ -17,7 +17,7 @@ from reqtag.data import Corpus, align_bio, clean_tokens, save_corpus
 from reqtag.embeddings import encode_tokens
 from reqtag.evaluation import (compute_metrics, evaluate_tag_pairs,
                                extract_spans, mean_scores)
-from reqtag.network import (ModelDims, _attend, _decode_training, _encode,
+from reqtag.network import (ModelDims, _attend, _decode_inference, _encode,
                             _gold_feed, _pack, batch_loss_and_grads,
                             init_model, param_blocks, predict_tags)
 from reqtag.training import TrainConfig, cross_validate, train
@@ -275,7 +275,7 @@ def _gold_fed_path(params, row, gold):
     enc = _encode(params, np.asarray(row), packing, keep=False)[0]
     attended = _attend(params, enc, packing)[0]
     fed = _gold_feed(np.asarray(gold), packing)
-    emissions = _decode_training(params, attended, fed, packing)[0]
+    emissions = _decode_inference(params, attended, packing, fed)[0]
     return crf.crf_viterbi(emissions, params.blocks["transitions"], packing)[0]
 
 

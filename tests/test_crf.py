@@ -27,6 +27,13 @@ def viterbi(emissions, transitions):
     return tags, path_score(emissions, transitions, tags)
 
 
+def test_logsumexp_matches_naive():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 5))
+    np.testing.assert_allclose(crf.logsumexp(x, axis=1),
+                               np.log(np.exp(x).sum(axis=1)), atol=1e-12)
+
+
 class TestLogPartition:
     """log Z as the training loss computes it: NLL(gold) + score(gold)."""
 

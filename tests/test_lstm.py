@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reqtag.lstm import (lstm_backward, lstm_forward, lstm_step,
-                         lstm_step_backward)
+                         lstm_step_backward, sigmoid)
 from reqtag.network import ModelDims, _pack, init_model
 from conftest import grad_check
 
@@ -242,3 +242,32 @@ def test_step_sizes_must_cover_every_row():
     w_h = init_lstm(3, 2, np.random.default_rng(7))["c.w_h"]
     with pytest.raises(ValueError, match=r"^5 input rows for 4 positions$"):
         lstm_forward(w_h, np.zeros((5, 8)), _pack([2, 2]))
+
+
+class TestElementwise:
+    def test_sigmoid_zero(self):
+        assert sigmoid(np.zeros((1, 1)))[0, 0] == 0.5
+
+    def test_sigmoid_derivative_identity(self):
+        # the LSTM backward pass takes s * (1 - s) as the sigmoid derivative
+        x, h = 1.3, 1e-5
+        s = sigmoid(x)
+        fd = (sigmoid(x + h) - sigmoid(x - h)) / (2 * h)
+        assert fd == pytest.approx(s * (1 - s), abs=1e-9)
+
+    def test_ranges(self):
+        x = np.linspace(-10, 10, 41).reshape(1, -1)
+        s = sigmoid(x)
+        assert np.all((s > 0) & (s < 1))
+
+    def test_sigmoid_bits_equal_np_clip_form(self):
+        # the lower clip alone gives the same bits as np.clip at both
+        # bounds, at the bounds and beyond them, for infinities, NaN and -0.0
+        rng = np.random.default_rng(5)
+        special = [800.0, -800.0, 500.0, -500.0, np.inf, -np.inf, np.nan,
+                   -0.0, 0.0]
+        x = np.concatenate([rng.normal(scale=300.0, size=2000), special])
+        old = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+        with np.errstate(invalid="ignore"):
+            assert sigmoid(x).tobytes() == old.tobytes()
+            assert sigmoid(x.reshape(-1, 7)).tobytes() == old.tobytes()

@@ -14,9 +14,9 @@ from reqtag import crf
 from reqtag.embeddings import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from reqtag.lstm import lstm_step
 from reqtag.network import (_FEED_MASK, BLOCKS, ModelDims, _attend,
-                            _decode_inference, _decode_training, _encode,
-                            _gold_feed, _pack, init_model, load_checkpoint,
-                            param_blocks, predict_tags, save_checkpoint)
+                            _decode_inference, _encode, _gold_feed, _pack,
+                            init_model, load_checkpoint, param_blocks,
+                            predict_tags, save_checkpoint, softmax_rows)
 import per_sentence
 from crf_oracles import is_valid_bio, random_bio
 
@@ -112,6 +112,28 @@ class TestEncoder:
                                    rtol=1e-12, atol=1e-15)
 
 
+class TestSoftmaxRows:
+    def test_uniform(self):
+        out = softmax_rows(np.zeros((1, 3)))
+        np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
+
+    def test_stability(self):
+        out = softmax_rows(np.array([[1000.0, 0.0]]))
+        assert np.all(np.isfinite(out))
+        assert out[0, 0] == pytest.approx(1.0)
+        assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
+           st.floats(-30, 30))
+    def test_rows_sum_to_one_and_shift_invariant(self, row, shift):
+        x = np.array([row])
+        out = softmax_rows(x)
+        assert out.sum() == pytest.approx(1.0, abs=1e-9)
+        shifted = softmax_rows(x + shift)
+        np.testing.assert_allclose(out, shifted, atol=1e-9)
+
+
 class TestAttention:
     def test_single_position_weight_is_one(self, tiny_model):
         enc = np.random.default_rng(0).normal(size=(1, 2 * TINY.h_enc))
@@ -156,23 +178,23 @@ class TestDecoder:
     def test_emissions_shape(self, tiny_model):
         attended = np.random.default_rng(0).normal(size=(5, TINY.d_att))
         fed = _gold_feed(np.array([0, 1, 2, 0, 1]), _full(5))
-        out, _ = _decode_training(tiny_model, attended, fed, _full(5))
+        out, _, _ = _decode_inference(tiny_model, attended, _full(5), fed)
         assert out.shape == (5, 3)
 
     def test_teacher_forcing_is_causal(self, tiny_model):
         attended = np.random.default_rng(1).normal(size=(5, TINY.d_att))
         packing = _full(5)
-        e1, _ = _decode_training(tiny_model, attended, _gold_feed(
-            np.array([0, 1, 2, 0, 1]), packing), packing)
-        e2, _ = _decode_training(tiny_model, attended, _gold_feed(
-            np.array([0, 1, 0, 0, 1]), packing), packing)
+        e1, _, _ = _decode_inference(tiny_model, attended, packing, _gold_feed(
+            np.array([0, 1, 2, 0, 1]), packing))
+        e2, _, _ = _decode_inference(tiny_model, attended, packing, _gold_feed(
+            np.array([0, 1, 0, 0, 1]), packing))
         np.testing.assert_array_equal(e1[:3], e2[:3])
         assert not np.array_equal(e1[3:], e2[3:])
 
     def test_inference_matches_training_on_greedy_path(self, tiny_model):
         attended = np.random.default_rng(2).normal(size=(4, TINY.d_att))
         e_inf, fed, _ = _decode_inference(tiny_model, attended, _full(4))
-        e_train, _ = _decode_training(tiny_model, attended, fed, _full(4))
+        e_train, _, _ = _decode_inference(tiny_model, attended, _full(4), fed)
         np.testing.assert_array_equal(e_inf, e_train)
         np.testing.assert_array_equal(fed, _fed(e_inf, _full(4)))
 
@@ -203,10 +225,11 @@ class TestDecoder:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_feed_seam_on_packed_batches(self, lengths, seed):
         # the tags _decode_inference returns are the ones it fed: fed back
-        # to _decode_training they give its emissions bit for bit, they
+        # to the same loop they give its emissions bit for bit, they
         # follow from those emissions and _FEED_MASK, and each row's are
         # the per-sentence reference's greedy feed; _gold_feed is that
-        # reference's feed of the gold tags
+        # reference's feed of the gold tags, and fed to the loop it gives
+        # that reference's teacher-forced emissions
         tiny_model = init_model(12, TINY, np.random.default_rng(42))
         rng = np.random.default_rng(seed)
         rows = [rng.normal(size=(n, TINY.d_att)) for n in lengths]
@@ -214,24 +237,29 @@ class TestDecoder:
         packing = _pack(lengths)
         attended = np.concatenate(rows)[packing.src]
         emissions, fed, _ = _decode_inference(tiny_model, attended, packing)
-        again, _ = _decode_training(tiny_model, attended, fed, packing)
+        again, _, _ = _decode_inference(tiny_model, attended, packing, fed)
         np.testing.assert_array_equal(again, emissions)
         np.testing.assert_array_equal(fed, _fed(emissions, packing))
         gold_fed = _gold_feed(np.concatenate(golds)[packing.src], packing)
+        taught, _, _ = _decode_inference(tiny_model, attended, packing,
+                                         gold_fed)
         at = _input_rows(packing, lengths)
         for r, (x, gold) in enumerate(zip(rows, golds)):
             greedy = per_sentence.decode(tiny_model, x)[1][2]
             assert fed[at == r].tolist() == greedy
-            teacher = per_sentence.decode(tiny_model, x, gold)[1][2]
+            reference, (_, _, teacher) = per_sentence.decode(tiny_model, x,
+                                                             gold)
             assert gold_fed[at == r].tolist() == teacher
+            np.testing.assert_allclose(taught[at == r], reference,
+                                       rtol=1e-12, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=5),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_greedy_loop_keeps_teacher_forced_caches(self, lengths, seed):
-        # the greedy loop with a cache list keeps what _decode_training
-        # keeps when fed the greedy tags: one pass gives training's
-        # backward inputs for the decoder's own feed
+        # the greedy loop with a cache list keeps what the loop keeps
+        # when fed the greedy tags: one pass gives training's backward
+        # inputs for the decoder's own feed
         tiny_model = init_model(12, TINY, np.random.default_rng(42))
         rng = np.random.default_rng(seed)
         rows = [rng.normal(size=(n, TINY.d_att)) for n in lengths]
@@ -240,8 +268,9 @@ class TestDecoder:
         kept = []
         emissions, fed, hs = _decode_inference(tiny_model, attended, packing,
                                                caches=kept)
-        again, (_, hs_again, caches, _, _) = _decode_training(
-            tiny_model, attended, fed, packing)
+        caches = []
+        again, _, hs_again = _decode_inference(tiny_model, attended, packing,
+                                               fed, caches)
         np.testing.assert_array_equal(again, emissions)
         np.testing.assert_array_equal(hs_again, hs)
         assert len(kept) == len(caches) == len(packing.sizes)
